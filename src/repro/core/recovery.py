@@ -978,6 +978,12 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 else:
                     still_pending.append((key, clock, value))
             self._pending_outputs = still_pending
+            if committed_count:
+                # The set was grown in place: write it back, or nothing
+                # ever makes the commit durable.  Lazy is enough -- a
+                # commit lost with the window is re-derived from the
+                # replayed outputs at the next sweep.
+                self.storage.put_lazy("committed_outputs", committed)
 
         ckpts_collected = 0
         entries_collected = 0

@@ -8,7 +8,8 @@ SIGKILL crashes:
 - :mod:`repro.live.codec` / :mod:`repro.live.framing` -- the wire format
   (tagged JSON in length-prefixed frames);
 - :mod:`repro.live.storage` -- :class:`FileStableStorage`, persisting the
-  durable half of a process's state through ``os.replace``;
+  durable half of a process's state as an append-only, checksummed
+  record log (``python -m repro.live.storage PATH`` prints one);
 - :mod:`repro.live.env` -- :class:`LiveEnv`, the event-loop-backed
   environment implementation, and the JSONL trace writer;
 - :mod:`repro.live.transport` -- the reconnecting full-mesh transport
@@ -40,9 +41,20 @@ from repro.live.faults import (
     NodeFaults,
 )
 from repro.live.load import LoadPipelineApp, OpenLoopSource, run_load_bench
-from repro.live.storage import FileStableStorage
 from repro.live.supervisor import LiveClusterSpec, LiveCrashPlan, run_cluster
 from repro.live.verify import LiveVerdict, check_live_run
+
+
+def __getattr__(name: str):
+    # Resolved on first use rather than imported above, so that
+    # ``python -m repro.live.storage PATH`` executes the module once, as
+    # ``__main__``, instead of a second time beside an imported copy.
+    if name == "FileStableStorage":
+        from repro.live.storage import FileStableStorage
+
+        return FileStableStorage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FileStableStorage",

@@ -37,9 +37,9 @@ class FramingError(ConnectionError):
     """Raised for oversized, truncated, or corrupt frames."""
 
 
-def frame(payload: bytes) -> bytes:
+def frame(payload: bytes, *, cap: int = MAX_FRAME) -> bytes:
     """Prefix ``payload`` with its length and CRC32."""
-    if len(payload) > MAX_FRAME:
+    if len(payload) > cap:
         raise FramingError(f"frame of {len(payload)} bytes exceeds cap")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -50,6 +50,25 @@ def _check_crc(payload: bytes, crc: int) -> bytes:
             f"frame of {len(payload)} bytes failed its CRC check"
         )
     return payload
+
+
+def parse_frame(buf: bytes, pos: int = 0, *, cap: int = MAX_FRAME) -> bytes | None:
+    """Payload of the frame that starts at ``buf[pos]``.
+
+    ``None`` when the buffer ends before the frame does; raises
+    :class:`FramingError` for an oversized length or a CRC mismatch.
+    The synchronous counterpart of :func:`read_frame`, for frames at
+    rest (the storage record log) rather than on a socket.
+    """
+    if len(buf) - pos < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack_from(buf, pos)
+    if length > cap:
+        raise FramingError(f"frame of {length} bytes at {pos} exceeds cap")
+    start = pos + _HEADER.size
+    if start + length > len(buf):
+        return None
+    return _check_crc(bytes(buf[start:start + length]), crc)
 
 
 async def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:

@@ -1,34 +1,59 @@
-"""File-backed stable storage for live processes, with group commit.
+"""File-backed stable storage for live processes: an append-only record log.
 
 :class:`FileStableStorage` keeps the exact semantics of the in-memory
 :class:`~repro.storage.stable.StableStorage` -- including the *volatile*
 message-log buffer, which is deliberately **not** persisted (a SIGKILL
 must lose it, exactly like the paper's failure model) -- and writes the
-durable remainder to one pickle file.
+durable remainder to one file of length+CRC32-framed records
+(the :mod:`repro.live.framing` header):
+
+- a **delta** record per barrier, holding only the mutations made since
+  the previous barrier (log entries flushed, checkpoint taken / suffix
+  discarded / prefix collected, log truncated / prefix discarded, token,
+  kv put, outbox add / ack) plus the few always-current scalars
+  (counters, the active intent, the intent audit tail).  One ``write``
+  and one ``fsync``: a barrier costs what it flushed, not what the
+  process has accumulated;
+- a **snapshot** record holding the whole durable state.  It is always
+  the file's first record and is written only when the file is created
+  and by compaction, through a temp file, :func:`os.replace` and a
+  directory fsync.  Compaction runs in place of an append once the
+  bytes appended since the last snapshot exceed that snapshot's size
+  (or :data:`_COMPACT_FLOOR`), so the file stays within about twice the
+  state and the amortised cost per barrier stays O(delta).
+
+The atomicity unit is one barrier: a record is CRC-valid or ignored.
+Loading folds the records in order.  A bad record with nothing valid
+after it is the torn tail of an append that was never acknowledged: the
+file is cut back to the last good record and the cut is counted
+(``torn_tails_healed``).  A bad record *followed by* a valid one damages
+data a barrier already acknowledged: the storage refuses to start
+(:class:`StorageCorruptionError`, naming the offset) rather than trust
+a durable clock it cannot vouch for.
 
 Writes come in two durability classes:
 
 - **Synchronous barriers** -- token logging, ``put``, and every
-  checkpoint/message-log mutation -- persist (fsync) immediately, exactly
-  as before.  A barrier writes the *whole* durable image, so it also
-  hardens any lazy writes still pending.
-- **Lazy writes** (:meth:`put_lazy`, used for the transport outbox) are
-  batched: the file is rewritten at most once per ``flush_window``
-  seconds.  This is the group commit that removes the two
-  fsyncs-per-message the outbox used to cost.  A SIGKILL inside the
-  window loses the tail of lazy writes -- which is sound, because a
-  message whose *sending state* is durable was hardened by the same
-  barrier (log flush / checkpoint) that made the state durable, and a
-  message whose sending state is volatile is condemned by the sender's
-  restart token: receivers discard it as obsolete, so the loss equals
-  never having sent it.
+  checkpoint/message-log mutation -- append their record immediately;
+  the record also carries any lazy writes still pending.
+- **Lazy writes** (:meth:`put_lazy`, and the transport outbox's
+  ``add`` / ``ack``) are batched: at most one record per
+  ``flush_window`` seconds.  A SIGKILL inside the window loses the tail
+  of lazy writes -- which is sound, because a message whose *sending
+  state* is durable was hardened by the same barrier (log flush /
+  checkpoint) that made the state durable, and a message whose sending
+  state is volatile is condemned by the sender's restart token:
+  receivers discard it as obsolete, so the loss equals never having
+  sent it.
 
-``flush_window=0`` (the default for direct construction) keeps the old
-every-mutation-fsyncs behaviour; the live node enables the window.
+``flush_window=0`` (the default for direct construction) makes every
+mutation a barrier; the live node enables the window.
 
-Writes go through a temp file and :func:`os.replace`, so a crash in the
-middle of a write leaves the previous durable image intact; there is no
-window in which the file is missing or half-written.
+Values handed to ``put`` / ``put_lazy`` / ``checkpoints.take`` are
+snapshots at call time: a record is written once, so mutating such a
+value in place afterwards changes memory and not the disk.
+
+``python -m repro.live.storage PATH`` prints one line per record.
 """
 
 from __future__ import annotations
@@ -36,81 +61,190 @@ from __future__ import annotations
 import asyncio
 import os
 import pickle
-from typing import Any, Callable
+import sys
+from typing import Any, Callable, Iterator
 
+from repro.live.framing import OVERHEAD, FramingError, frame, parse_frame
+from repro.live.outbox import Outbox
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
-# Version 2: the transport outbox holds NetworkMessage objects (encoded
-# per connection at pump time), not pre-encoded JSON bytes.
-# Version 3: write-ahead intent journal (active record, audit tail, id
-# counter) plus the observability counters that used to reset across
-# restarts (lazy_writes, window_flushes, token_log_dedups).  Version-2
-# images load fine: the new keys default.
-_FORMAT_VERSION = 3
-_ACCEPTED_VERSIONS = (2, 3)
+#: First bytes of every record payload; the trailing digit is the format
+#: version.  It is also what lets the loader look for a valid record
+#: *after* a bad one without trusting the bad one's length field.
+_MAGIC = b"DGL1"
+_SNAPSHOT = b"S"
+_DELTA = b"D"
+_KIND_AT = len(_MAGIC)
+_BODY = _KIND_AT + 1
+
+#: The header's length field is 32 bits; that, not the wire's
+#: ``MAX_FRAME``, caps a record (a long run's snapshot exceeds 16 MiB).
+_MAX_RECORD = 2**32 - 1
+
+#: Compaction waits for at least this many appended bytes, so a small
+#: state is not re-snapshotted (rename + directory fsync) every few
+#: barriers while its reload still folds only a handful of records.
+_COMPACT_FLOOR = 64 * 1024
 
 
-class _NotifyingCheckpointStore(CheckpointStore):
-    """CheckpointStore that reports every durable mutation."""
+class StorageCorruptionError(RuntimeError):
+    """The record log is damaged *before* its last valid record."""
 
-    def __init__(self, on_mutate: Callable[[], None]) -> None:
+
+# ---------------------------------------------------------------------------
+# Reading the file
+# ---------------------------------------------------------------------------
+def _record_at(data: bytes, pos: int) -> bytes | None:
+    """The payload of the whole, CRC-valid record at ``pos``, if any."""
+    try:
+        payload = parse_frame(data, pos, cap=_MAX_RECORD)
+    except FramingError:
+        return None
+    if payload is None or not payload.startswith(_MAGIC):
+        return None
+    return payload
+
+
+def _valid_record_after(data: bytes, pos: int) -> int | None:
+    """Offset of the first valid record that starts beyond ``pos``."""
+    at = data.find(_MAGIC, pos + OVERHEAD + 1)
+    while at != -1:
+        if _record_at(data, at - OVERHEAD) is not None:
+            return at - OVERHEAD
+        at = data.find(_MAGIC, at + 1)
+    return None
+
+
+def scan(data: bytes, path: str = "<bytes>") -> tuple[list[tuple[int, bytes]], int]:
+    """Split ``data`` into ``[(offset, payload), ...]`` and the end of
+    that valid prefix.
+
+    Whatever lies beyond the returned end is a torn tail.  Damage that
+    is not a tail -- the file does not start with a record, or a valid
+    record follows a bad one -- raises.
+    """
+    records: list[tuple[int, bytes]] = []
+    pos = 0
+    while pos < len(data):
+        payload = _record_at(data, pos)
+        if payload is None:
+            break
+        records.append((pos, payload))
+        pos += OVERHEAD + len(payload)
+    if pos == len(data):
+        return records, pos
+    if pos == 0 and data[:1] == b"\x80":
+        raise RuntimeError(
+            f"stable-storage format 'pickle image' of {path} not "
+            f"supported (expected record log {_MAGIC.decode()})"
+        )
+    # The first record is renamed into place whole, so it is never a
+    # torn append; any later record is one only if nothing follows it.
+    later = _valid_record_after(data, pos)
+    if pos == 0 or later is not None:
+        raise StorageCorruptionError(
+            f"{path}: corrupt record at offset {pos}"
+            + (f" precedes a valid record at offset {later}" if later else "")
+            + "; acknowledged data is damaged, refusing to load"
+        )
+    return records, pos
+
+
+def _decode(payload: bytes) -> tuple[bytes, Any]:
+    # Only CRC-valid bytes this program framed itself reach the unpickler.
+    return payload[_KIND_AT:_BODY], pickle.loads(memoryview(payload)[_BODY:])
+
+
+def _encode(kind: bytes, body: Any) -> bytes:
+    return frame(
+        _MAGIC + kind + pickle.dumps(body, protocol=4), cap=_MAX_RECORD
+    )
+
+
+# ---------------------------------------------------------------------------
+# Stores that journal their durable mutations
+# ---------------------------------------------------------------------------
+class _JournaledCheckpointStore(CheckpointStore):
+    """CheckpointStore whose every durable mutation is a barrier."""
+
+    def __init__(self, barrier: Callable[[tuple], None]) -> None:
         super().__init__()
-        self._on_mutate = on_mutate
+        self._barrier = barrier
 
     def take(self, *args: Any, **kwargs: Any):
         ckpt = super().take(*args, **kwargs)
-        self._on_mutate()
+        self._barrier(("ckpt+", ckpt))
         return ckpt
 
     def discard_after(self, ckpt) -> int:
         dropped = super().discard_after(ckpt)
-        self._on_mutate()
+        self._barrier(("ckpt_after", ckpt.ckpt_id))
         return dropped
 
     def garbage_collect_before(self, ckpt_id: int) -> int:
         dropped = super().garbage_collect_before(ckpt_id)
         if dropped:
-            self._on_mutate()
+            self._barrier(("ckpt_gc", ckpt_id))
         return dropped
 
 
-class _NotifyingMessageLog(MessageLog):
-    """MessageLog that reports mutations of its *stable* part.
+class _JournaledMessageLog(MessageLog):
+    """MessageLog whose *stable* mutations are barriers.
 
-    ``append`` touches only the volatile buffer and therefore does not
-    persist -- that is the point: unflushed messages die with the process.
+    ``append`` touches only the volatile buffer and therefore journals
+    nothing -- that is the point: unflushed messages die with the process.
     """
 
-    def __init__(self, on_mutate: Callable[[], None]) -> None:
+    def __init__(self, barrier: Callable[[tuple], None]) -> None:
         super().__init__()
-        self._on_mutate = on_mutate
+        self._barrier = barrier
 
     def flush(self) -> int:
+        entries = list(self._volatile)
         moved = super().flush()
         if moved:
-            self._on_mutate()
+            self._barrier(("log+", entries))
         return moved
 
     def truncate(self, keep: int) -> int:
         dropped = super().truncate(keep)
         if dropped:
-            self._on_mutate()
+            self._barrier(("log_truncate", keep))
         return dropped
 
     def discard_prefix(self, before: int) -> int:
         dropped = super().discard_prefix(before)
         if dropped:
-            self._on_mutate()
+            self._barrier(("log_gc", before))
+        return dropped
+
+
+class _JournaledOutbox(Outbox):
+    """Outbox whose ``add`` / ``ack`` ride the flush window as records."""
+
+    def __init__(self, lazy: Callable[[tuple], None]) -> None:
+        super().__init__()
+        self._lazy = lazy
+
+    def add(self, dst: int, msg: Any) -> int:
+        seq = super().add(dst, msg)
+        self._lazy(("out+", dst, seq, msg))
+        return seq
+
+    def ack(self, dst: int, upto: int) -> int:
+        dropped = super().ack(dst, upto)
+        if dropped:
+            self._lazy(("out_ack", dst, upto))
         return dropped
 
 
 class FileStableStorage(StableStorage):
     """Stable storage persisted to ``path``; reloads itself on restart."""
 
-    # Armed crash points fire from _persist, right after the atomic file
-    # write, so the on-disk image at death is exactly the partial state
+    # Armed crash points fire from _persist, right after the record's
+    # fsync, so the on-disk state at death is exactly the partial state
     # the point names (including the live-only ":committed" variants).
     _fires_on_persist = True
 
@@ -120,26 +254,31 @@ class FileStableStorage(StableStorage):
         super().__init__(pid)
         self.path = path
         self.flush_window = flush_window
-        self.persist_count = 0          # fsync'd file writes
+        self.persist_count = 0          # fsync'd records (either kind)
         self.window_flushes = 0         # persists triggered by the timer
-        self.dir_fsyncs = 0             # directory fsyncs after os.replace
+        self.dir_fsyncs = 0             # directory fsyncs (create, compaction)
+        self.torn_tails_healed = 0      # loads that cut an unacknowledged tail
         # Optional fault injector (NodeFaults.disk_fault): called at the
         # top of every persist with window=True/False.  It may stall, or
         # raise for window-triggered flushes -- which must then leave the
         # dirty flag set and the flush window re-armed (the retry path).
         self.fault_hook: Callable[..., None] | None = None
         # Optional flush-before-barrier hook (LiveTrace.flush): called
-        # before every durable image write.  Anything that must be on
-        # disk no later than this storage barrier -- the batched trace
-        # buffer -- hangs off this hook.  Must not raise on the happy
-        # path; if it does, the persist is aborted and retried exactly
-        # like a fault_hook failure.
+        # before every durable write.  Anything that must be on disk no
+        # later than this storage barrier -- the batched trace buffer --
+        # hangs off this hook.  Must not raise on the happy path; if it
+        # does, the persist is aborted and retried exactly like a
+        # fault_hook failure.
         self.pre_persist_hook: Callable[[], None] | None = None
-        self._dirty = False
+        self._ops: list[tuple] = []     # mutations no record holds yet
+        self._dirty = False             # ... some of them lazy
         self._flush_handle: asyncio.TimerHandle | None = None
+        self._end = 0                   # end of the last acknowledged record
+        self._snapshot_bytes = 0        # size of the file's snapshot record
         self._loading = True
-        self.checkpoints = _NotifyingCheckpointStore(self._persist)
-        self.log = _NotifyingMessageLog(self._persist)
+        self.checkpoints = _JournaledCheckpointStore(self._barrier)
+        self.log = _JournaledMessageLog(self._barrier)
+        self.outbox = _JournaledOutbox(self._lazy_outbox)
         if os.path.exists(path):
             self._load()
         self._loading = False
@@ -150,59 +289,51 @@ class FileStableStorage(StableStorage):
     def log_token(self, token: Any, *, dedupe_key: Any = None) -> bool:
         appended = super().log_token(token, dedupe_key=dedupe_key)
         if appended:
-            self._persist()
+            self._barrier(("token", token, dedupe_key))
         return appended
 
     def put(self, key: str, value: Any) -> None:
         super().put(key, value)
-        self._persist()
+        self._barrier(("kv", key, value))
 
     def put_lazy(self, key: str, value: Any) -> None:
         super().put_lazy(key, value)
-        if self._loading:
-            return
-        if self.flush_window <= 0:
-            self._persist()
-            return
-        self._dirty = True
-        if self._flush_handle is not None:
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            # No event loop (synchronous tests): nothing would ever fire
-            # the window, so behave synchronously.
-            self._persist()
-            return
-        self._flush_handle = loop.call_later(
-            self.flush_window, self._window_fire
-        )
+        self._lazy(("kv", key, value))
 
-    def mark_lazy_dirty(self) -> None:
-        """Provider-backed lazy write: O(1) dirty bit, snapshot deferred.
-
-        Unlike the in-memory base (which materialises immediately), the
-        provider is invoked inside :meth:`_persist` -- once per actual
-        file write, not once per mutation.  Durability class is identical
-        to :meth:`put_lazy`: the next barrier or flush window hardens it.
-        """
+    def _lazy_outbox(self, op: tuple) -> None:
         self.lazy_writes += 1
+        self._lazy(op)
+
+    def _barrier(self, op: tuple) -> None:
         if self._loading:
             return
+        self._ops.append(op)
+        self._persist()
+
+    def _lazy(self, op: tuple) -> None:
+        if self._loading:
+            return
+        self._ops.append(op)
+        if self._arm_window():
+            self._dirty = True
+        else:
+            self._persist()
+
+    def _arm_window(self) -> bool:
+        """Make sure a flush-window timer is pending.  ``False`` when
+        nothing would ever fire one -- no window configured, or no event
+        loop (synchronous tests) -- and the caller must persist itself."""
         if self.flush_window <= 0:
-            self._persist()
-            return
-        self._dirty = True
-        if self._flush_handle is not None:
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            self._persist()
-            return
-        self._flush_handle = loop.call_later(
-            self.flush_window, self._window_fire
-        )
+            return False
+        if self._flush_handle is None:
+            try:
+                loop = asyncio.get_running_loop()
+            except RuntimeError:
+                return False
+            self._flush_handle = loop.call_later(
+                self.flush_window, self._window_fire
+            )
+        return True
 
     def _window_fire(self) -> None:
         self._flush_handle = None
@@ -223,11 +354,24 @@ class FileStableStorage(StableStorage):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _durable_state(self) -> dict[str, Any]:
-        # Snapshot provider-backed values now: one call per file write.
-        self._materialize_providers()
+    def _scalars(self) -> tuple:
+        """What every record restates: small, and changed by calls that
+        are deliberately not barriers of their own (an empty log flush,
+        a deduplicated token, an intent transition)."""
+        return (
+            self.sync_writes,
+            self.lazy_writes,
+            self.window_flushes,
+            self.token_log_dedups,
+            self.log.flush_count,
+            self._intent_next_id,
+            self._active_intent,
+            self._intent_audit,
+        )
+
+    def _snapshot(self) -> dict[str, Any]:
+        """The whole durable state (compaction, and equality in tests)."""
         return {
-            "version": _FORMAT_VERSION,
             "pid": self.pid,
             "checkpoints": self.checkpoints._checkpoints,
             "ckpt_next_id": self.checkpoints._next_id,
@@ -235,18 +379,13 @@ class FileStableStorage(StableStorage):
             "ckpt_discarded": self.checkpoints.discarded_count,
             "log_stable": self.log._stable,
             "log_gc_offset": self.log._gc_offset,
-            "log_flush_count": self.log.flush_count,
             "log_gc_count": self.log.gc_count,
             "tokens": self._tokens,
             "token_keys": self._token_keys,
             "kv": self._kv,
-            "sync_writes": self.sync_writes,
-            "lazy_writes": self.lazy_writes,
-            "window_flushes": self.window_flushes,
-            "token_log_dedups": self.token_log_dedups,
-            "intent_active": self._active_intent,
-            "intent_audit": self._intent_audit,
-            "intent_next_id": self._intent_next_id,
+            "outbox": self.outbox._entries,
+            "outbox_next_seq": self.outbox._next_seq,
+            "scalars": self._scalars(),
         }
 
     def _persist(self, *, window: bool = False) -> None:
@@ -254,52 +393,72 @@ class FileStableStorage(StableStorage):
             return
         # A barrier hardens everything, pending lazy writes included --
         # but only claim the pending window once the write has actually
-        # landed: if pickle/fsync/replace raises (disk full, transient
-        # I/O error) the durable image is still the old one, and marking
-        # the lazy tail clean here would silently drop it forever.
+        # landed: if the write or its fsync raises (disk full, transient
+        # I/O error) nothing was acknowledged, and marking the lazy tail
+        # clean here would silently drop it forever.
         was_dirty = self._dirty
         self._dirty = False
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        tmp = f"{self.path}.tmp"
         try:
             if self.pre_persist_hook is not None:
                 self.pre_persist_hook()
             if self.fault_hook is not None:
                 self.fault_hook(window=window)
-            with open(tmp, "wb") as fh:
-                pickle.dump(self._durable_state(), fh, protocol=4)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            appended = self._end - self._snapshot_bytes
+            if not self._end or appended > max(
+                self._snapshot_bytes, _COMPACT_FLOOR
+            ):
+                # No file yet, or the deltas outweigh the snapshot they
+                # extend: one whole-state record replaces them all.
+                self._write_snapshot()
+            else:
+                self._append(_encode(_DELTA, (self._scalars(), self._ops)))
         except Exception:
+            # The unwritten mutations stay in _ops; the next barrier,
+            # sync() or re-armed window writes them with its own.
             self._dirty = True
             if was_dirty:
-                self._reschedule_window()
+                self._arm_window()      # so the lazy tail is retried
             raise
-        self._fsync_dir()
+        self._ops = []
         self.persist_count += 1
         self._check_crash_point()
 
-    def _reschedule_window(self) -> None:
-        """Re-arm the flush window so a failed persist is retried."""
-        if self.flush_window <= 0 or self._flush_handle is not None:
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return
-        self._flush_handle = loop.call_later(
-            self.flush_window, self._window_fire
-        )
+    def _append(self, record: bytes) -> None:
+        with open(self.path, "r+b") as fh:
+            # A failed append may have left bytes beyond the last
+            # acknowledged record; no torn bytes may ever precede a
+            # later record, so cut them before writing this one.
+            if fh.seek(0, os.SEEK_END) != self._end:
+                fh.truncate(self._end)
+                fh.seek(self._end)
+            fh.write(record)
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._end += len(record)
+
+    def _write_snapshot(self) -> None:
+        """Replace the file with one record holding the current state:
+        the previous file stays whole until the rename, so there is no
+        window in which the path is missing or half-written."""
+        record = _encode(_SNAPSHOT, self._snapshot())
+        tmp = f"{self.path}.tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(record)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
+        self._end = self._snapshot_bytes = len(record)
+        self._fsync_dir()
 
     def _fsync_dir(self) -> None:
         """Make the rename itself durable.
 
         ``os.replace`` swaps the directory entry, but that entry only
         survives a *host* crash once the directory is fsynced; without
-        this the previous image can resurrect even though persist_count
+        this the previous file can resurrect even though persist_count
         was already bumped.  Platforms that cannot open or fsync a
         directory (e.g. Windows) are skipped.
         """
@@ -317,7 +476,7 @@ class FileStableStorage(StableStorage):
             os.close(dirfd)
 
     def _check_crash_point(self) -> None:
-        """Fire an armed crash point matching the image just written."""
+        """Fire an armed crash point matching the record just written."""
         pending, self._commit_pending = self._commit_pending, None
         if not self._armed_crash_points:
             return
@@ -327,14 +486,36 @@ class FileStableStorage(StableStorage):
         elif pending is not None:
             self._fire_crash_point(f"{pending.kind}:committed")
 
+    # ------------------------------------------------------------------
+    # Loading: fold the records in order
+    # ------------------------------------------------------------------
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
-            state = pickle.load(fh)
-        if state.get("version") not in _ACCEPTED_VERSIONS:
-            raise RuntimeError(
-                f"stable-storage format {state.get('version')!r} "
-                f"not supported (expected {_FORMAT_VERSION})"
-            )
+            data = fh.read()
+        records, end = scan(data, self.path)
+        for offset, payload in records:
+            kind, body = _decode(payload)
+            if (kind == _SNAPSHOT) != (offset == 0):
+                raise StorageCorruptionError(
+                    f"{self.path}: misplaced {kind!r} record at offset {offset}"
+                )
+            if kind == _SNAPSHOT:
+                self._restore(body)
+                self._snapshot_bytes = OVERHEAD + len(payload)
+            else:
+                scalars, ops = body
+                for op in ops:
+                    self._replay(op)
+                self._restore_scalars(scalars)
+        if end < len(data):
+            # Torn tail: an append that was never acknowledged.
+            with open(self.path, "r+b") as fh:
+                fh.truncate(end)
+                os.fsync(fh.fileno())
+            self.torn_tails_healed += 1
+        self._end = end
+
+    def _restore(self, state: dict[str, Any]) -> None:
         if state["pid"] != self.pid:
             raise RuntimeError(
                 f"storage file {self.path} belongs to pid {state['pid']}, "
@@ -346,15 +527,117 @@ class FileStableStorage(StableStorage):
         self.checkpoints.discarded_count = state["ckpt_discarded"]
         self.log._stable = state["log_stable"]
         self.log._gc_offset = state["log_gc_offset"]
-        self.log.flush_count = state["log_flush_count"]
         self.log.gc_count = state["log_gc_count"]
         self._tokens = state["tokens"]
         self._token_keys = state["token_keys"]
         self._kv = state["kv"]
-        self.sync_writes = state["sync_writes"]
-        self.lazy_writes = state.get("lazy_writes", 0)
-        self.window_flushes = state.get("window_flushes", 0)
-        self.token_log_dedups = state.get("token_log_dedups", 0)
-        self._active_intent = state.get("intent_active")
-        self._intent_audit = state.get("intent_audit", [])
-        self._intent_next_id = state.get("intent_next_id", 0)
+        self.outbox._entries = state["outbox"]
+        self.outbox._next_seq = state["outbox_next_seq"]
+        self._restore_scalars(state["scalars"])
+
+    def _restore_scalars(self, scalars: tuple) -> None:
+        (
+            self.sync_writes,
+            self.lazy_writes,
+            self.window_flushes,
+            self.token_log_dedups,
+            self.log.flush_count,
+            self._intent_next_id,
+            self._active_intent,
+            self._intent_audit,
+        ) = scalars
+
+    def _replay(self, op: tuple) -> None:
+        """Re-apply one journaled mutation (the stores' own barriers are
+        inert while loading)."""
+        kind = op[0]
+        if kind == "kv":
+            self._kv[op[1]] = op[2]
+        elif kind == "out+":
+            self.outbox.restore(*op[1:])
+        elif kind == "out_ack":
+            self.outbox.ack(*op[1:])
+        elif kind == "log+":
+            self.log._stable.extend(op[1])
+        elif kind == "log_truncate":
+            self.log.truncate(op[1])
+        elif kind == "log_gc":
+            self.log.discard_prefix(op[1])
+        elif kind == "ckpt+":
+            store = self.checkpoints
+            store._checkpoints.append(op[1])
+            store._next_id = op[1].ckpt_id + 1
+            store.taken_count += 1
+        elif kind == "ckpt_after":
+            anchor = next(c for c in self.checkpoints if c.ckpt_id == op[1])
+            self.checkpoints.discard_after(anchor)
+        elif kind == "ckpt_gc":
+            self.checkpoints.garbage_collect_before(op[1])
+        elif kind == "token":
+            super().log_token(op[1], dedupe_key=op[2])
+        else:
+            raise StorageCorruptionError(
+                f"{self.path}: unknown journaled operation {kind!r}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# python -m repro.live.storage PATH
+# ---------------------------------------------------------------------------
+def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
+    """One line per record: offset, bytes, what it holds, active intent."""
+    records, end = scan(data, path)
+    for offset, payload in records:
+        kind, body = _decode(payload)
+        if kind == _SNAPSHOT:
+            scalars = body["scalars"]
+            held = (
+                f"snapshot pid={body['pid']} "
+                f"checkpoints={len(body['checkpoints'])} "
+                f"log=[{body['log_gc_offset']},"
+                f"{body['log_gc_offset'] + len(body['log_stable'])}) "
+                f"tokens={len(body['tokens'])} kv={len(body['kv'])} "
+                f"outbox={sum(map(len, body['outbox'].values()))}"
+            )
+        else:
+            scalars, ops = body
+            counts: dict[str, int] = {}
+            for op in ops:
+                label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
+                counts[label] = counts.get(label, 0) + (
+                    len(op[1]) if op[0] == "log+" else 1
+                )
+            held = "delta " + (
+                ",".join(f"{k}x{v}" for k, v in counts.items()) or "-"
+            )
+        *_, active, _audit = scalars
+        intent = "-" if active is None else f"{active.kind}@{active.step}"
+        yield (
+            f"offset={offset} bytes={OVERHEAD + len(payload)} {held} "
+            f"intent={intent}"
+        )
+    if end < len(data):
+        yield (
+            f"offset={end} bytes={len(data) - end} TORN TAIL "
+            "(unacknowledged append; the next load cuts it)"
+        )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python -m repro.live.storage PATH", file=sys.stderr)
+        return 2
+    with open(args[0], "rb") as fh:
+        data = fh.read()
+    try:
+        for line in describe(data, args[0]):
+            print(line)
+    except RuntimeError as exc:     # refused: say why, read-only
+        print(exc, file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,11 +9,12 @@ downtime (still in flight).  The live transport reproduces that with:
 - per-link sequence numbers with cumulative acknowledgements; an entry
   leaves the sender's outbox only when the receiver has acknowledged
   *processing* it, so anything in doubt is retransmitted on reconnect;
-- a **durable** outbox (persisted in the sender's
-  :class:`~repro.live.storage.FileStableStorage`), so even a SIGKILLed
-  sender retransmits its unacknowledged messages when it comes back --
-  without this, messages "in flight" at a sender crash would be lost,
-  which the paper's channel assumption forbids;
+- a **durable** outbox (the ``outbox`` store of the sender's
+  :class:`~repro.live.storage.FileStableStorage`, which journals every
+  ``add`` and ``ack`` as a record), so even a SIGKILLed sender
+  retransmits its unacknowledged messages when it comes back -- without
+  this, messages "in flight" at a sender crash would be lost, which the
+  paper's channel assumption forbids;
 - receiver-side dedup keyed by ``(sender pid, sender boot)``: retransmits
   of already-processed entries are acknowledged but not re-delivered.
   After a *receiver* crash its dedup state is gone, so unacknowledged
@@ -50,15 +51,8 @@ from repro.live.framing import (
     frame,
     write_frame,
 )
+from repro.live.outbox import Outbox
 from repro.runtime.message import NetworkMessage
-
-#: One storage key holds the outbox AND the per-link sequence counters.
-#: They must hit disk in the same write: persisted separately, a crash
-#: between the two writes leaves an outbox entry on disk with a stale
-#: counter, and the next incarnation re-assigns a live seq -- the
-#: receiver's dedup cursor then silently swallows the second message,
-#: losing it forever (a token lost this way strands every orphan).
-_OUTBOX_KEY = "transport_outbox"
 
 _BACKOFF_FLOOR = 0.05
 _BACKOFF_CEIL = 2.0
@@ -108,12 +102,20 @@ class MeshTransport:
         self._protocol: Any | None = None
         self._undelivered: list[NetworkMessage] = []
         self._self_pending: list[NetworkMessage] = []
-        self._outbox: dict[int, list[tuple[int, NetworkMessage]]] = {
-            dst: [] for dst in range(n) if dst != pid
-        }
-        self._next_seq: dict[int, int] = {
-            dst: 1 for dst in range(n) if dst != pid
-        }
+        # Unacknowledged sends and the per-link seq counters.  With a
+        # storage this is its journaled outbox -- entries reloaded from a
+        # previous incarnation included -- so every add / ack below
+        # rides the storage's flush window and barriers as a record.
+        # Lazy (group-commit) durability is sound because a message
+        # whose sending state was never made durable is condemned by the
+        # sender's restart token anyway -- receivers discard it as
+        # obsolete, so losing its outbox entry equals never sending it --
+        # while any barrier that makes the sending state durable (log
+        # flush, checkpoint, token) carries the pending records with it.
+        self._outbox: Outbox = (
+            storage.outbox if storage is not None else Outbox()
+        )
+        self._peers = [dst for dst in range(n) if dst != pid]
         self._wake: dict[int, asyncio.Event] = {}
         self._seen: dict[tuple[int, int], int] = {}
         self._max_written: dict[int, int] = {}
@@ -131,52 +133,22 @@ class MeshTransport:
         self.bytes_received = 0       # framed bytes read (data + acks)
         self.data_frames_sent = 0
         self.dial_attempts = 0        # open_connection calls (per process)
-        if storage is not None:
-            saved = storage.get(_OUTBOX_KEY, {})
-            self._outbox.update(
-                {
-                    int(dst): [(seq, msg) for seq, msg in entries]
-                    for dst, entries in saved.get("entries", {}).items()
-                }
-            )
-            self._next_seq.update(
-                {
-                    int(dst): seq
-                    for dst, seq in saved.get("next_seq", {}).items()
-                }
-            )
-            # Defensive heal: whatever the disk says, never hand out a
-            # seq at or below one already occupied in the outbox.
-            for dst, entries in self._outbox.items():
-                if entries:
-                    floor = max(seq for seq, _ in entries) + 1
-                    if self._next_seq[dst] < floor:
-                        self._next_seq[dst] = floor
-        # Register the outbox as a lazy *provider*: the storage snapshots
-        # it via this callback when it actually writes, so send() marks a
-        # dirty bit in O(1) instead of serialising the whole outbox into
-        # a put_lazy value on every message.
-        self._has_provider = storage is not None and hasattr(
-            storage, "register_lazy_provider"
-        )
-        if self._has_provider:
-            storage.register_lazy_provider(_OUTBOX_KEY, self._outbox_image)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._running = True
-        for dst in self._outbox:
+        for dst in self._peers:
             self._wake[dst] = asyncio.Event()
-            if self._outbox[dst]:
+            if self._outbox.pending(dst):
                 # Reloaded entries from a previous incarnation: the peer
                 # loop retransmits them as soon as it connects.
                 self._wake[dst].set()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.ports[self.pid]
         )
-        for dst in self._outbox:
+        for dst in self._peers:
             self._tasks.append(asyncio.create_task(self._peer_loop(dst)))
 
     async def stop(self) -> None:
@@ -219,7 +191,7 @@ class MeshTransport:
     @property
     def unacked(self) -> int:
         """Outbox entries not yet acknowledged by their receivers."""
-        return sum(len(entries) for entries in self._outbox.values())
+        return len(self._outbox)
 
     # ------------------------------------------------------------------
     # Sending
@@ -234,43 +206,10 @@ class MeshTransport:
             if len(self._self_pending) == 1:
                 asyncio.get_running_loop().call_soon(self._drain_self_sends)
             return
-        seq = self._next_seq[dst]
-        self._next_seq[dst] = seq + 1
-        self._outbox[dst].append((seq, msg))
-        self._persist_outbox()
+        self._outbox.add(dst, msg)
         self.sent_count += 1
         if dst in self._wake:
             self._wake[dst].set()
-
-    def _outbox_image(self) -> dict[str, Any]:
-        """Snapshot for stable storage; called by the storage at persist
-        time (lazy provider) or built eagerly for plain ``put_lazy``."""
-        return {
-            "entries": {
-                dst: list(entries)
-                for dst, entries in self._outbox.items()
-            },
-            "next_seq": dict(self._next_seq),
-        }
-
-    def _persist_outbox(self) -> None:
-        # Lazy (group-commit) writes: the outbox rides to disk with the
-        # next storage barrier or flush window.  Sound because a message
-        # whose sending state was never made durable is condemned by the
-        # sender's restart token anyway -- receivers discard it as
-        # obsolete, so losing its outbox entry equals never sending it --
-        # while any barrier that makes the sending state durable (log
-        # flush, checkpoint, token) persists the whole image, outbox
-        # included.
-        if self.storage is None:
-            return
-        if self._has_provider:
-            # O(1): the storage snapshots via _outbox_image when (and only
-            # when) it writes, so a burst of sends inside one flush window
-            # costs one snapshot, not one per message.
-            self.storage.mark_lazy_dirty()
-            return
-        self.storage.put_lazy(_OUTBOX_KEY, self._outbox_image())
 
     def _encode_data(
         self, encoder: wire.WireEncoder | None, seq: int, msg: NetworkMessage
@@ -361,10 +300,11 @@ class MeshTransport:
                 # link so the peer loop parks until the heal, exactly as
                 # if the network path had gone dark mid-connection.
                 return
-            batch = [e for e in self._outbox[dst] if e[0] > sent_marker]
+            pending = self._outbox.pending(dst)
+            batch = [e for e in pending if e[0] > sent_marker]
             if not batch:
                 self._wake[dst].clear()
-                if any(e[0] > sent_marker for e in self._outbox[dst]):
+                if any(e[0] > sent_marker for e in pending):
                     continue   # raced with send()
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(
@@ -396,7 +336,7 @@ class MeshTransport:
 
     async def _ack_loop(self, dst: int, reader: asyncio.StreamReader) -> None:
         # Acks are cumulative per link, so a batch of ack frames collapses
-        # to its maximum: one outbox prune and one persist per read batch.
+        # to its maximum: one outbox prune and one record per read batch.
         buffered = BufferedFrameReader(reader)
         while self._running:
             batch = await buffered.read_batch()
@@ -413,14 +353,8 @@ class MeshTransport:
                     value = json.loads(data.decode("utf-8")).get("ack")
                     if value is not None:
                         acked = max(acked, value)
-            if acked < 0:
-                continue
-            before = len(self._outbox[dst])
-            self._outbox[dst] = [
-                e for e in self._outbox[dst] if e[0] > acked
-            ]
-            if len(self._outbox[dst]) != before:
-                self._persist_outbox()
+            if acked >= 0:
+                self._outbox.ack(dst, acked)
 
     # ------------------------------------------------------------------
     # Inbound side: accept, dedup, deliver, ack

@@ -187,6 +187,12 @@ class ServicePort:
     # Reply forwarding (replica role)
     # ------------------------------------------------------------------
     def _forward_replies(self) -> None:
+        if not self._writers:
+            # Hold the tail while nobody is listening: a restarted
+            # replica re-emits replies before its clients have redialled,
+            # and one written to no reader is a reply the client never
+            # sees (a put whose retry is then acked from no cache).
+            return
         outputs = self.protocol.outputs
         while self._forwarded < len(outputs):
             _, value = outputs[self._forwarded]

@@ -118,9 +118,11 @@ class SessionSlot:
 
     ``applied`` is the sorted tuple of put seqs this primary has applied
     for the session -- a set, not a high-water mark, because rollback can
-    reorder a retry ahead of the original's re-application.  The last
-    reply is cached so a duplicate put can be re-acked without touching
-    the store.
+    reorder a retry ahead of the original's re-application.  The reply
+    of the *highest* applied seq is cached so a duplicate put can be
+    re-acked without touching the store: a session is sequential, so
+    that op is the only one its client can still be retrying, whatever
+    order recovery re-applied the session's puts in.
     """
 
     applied: tuple[int, ...] = ()
@@ -132,9 +134,12 @@ class SessionSlot:
         return i < len(self.applied) and self.applied[i] == seq
 
     def record(self, seq: int, reply: KVReply) -> "SessionSlot":
-        """Ledger ``seq`` as applied and cache its reply."""
+        """Ledger ``seq`` as applied; cache its reply unless a later op
+        of the session already holds the cache."""
         i = bisect_left(self.applied, seq)
         applied = self.applied[:i] + (seq,) + self.applied[i:]
+        if i < len(self.applied):
+            reply = self.last_reply
         return SessionSlot(applied=applied, last_reply=reply)
 
 

@@ -1,10 +1,10 @@
 """Write-ahead intents: crash-window audit for multi-step durable transitions.
 
-``FileStableStorage`` persists the *entire* durable image as one atomic
-file write (temp file + ``os.replace``), so a single ``put`` or ``flush``
-can never be half-done.  Crash windows exist only where one *logical*
-transition spans **multiple** persists -- a SIGKILL between them leaves a
-partial image that is internally valid but logically inconsistent.  The
+``FileStableStorage`` writes each barrier as one checksummed record --
+valid or ignored -- so a single ``put`` or ``flush`` can never be
+half-done.  Crash windows exist only where one *logical* transition
+spans **multiple** persists -- a SIGKILL between them leaves a partial
+image that is internally valid but logically inconsistent.  The
 inventory of such transitions (see ``docs/DURABILITY.md``):
 
 =====================  ============================================  ======
@@ -30,9 +30,10 @@ intent kind            steps (durable persists, in order)            heal
 =====================  ============================================  ======
 
 The journal costs **zero extra fsyncs**: ``begin_intent`` is memory-only
-and the record rides the next step's own persist (same atomic file
-write), ``advance_intent`` declares the upcoming step *before* its
-mutation so that mutation's persist records it, and ``commit_intent``
+and the record rides the next step's own persist (every storage record
+restates the active intent), ``advance_intent`` declares the upcoming
+step *before* its mutation so that mutation's persist records it, and
+``commit_intent``
 clears the active record in memory so the transition's final mutation
 makes "committed" durable.
 
@@ -132,7 +133,7 @@ _PROTOCOL_KINDS = (CHECKPOINT, FLUSH, RESTART, ROLLBACK, COMPACTION)
 SIM_CRASH_POINTS = crash_points(_PROTOCOL_KINDS)
 
 #: Points the live engine can hit -- fired from inside ``_persist`` after
-#: the atomic file write, so ``:committed`` kills land on a real
+#: the record's fsync, so ``:committed`` kills land on a real
 #: committed-on-disk image.
 LIVE_CRASH_POINTS = crash_points(_PROTOCOL_KINDS, include_committed=True)
 

@@ -33,7 +33,6 @@ class StableStorage:
         self._tokens: list[Any] = []
         self._token_keys: set[Any] = set()
         self._kv: dict[str, Any] = {}
-        self._lazy_providers: dict[str, Callable[[], Any]] = {}
         self.sync_writes = 0
         self.lazy_writes = 0
         self.token_log_dedups = 0
@@ -88,37 +87,7 @@ class StableStorage:
         self._kv[key] = value
         self.lazy_writes += 1
 
-    def register_lazy_provider(
-        self, key: str, provider: Callable[[], Any]
-    ) -> None:
-        """Register a callback that yields ``key``'s current value.
-
-        Pull model for high-churn lazy values (the transport outbox): the
-        owner mutates its own structure and calls :meth:`mark_lazy_dirty`
-        -- O(1) -- and the storage invokes ``provider()`` to snapshot the
-        value only when it actually writes.  The push model
-        (:meth:`put_lazy`) serialises a full value per mutation, which is
-        O(size) per message on the send path.
-        """
-        self._lazy_providers[key] = provider
-
-    def mark_lazy_dirty(self) -> None:
-        """Note that some provider-backed value changed.
-
-        In-memory storage has no write scheduling, so providers are
-        materialised immediately; :class:`FileStableStorage` overrides
-        this to defer the snapshot to the group-commit window.
-        """
-        self._materialize_providers()
-        self.lazy_writes += 1
-
-    def _materialize_providers(self) -> None:
-        for key, provider in self._lazy_providers.items():
-            self._kv[key] = provider()
-
     def get(self, key: str, default: Any = None) -> Any:
-        if key in self._lazy_providers:
-            return self._lazy_providers[key]()
         return self._kv.get(key, default)
 
     # ------------------------------------------------------------------

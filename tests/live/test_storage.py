@@ -10,7 +10,8 @@ import pickle
 import pytest
 
 from repro.core.tokens import RecoveryToken
-from repro.live.storage import FileStableStorage
+from repro.live.storage import FileStableStorage, scan
+from repro.runtime.message import NetworkMessage
 
 
 @pytest.fixture
@@ -63,8 +64,8 @@ def test_stable_log_survives_but_volatile_buffer_does_not(path):
 def test_mid_write_crash_leaves_previous_image(path):
     storage = FileStableStorage(0, path)
     storage.put("k", "old")
-    # Simulate dying mid-write: a half-written temp file next to a good
-    # image.  The loader must read the good image and ignore the temp.
+    # Simulate dying mid-compaction: a half-written temp file next to a
+    # good log.  The loader must read the good file and ignore the temp.
     with open(path + ".tmp", "wb") as fh:
         fh.write(b"garbage that is not a pickle")
     reborn = FileStableStorage(0, path)
@@ -79,8 +80,9 @@ def test_wrong_pid_is_rejected(path):
 
 
 def test_unknown_format_version_is_rejected(path):
+    # A whole-image pickle from before the record log: refused, not read.
     with open(path, "wb") as fh:
-        pickle.dump({"version": 999, "pid": 0}, fh)
+        pickle.dump({"version": 3, "pid": 0}, fh)
     with pytest.raises(RuntimeError, match="format"):
         FileStableStorage(0, path)
 
@@ -141,7 +143,7 @@ def test_durable_barrier_hardens_pending_lazy_writes(path):
         storage = FileStableStorage(0, path, flush_window=10.0)
         storage.put_lazy("lazy", "pending")
         storage.put("hard", "barrier")          # synchronous write
-        # The barrier persisted the whole image, lazy value included,
+        # The barrier's record carried the pending lazy write with it,
         # and the scheduled window flush found nothing left to do.
         await asyncio.sleep(0)
 
@@ -181,129 +183,166 @@ def test_log_token_dedupes_by_key_across_reloads(path):
     assert reborn.tokens == [token]
 
 
-def test_lazy_provider_snapshots_once_per_file_write(path):
-    """mark_lazy_dirty is O(1): the provider runs at persist time, not
-    per mutation, so a burst inside the window costs one snapshot."""
+def _msg(msg_id, payload):
+    return NetworkMessage(
+        msg_id=msg_id, src=0, dst=1, kind="app", payload=payload,
+        send_time=0.0,
+    )
+
+
+def _records(path):
+    with open(path, "rb") as fh:
+        return scan(fh.read(), path)[0]
+
+
+def test_window_writes_one_record_however_many_lazy_writes(path):
+    """Lazy kv writes and outbox add / ack cost an O(1) journal entry
+    each; the window hardens the whole burst as a single record."""
     import asyncio
 
-    calls = []
+    async def go():
+        storage = FileStableStorage(0, path, flush_window=0.05)
+        storage.put("seed", 1)                  # the file's snapshot record
+        for i in range(3):
+            storage.put_lazy("lazy", i)
+            storage.outbox.add(1, _msg(i, f"m{i}"))
+        storage.outbox.ack(1, 2)
+        assert len(_records(path)) == 1         # still inside the window
+        await asyncio.sleep(0.15)
+        return storage
 
-    storage = FileStableStorage(0, path, flush_window=0.05)
+    storage = asyncio.run(go())
+    assert len(_records(path)) == 2
+    assert storage.window_flushes == 1
+    assert storage.lazy_writes == 7
 
-    def provider():
-        calls.append(1)
-        return {"image": len(calls)}
 
-    storage.register_lazy_provider("outbox", provider)
-    baseline = len(calls)
+def test_outbox_journal_survives_reload(path):
+    storage = FileStableStorage(0, path)
+    for i in range(3):
+        assert storage.outbox.add(1, _msg(i, f"m{i}")) == i + 1
+    storage.outbox.ack(1, 2)                    # window 0: each one a record
+
+    reloaded = FileStableStorage(0, path)
+    assert reloaded.outbox.pending(1) == [(3, _msg(2, "m2"))]
+    # The counter is durable with the entries it numbered: a re-issued
+    # seq would be swallowed by the receiver's dedup cursor.
+    assert reloaded.outbox.next_seq(1) == 4
+    assert reloaded.outbox.add(1, _msg(9, "next")) == 4
+
+
+def test_sync_barrier_hardens_pending_outbox_records(path):
+    storage = FileStableStorage(0, path, flush_window=10.0)
 
     async def go():
-        storage.mark_lazy_dirty()
-        storage.mark_lazy_dirty()
-        storage.mark_lazy_dirty()
-        snapshots_before_flush = len(calls) - baseline
-        await asyncio.sleep(0.15)
-        return snapshots_before_flush
+        storage.outbox.add(1, _msg(1, "parked in the window"))
+        assert storage.pending_lazy
+        storage.sync()
+        assert not storage.pending_lazy
 
-    snapshots_before_flush = asyncio.run(go())
-    assert snapshots_before_flush == 0
-    assert len(calls) - baseline == 1
-    assert storage.lazy_writes == 3
+    import asyncio
 
-
-def test_lazy_provider_value_visible_through_get(path):
-    storage = FileStableStorage(0, path)
-    storage.register_lazy_provider("outbox", lambda: {"n": 7})
-    assert storage.get("outbox") == {"n": 7}
-
-
-def test_lazy_provider_image_survives_reload(path):
-    storage = FileStableStorage(0, path)
-    state = {"n": 1}
-    storage.register_lazy_provider("outbox", lambda: dict(state))
-    state["n"] = 2
-    storage.mark_lazy_dirty()   # window 0: persists immediately
-
-    reloaded = FileStableStorage(0, path)
-    assert reloaded.get("outbox") == {"n": 2}
-
-
-def test_sync_barrier_materialises_pending_provider_state(path):
-    storage = FileStableStorage(0, path, flush_window=10.0)
-    state = {"n": 1}
-    storage.register_lazy_provider("outbox", lambda: dict(state))
-    state["n"] = 5
-    storage.mark_lazy_dirty()   # parked in the window
-    storage.sync()
-
-    reloaded = FileStableStorage(0, path)
-    assert reloaded.get("outbox") == {"n": 5}
+    asyncio.run(go())
+    assert len(FileStableStorage(0, path).outbox) == 1
 
 
 # ---------------------------------------------------------------------------
 # Regression: a failed persist must not silently drop the lazy tail
 # ---------------------------------------------------------------------------
-def _failing_once(storage):
-    """Patch ``storage`` so its next file write raises, then recovers."""
-    original = storage._durable_state
+def _failing_once(monkeypatch):
+    """Make the next data fsync raise -- after the record's bytes were
+    written -- then recover."""
+    real = os.fsync
     calls = {"failed": False}
 
-    def flaky():
+    def flaky(fd):
         if not calls["failed"]:
             calls["failed"] = True
             raise OSError("disk full")
-        return original()
+        return real(fd)
 
-    storage._durable_state = flaky
+    monkeypatch.setattr(os, "fsync", flaky)
     return calls
 
 
-def test_failed_persist_restores_dirty_flag(path):
+def test_failed_persist_restores_dirty_flag(path, monkeypatch):
     """Pre-fix, ``_persist`` cleared ``_dirty`` before the write: a
     transient I/O error dropped the pending lazy tail forever."""
     storage = FileStableStorage(0, path, flush_window=10.0)
-    _failing_once(storage)
+    _failing_once(monkeypatch)
     with pytest.raises(OSError):
         storage.put_lazy("lazy", "precious")   # no loop: persists now
     assert storage.pending_lazy                # still owed to disk
+    assert not os.path.exists(path)            # the create never renamed
     storage.sync()                             # retry succeeds
     assert not storage.pending_lazy
     assert FileStableStorage(0, path).get("lazy") == "precious"
 
 
-def test_failed_window_persist_reschedules_and_retries(path):
+def test_failed_window_persist_reschedules_and_retries(path, monkeypatch):
     """Pre-fix, the window timer was cancelled before the write: a
-    failed window flush left the dirty tail with no timer to retry it."""
+    failed window flush left the dirty tail with no timer to retry it.
+    The failed append's bytes are cut before the retry writes."""
     import asyncio
 
     async def go():
         storage = FileStableStorage(0, path, flush_window=0.05)
         storage.put("seed", 1)
-        _failing_once(storage)
+        good = os.path.getsize(path)
+        _failing_once(monkeypatch)
         storage.put_lazy("lazy", "precious")
-        await asyncio.sleep(0.08)              # window fires; write fails
+        await asyncio.sleep(0.08)              # window fires; fsync fails
         assert storage.pending_lazy
         assert storage._flush_handle is not None   # rescheduled
+        assert os.path.getsize(path) > good    # unacknowledged bytes
         await asyncio.sleep(0.15)              # retry window fires
         assert not storage.pending_lazy
         assert storage.window_flushes == 2
 
     asyncio.run(go())
-    assert FileStableStorage(0, path).get("lazy") == "precious"
+    assert len(_records(path)) == 2            # no torn bytes in between
+    reborn = FileStableStorage(0, path)
+    assert reborn.get("lazy") == "precious"
+    assert reborn.torn_tails_healed == 0
+
+
+def test_crash_after_a_failed_append_heals_the_torn_tail(path, monkeypatch):
+    storage = FileStableStorage(0, path)
+    storage.put("k", "acknowledged")
+    _failing_once(monkeypatch)
+    with pytest.raises(OSError):
+        storage.put("k", "never acknowledged")
+    # SIGKILL before any retry: the bytes of the failed append are a tail.
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 3)
+    reborn = FileStableStorage(0, path)
+    assert reborn.get("k") == "acknowledged"
+    assert reborn.torn_tails_healed == 1
+    reborn.put("k", "after the heal")
+    again = FileStableStorage(0, path)
+    assert again.get("k") == "after the heal"
+    assert again.torn_tails_healed == 0
 
 
 # ---------------------------------------------------------------------------
 # Regression: the rename itself must be made durable
 # ---------------------------------------------------------------------------
-def test_persist_fsyncs_the_directory(path):
+def test_persist_fsyncs_the_directory(path, monkeypatch):
     """``os.replace`` swaps the directory entry, but only a directory
-    fsync makes the swap survive a host crash.  Pre-fix there was none."""
+    fsync makes the swap survive a host crash.  Pre-fix there was none.
+    The renames are the file's creation and every compaction; an append
+    changes no directory entry and fsyncs only the file."""
+    monkeypatch.setattr("repro.live.storage._COMPACT_FLOOR", 0)
     storage = FileStableStorage(0, path)
-    storage.put("k", 1)
-    assert storage.persist_count == 1
-    assert storage.dir_fsyncs == 1
-    storage.put("k", 2)
-    assert storage.dir_fsyncs == storage.persist_count == 2
+    storage.put("k", 1)                        # creates the file
+    assert (storage.persist_count, storage.dir_fsyncs) == (1, 1)
+    storage.put("big", "x" * 4096)             # appended
+    assert (storage.persist_count, storage.dir_fsyncs) == (2, 1)
+    assert len(_records(path)) == 2
+    storage.put("k", 2)                        # deltas outweigh the snapshot
+    assert (storage.persist_count, storage.dir_fsyncs) == (3, 2)
+    assert len(_records(path)) == 1
+    assert FileStableStorage(0, path).get("k") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +371,86 @@ def test_write_counters_survive_reload(path):
     assert reborn.lazy_writes == 1
     assert reborn.window_flushes == 1
     assert reborn.token_log_dedups == 1
+
+
+# ---------------------------------------------------------------------------
+# Regression: a committed output must be written, not ride along by accident
+# ---------------------------------------------------------------------------
+def test_committed_output_is_durable_without_an_unrelated_barrier(path):
+    """``apply_stability`` grew the ``committed_outputs`` set it had
+    fetched with ``get`` and never wrote it back: the whole-image pickle
+    made it durable at the next unrelated barrier, a record log never
+    would.  It is its own lazy kv record now."""
+    import asyncio
+    import time
+
+    from repro.apps.applications import PipelineApp
+    from repro.core.recovery import DamaniGargProcess
+    from repro.live.env import LiveEnv
+    from repro.protocols.base import ProtocolConfig
+
+    class _Transport:
+        def send(self, dst, msg):
+            pass
+
+        def attach(self, protocol):
+            pass
+
+    async def go():
+        storage = FileStableStorage(0, path, flush_window=10.0)
+        env = LiveEnv(
+            pid=0, n=2, storage=storage, transport=_Transport(),
+            epoch=time.time(),
+        )
+        process = DamaniGargProcess(
+            env, PipelineApp(jobs=1), ProtocolConfig(commit_outputs=True)
+        )
+        key = (process.executor.current_uid, 0)
+        process._pending_outputs.append((key, process.clock, "out"))
+        frontier = dict(enumerate(process.clock))
+        assert process.apply_stability(frontier)[0] == 1
+        storage.sync()              # the window; no other barrier follows
+        return key
+
+    key = asyncio.run(go())
+    assert key in FileStableStorage(0, path).get("committed_outputs")
+
+
+# ---------------------------------------------------------------------------
+# python -m repro.live.storage PATH
+# ---------------------------------------------------------------------------
+def test_cli_prints_one_line_per_record(path):
+    """A run directory's durable history is readable without a debugger:
+    offset, bytes, what each record holds, the intent step in flight,
+    and a torn tail if the file has one -- read-only."""
+    import subprocess
+    import sys
+
+    from repro.storage.intents import FLUSH
+
+    storage = FileStableStorage(0, path)
+    storage.put("node_boots", 1)
+    intent = storage.begin_intent(FLUSH)
+    storage.advance_intent(intent, "log_flushed")
+    storage.log.append(1, 1, "a")
+    storage.log.append(2, 1, "b")
+    storage.log.flush()
+    storage.commit_intent(intent)
+    storage.put("stable_own", (0, 2))
+    with open(path, "ab") as fh:
+        fh.write(b"torn")
+    size = os.path.getsize(path)
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.live.storage", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("offset=0 ") and "snapshot pid=0" in lines[0]
+    assert "log+x2" in lines[1] and "intent=flush@log_flushed" in lines[1]
+    assert "kv:stable_ownx1" in lines[2] and "intent=-" in lines[2]
+    assert "TORN TAIL" in lines[3]
+    assert os.path.getsize(path) == size        # looked, did not heal

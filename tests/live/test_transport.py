@@ -205,33 +205,33 @@ def test_double_attach_rejected():
 
 
 def test_reload_heals_seq_counter_behind_outbox(tmp_path):
-    # A crash can land between an outbox append reaching disk and the
-    # matching counter update: the reloaded counter would then re-issue
-    # a seq already occupied in the reloaded outbox, and the receiver's
-    # dedup cursor would silently swallow the second message.  The
-    # constructor must never hand out a seq at or below the outbox max.
-    from repro.live.transport import _OUTBOX_KEY
-
+    # A reloaded counter that fell behind the reloaded outbox would
+    # re-issue a seq already occupied there, and the receiver's dedup
+    # cursor would silently swallow the second message.  The counter is
+    # journaled with the entries it numbers, so the reborn transport
+    # never hands out a seq at or below the outbox max -- also when every
+    # earlier entry was acknowledged and only the newest survived.
     path = os.path.join(str(tmp_path), "stable_p0.pickle")
-    storage = FileStableStorage(0, path)
+    transport = MeshTransport(
+        0, 2, _free_ports(2), storage=FileStableStorage(0, path)
+    )
+    for i in range(35):
+        transport.send(1, _msg(i, 0, 1, "acked before the crash"))
     stale = _msg(900, 0, 1, "survived the crash")
-    storage.put_lazy(
-        _OUTBOX_KEY,
-        {"entries": {1: [(36, stale)]}, "next_seq": {1: 36}},
-    )
+    transport.send(1, stale)
+    transport._outbox.ack(1, 35)
 
-    ports = _free_ports(2)
     reborn = MeshTransport(
-        0, 2, ports, boot=2, storage=FileStableStorage(0, path)
+        0, 2, _free_ports(2), boot=2, storage=FileStableStorage(0, path)
     )
-    assert reborn._outbox[1] == [(36, stale)]
-    assert reborn._next_seq[1] == 37
+    assert reborn._outbox.pending(1) == [(36, stale)]
+    assert reborn._outbox.next_seq(1) == 37
 
 
 def test_outbox_and_seq_persist_in_one_image(tmp_path):
-    # The counter and the outbox share one storage key so a single
-    # atomic image write covers both -- there is no window in which one
-    # is durable without the other.
+    # A journaled add carries its seq, so one record covers the entry
+    # and the counter -- there is no window in which one is durable
+    # without the other.
     path = os.path.join(str(tmp_path), "stable_p0.pickle")
     storage = FileStableStorage(0, path)
     transport = MeshTransport(0, 2, _free_ports(2), storage=storage)
@@ -241,8 +241,8 @@ def test_outbox_and_seq_persist_in_one_image(tmp_path):
     reborn = MeshTransport(
         0, 2, _free_ports(2), boot=2, storage=FileStableStorage(0, path)
     )
-    assert [seq for seq, _ in reborn._outbox[1]] == [1, 2]
-    assert reborn._next_seq[1] == 3
+    assert [seq for seq, _ in reborn._outbox.pending(1)] == [1, 2]
+    assert reborn._outbox.next_seq(1) == 3
 
 
 def test_burst_is_delivered_in_order_and_fully_acked():
@@ -273,9 +273,9 @@ def test_burst_is_delivered_in_order_and_fully_acked():
     asyncio.run(go())
 
 
-def test_lazy_provider_keeps_outbox_durable(tmp_path):
-    """The provider-backed outbox image must be materialised into the
-    durable file even though sends only mark the storage dirty."""
+def test_journaled_outbox_is_retransmitted_after_reload(tmp_path):
+    """Sends only append a journal entry to the storage's pending
+    record; once hardened, a reloaded transport retransmits them."""
 
     async def go():
         ports = _free_ports(2)

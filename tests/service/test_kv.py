@@ -117,6 +117,25 @@ class TestKVServiceApp:
         assert c2.sends == []
         assert [o.value for o in c2.outputs] == [c1.outputs[0].value]
 
+    def test_retry_of_the_highest_op_is_reacked_after_an_older_one_lands(self):
+        """Recovery can re-apply a session's puts out of order: the
+        outbox retransmits (s,8) first, Remark 1 retransmits the acked
+        but unlogged (s,7) afterwards.  The client is still retrying
+        (s,8) -- the only op a sequential session can have in flight --
+        so its reply must stay cached; caching (s,7)'s left every retry
+        of (s,8) unanswered forever."""
+        app = KVServiceApp(replicas=2)
+        put8 = KVPut(key="a", value=8, op_id=(7, 8))
+        first = ctx(1, 3)
+        state = app.handle(ServiceReplicaState(), put8, first)
+        state = app.handle(
+            state, KVPut(key="b", value=7, op_id=(7, 7)), ctx(1, 3)
+        )
+        retry = ctx(1, 3)
+        app.handle(state, put8, retry)
+        assert [o.value for o in retry.outputs] == [first.outputs[0].value]
+        assert retry.sends == []
+
     def test_distinct_ops_on_one_key_bump_versions(self):
         app = KVServiceApp(replicas=2)
         c = ctx(1, 3)

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples figures table1 verify-all clean
+.PHONY: install test bench examples figures table1 verify-all clean perf-pairs
 
 install:
 	$(PYTHON) setup.py develop
@@ -27,6 +27,15 @@ figures:
 
 table1:
 	$(PYTHON) -m repro table1
+
+# Alternating parent/change pairs of one benchmarks/perf workload, with
+# the gain / regression verdict per metric:
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=sim_stress
+PARENT ?= HEAD~1
+WORKLOAD ?= sim_stress
+
+perf-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD)
 
 verify-all: test bench figures
 	@echo "everything green"

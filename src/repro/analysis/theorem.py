@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.causality import build_ground_truth
+from repro.core.ftvc import entries_precede
 from repro.harness.runner import ExperimentResult
 
 
@@ -68,19 +69,35 @@ def check_theorem1(
     tracked = sorted(u for u in useful if u in clocks)
     if len(tracked) > max_states:
         tracked = tracked[:max_states]
-    tracked_set = set(tracked)
+
+    # The negative control: among non-useful states the equivalence may
+    # break (Figure 1's r20/s22).  A few such states, compared below.
+    non_useful = sorted(
+        (u for u in (gt.lost | orphans | gt.superseded) if u in clocks),
+        key=str,
+    )[:100]
 
     adj = gt.successors()
+    # Both loops below apply the FTVC order to raw entry tuples, so the
+    # length check ``<`` makes per pair is made once here.
+    tracked_entries = [(u, clocks[u].entries) for u in tracked]
+    control_entries = [(u, clocks[u].entries) for u in non_useful]
+    if len({len(e) for _, e in tracked_entries + control_entries}) > 1:
+        raise ValueError("FTVC length mismatch")
+    # Reach sets of the first states, kept for the negative control.
+    control_reach = {}
     violations: list[str] = []
     pairs = 0
-    for s in tracked:
-        reach = _descendants(adj, s) & tracked_set
-        for u in tracked:
+    for s, mine in tracked_entries:
+        reach = _descendants(adj, s)
+        if len(control_reach) < 100:
+            control_reach[s] = reach
+        for u, theirs in tracked_entries:
             if u == s:
                 continue
             pairs += 1
             hb = u in reach
-            clk = clocks[s] < clocks[u]
+            clk = entries_precede(mine, theirs)
             if hb != clk:
                 violations.append(
                     f"{s} -> {u}: happen-before={hb} but clock<={clk} "
@@ -91,19 +108,14 @@ def check_theorem1(
         if len(violations) >= 10:
             break
 
-    # The negative control: among non-useful states the equivalence may
-    # break (Figure 1's r20/s22).  Count a few such pairs.
-    non_useful = sorted(
-        (u for u in (gt.lost | orphans | gt.superseded) if u in clocks),
-        key=str,
-    )[:100]
     counterexamples = 0
-    for s in tracked[:100]:
-        reach = _descendants(adj, s)
-        for u in non_useful:
-            hb = u in reach
-            clk = clocks[s] < clocks[u]
-            if hb != clk:
+    for s, mine in tracked_entries[:100]:
+        # The main loop stops early on violations; compute what it skipped.
+        reach = control_reach.get(s)
+        if reach is None:
+            reach = _descendants(adj, s)
+        for u, theirs in control_entries:
+            if (u in reach) != entries_precede(mine, theirs):
                 counterexamples += 1
 
     return TheoremReport(

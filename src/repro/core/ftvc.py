@@ -25,29 +25,47 @@ Theorem 1: for *useful* states (neither lost nor orphan),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain, compress, starmap
+from operator import itemgetter, le, ne
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ClockEntry:
+class ClockEntry(tuple):
     """One ``(version, timestamp)`` component.
 
-    ``order=True`` gives exactly the paper's lexicographic order, because
-    ``version`` is declared first.  ``slots=True`` because live clusters
-    allocate one entry per changed clock component per message -- the
-    per-instance dict is pure overhead on the hot path.
+    A tuple subclass, so the paper's lexicographic order *is* the
+    interpreter's tuple order: ``<``, ``<=``, ``max`` and ``==`` on
+    entries run in C, which is what lets every clock operation below be
+    a single C-level pass.  The constructor validates: it is the check
+    on entries decoded from the wire and unpickled from disk.
     """
 
-    version: int = 0
-    timestamp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.version < 0 or self.timestamp < 0:
-            raise ValueError(f"negative clock entry {self!r}")
+    def __new__(cls, version: int = 0, timestamp: int = 0) -> "ClockEntry":
+        if version < 0 or timestamp < 0:
+            raise ValueError(f"negative clock entry ({version},{timestamp})")
+        return tuple.__new__(cls, (version, timestamp))
+
+    version = property(itemgetter(0), doc="failures survived by the owner")
+    timestamp = property(itemgetter(1), doc="progress within the version")
+
+    def __reduce__(self):
+        # Unpickling goes back through __new__, i.e. through validation.
+        return type(self), tuple(self)
 
     def __repr__(self) -> str:
-        return f"({self.version},{self.timestamp})"
+        return "(%d,%d)" % self
+
+
+def entries_precede(
+    mine: Sequence[ClockEntry], theirs: Sequence[ClockEntry]
+) -> bool:
+    """The paper's ``c1 < c2`` on two equal-length entry tuples: every
+    entry <=, some entry strictly <.  The one statement of the clock
+    order; ``FaultTolerantVectorClock.__lt__`` and the Theorem-1 oracle
+    both call it."""
+    return mine != theirs and all(map(le, mine, theirs))
 
 
 class FaultTolerantVectorClock:
@@ -79,7 +97,7 @@ class FaultTolerantVectorClock:
         cls, pairs: Iterable[tuple[int, int]]
     ) -> "FaultTolerantVectorClock":
         """Build from ``(version, timestamp)`` pairs (tests, scenarios)."""
-        return cls([ClockEntry(v, t) for v, t in pairs])
+        return cls(tuple(starmap(ClockEntry, pairs)))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -99,7 +117,7 @@ class FaultTolerantVectorClock:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Entries as plain ``(version, timestamp)`` tuples."""
-        return tuple((e.version, e.timestamp) for e in self._entries)
+        return tuple(map(tuple, self._entries))
 
     # ------------------------------------------------------------------
     # Clock rules (Figure 2)
@@ -107,26 +125,27 @@ class FaultTolerantVectorClock:
     def tick(self, pid: int) -> "FaultTolerantVectorClock":
         """Increment the own timestamp (send / post-receive / rollback)."""
         entries = list(self._entries)
-        e = entries[pid]
-        entries[pid] = ClockEntry(e.version, e.timestamp + 1)
+        version, timestamp = entries[pid]
+        entries[pid] = ClockEntry(version, timestamp + 1)
         return FaultTolerantVectorClock(entries)
 
     def merge(
         self, other: "FaultTolerantVectorClock"
     ) -> "FaultTolerantVectorClock":
         """Component-wise maximum under the lexicographic entry order."""
-        if len(other) != len(self):
+        mine, theirs = self._entries, other._entries
+        if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
-        merged = tuple(
-            max(a, b) for a, b in zip(self._entries, other._entries)
-        )
+        # One frame for the whole pass; the comparisons themselves are the
+        # interpreter's tuple order (``max`` costs four times ``>=`` here).
+        merged = tuple([a if a >= b else b for a, b in zip(mine, theirs)])
         # Hot-path fast path: on a pipeline link the receiver's clock very
         # often already dominates (or is dominated by) the message clock;
         # returning the existing immutable instance skips an allocation
         # per delivery.
-        if merged == self._entries:
+        if merged == mine:
             return self
-        if merged == other._entries:
+        if merged == theirs:
             return other
         return FaultTolerantVectorClock(merged)
 
@@ -138,7 +157,7 @@ class FaultTolerantVectorClock:
         on for asynchronous restart.
         """
         entries = list(self._entries)
-        entries[pid] = ClockEntry(entries[pid].version + 1, 0)
+        entries[pid] = ClockEntry(entries[pid][0] + 1, 0)
         return FaultTolerantVectorClock(entries)
 
     # ------------------------------------------------------------------
@@ -153,13 +172,16 @@ class FaultTolerantVectorClock:
         return hash(self._entries)
 
     def __le__(self, other: "FaultTolerantVectorClock") -> bool:
-        if len(other) != len(self):
+        mine, theirs = self._entries, other._entries
+        if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
-        return all(a <= b for a, b in zip(self._entries, other._entries))
+        return all(map(le, mine, theirs))
 
     def __lt__(self, other: "FaultTolerantVectorClock") -> bool:
-        """The paper's ``c1 < c2``: every entry <=, some entry strictly <."""
-        return self <= other and self != other
+        mine, theirs = self._entries, other._entries
+        if len(theirs) != len(mine):
+            raise ValueError("FTVC length mismatch")
+        return entries_precede(mine, theirs)
 
     def concurrent_with(self, other: "FaultTolerantVectorClock") -> bool:
         return not (self <= other) and not (other <= self)
@@ -177,13 +199,13 @@ class FaultTolerantVectorClock:
         just the sender's own entry moved, so the diff is O(1) where the
         full clock is O(n).
         """
-        if len(base) != len(self):
+        mine, theirs = self._entries, base._entries
+        if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
-        return tuple(
-            (i, e.version, e.timestamp)
-            for i, (b, e) in enumerate(zip(base._entries, self._entries))
-            if e != b
-        )
+        # The comparison pass runs in C; only changed entries reach the
+        # comprehension.
+        changed = compress(enumerate(mine), map(ne, mine, theirs))
+        return tuple([(i, v, t) for i, (v, t) in changed])
 
     @classmethod
     def from_delta(
@@ -211,8 +233,9 @@ class FaultTolerantVectorClock:
         ``ceil(log2(f + 1))`` bits for the version, where ``f`` is the
         largest version in the clock -- the paper's "log f bits" claim.
         """
-        max_version = max(e.version for e in self._entries)
-        version_bits = max(1, (max_version + 1 - 1).bit_length())
+        # The lexicographic maximum carries the largest version.
+        max_version = max(self._entries)[0]
+        version_bits = max(1, max_version.bit_length())
         return len(self._entries) * (timestamp_bits + version_bits)
 
     def delta_wire_size_bits(
@@ -228,7 +251,7 @@ class FaultTolerantVectorClock:
         changes = self.diff(base)
         n = len(self._entries)
         index_bits = max(1, (n - 1).bit_length())
-        max_version = max((v for _, v, _ in changes), default=0)
+        max_version = max(map(itemgetter(1), changes), default=0)
         version_bits = max(1, max_version.bit_length())
         count_bits = max(1, n.bit_length())
         return count_bits + len(changes) * (
@@ -244,13 +267,10 @@ class FaultTolerantVectorClock:
         """Exact byte cost of the full clock under the live binary codec:
         a tag byte, a varint entry count, and one varint
         ``(version, timestamp)`` pair per entry."""
-        size = self._uvarint_size
         return (
             1
-            + size(len(self._entries))
-            + sum(
-                size(e.version) + size(e.timestamp) for e in self._entries
-            )
+            + self._uvarint_size(len(self._entries))
+            + sum(map(self._uvarint_size, chain.from_iterable(self._entries)))
         )
 
     def delta_wire_size_bytes(self, base: "FaultTolerantVectorClock") -> int:
@@ -258,13 +278,12 @@ class FaultTolerantVectorClock:
         live binary codec: a tag byte, a varint change count, and one
         varint ``(index, version, timestamp)`` triple per changed entry."""
         changes = self.diff(base)
-        size = self._uvarint_size
         return (
             1
-            + size(len(changes))
-            + sum(size(i) + size(v) + size(t) for i, v, t in changes)
+            + self._uvarint_size(len(changes))
+            + sum(map(self._uvarint_size, chain.from_iterable(changes)))
         )
 
     def __repr__(self) -> str:
-        inner = " ".join(repr(e) for e in self._entries)
+        inner = " ".join(map(repr, self._entries))
         return f"FTVC[{inner}]"

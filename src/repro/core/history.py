@@ -26,8 +26,8 @@ per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.core.ftvc import FaultTolerantVectorClock
 from repro.core.tokens import RecoveryToken
@@ -41,8 +41,10 @@ class RecordKind(Enum):
     TOKEN = "token"
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
+_MESSAGE, _TOKEN = RecordKind.MESSAGE, RecordKind.TOKEN
+
+
+class HistoryRecord(NamedTuple):
     """One ``(kind, version, timestamp)`` record for some ``(process, version)``."""
 
     kind: RecordKind
@@ -69,8 +71,8 @@ class History:
         self._floor: list[int] = [0] * n
         # Figure 3 Initialize: (mes,0,0) for every process, (mes,0,1) for self.
         for j in range(n):
-            self._records[j][0] = HistoryRecord(RecordKind.MESSAGE, 0, 0)
-        self._records[pid][0] = HistoryRecord(RecordKind.MESSAGE, 0, 1)
+            self._records[j][0] = HistoryRecord(_MESSAGE, 0, 0)
+        self._records[pid][0] = HistoryRecord(_MESSAGE, 0, 1)
 
     # ------------------------------------------------------------------
     # Record access
@@ -89,7 +91,7 @@ class History:
             # was observed before its record was dropped.
             return True
         rec = self._records[j].get(version)
-        return rec is not None and rec.kind is RecordKind.TOKEN
+        return rec is not None and rec[0] is _TOKEN
 
     def floor(self, j: int) -> int:
         """Versions of ``j`` below this have been compacted away."""
@@ -112,21 +114,20 @@ class History:
         """
         if len(clock) != self.n:
             raise ValueError("clock length mismatch")
-        for j, entry in enumerate(clock):
-            if entry.version < self._floor[j]:
+        for per, floor, (version, timestamp) in zip(
+            self._records, self._floor, clock.entries
+        ):
+            if version < floor:
                 # Below the compaction floor nothing is recorded; such a
                 # clock can only reach here through a replayed log entry
                 # whose original delivery predates the floor advance.
                 continue
-            existing = self._records[j].get(entry.version)
-            if existing is not None:
-                if existing.kind is RecordKind.TOKEN:
-                    continue
-                if existing.timestamp >= entry.timestamp:
-                    continue
-            self._records[j][entry.version] = HistoryRecord(
-                RecordKind.MESSAGE, entry.version, entry.timestamp
-            )
+            existing = per.get(version)
+            if existing is not None and (
+                existing[0] is _TOKEN or existing[2] >= timestamp
+            ):
+                continue
+            per[version] = HistoryRecord(_MESSAGE, version, timestamp)
 
     def observe_token(self, token: RecoveryToken) -> None:
         """Receive-token rule: install the final record for that version."""
@@ -135,7 +136,7 @@ class History:
             # final per version, so a duplicate carries nothing new).
             return
         self._records[token.origin][token.version] = HistoryRecord(
-            RecordKind.TOKEN, token.version, token.timestamp
+            _TOKEN, token.version, token.timestamp
         )
 
     # ------------------------------------------------------------------
@@ -153,15 +154,16 @@ class History:
         answer, and the floor only advances past versions whose tokens
         were observed long enough ago for a stability sweep to run.
         """
-        for j, entry in enumerate(clock):
-            if entry.version < self._floor[j]:
+        entries = clock.entries
+        if len(entries) != self.n:
+            raise ValueError("clock length mismatch")
+        for per, floor, (version, timestamp) in zip(
+            self._records, self._floor, entries
+        ):
+            if version < floor:
                 return True
-            rec = self._records[j].get(entry.version)
-            if (
-                rec is not None
-                and rec.kind is RecordKind.TOKEN
-                and entry.timestamp > rec.timestamp
-            ):
+            rec = per.get(version)
+            if rec is not None and rec[0] is _TOKEN and timestamp > rec[2]:
                 return True
         return False
 
@@ -175,11 +177,14 @@ class History:
         versions ``l < k`` of ``P_j``.  Returns the ``(j, l)`` pairs still
         awaited (empty list == deliverable).
         """
+        entries = clock.entries
+        if len(entries) != self.n:
+            raise ValueError("clock length mismatch")
         missing: list[tuple[int, int]] = []
-        for j, entry in enumerate(clock):
+        for j, (floor, (version, _)) in enumerate(zip(self._floor, entries)):
             # Versions below the floor are known-tokened (compaction
             # precondition), so the scan starts at the floor.
-            for l in range(self._floor[j], entry.version):
+            for l in range(floor, version):
                 if not self.has_token(j, l):
                     missing.append((j, l))
         return missing
@@ -193,8 +198,8 @@ class History:
         rec = self._records[token.origin].get(token.version)
         return (
             rec is not None
-            and rec.kind is RecordKind.MESSAGE
-            and rec.timestamp > token.timestamp
+            and rec[0] is _MESSAGE
+            and rec[2] > token.timestamp
         )
 
     def survives_token(self, token: RecoveryToken) -> bool:
@@ -208,9 +213,9 @@ class History:
         not an orphan, since the restored state survives.)
         """
         rec = self._records[token.origin].get(token.version)
-        if rec is None or rec.kind is RecordKind.TOKEN:
+        if rec is None or rec[0] is _TOKEN:
             return True
-        return rec.timestamp <= token.timestamp
+        return rec[2] <= token.timestamp
 
     # ------------------------------------------------------------------
     # Compaction (Section 6.9)
@@ -246,7 +251,7 @@ class History:
             run_end = self._floor[j]
             while True:
                 rec = self._records[j].get(run_end)
-                if rec is None or rec.kind is not RecordKind.TOKEN:
+                if rec is None or rec[0] is not _TOKEN:
                     break
                 run_end += 1
             new_floor = run_end - 1     # keep the newest token of the run
@@ -264,8 +269,8 @@ class History:
     def snapshot(self) -> "History":
         """A copy safe to store in a checkpoint.
 
-        Structural copy, not ``copy.deepcopy``: records are frozen
-        dataclasses, so sharing them between snapshots is safe, and
+        Structural copy, not ``copy.deepcopy``: records are immutable
+        tuples, so sharing them between snapshots is safe, and
         snapshots run on every checkpoint -- this is the protocol's
         hottest allocation site after the clock itself.
         """

@@ -509,7 +509,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
             bits = envelope.clock.wire_size_bits()
             self.stats.piggyback_bits += bits
             self.obs.counter("dg.piggyback_bytes", bits / 8.0)
-            self._note_wire_cost(dst, envelope.clock)
+            self._note_wire_cost(dst, envelope.clock, bits)
             if self.trace is not None:
                 self.trace.record(
                     self.env.now,
@@ -522,27 +522,25 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 )
         self.clock = self.clock.tick(self.pid)
 
-    def _note_wire_cost(self, dst: int, clock: FaultTolerantVectorClock) -> None:
+    def _note_wire_cost(
+        self, dst: int, clock: FaultTolerantVectorClock, full_bits: int
+    ) -> None:
         """Account the full-clock versus delta wire cost of one send.
 
         Mirrors what a per-link delta encoder pays: the first clock on a
-        link (or after a crash reset) goes out full; afterwards only the
-        diff against the last clock sent to ``dst``.  Deterministic stats
-        always; exact byte counters (JSON text vs binary varints) only
-        when the obs layer is on, since they cost a serialization.
+        link (or after a crash reset) goes out full (``full_bits``, which
+        the caller already computed); afterwards only the diff against
+        the last clock sent to ``dst``.  Deterministic stats always;
+        exact byte counters (JSON text vs binary varints) only when the
+        obs layer is on, since they cost a serialization.
         """
         base = self._wire_clock_sent.get(dst)
         if base is None:
-            self.stats.piggyback_delta_bits += clock.wire_size_bits()
+            self.stats.piggyback_delta_bits += full_bits
         else:
             self.stats.piggyback_delta_bits += clock.delta_wire_size_bits(base)
         if self.obs.enabled:
-            full_json = len(
-                json.dumps(
-                    [[v, t] for v, t in clock.pairs()],
-                    separators=(",", ":"),
-                )
-            )
+            full_json = len(json.dumps(clock.entries, separators=(",", ":")))
             if base is None:
                 delta_bytes = clock.wire_size_bytes()
                 self.obs.counter("dg.wire_full_fallbacks")
@@ -822,7 +820,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 self.stats.piggyback_bits += bits
                 self.obs.counter("dg.retransmitted")
                 self.obs.counter("dg.piggyback_bytes", bits / 8.0)
-                self._note_wire_cost(entry.dst, entry.envelope.clock)
+                self._note_wire_cost(entry.dst, entry.envelope.clock, bits)
                 if self.trace is not None:
                     self.trace.record(
                         self.env.now,
@@ -897,7 +895,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self.obs.counter("dg.frontier_gossip", self.n - 1)
 
     def _receive_frontier(self, src: int, entry) -> None:
-        self._frontier_reports[src] = entry
+        # A codec hands a bare entry over as a plain pair: rebuilding it
+        # validates it and gives apply_stability the type it compares.
+        self._frontier_reports[src] = ClockEntry(*entry)
         if len(self._frontier_reports) == self.n:
             self.apply_stability(dict(self._frontier_reports))
 

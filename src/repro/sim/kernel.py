@@ -1,10 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel is intentionally tiny: a binary heap of :class:`Event` objects
-ordered by ``(time, priority, sequence_number)``.  The sequence number makes
-the execution order a total order, so a run is a pure function of the seed
-and the scheduled callbacks -- a property the recovery test-suite relies on
-(same seed => byte-identical trace).
+The kernel is intentionally tiny: a binary heap of
+``(time, priority, sequence_number, event)`` tuples.  The sequence number
+is unique, so the heap orders entries by the interpreter's own tuple
+comparison without ever reaching the :class:`Event`, and the execution
+order is a total order: a run is a pure function of the seed and the
+scheduled callbacks -- a property the recovery test-suite relies on (same
+seed => byte-identical trace).
 
 Virtual time is a ``float`` carried by the kernel; no *simulation* decision
 ever reads wall-clock time.  The optional observability tracer (see
@@ -16,7 +18,7 @@ which is what the determinism tests pin down.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
 
@@ -31,21 +33,21 @@ class SimulationError(Exception):
     """Raised for kernel misuse (negative delays, running a spent kernel)."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, priority, seq)`` which is exactly the order
-    the kernel fires them in.  ``priority`` defaults to 0; lower fires first
-    among events at the same virtual time.
+    The kernel fires events in ``(time, priority, seq)`` order.
+    ``priority`` defaults to 0; lower fires first among events at the same
+    virtual time.
     """
 
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    label: str = ""
 
 
 class EventHandle:
@@ -106,7 +108,7 @@ class Simulator:
     """
 
     def __init__(self, *, tracer: Any | None = None) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._fired: int = 0
@@ -126,7 +128,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def pending_raw(self) -> int:
@@ -153,15 +155,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        event = Event(
-            time=self._now + delay,
-            priority=priority,
-            seq=self._seq,
-            callback=callback,
-            label=label,
-        )
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        time, seq = self._now + delay, self._seq
+        event = Event(time, priority, seq, callback, label=label)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, priority, seq, event))
         return EventHandle(event)
 
     def retarget(
@@ -206,9 +203,9 @@ class Simulator:
 
     def _next_event_time(self) -> float | None:
         """Time of the earliest live event, discarding leading tombstones."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def run(
         self,
@@ -234,7 +231,7 @@ class Simulator:
         tracer = self.tracer
         try:
             while self._queue:
-                event = self._queue[0]
+                event = self._queue[0][3]
                 if event.cancelled:
                     heapq.heappop(self._queue)
                     if tracer is not None:
@@ -277,7 +274,7 @@ class Simulator:
         """
         before = self._fired
         self.run(max_events=limit)
-        if self._queue and any(not e.cancelled for e in self._queue):
+        if self.pending:
             raise SimulationError(
                 f"simulation did not quiesce within {limit} events "
                 f"({self._fired - before} fired this call)"

@@ -1,5 +1,7 @@
 """Unit tests for the Fault-Tolerant Vector Clock (paper Fig. 2, Sec. 4)."""
 
+import pickle
+
 import pytest
 
 from repro.core.ftvc import ClockEntry, FaultTolerantVectorClock as FTVC
@@ -17,6 +19,38 @@ class TestClockEntry:
             ClockEntry(-1, 0)
         with pytest.raises(ValueError):
             ClockEntry(0, -1)
+
+    def test_is_an_immutable_pair(self):
+        entry = ClockEntry(1, 2)
+        version, timestamp = entry
+        assert (version, timestamp) == (entry.version, entry.timestamp)
+        assert entry == (1, 2) and hash(entry) == hash((1, 2))
+        assert ClockEntry() == (0, 0) and repr(entry) == "(1,2)"
+        with pytest.raises(AttributeError):
+            entry.version = 3
+        with pytest.raises(AttributeError):
+            entry.extra = 3                 # no per-instance dict
+
+    def test_pickle_goes_through_the_validating_constructor(self):
+        entry = pickle.loads(pickle.dumps(ClockEntry(2, 7), protocol=4))
+        assert type(entry) is ClockEntry and entry == (2, 7)
+        forged = pickle.dumps(ClockEntry(2, 7), protocol=0).replace(
+            b"I7\n", b"I-7\n"
+        )
+        with pytest.raises(ValueError, match="negative clock entry"):
+            pickle.loads(forged)
+
+    def test_entry_pickled_by_an_earlier_commit_fails_loudly(self):
+        """Before the entry was a tuple it was a slotted dataclass whose
+        pickle restores fields through a state list.  Such a store must
+        be refused, never folded to ``(0,0)`` entries."""
+
+        class PreTupleEntry:
+            def __reduce__(self):
+                return ClockEntry, (), [2, 7]
+
+        with pytest.raises(pickle.UnpicklingError):
+            pickle.loads(pickle.dumps(PreTupleEntry(), protocol=4))
 
 
 class TestRules:

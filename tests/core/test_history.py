@@ -49,6 +49,16 @@ class TestMessageObservation:
         with pytest.raises(ValueError):
             History(0, 2).observe_message_clock(FTVC.of([(0, 1)]))
 
+    @pytest.mark.parametrize("pairs", [[(0, 1)], [(0, 1), (0, 0), (1, 0)]])
+    def test_malformed_clock_refused_before_any_decision(self, pairs):
+        # A wrong-length clock must not be judged obsolete or parked as
+        # awaiting tokens: both tests refuse it, like the observer.
+        history = History(0, 2)
+        with pytest.raises(ValueError):
+            history.is_obsolete(FTVC.of(pairs))
+        with pytest.raises(ValueError):
+            history.missing_tokens(FTVC.of(pairs))
+
 
 class TestTokenObservation:
     def test_token_replaces_message_record(self):

@@ -1,9 +1,15 @@
 """White-box tests of DamaniGargProcess internals."""
 
+import pytest
+
 from repro.core.ftvc import ClockEntry
 from repro.core.recovery import AppEnvelope, DamaniGargProcess
+from repro.core.tokens import RecoveryToken
 from repro.harness.scenarios import ScriptedApp
+from repro.live import codec
+from repro.live.wire import WireDecoder, WireEncoder
 from repro.protocols.base import ProtocolConfig
+from repro.runtime.message import NetworkMessage
 from repro.sim.trace import EventKind
 from repro.testing import ScenarioBuilder
 
@@ -75,6 +81,60 @@ class TestStableFrontier:
         result = simple_run()
         frontier = result.protocols[0].stable_frontier()
         assert isinstance(frontier, ClockEntry)
+
+
+def _through_json(msg):
+    return codec.load_message(codec.dump_message(msg))
+
+
+def _through_binary(msg):
+    return WireDecoder().decode_data(WireEncoder().data_frame(0, msg))[1]
+
+
+class TestGossipedFrontier:
+    """A bare entry crosses the live codecs only as the gossip payload,
+    and arrives as a plain pair: the receive boundary re-types it."""
+
+    def _protocol(self):
+        result = (
+            ScenarioBuilder(n=3)
+            .app(ScriptedApp(bootstrap_sends={0: [(1, "a")]}))
+            .config(ProtocolConfig(enable_gc=True, compact_history=True))
+            .run()
+        )
+        return result.protocols[0]
+
+    def _gossip(self, src, entry):
+        return NetworkMessage(
+            msg_id=100 + src, src=src, dst=0, kind="frontier",
+            payload=(src, entry), send_time=0.0,
+        )
+
+    @pytest.mark.parametrize("through", [_through_json, _through_binary])
+    def test_decoded_frontier_is_retyped_and_the_sweep_compacts(self, through):
+        protocol = self._protocol()
+        # P1 failed twice: token v1 supersedes the v0 record.
+        protocol.history.observe_token(RecoveryToken(1, 0, 1))
+        protocol.history.observe_token(RecoveryToken(1, 1, 0))
+        for src in range(3):
+            protocol.on_network_message(
+                through(self._gossip(src, ClockEntry(2, 7)))
+            )
+        # The third report completed the vector and ran apply_stability,
+        # whose GC pass reads ``.version`` off every frontier entry.
+        assert all(
+            type(entry) is ClockEntry and entry == (2, 7)
+            for entry in protocol._frontier_reports.values()
+        )
+        assert protocol.stats.history_compacted == 1
+        assert protocol.history.floor(1) == 1
+
+    def test_decoded_frontier_is_validated(self):
+        protocol = self._protocol()
+        with pytest.raises(ValueError, match="negative clock entry"):
+            protocol.on_network_message(
+                _through_binary(self._gossip(1, (0, -1)))
+            )
 
 
 class TestClockByUid:

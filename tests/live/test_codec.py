@@ -46,6 +46,15 @@ def test_roundtrip_ftvc():
     assert out == clock
 
 
+def test_bare_clock_entry_travels_as_a_plain_pair():
+    # A ClockEntry is a tuple subclass with no tag of its own: equal on
+    # arrival, but untyped (the receiver of a gossiped frontier rebuilds
+    # it -- tests/core/test_recovery_internals.py).
+    entry = FaultTolerantVectorClock.of([(2, 7)])[0]
+    out = codec.decode(codec.encode((1, entry)))
+    assert out == (1, (2, 7)) and type(out[1]) is tuple
+
+
 def test_roundtrip_repro_dataclass():
     token = RecoveryToken(
         origin=2,

@@ -66,6 +66,12 @@ class TestValueRoundtrip:
         clock = FTVC.of([(0, 5), (2, 0), (1, 9)])
         assert roundtrip(clock) == clock
 
+    def test_bare_clock_entry_travels_as_a_plain_pair(self):
+        # Only clocks have wire tags; a lone entry (the stability gossip
+        # payload) is a tuple subclass and arrives as the equal tuple.
+        out = roundtrip((1, FTVC.of([(2, 7)])[0]))
+        assert out == (1, (2, 7)) and type(out[1]) is tuple
+
     def test_unencodable_type_raises(self):
         with pytest.raises(CodecError):
             WireEncoder().encode_value(object())

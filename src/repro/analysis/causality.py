@@ -31,6 +31,8 @@ After the walk:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 from repro.sim.trace import EventKind, SimTrace
 
@@ -62,6 +64,8 @@ class GroundTruth:
     delivery_states: dict[int, set[StateUid]] = field(default_factory=dict)
     #: msg_ids discarded with reason "obsolete"
     obsolete_discards: set[int] = field(default_factory=set)
+    #: the states in the order the trace first created them
+    order: list[StateUid] = field(default_factory=list)
 
     @property
     def edges(self) -> set[Edge]:
@@ -80,7 +84,8 @@ class GroundTruth:
         return self.states - self.lost - self.orphans() - self.superseded
 
     # ------------------------------------------------------------------
-    # Reachability / orphans
+    # Reachability / orphans.  A ground truth is finished once built: the
+    # cached properties are computed on first use; treat them as read-only.
     # ------------------------------------------------------------------
     def successors(self) -> dict[StateUid, list[StateUid]]:
         adj: dict[StateUid, list[StateUid]] = {}
@@ -88,30 +93,65 @@ class GroundTruth:
             adj.setdefault(src, []).append(dst)
         return adj
 
+    @cached_property
+    def bits(self) -> dict[StateUid, int]:
+        """uid -> its one-bit mask.  Bit numbers follow creation order;
+        states ``order`` does not list (a hand-built graph) come last."""
+        known = dict.fromkeys(self.order)
+        rest = sorted(self.states.union(*self.edges).difference(known))
+        return {uid: 1 << at for at, uid in enumerate([*known, *rest])}
+
+    @cached_property
+    def reach(self) -> dict[StateUid, int]:
+        """uid -> mask of the states it happens before.
+
+        A state reaches its successors and whatever they reach, so one
+        pass in reverse creation order settles a trace whose edges all
+        point forward; repeating until no mask changes also settles
+        backward edges and cycles (a state on a cycle reaches itself)."""
+        bits, adj = self.bits, self.successors()
+        reach = dict.fromkeys(bits, 0)
+        backwards = [(uid, adj[uid]) for uid in reversed(bits) if uid in adj]
+        changed = True
+        while changed:
+            changed = False
+            for uid, nexts in backwards:
+                mask = reach[uid]
+                for nxt in nexts:
+                    mask |= bits[nxt] | reach[nxt]
+                if mask != reach[uid]:
+                    reach[uid] = mask
+                    changed = True
+        return reach
+
+    def members(self, mask: int) -> list[StateUid]:
+        """The states whose bits are set in ``mask``, in bit order."""
+        return list(compress(self.bits, map(int, f"{mask:b}"[::-1])))
+
     def reachable_from(self, sources: set[StateUid]) -> set[StateUid]:
         """All states reachable from ``sources`` via happen-before edges
         (excluding the sources themselves unless re-reached)."""
-        adj = self.successors()
-        seen: set[StateUid] = set()
-        frontier = list(sources)
-        while frontier:
-            node = frontier.pop()
-            for nxt in adj.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+        mask = 0
+        for uid in sources:
+            mask |= self.reach.get(uid, 0)
+        # a failure-free run has no lost state and never builds the masks
+        return set(self.members(mask)) if mask else set()
 
     def orphans(self) -> set[StateUid]:
         """Paper Section 5: states of *other* processes that causally depend
         on a lost state.  (Same-process successors of a lost state are
         themselves lost, so subtracting ``lost`` leaves exactly the orphans.)
         """
-        return self.reachable_from(self.lost) - self.lost
+        return self.condemned - self.lost
+
+    @cached_property
+    def condemned(self) -> set[StateUid]:
+        """Lost or orphan: what no correct recovery may keep or commit."""
+        return self.lost | self.reachable_from(self.lost)
 
     def happens_before(self, a: StateUid, b: StateUid) -> bool:
         """Extended happen-before ``a -> b`` (transitive, irreflexive)."""
-        return b in self.reachable_from({a})
+        return bool(self.reach.get(a, 0) & self.bits.get(b, 0))
 
 
 def build_ground_truth(trace: SimTrace, n: int) -> GroundTruth:
@@ -120,8 +160,8 @@ def build_ground_truth(trace: SimTrace, n: int) -> GroundTruth:
     chains: dict[int, list[StateUid]] = {
         pid: [(pid, 0, 0)] for pid in range(n)
     }
-    for pid in range(n):
-        gt.states.add((pid, 0, 0))
+    gt.order = [(pid, 0, 0) for pid in range(n)]
+    gt.states.update(gt.order)
     # uid -> undo reason, for states popped and not (yet) replayed
     undone: dict[StateUid, str] = {}
 
@@ -132,7 +172,9 @@ def build_ground_truth(trace: SimTrace, n: int) -> GroundTruth:
         elif kind is EventKind.DELIVER:
             uid: StateUid = event["uid"]
             prev: StateUid = event["prev_uid"]
-            gt.states.add(uid)
+            if uid not in gt.states:        # a replay recreates, not creates
+                gt.states.add(uid)
+                gt.order.append(uid)
             gt.local_edges.add((prev, uid))
             msg_id = event["msg_id"]
             gt.delivery_states.setdefault(msg_id, set()).add(uid)
@@ -155,6 +197,7 @@ def build_ground_truth(trace: SimTrace, n: int) -> GroundTruth:
             new_uid: StateUid = event["new_uid"]
             restored_uid: StateUid = event["restored_uid"]
             gt.states.add(new_uid)
+            gt.order.append(new_uid)
             gt.recovery_states.add(new_uid)
             gt.local_edges.add((restored_uid, new_uid))
             chains[event.pid].append(new_uid)

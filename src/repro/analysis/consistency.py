@@ -51,6 +51,7 @@ def check_recovery(
     expect_single_rollback_per_failure: bool = True,
     expect_maximum_recovery: bool = True,
     max_reported: int = 5,
+    ground_truth: GroundTruth | None = None,
 ) -> RecoveryVerdict:
     """Grade ``result``; see module docstring for the checks.
 
@@ -59,7 +60,7 @@ def check_recovery(
     :class:`~repro.harness.scenarios.ScenarioResult` (it only needs
     ``trace``, ``protocols`` and the network size).
     """
-    gt = build_ground_truth(result.trace, result.network.n)
+    gt = ground_truth or build_ground_truth(result.trace, result.network.n)
     orphans = gt.orphans()
     surviving = gt.surviving_states
     violations: list[str] = []
@@ -85,8 +86,7 @@ def check_recovery(
 
     if expect_maximum_recovery:
         checks.append("maximum_recoverable_state")
-        useful = gt.states - gt.lost - orphans - gt.superseded
-        missing = useful - surviving
+        missing = gt.useful() - surviving
         if missing:
             report("useful states not recovered", missing)
 
@@ -117,7 +117,7 @@ def check_recovery(
         )
 
     # No obsolete delivery survives.
-    bad_sender = gt.lost | orphans
+    bad_sender = gt.condemned
     for msg_id, (sender_uid, _dst) in gt.send_info.items():
         if sender_uid not in bad_sender:
             continue

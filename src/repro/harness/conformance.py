@@ -224,9 +224,8 @@ def check_conformance(
             f"recovery: {sorted(surviving_orphans)[:3]}"
         )
 
-    condemned = gt.orphans() | gt.lost
     violations.extend(
-        check_output_conformance(result, condemned, reference)
+        check_output_conformance(result, gt.condemned, reference)
     )
 
     bound = rollback_bound(protocol_cls, schedule.n)

@@ -9,8 +9,9 @@ existing :mod:`repro.analysis` oracles rather than re-deriving anything:
   orphan, minimal rollback, maximum recoverable state, at most one
   rollback per failure, sound obsolete detection (Theorems 2/3, Lemma 4);
 - :func:`~repro.analysis.theorem.check_theorem1` -- FTVC comparison
-  agrees with the reconstructed happen-before on useful states
-  (capped at ``theorem_max_states`` because the check is O(states^2));
+  agrees with the reconstructed happen-before on every ordered pair of
+  useful states (``theorem_max_states`` exists for callers that want
+  fewer; no profile's schedules reach its default);
 - :func:`~repro.analysis.metrics.measure_overhead` -- the history
   structure stays within the paper's O(n.f) bound;
 - output-commit safety -- when the Section 6.5 extension is on, no
@@ -23,9 +24,10 @@ The strings are shrinker-friendly: a case "still fails" when it produces
 
 from __future__ import annotations
 
+from repro.analysis.causality import GroundTruth, build_ground_truth
 from repro.analysis.consistency import check_recovery
 from repro.analysis.metrics import measure_overhead
-from repro.analysis.theorem import check_theorem1
+from repro.analysis.theorem import MAX_STATES, check_theorem1
 from repro.harness.runner import ExperimentResult
 from repro.sim.trace import EventKind
 from repro.stress.generate import StressCase
@@ -35,16 +37,25 @@ def check_case(
     result: ExperimentResult,
     case: StressCase,
     *,
-    theorem_max_states: int = 200,
+    theorem_max_states: int = MAX_STATES,
 ) -> list[str]:
     """Run every oracle against ``result``; return all violations."""
     violations: list[str] = []
+    # One reconstruction, shared by every oracle that needs it.
+    gt = build_ground_truth(result.trace, result.network.n)
 
-    verdict = check_recovery(result)
+    verdict = check_recovery(result, ground_truth=gt)
     violations.extend(f"recovery: {v}" for v in verdict.violations)
 
-    theorem = check_theorem1(result, max_states=theorem_max_states)
+    theorem = check_theorem1(
+        result, max_states=theorem_max_states, ground_truth=gt
+    )
     violations.extend(f"theorem1: {v}" for v in theorem.violations)
+    if theorem.untracked_useful:
+        violations.append(
+            f"theorem1: {theorem.untracked_useful} useful states have no "
+            "recorded clock"
+        )
 
     overhead = measure_overhead(result)
     if not overhead.history_within_bound:
@@ -54,12 +65,14 @@ def check_case(
         )
 
     if case.commit_outputs:
-        violations.extend(_check_output_commit(result, verdict))
+        violations.extend(_check_output_commit(result, gt))
 
     return violations
 
 
-def _check_output_commit(result: ExperimentResult, verdict) -> list[str]:
+def _check_output_commit(
+    result: ExperimentResult, gt: GroundTruth
+) -> list[str]:
     """Committed outputs must never originate in a lost/orphan state.
 
     The ground truth is reconstructed *after* the run, with full
@@ -67,8 +80,7 @@ def _check_output_commit(result: ExperimentResult, verdict) -> list[str]:
     online.  Any committed output whose source state the ground truth
     condemns is an unrecoverable leak to the environment.
     """
-    gt = verdict.ground_truth
-    condemned = verdict.orphans | gt.lost
+    condemned = gt.condemned
     bad: list[str] = []
     for ev in result.trace.events(EventKind.OUTPUT):
         if not ev.get("committed"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.analysis.theorem import MAX_STATES
 from repro.apps import BankApp, PingPongApp, PipelineApp, RandomRoutingApp
 from repro.runtime.app import Application
 
@@ -71,8 +72,9 @@ class StressProfile:
     workloads: tuple[str, ...] = (
         "routing", "routing-fanout", "pingpong", "pipeline", "bank"
     )
-    #: cap for the O(states^2) Theorem-1 oracle per case
-    theorem_max_states: int = 200
+    #: most useful states the Theorem-1 oracle compares per case; no
+    #: profile sets it, so every useful state of every schedule is compared
+    theorem_max_states: int = MAX_STATES
 
 
 PROFILES: dict[str, StressProfile] = {
@@ -82,7 +84,6 @@ PROFILES: dict[str, StressProfile] = {
         min_horizon=20.0,
         max_horizon=40.0,
         max_partitions=1,
-        theorem_max_states=120,
     ),
     "default": StressProfile(name="default"),
     "heavy": StressProfile(
@@ -93,7 +94,6 @@ PROFILES: dict[str, StressProfile] = {
         crash_rate=(0.01, 0.06),
         max_failures_per_process=6,
         max_partitions=4,
-        theorem_max_states=300,
     ),
 }
 

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.exec.cache import ResultCache
 
+from repro.analysis.theorem import MAX_STATES
 from repro.harness.runner import run_experiment
 from repro.stress.generate import (
     StressCase,
@@ -73,7 +74,7 @@ def exception_line(error: str) -> str:
 
 
 def run_case(
-    case: StressCase, *, theorem_max_states: int = 200
+    case: StressCase, *, theorem_max_states: int = MAX_STATES
 ) -> CaseResult:
     """Execute one schedule and grade it; exceptions become failures."""
     try:

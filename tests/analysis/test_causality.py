@@ -121,6 +121,20 @@ def test_orphans_are_cross_process_dependents_of_lost():
     assert gt.orphans() == {uid(2, 0, 1)}
 
 
+def test_order_lists_each_state_once_as_first_created():
+    gt = (
+        TraceBuilder()
+        .send(0, 1, 1, uid(0, 0, 0))
+        .deliver(1, 1, uid(1, 0, 1), uid(1, 0, 0))
+        .restore(1, uid(1, 0, 0), reason="restart")
+        .deliver(1, 1, uid(1, 0, 1), uid(1, 0, 0), replay=True)
+        .restart(1, restored_uid=uid(1, 0, 1), new_uid=uid(1, 1, 0))
+        .build(2)
+    )
+    assert gt.order == [uid(0, 0, 0), uid(1, 0, 0), uid(1, 0, 1), uid(1, 1, 0)]
+    assert list(gt.bits) == gt.order and set(gt.order) == gt.states
+
+
 def test_rollback_marks_states_rolled_back_not_lost():
     gt = (
         TraceBuilder()

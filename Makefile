@@ -31,6 +31,10 @@ table1:
 # Alternating parent/change pairs of one benchmarks/perf workload, with
 # the gain / regression verdict per metric:
 #   make perf-pairs PARENT=HEAD~1 WORKLOAD=sim_stress
+# A PR that claims a gain names its gate here.  PR 19 (announce-driven
+# reconnect + warm-standby respawn): `outage_s` a gain in 10/10 pairs of
+#   make perf-pairs WORKLOAD=service_crash
+# with WORKLOAD=live_saturated as the workload that must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

@@ -517,6 +517,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         LiveCrashPlan,
         LiveFaultPlan,
         check_live_run,
+        recovery_timeline,
         run_cluster,
     )
 
@@ -567,6 +568,8 @@ def cmd_live(args: argparse.Namespace) -> int:
             if fired:
                 print(f"  p{pid} fault injections: {fired}")
     print(verdict.summary())
+    for timeline in recovery_timeline(result.trace):
+        print(f"  recovery: {timeline.summary()}")
     return 0 if verdict.ok else 1
 
 

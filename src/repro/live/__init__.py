@@ -23,7 +23,7 @@ SIGKILL crashes:
   the simulator's failure vocabulary (partitions, asymmetric drops, gray
   links, disk faults, corrupt frames), enforced node-side;
 - :mod:`repro.live.verify` -- recovery/no-orphan verdict over the merged
-  trace;
+  trace, and the per-crash :func:`recovery_timeline`;
 - :mod:`repro.live.bench` -- throughput/latency benchmark
   (``BENCH_live.json``);
 - :mod:`repro.live.load` -- open-loop load generator and offered-rate
@@ -42,7 +42,12 @@ from repro.live.faults import (
 )
 from repro.live.load import LoadPipelineApp, OpenLoopSource, run_load_bench
 from repro.live.supervisor import LiveClusterSpec, LiveCrashPlan, run_cluster
-from repro.live.verify import LiveVerdict, check_live_run
+from repro.live.verify import (
+    LiveVerdict,
+    RecoveryTimeline,
+    check_live_run,
+    recovery_timeline,
+)
 
 
 def __getattr__(name: str):
@@ -72,6 +77,8 @@ __all__ = [
     "LoadPipelineApp",
     "NodeFaults",
     "OpenLoopSource",
+    "RecoveryTimeline",
     "check_live_run",
+    "recovery_timeline",
     "run_cluster",
 ]

@@ -1,5 +1,11 @@
 """One live cluster member: ``python -m repro.live.node --config FILE``.
 
+With ``--standby`` (passed only by the supervisor, for the replacement of
+a process it has just seen die) the node finishes its imports and then
+blocks on stdin, holding no storage file, no trace file and no port,
+until the supervisor closes the pipe at the end of the downtime; from
+there on it is an ordinary start.
+
 The node builds the full stack -- file-backed storage, mesh transport,
 :class:`~repro.live.env.LiveEnv`, the protocol named in the config -- and
 runs until the cluster-wide deadline.  On its first boot it calls the
@@ -55,6 +61,7 @@ from repro.live.faults import NodeFaults
 from repro.live.storage import FileStableStorage
 from repro.live.transport import MeshTransport
 from repro.protocols.base import ProtocolConfig
+from repro.runtime.trace import EventKind
 from repro.storage.intents import heal
 
 _BOOTS_KEY = "node_boots"
@@ -98,7 +105,25 @@ async def _await_epoch(path: str, timeout: float = 30.0) -> tuple[float, float]:
     raise RuntimeError(f"epoch file {path} never appeared")
 
 
-async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
+def hold_standby(cfg: dict[str, Any]) -> float:
+    """Block until stdin reaches EOF; the ``time.monotonic()`` of release.
+
+    A warm standby is an interpreter and nothing else: every module the
+    node will need is imported, and no file, socket or storage exists
+    until the supervisor lets go.
+    """
+    if cfg.get("app", {}).get("kind") == "kv":
+        # The one app run_node imports lazily (gateway pulls in kv).
+        import repro.service.gateway  # noqa: F401
+    sys.stdin.buffer.read()
+    return time.monotonic()
+
+
+async def run_node(
+    cfg: dict[str, Any], released_at: float | None = None
+) -> dict[str, Any]:
+    """Run one node to the deadline; ``released_at`` is the monotonic
+    instant a standby boot was let go (None on a cold start)."""
     pid = int(cfg["pid"])
     # Phase 1: durable boot record, THEN the server port.  A listening
     # port is the readiness signal the supervisor waits for, so any
@@ -180,6 +205,21 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
     )
     if tracer is not None:
         tracer.bind_clock(lambda: env.now)
+    if released_at is not None:
+        trace.record(
+            released_at - mono_anchor, EventKind.CUSTOM, pid,
+            what="standby_released", boot=boot,
+        )
+
+    # One record per outbound-link transition from here on (the mesh's
+    # first connects precede the epoch and have no env-time to carry).
+    def record_link(what: str, peer: int) -> None:
+        trace.record(
+            env.now, EventKind.CUSTOM, pid,
+            what=what, peer=peer, boot=boot, dials=transport.dial_attempts,
+        )
+
+    transport.link_hook = record_link
     # Arm the fault schedule on the shared epoch clock -- the same clock
     # the supervisor schedules SIGKILLs on, so fault windows and crash
     # times compose on one timeline.
@@ -261,6 +301,7 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
             "bytes_received": transport.bytes_received,
             "data_frames_sent": transport.data_frames_sent,
             "dial_attempts": transport.dial_attempts,
+            "redials_on_hello": transport.redials_on_hello,
             "wire_format": transport.wire_format,
         },
         "faults": faults.counters(),
@@ -321,11 +362,17 @@ def _maybe_install_uvloop(cfg: dict[str, Any]) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.live.node")
     parser.add_argument("--config", required=True)
+    parser.add_argument(
+        "--standby", action="store_true",
+        help="import everything, then wait for EOF on stdin before "
+        "starting (supervisor use only)",
+    )
     args = parser.parse_args(argv)
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    released_at = hold_standby(cfg) if args.standby else None
     _maybe_install_uvloop(cfg)
-    done = asyncio.run(run_node(cfg))
+    done = asyncio.run(run_node(cfg, released_at))
     tmp = cfg["done_path"] + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(done, fh, indent=2)

@@ -9,6 +9,13 @@ the same stable-storage directory, and finally merges the per-process
 JSONL traces (plus its own crash records) into one
 :class:`~repro.runtime.trace.SimTrace` the oracles can read.
 
+The replacement of a dead process is started as a **warm standby** the
+moment the death is recorded (``repro.live.node --standby``: imports
+done, blocked on a pipe, nothing opened) and released by closing the
+pipe when the downtime ends.  ``downtime`` keeps its meaning -- for that
+long the process holds no state, no port and no file -- and what the
+client no longer pays on top of it is an interpreter start.
+
 The cluster epoch (shared env-time zero) is published through a
 **readiness barrier**, not a fixed spawn margin: the supervisor polls
 every node's transport port until the whole mesh accepts connections,
@@ -203,7 +210,10 @@ def _publish_epoch(path: str, epoch: float) -> None:
     os.replace(tmp, path)
 
 
-def _spawn(config_path: str, log_path: str) -> subprocess.Popen:
+def _spawn(
+    config_path: str, log_path: str, *, standby: bool = False
+) -> subprocess.Popen:
+    """Start one node; a ``standby`` one waits for its stdin to close."""
     src_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
@@ -213,18 +223,40 @@ def _spawn(config_path: str, log_path: str) -> subprocess.Popen:
         if env.get("PYTHONPATH")
         else src_root
     )
-    log = open(log_path, "a", encoding="utf-8")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.live.node", "--config", config_path],
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=env,
-        start_new_session=True,
-    )
+    argv = [sys.executable, "-m", "repro.live.node", "--config", config_path]
+    # The child holds its own copy of the log descriptor after the fork.
+    with open(log_path, "a", encoding="utf-8") as log:
+        return subprocess.Popen(
+            argv + ["--standby"] if standby else argv,
+            stdin=subprocess.PIPE if standby else None,
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+            start_new_session=True,
+        )
 
 
 def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
     """Run one live cluster to completion and collect its artifacts."""
+    children: list[subprocess.Popen] = []
+    try:
+        return _run_cluster(spec, workdir, children)
+    finally:
+        # No way out of a run -- a node that never bound its port, an
+        # interrupt, a standby whose release never came -- leaves a
+        # ``repro.live.node`` process behind.
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            if child.stdin is not None:
+                child.stdin.close()
+
+
+def _run_cluster(
+    spec: LiveClusterSpec, workdir: str, children: list[subprocess.Popen]
+) -> LiveRunResult:
+    """:func:`run_cluster` proper; every process started joins ``children``."""
     spec.faults.validate(spec.n)
     os.makedirs(workdir, exist_ok=True)
     data_dir = os.path.join(workdir, "data")
@@ -290,6 +322,13 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
         done_paths.append(cfg["done_path"])
         log_paths.append(os.path.join(workdir, f"node_p{pid}.log"))
 
+    def spawn(
+        pid: int, config_path: str, standby: bool = False
+    ) -> subprocess.Popen:
+        child = _spawn(config_path, log_paths[pid], standby=standby)
+        children.append(child)
+        return child
+
     start_wall = time.time()
     # Plans with ``at=None`` boot armed; ``at``-based plans boot clean and
     # are re-armed on the respawn after the scheduled SIGKILL (the only
@@ -298,11 +337,11 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
     # inside an intent-carrying transition, and the first of those is
     # checkpoint 0, strictly after the epoch wait.
     procs = {
-        pid: _spawn(
+        pid: spawn(
+            pid,
             armed_config_paths[pid]
             if pid in point_plans and point_plans[pid].at is None
             else config_paths[pid],
-            log_paths[pid],
         )
         for pid in range(spec.n)
     }
@@ -334,9 +373,16 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
     kills: list[tuple[int, float]] = []
     point_kills: list[tuple[int, str, float]] = []
     crash_counts: dict[int, int] = {}
+    # Replacements held warm: pid -> (env-time of release, the process).
+    standbys: dict[int, tuple[float, subprocess.Popen]] = {}
     with open(sup_trace_path, "w", encoding="utf-8") as sup_trace:
 
-        def record_crash(pid: int, kill_time: float) -> None:
+        def record_kill(pid: int, respawn_config: str, downtime: float) -> float:
+            """One death, however it came about (scheduled SIGKILL, armed
+            re-kill, observed self-kill): note it, trace it, and start
+            the replacement as a standby due ``downtime`` from now."""
+            kill_time = env_now()
+            kills.append((pid, kill_time))
             crash_counts[pid] = crash_counts.get(pid, 0) + 1
             sup_trace.write(
                 json.dumps(
@@ -350,6 +396,14 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
                 + "\n"
             )
             sup_trace.flush()
+            standbys[pid] = (
+                kill_time + downtime, spawn(pid, respawn_config, standby=True)
+            )
+            return kill_time
+
+        def release(pid: int) -> None:
+            _, procs[pid] = standbys.pop(pid)
+            procs[pid].stdin.close()
 
         # One loop drives both failure modes: scheduled SIGKILLs fire at
         # their planned env-times while armed nodes are concurrently
@@ -368,63 +422,56 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
         watching: dict[int, LiveCrashPointPlan] = {
             p.pid: p for p in spec.crash_points if p.at is None
         }
-        respawns: dict[int, tuple[float, str]] = {}   # pid -> (when, config)
         watch_until = spec.run_seconds + spec.linger
-        while schedule or watching or respawns:
+        while schedule or watching or standbys:
             now = env_now()
             if now > watch_until:
                 # The run is over; unfired points stay unfired (recorded
-                # as an empty point_kills entry set), but every pending
-                # respawn still happens so the final wait sees live
-                # processes, not supervisor-orphaned corpses.
+                # as an empty point_kills entry set), but every held
+                # standby is still released so the final wait sees live
+                # processes, not supervisor-orphaned ones.
                 schedule.clear()
                 watching.clear()
-                for pid, (_, cfg_path) in respawns.items():
-                    procs[pid] = _spawn(cfg_path, log_paths[pid])
-                respawns.clear()
+                for pid in list(standbys):
+                    release(pid)
                 break
-            for pid in [p for p, (due, _) in respawns.items() if due <= now]:
-                _, cfg_path = respawns.pop(pid)
-                procs[pid] = _spawn(cfg_path, log_paths[pid])
+            for pid in [p for p, (due, _) in standbys.items() if due <= now]:
+                release(pid)
             while schedule and schedule[0][1] <= now:
                 mode, _, plan = schedule.pop(0)
                 victim = procs[plan.pid]
                 victim.kill()   # SIGKILL
                 victim.wait()
-                kill_time = env_now()
-                kills.append((plan.pid, kill_time))
-                record_crash(plan.pid, kill_time)
-                if mode == "arm":
-                    # Respawn armed; the self-kill watcher takes over
+                armed = mode == "arm"
+                record_kill(
+                    plan.pid,
+                    (armed_config_paths if armed else config_paths)[plan.pid],
+                    plan.downtime,
+                )
+                if armed:
+                    # Respawned armed; the self-kill watcher takes over
                     # once the armed incarnation is actually running.
-                    respawns[plan.pid] = (
-                        kill_time + plan.downtime,
-                        armed_config_paths[plan.pid],
-                    )
                     watching[plan.pid] = plan
-                else:
-                    respawns[plan.pid] = (
-                        kill_time + plan.downtime,
-                        config_paths[plan.pid],
-                    )
             for pid in list(watching):
-                if pid in respawns:
-                    continue   # armed incarnation not spawned yet
+                if pid in standbys:
+                    continue   # armed incarnation not released yet
                 code = procs[pid].poll()
                 if code is None:
                     continue
                 plan = watching.pop(pid)
                 if code == -signal.SIGKILL:
-                    kill_time = env_now()
-                    kills.append((pid, kill_time))
-                    point_kills.append((pid, plan.point, kill_time))
-                    record_crash(pid, kill_time)
-                    respawns[pid] = (
-                        kill_time + plan.downtime, config_paths[pid]
+                    kill_time = record_kill(
+                        pid, config_paths[pid], plan.downtime
                     )
+                    point_kills.append((pid, plan.point, kill_time))
                 # Any other exit: the node finished without reaching the
                 # window; nothing to heal, nothing to respawn.
-            time.sleep(0.02)
+            # Sleep to the next kill or release, 20 ms at most (the
+            # self-kill watch above has no due time to sleep towards).
+            due = [when for when, _ in standbys.values()]
+            if schedule:
+                due.append(schedule[0][1])
+            time.sleep(max(0.0, min([0.02] + [t - env_now() for t in due])))
 
     # Wait for the nodes to finish (they self-terminate at the deadline).
     hard_stop = spec.run_seconds + spec.linger + 10.0

@@ -4,8 +4,11 @@ Channel model: the simulator's network is *reliable* -- a message sent is
 eventually delivered, surviving receiver downtime (buffered) and sender
 downtime (still in flight).  The live transport reproduces that with:
 
-- one outbound TCP link per peer, redialled with exponential backoff
-  whenever it drops (peer crashed, not yet started, transient error);
+- one outbound TCP link per peer, redialled whenever it drops (peer
+  crashed, not yet started, transient error): at once, then the moment
+  the peer's own HELLO arrives on the inbound side -- a peer that can
+  dial out can accept -- and with capped exponential backoff only for as
+  long as the peer stays silent;
 - per-link sequence numbers with cumulative acknowledgements; an entry
   leaves the sender's outbox only when the receiver has acknowledged
   *processing* it, so anything in doubt is retransmitted on reconnect;
@@ -41,7 +44,7 @@ import os
 import random
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.live import codec, wire
 from repro.live.framing import (
@@ -117,6 +120,13 @@ class MeshTransport:
         )
         self._peers = [dst for dst in range(n) if dst != pid]
         self._wake: dict[int, asyncio.Event] = {}
+        # Per peer: set by that peer's HELLO while our outbound link to
+        # it is down (see _on_connection), consumed by _redial_wait.
+        self._hello: dict[int, asyncio.Event] = {}
+        self._linked: set[int] = set()    # peers whose outbound link is up
+        # ``link_hook(what, peer)`` with what in {"link_up", "link_down"}:
+        # called once per outbound-link transition, never per message.
+        self.link_hook: Callable[[str, int], None] | None = None
         self._seen: dict[tuple[int, int], int] = {}
         self._max_written: dict[int, int] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -133,6 +143,7 @@ class MeshTransport:
         self.bytes_received = 0       # framed bytes read (data + acks)
         self.data_frames_sent = 0
         self.dial_attempts = 0        # open_connection calls (per process)
+        self.redials_on_hello = 0     # of those, made because the peer said hello
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -141,6 +152,7 @@ class MeshTransport:
         self._running = True
         for dst in self._peers:
             self._wake[dst] = asyncio.Event()
+            self._hello[dst] = asyncio.Event()
             if self._outbox.pending(dst):
                 # Reloaded entries from a previous incarnation: the peer
                 # loop retransmits them as soon as it connects.
@@ -239,14 +251,14 @@ class MeshTransport:
                     self.host, self.ports[dst]
                 )
             except OSError:
-                # Capped exponential backoff with full jitter: the cadence
-                # stays bounded against a long-dead peer, and jitter keeps
-                # a whole cluster from redialling a restarted node in
-                # lockstep.
-                await asyncio.sleep(random.uniform(backoff / 2, backoff))
-                backoff = min(backoff * 2, _BACKOFF_CEIL)
+                if await self._redial_wait(dst, backoff):
+                    self.redials_on_hello += 1
+                    backoff = _BACKOFF_FLOOR
+                else:
+                    backoff = min(backoff * 2, _BACKOFF_CEIL)
                 continue
             backoff = _BACKOFF_FLOOR
+            self._set_linked(dst, True)
             _dbg(f"p{self.pid}(boot {self.boot}) connected -> p{dst}")
             ack_task = asyncio.create_task(self._ack_loop(dst, reader))
             try:
@@ -268,6 +280,7 @@ class MeshTransport:
 
                 traceback.print_exc()   # redials like any other drop
             finally:
+                self._set_linked(dst, False)
                 ack_task.cancel()
                 with contextlib.suppress(
                     asyncio.CancelledError, ConnectionError, OSError
@@ -276,6 +289,38 @@ class MeshTransport:
                 writer.close()
                 with contextlib.suppress(ConnectionError, OSError):
                     await writer.wait_closed()
+
+    async def _redial_wait(self, dst: int, backoff: float) -> bool:
+        """Sleep out one failed dial; True if ``dst``'s hello cut it short.
+
+        Blind redials keep capped exponential backoff with full jitter:
+        the cadence stays bounded against a long-dead peer, and jitter
+        keeps a whole cluster from probing a silent node in lockstep.
+        An *announced* redial needs neither: the peer dialled us, so it
+        is listening, and the n-1 survivors of a restart cost it one
+        accept each, at once, against a listen backlog of 100.
+        """
+        try:
+            await asyncio.wait_for(
+                self._hello[dst].wait(),
+                timeout=random.uniform(backoff / 2, backoff),
+            )
+        except asyncio.TimeoutError:
+            return False
+        self._hello[dst].clear()
+        return True
+
+    def _set_linked(self, dst: int, up: bool) -> None:
+        if up:
+            # Cleared on every successful connect: a flag can only have
+            # been set during the outage this connect ends, so a stale
+            # one never buys a free redial after the next drop.
+            self._hello[dst].clear()
+            self._linked.add(dst)
+        else:
+            self._linked.discard(dst)
+        if self.link_hook is not None:
+            self.link_hook("link_up" if up else "link_down", dst)
 
     async def _pump(
         self, dst: int, writer: asyncio.StreamWriter, ack_task: asyncio.Task
@@ -398,6 +443,10 @@ class MeshTransport:
                                 return
                             key = (int(hello["pid"]), int(hello["boot"]))
                         _dbg(f"p{self.pid} accepted connection from {key}")
+                        if key[0] in self._hello and key[0] not in self._linked:
+                            # The peer is up and dialling: wake our own
+                            # outbound loop out of its backoff sleep.
+                            self._hello[key[0]].set()
                         continue
                     binary = wire.is_binary(data)
                     if binary:

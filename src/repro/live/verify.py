@@ -12,11 +12,15 @@ simulator's conformance suite applies, from the merged trace alone:
   closed-form reference -- an output produced by an orphan lineage would
   carry a value no failure-free run can produce;
 - **completeness**: every job's output was committed at the final stage.
+
+:func:`recovery_timeline` is not an oracle but a reading aid: from the
+same merged trace, where each crash's time went between the SIGKILL and
+the last survivor's link back to the victim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.apps.applications import mix64
 from repro.runtime.trace import EventKind, SimTrace
@@ -139,3 +143,90 @@ def check_live_run(trace: SimTrace, *, n: int, jobs: int) -> LiveVerdict:
         duplicate_outputs=duplicates,
         jobs_expected=jobs,
     )
+
+
+@dataclass(frozen=True)
+class RecoveryTimeline:
+    """One crash, in env-time seconds; a step the trace lacks is None.
+
+    ``released`` is the supervisor letting the warm standby go (the end
+    of the configured downtime), ``restart`` the victim's checkpoint
+    RESTORE, ``token`` its recovery-token broadcast, ``peers_done`` the
+    last peer's delivery of (or rollback on) that token, and
+    ``links_up`` the last survivor's outbound link back to the victim.
+    """
+
+    pid: int
+    kill: float
+    released: float | None = None
+    restart: float | None = None
+    token: float | None = None
+    peers_done: float | None = None
+    links_up: float | None = None
+
+    def summary(self) -> str:
+        steps = [
+            f"{f.name} {getattr(self, f.name) - self.kill:+.3f}s"
+            for f in fields(self)[2:]
+            if getattr(self, f.name) is not None
+        ]
+        return " -> ".join([f"p{self.pid} kill t={self.kill:.3f}s"] + steps)
+
+
+def recovery_timeline(trace: SimTrace) -> list[RecoveryTimeline]:
+    """Per supervisor-recorded crash, when each recovery step happened.
+
+    A crash's steps are looked for between it and the same process's next
+    crash, so a second kill of one victim reads its own incarnation.
+    """
+    crashes = trace.events(EventKind.CRASH)
+    out = []
+    for crash in crashes:
+        victim = crash.pid
+        until = min(
+            (c.time for c in crashes if c.pid == victim and c.time > crash.time),
+            default=float("inf"),
+        )
+        window = [e for e in trace if crash.time <= e.time < until]
+
+        def first(kind: EventKind, **want: object) -> float | None:
+            return next(
+                (
+                    e.time for e in window
+                    if e.kind is kind and e.pid == victim
+                    and all(e.get(k) == v for k, v in want.items())
+                ),
+                None,
+            )
+
+        version = next(
+            (
+                e.get("version") for e in window
+                if e.kind is EventKind.TOKEN_SEND and e.pid == victim
+            ),
+            None,
+        )
+        reactions = [
+            e.time for e in window
+            if e.kind in (EventKind.TOKEN_DELIVER, EventKind.ROLLBACK)
+            and e.get("origin") == victim and e.get("version") == version
+        ]
+        relinked: dict[int, float] = {}   # survivor -> its first link_up
+        for e in window:
+            if (
+                e.kind is EventKind.CUSTOM
+                and e.get("what") == "link_up" and e.get("peer") == victim
+            ):
+                relinked.setdefault(e.pid, e.time)
+        out.append(
+            RecoveryTimeline(
+                pid=victim,
+                kill=crash.time,
+                released=first(EventKind.CUSTOM, what="standby_released"),
+                restart=first(EventKind.RESTORE, reason="restart"),
+                token=first(EventKind.TOKEN_SEND),
+                peers_done=max(reactions, default=None),
+                links_up=max(relinked.values(), default=None),
+            )
+        )
+    return out

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.live.supervisor import LiveCrashPlan
+from repro.live.verify import recovery_timeline
 from repro.storage.intents import LIVE_CRASH_POINTS
 
 from tests.live.crashsim import assert_healed, run_crash_point
@@ -50,6 +51,15 @@ def test_restart_window_self_kill_heals_and_dedups_the_token(tmp_path):
     assert result.done[1]["token_log_dedups"] >= 1
     assert_healed(result, "restart:token_logged")
     assert set(result.exit_codes.values()) == {0}, result.exit_codes
+    # Both replacements came from a standby (the armed one, then the
+    # clean one), each held for its whole downtime: the point fired in
+    # exactly one incarnation, and neither started early.
+    first, second = recovery_timeline(result.trace)
+    assert first.released >= first.kill + 0.8
+    assert second.released >= second.kill + 0.8
+    assert first.restart >= first.released
+    assert first.token is None or first.token < second.kill
+    assert second.token is not None
 
 
 def test_committed_window_needs_no_heal(tmp_path):

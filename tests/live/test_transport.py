@@ -1,4 +1,5 @@
-"""MeshTransport: delivery, acknowledgement, dedup, durable retransmit."""
+"""MeshTransport: delivery, acknowledgement, dedup, durable retransmit,
+and the redial policy (blind backoff vs. the peer's own hello)."""
 
 import asyncio
 import os
@@ -6,6 +7,9 @@ import socket
 
 import pytest
 
+from repro.live import transport as transport_module
+from repro.live import wire
+from repro.live.framing import write_frame
 from repro.live.storage import FileStableStorage
 from repro.live.transport import MeshTransport
 from repro.runtime.message import NetworkMessage
@@ -19,6 +23,22 @@ class Collector:
 
     def on_network_message(self, msg):
         self.received.append(msg)
+
+
+class _Partition:
+    """NodeFaults stand-in: a black hole towards every peer until healed."""
+
+    def __init__(self):
+        self.blocked = True
+
+    def send_blocked(self, dst):
+        return self.blocked
+
+    def corrupt_frame(self, dst, framed):
+        return framed
+
+    def gray_penalty(self, dst, nbytes):
+        return 0.0
 
 
 def _free_ports(count):
@@ -324,6 +344,8 @@ def test_redial_rate_is_bounded_by_capped_jittered_backoff():
             # Backoff floor 0.05 doubling to a 2.0 ceiling with full
             # jitter: worst case ~2 + sum of shrinking sleeps.
             assert 2 <= a.dial_attempts <= 25, a.dial_attempts
+            # A silent peer never earns an announced redial.
+            assert a.redials_on_hello == 0
         finally:
             await a.stop()
 
@@ -333,19 +355,9 @@ def test_redial_rate_is_bounded_by_capped_jittered_backoff():
 def test_blocked_link_does_not_dial_at_all():
     """A fault-blocked link polls the block flag instead of dialing --
     the partition looks like an unreachable host, not a refused port."""
-    class _Blocked:
-        def send_blocked(self, dst):
-            return True
-
-        def corrupt_frame(self, dst, framed):
-            return framed
-
-        def gray_penalty(self, dst, nbytes):
-            return 0.0
-
     async def go():
         ports = _free_ports(2)
-        a = MeshTransport(0, 2, ports, faults=_Blocked())
+        a = MeshTransport(0, 2, ports, faults=_Partition())
         a.attach(Collector())
         await a.start()
         try:
@@ -354,5 +366,125 @@ def test_blocked_link_does_not_dial_at_all():
             assert a.dial_attempts == 0
         finally:
             await a.stop()
+
+    asyncio.run(go())
+
+
+# ---------------------------------------------------------------------------
+# Announce-driven reconnect: the peer's hello ends the backoff sleep
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def slow_backoff(monkeypatch):
+    """Every blind redial sleeps 2.5-5 s: whatever reconnects sooner in
+    these tests did not get there by timer."""
+    monkeypatch.setattr(transport_module, "_BACKOFF_FLOOR", 5.0)
+    monkeypatch.setattr(transport_module, "_BACKOFF_CEIL", 5.0)
+
+
+async def _linked_pair(ports):
+    a = MeshTransport(0, 2, ports)
+    b = MeshTransport(1, 2, ports)
+    a.attach(Collector())
+    b.attach(Collector())
+    await b.start()
+    await a.start()
+    await _wait_until(lambda: 1 in a._linked and 0 in b._linked)
+    return a, b
+
+
+async def _stop_peer_and_sink_into_backoff(a, b):
+    """Stop ``b``; return once ``a`` has lost the link, redialled once at
+    once, been refused, and gone to sleep on its backoff."""
+    dials = a.dial_attempts
+    await b.stop()
+    # An idle pump looks at its link only every _IDLE_POLL; a send wakes it.
+    a.send(1, _msg(100, 0, 1, "queued while the peer is down"))
+    await _wait_until(
+        lambda: 1 not in a._linked and a.dial_attempts == dials + 1
+    )
+    await asyncio.sleep(0.1)
+
+
+async def _say_hello(port, pid, boot):
+    """What a peer's outbound link opens with, from a bare socket."""
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    await write_frame(writer, wire.hello_frame(pid, boot))
+    return writer
+
+
+def test_peer_hello_ends_the_backoff_sleep(slow_backoff):
+    async def go():
+        ports = _free_ports(2)
+        a, b = await _linked_pair(ports)
+        b2 = MeshTransport(1, 2, ports, boot=2)
+        cb = Collector()
+        b2.attach(cb)
+        transitions = []
+        a.link_hook = lambda what, peer: transitions.append((what, peer))
+        try:
+            await _stop_peer_and_sink_into_backoff(a, b)
+            loop = asyncio.get_running_loop()
+            restarted = loop.time()
+            await b2.start()
+            await _wait_until(
+                lambda: len(cb.received) == 1 and a.unacked == 0, timeout=2.0
+            )
+            assert loop.time() - restarted < 0.2
+            assert a.redials_on_hello == 1
+            # One hook call per transition, none per message.
+            assert transitions == [("link_down", 1), ("link_up", 1)]
+        finally:
+            a.link_hook = None
+            await a.stop()
+            await b2.stop()
+
+    asyncio.run(go())
+
+
+def test_hello_on_a_healthy_link_buys_no_redial(slow_backoff):
+    async def go():
+        ports = _free_ports(2)
+        a, b = await _linked_pair(ports)
+        try:
+            dials = a.dial_attempts
+            writer = await _say_hello(ports[0], pid=1, boot=1)
+            await asyncio.sleep(0.2)
+            writer.close()
+            assert a.dial_attempts == dials
+            # ...nor after the next drop: one immediate redial, refused,
+            # and then the timer -- the old hello is not a credit.
+            await _stop_peer_and_sink_into_backoff(a, b)
+            await asyncio.sleep(0.2)
+            assert a.dial_attempts == dials + 1
+            assert a.redials_on_hello == 0
+        finally:
+            await a.stop()
+            await b.stop()
+
+    asyncio.run(go())
+
+
+def test_hello_across_a_partition_waits_for_the_heal(slow_backoff):
+    async def go():
+        ports = _free_ports(2)
+        faults = _Partition()
+        a = MeshTransport(0, 2, ports, faults=faults)
+        b = MeshTransport(1, 2, ports)
+        cb = Collector()
+        a.attach(Collector())
+        b.attach(cb)
+        await a.start()
+        await b.start()
+        try:
+            a.send(1, _msg(1, 0, 1, "held by the partition"))
+            await _wait_until(lambda: 0 in b._linked)   # b said hello
+            await asyncio.sleep(0.3)
+            assert a.dial_attempts == 0
+            faults.blocked = False
+            await _wait_until(lambda: len(cb.received) == 1, timeout=2.0)
+            assert a.dial_attempts == 1
+        finally:
+            await a.stop()
+            await b.stop()
 
     asyncio.run(go())

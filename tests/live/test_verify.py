@@ -1,7 +1,11 @@
 """check_live_run: the trace oracles for live executions."""
 
 from repro.apps.applications import mix64
-from repro.live.verify import check_live_run, pipeline_reference
+from repro.live.verify import (
+    check_live_run,
+    pipeline_reference,
+    recovery_timeline,
+)
 from repro.runtime.trace import EventKind, SimTrace
 
 
@@ -85,3 +89,53 @@ def test_restart_without_checkpoint_fails():
     verdict = check_live_run(trace, n=2, jobs=2)
     assert not verdict.ok
     assert any("post-restart checkpoint" in f for f in verdict.failures)
+
+
+def _crash(trace, t, pid, *, version, survivors, released=True):
+    """One recovery's worth of events, the way a live run leaves them."""
+    trace.record(t, EventKind.CRASH, pid, count=version + 1)
+    if released:
+        trace.record(t + 0.50, EventKind.CUSTOM, pid,
+                     what="standby_released", boot=version + 2)
+    trace.record(t + 0.51, EventKind.RESTORE, pid, reason="restart")
+    trace.record(t + 0.52, EventKind.TOKEN_SEND, pid, version=version)
+    for index, peer in enumerate(survivors):
+        trace.record(t + 0.53 + index / 100, EventKind.TOKEN_DELIVER, peer,
+                     origin=pid, version=version)
+        trace.record(t + 0.55 + index / 100, EventKind.CUSTOM, peer,
+                     what="link_up", peer=pid, boot=1, dials=5)
+
+
+def test_recovery_timeline_reads_each_kill_in_its_own_window():
+    trace = SimTrace()
+    trace.record(0.1, EventKind.CUSTOM, 0, what="link_up", peer=1)
+    trace.record(0.2, EventKind.RESTORE, 2, reason="rollback")
+    _crash(trace, 1.0, 1, version=0, survivors=[0, 2])
+    trace.record(1.58, EventKind.ROLLBACK, 2, origin=1, version=0)
+    _crash(trace, 3.0, 1, version=1, survivors=[0, 2], released=False)
+    # A late link flap and another victim's token belong to neither step.
+    trace.record(3.9, EventKind.CUSTOM, 0, what="link_up", peer=1)
+    trace.record(3.95, EventKind.TOKEN_DELIVER, 0, origin=2, version=0)
+
+    first, second = recovery_timeline(trace)
+    assert (first.pid, first.kill) == (1, 1.0)
+    assert [
+        round(step - first.kill, 2) for step in (
+            first.released, first.restart, first.token,
+            first.peers_done, first.links_up,
+        )
+    ] == [0.50, 0.51, 0.52, 0.58, 0.56]
+    assert second.released is None      # a cold respawn says nothing
+    assert round(second.peers_done - second.kill, 2) == 0.54
+    assert round(second.links_up - second.kill, 2) == 0.56
+    assert "released" not in second.summary()
+    assert first.summary().startswith("p1 kill t=1.000s -> released +0.500s")
+
+
+def test_recovery_timeline_of_a_crash_nobody_recovered_from():
+    trace = SimTrace()
+    trace.record(2.0, EventKind.CRASH, 0, count=1)
+    (timeline,) = recovery_timeline(trace)
+    assert timeline.restart is None and timeline.links_up is None
+    assert timeline.summary() == "p0 kill t=2.000s"
+    assert recovery_timeline(SimTrace()) == []

@@ -87,7 +87,7 @@ def __getattr__(name: str):
         return LiveEnv
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AppEnvelope",

@@ -9,27 +9,18 @@ Subcommands:
 - ``overhead`` -- print the Section 6.9 overhead report for a run;
 - ``trace``    -- run a named scenario fully instrumented, write a
                   JSON-lines trace and print the metrics summary;
-- ``bench``    -- benchmark a named scenario and emit ``BENCH_obs.json``;
 - ``stress``   -- randomized fault-injection sweep: thousands of seeded
                   schedules, every run graded by the invariant oracles,
                   failures shrunk to replayable JSON reproducers;
-- ``exec-bench`` -- benchmark the parallel execution engine itself:
-                  run one seed block serially and in parallel, verify the
-                  results are bit-identical, emit ``BENCH_exec.json``;
-- ``wire-bench`` -- wire & storage fast path: delta-clock piggyback cost
-                  on stress-mix plus before/after live cluster runs
-                  (JSON vs binary frames, per-mutation vs group-commit
-                  fsyncs), emitting ``BENCH_wire.json``;
-- ``load``     -- open-loop load generator: one live cluster per offered
-                  rate, honest p50/p99 latency-vs-offered-load curves,
-                  emitting ``BENCH_load.json``;
+- ``live``     -- run a real asyncio/TCP cluster with SIGKILL crashes
+                  and injected faults, graded from its merged trace;
+- ``rollback`` -- operator rollback of a stopped live cluster's storage;
 - ``serve``    -- boot the sharded multi-tenant KV service
                   (``repro.service``): S independent recovery domains,
-                  printed client endpoints, per-shard crash schedules;
-- ``service-bench`` -- closed-loop user simulator (concurrent sessions,
-                  Zipfian keys) over the service while replicas are
-                  SIGKILLed: exactly-once audit, per-shard unavailability
-                  and stale-read windows, ``BENCH_service.json``.
+                  printed client endpoints, per-shard crash schedules.
+
+Measurement lives outside the package: ``benchmarks/perf`` (declared in
+``BENCHMARK.json``) and ``benchmarks/pairs.py``.
 
 Examples::
 
@@ -38,14 +29,11 @@ Examples::
     python -m repro table1 --seeds 0 1 2
     python -m repro figures
     python -m repro trace quickstart
-    python -m repro bench crash-storm --repeats 5
     python -m repro stress --schedules 500 --seed 0 --jobs 4
     python -m repro stress --replay stress-repro-seed55.json
     python -m repro stress --live --schedules 3
     python -m repro live -n 3 --jobs 9 --no-crash --faults --fault-seed 7
-    python -m repro exec-bench --schedules 200 --jobs 4
     python -m repro serve --shards 2 --run-seconds 10
-    python -m repro service-bench --shards 2 --sessions 200
 """
 
 from __future__ import annotations
@@ -132,71 +120,14 @@ def _add_seed(
     parser.add_argument("--seed", type=int, default=default, help=help)
 
 
-def _add_out(
-    parser: argparse.ArgumentParser,
-    default: str | None,
-    *,
-    help: str | None = None,
-) -> None:
-    parser.add_argument("--out", default=default, metavar="PATH", help=help)
-
-
 def _add_workdir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workdir", default=None,
                         help="keep run artifacts here (default: temp dir)")
 
 
-def _add_cluster_shape(
-    parser: argparse.ArgumentParser, *, jobs: int, run_seconds: float
-) -> None:
-    parser.add_argument("--jobs", type=int, default=jobs)
-    parser.add_argument("--run-seconds", type=float, default=run_seconds)
-
-
 def _add_crash_specs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--crash", action="append", default=[],
                         metavar="TIME:PID[:DOWN]")
-
-
-def _add_service_cluster(
-    parser: argparse.ArgumentParser, *, run_seconds: float = 12.0
-) -> None:
-    """Topology/failure flags shared by ``serve`` and ``service-bench``."""
-    parser.add_argument("--shards", type=_positive_int, default=2)
-    parser.add_argument("--nodes-per-shard", type=_positive_int, default=4,
-                        help="1 gateway + N-1 replicas per shard")
-    parser.add_argument("--run-seconds", type=float, default=run_seconds,
-                        help="cap on the run; the bench stops the shards "
-                             "as soon as the workload and audit complete")
-    parser.add_argument("--crash-at", type=float, default=2.0,
-                        help="env-time of each shard's replica SIGKILL")
-    parser.add_argument("--downtime", type=float, default=0.75)
-    parser.add_argument("--no-crash", action="store_true",
-                        help="skip the per-shard SIGKILL")
-    parser.add_argument("--fault-seed", type=int, default=None,
-                        help="draw a seeded network/disk fault plan per "
-                             "shard (default: no faults)")
-    _add_workdir(parser)
-
-
-def _service_config(args: argparse.Namespace) -> "object":
-    from repro.service import ServiceConfig
-
-    workload = {}
-    for name in ("sessions", "ops_per_session", "keys", "put_ratio",
-                 "zipf_s", "seed", "request_timeout"):
-        if hasattr(args, name):
-            workload[name] = getattr(args, name)
-    return ServiceConfig(
-        shards=args.shards,
-        nodes_per_shard=args.nodes_per_shard,
-        run_seconds=args.run_seconds,
-        crash_replicas=not args.no_crash,
-        crash_at=args.crash_at,
-        downtime=args.downtime,
-        fault_seed=args.fault_seed,
-        **workload,
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -315,43 +246,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark a named scenario; emit the BENCH_obs.json trajectory."""
-    from repro.obs import (
-        run_bench,
-        run_bench_matrix,
-        write_bench_json,
-        write_bench_matrix_json,
-    )
-
-    if args.matrix:
-        matrix = run_bench_matrix(
-            seed=args.seed, repeats=args.repeats, jobs=args.jobs
-        )
-        out = args.out if args.out != "BENCH_obs.json" else "BENCH_obs_matrix.json"
-        path = write_bench_matrix_json(matrix, out)
-        print(matrix.summary())
-        print(f"written: {path}")
-        return 0
-
-    bench = run_bench(
-        args.scenario, seed=args.seed, repeats=args.repeats, jobs=args.jobs
-    )
-    path = write_bench_json(bench, args.out)
-    print(f"scenario              : {bench.scenario}  "
-          f"(n={bench.n}, seed={bench.seed}, repeats={bench.repeats})")
-    print(f"wall time (best)      : {bench.wall_time_s:.4f} s")
-    print(f"events/sec            : {bench.events_per_sec:,.0f}")
-    print(f"delivered             : {bench.delivered}")
-    print(f"peak history records  : {bench.peak_history_records}")
-    print(f"piggyback bytes total : {bench.piggyback_bytes_total:.0f}")
-    print(f"piggyback bytes/msg   : {bench.piggyback_bytes_per_message:.1f}")
-    print(f"tokens broadcast      : {bench.tokens_broadcast:.0f}")
-    print(f"rollbacks / restarts  : {bench.rollbacks} / {bench.restarts}")
-    print(f"written               : {path}")
-    return 0
-
-
 def cmd_stress(args: argparse.Namespace) -> int:
     """Randomized fault-injection sweep (or replay of one reproducer)."""
     import json
@@ -454,31 +348,6 @@ def _cmd_stress_live(args: argparse.Namespace) -> int:
     for path in report.reproducers:
         print(f"  wrote {path}")
     return 0 if report.ok else 1
-
-
-def cmd_exec_bench(args: argparse.Namespace) -> int:
-    """Serial-vs-parallel engine benchmark; emit BENCH_exec.json."""
-    from repro.exec import run_exec_bench, write_exec_bench_json
-
-    bench = run_exec_bench(
-        args.schedules,
-        jobs=args.jobs,
-        profile=args.profile,
-        base_seed=args.seed,
-        budget_slots=args.budget_slots,
-    )
-    path = write_exec_bench_json(bench, args.out)
-    print(bench.summary())
-    print(f"written: {path}")
-    if not bench.identical:
-        return 1
-    if args.min_speedup is not None and bench.speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {bench.speedup:.2f}x is below the "
-            f"--min-speedup floor {args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
@@ -600,201 +469,22 @@ def cmd_rollback(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_live_bench(args: argparse.Namespace) -> int:
-    """Live throughput/latency benchmark; emit BENCH_live.json."""
-    import tempfile
-
-    from repro.live.bench import write_live_bench
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-live-bench-")
-    payload = write_live_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        jobs=args.jobs,
-        run_seconds=args.run_seconds,
-    )
-    for name, scenario in payload["scenarios"].items():
-        print(f"{name}: {scenario['verdict']}")
-        print(
-            f"  {scenario['app_deliveries']} deliveries in "
-            f"{scenario['wall_seconds']}s "
-            f"({scenario['deliveries_per_second']}/s)"
-        )
-    print(f"written: {args.out}")
-    return 0 if all(
-        s["ok"] for s in payload["scenarios"].values()
-    ) else 1
-
-
-def cmd_wire_bench(args: argparse.Namespace) -> int:
-    """Wire/storage fast-path benchmark; emit BENCH_wire.json."""
-    import tempfile
-
-    from repro.live.wirebench import write_wire_bench
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-wire-bench-")
-    payload = write_wire_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        jobs=args.jobs,
-        run_seconds=args.run_seconds,
-        seed=args.seed,
-        skip_live=args.skip_live,
-    )
-    pig = payload["piggyback"]
-    print(
-        f"piggyback (stress-mix): {pig['full_json_bytes_per_msg']} B/msg "
-        f"full JSON vs {pig['delta_bytes_per_msg']} B/msg delta "
-        f"({pig['reduction_factor']}x smaller, "
-        f"{pig['full_clock_fallbacks']} full-clock fallbacks)"
-    )
-    ok = True
-    if pig["reduction_factor"] is None or pig["reduction_factor"] < (
-        args.min_piggyback_reduction or 0.0
-    ):
-        print(
-            f"FAIL: piggyback reduction below the "
-            f"--min-piggyback-reduction floor "
-            f"{args.min_piggyback_reduction}"
-        )
-        ok = False
-    for name, pair in payload.get("live", {}).items():
-        before, after = pair["before"], pair["after"]
-        print(f"{name}:")
-        for label, rep in (("before", before), ("after", after)):
-            print(
-                f"  {label:6s} [{rep['wire_format']}, "
-                f"window={rep['storage_flush_window']}]: "
-                f"{rep['app_deliveries']} deliveries "
-                f"({rep['deliveries_per_second']}/s), "
-                f"{rep['fsyncs_per_delivery']} fsyncs/delivery, "
-                f"{rep['wire_bytes_per_delivery']} wire B/delivery -- "
-                f"{'ok' if rep['ok'] else 'ORACLE FAIL'}"
-            )
-            ok = ok and rep["ok"]
-    print(f"written: {args.out}")
-    return 0 if ok else 1
-
-
-def cmd_load(args: argparse.Namespace) -> int:
-    """Open-loop load sweep; emit BENCH_load.json."""
-    import tempfile
-
-    from repro.live.load import (
-        append_trend_row,
-        check_load_payload,
-        check_trend,
-        write_load_bench,
-    )
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-load-")
-    payload = write_load_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        rates=tuple(args.rates),
-        duration=args.duration,
-        start_at=args.start_at,
-    )
-    for name, s in payload["scenarios"].items():
-        lat = s["job_latency_s"]
-        print(f"{name}: {s['verdict']}")
-        print(
-            f"  offered {s['offered_rate']:.0f}/s -> "
-            f"{s['app_deliveries']} deliveries in "
-            f"{s['active_seconds']}s active "
-            f"({s['deliveries_per_second']}/s; "
-            f"{s['deliveries_per_second_wall']}/s wall)"
-        )
-        print(
-            f"  latency p50={lat['p50']}s p99={lat['p99']}s "
-            f"min={lat['min']}s max={lat['max']}s"
-        )
-    print(
-        f"max sustained rate        : {payload['max_sustained_rate']}"
-    )
-    print(
-        f"peak deliveries/sec       : "
-        f"{payload['peak_deliveries_per_second']}"
-    )
-    print(f"written: {args.out}")
-
-    problems = check_load_payload(
-        payload, min_deliveries_per_sec=args.min_deliveries_per_sec
-    )
-    if args.trend_file:
-        if args.check_trend:
-            problems.extend(check_trend(args.trend_file, payload))
-        append_trend_row(args.trend_file, payload)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
-
-
-def cmd_scale_bench(args: argparse.Namespace) -> int:
-    """Piggyback scale sweep over live clusters; emit BENCH_scale.json."""
-    import tempfile
-
-    from repro.live.scalebench import (
-        append_trend_row,
-        check_scale_payload,
-        check_trend,
-        write_scale_bench,
-    )
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-scale-")
-    payload = write_scale_bench(
-        args.out,
-        workdir,
-        ns=tuple(args.ns),
-        jobs=args.jobs,
-        runner_jobs=args.runner_jobs,
-        budget_slots=args.budget_slots,
-    )
-    for name, s in payload["scenarios"].items():
-        print(f"{name}: {s.get('verdict')}")
-        if not s.get("ok"):
-            continue
-        print(
-            f"  piggyback {s['full_json_bytes_per_msg']} B/msg full-JSON "
-            f"vs {s['delta_bytes_per_msg']} B/msg delta "
-            f"({s['clocks_sent']} clocks)"
-        )
-        print(
-            f"  {s['deliveries']} deliveries "
-            f"({s['deliveries_per_second']}/s active; "
-            f"{s['fsyncs_per_delivery']} fsyncs/delivery; "
-            f"{s['wall_seconds']}s wall)"
-        )
-    growth = payload["growth"]
-    print(
-        f"growth exponent           : "
-        f"full-JSON {growth['full_json_exponent']}, "
-        f"delta {growth['delta_exponent']} "
-        f"(gate <= {args.max_exponent})"
-    )
-    print(f"written: {args.out}")
-
-    problems = check_scale_payload(payload, max_exponent=args.max_exponent)
-    if args.trend_file:
-        if args.check_trend:
-            problems.extend(check_trend(args.trend_file, payload))
-        append_trend_row(args.trend_file, payload)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the sharded KV service and run it for --run-seconds."""
     import tempfile
 
-    from repro.service import ShardManager
+    from repro.service import ServiceConfig, ShardManager
     from repro.service.bench import check_shard_trace
 
-    config = _service_config(args)
+    config = ServiceConfig(
+        shards=args.shards,
+        nodes_per_shard=args.nodes_per_shard,
+        run_seconds=args.run_seconds,
+        crash_replicas=not args.no_crash,
+        crash_at=args.crash_at,
+        downtime=args.downtime,
+        fault_seed=args.fault_seed,
+    )
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-serve-")
     manager = ShardManager(config, workdir)
     print(
@@ -830,50 +520,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"    - {failure}")
         ok = ok and oracle["ok"]
     return 0 if ok else 1
-
-
-def cmd_service_bench(args: argparse.Namespace) -> int:
-    """Closed-loop user simulator over the service; BENCH_service.json."""
-    import tempfile
-
-    from repro.service import check_service_payload, write_service_bench
-
-    config = _service_config(args)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-service-")
-    payload = write_service_bench(args.out, workdir, config)
-    exactly_once = payload["exactly_once"]
-    print(
-        f"ops: {payload['ops_total'] - payload['ops_failed']}"
-        f"/{payload['ops_total']} completed, "
-        f"{payload['puts_acked']} put(s) acked"
-    )
-    print(
-        f"exactly-once: "
-        f"{'VERIFIED' if exactly_once['verified'] else 'FAILED'} "
-        f"({exactly_once['audited_keys']} key(s) audited, "
-        f"{len(exactly_once['mismatches'])} mismatch(es), "
-        f"{exactly_once['monotonicity_violations']} monotonicity "
-        f"violation(s))"
-    )
-    for shard, report in sorted(payload["per_shard"].items()):
-        unavailable = report["unavailability"]
-        stale = report["stale_reads"]
-        latency = report["latency_s"]
-        oracle = report.get("oracle", {})
-        print(
-            f"shard {shard}: {report['ops']} ops "
-            f"(p50={latency['p50']}s p99={latency['p99']}s), "
-            f"{report['retries']} retries -- "
-            f"unavailable {unavailable['total_s']}s over "
-            f"{unavailable['windows']} window(s), "
-            f"stale {stale['total_s']}s over {stale['events']} event(s), "
-            f"oracle {'ok' if oracle.get('ok') else 'FAIL'}"
-        )
-    print(f"written: {args.out}")
-    problems = check_service_payload(payload)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -919,24 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("scenario", choices=sorted(SCENARIOS))
     _add_seed(trace, default=None,
               help="override the scenario's default seed")
-    _add_out(trace, None,
-             help="trace output path (default trace_<scenario>.jsonl)")
+    trace.add_argument("--out", default=None, metavar="PATH",
+                       help="trace output path "
+                            "(default trace_<scenario>.jsonl)")
     trace.set_defaults(func=cmd_trace)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark a scenario and emit BENCH_obs.json",
-    )
-    bench.add_argument("scenario", nargs="?", default="quickstart",
-                       choices=sorted(SCENARIOS))
-    _add_seed(bench, default=None)
-    bench.add_argument("--repeats", type=_positive_int, default=3)
-    _add_out(bench, "BENCH_obs.json")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       help="run repeats (and matrix cells) in parallel")
-    bench.add_argument("--matrix", action="store_true",
-                       help="benchmark every scenario into one merged report")
-    bench.set_defaults(func=cmd_bench)
 
     from repro.stress.profiles import PROFILES as STRESS_PROFILES
 
@@ -970,25 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "simulator")
     stress.set_defaults(func=cmd_stress)
 
-    exec_bench = sub.add_parser(
-        "exec-bench",
-        help="serial-vs-parallel engine benchmark; emit BENCH_exec.json",
-    )
-    exec_bench.add_argument("--schedules", type=_positive_int, default=200)
-    exec_bench.add_argument("--jobs", type=_positive_int, default=4)
-    exec_bench.add_argument("--profile", choices=sorted(STRESS_PROFILES),
-                            default="quick")
-    _add_seed(exec_bench)
-    _add_out(exec_bench, "BENCH_exec.json")
-    exec_bench.add_argument("--min-speedup", type=float, default=None,
-                            help="fail unless speedup reaches this floor")
-    exec_bench.add_argument("--budget-slots", type=_positive_int,
-                            default=None,
-                            help="run the parallel leg under a "
-                                 "ProcessBudget of this many slots "
-                                 "(default: unlimited admission)")
-    exec_bench.set_defaults(func=cmd_exec_bench)
-
     overhead = sub.add_parser("overhead",
                               help="Section 6.9 overhead report")
     _add_n(overhead)
@@ -1002,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a real asyncio/TCP cluster with SIGKILL crashes",
     )
     _add_n(live)
-    _add_cluster_shape(live, jobs=32, run_seconds=6.0)
+    live.add_argument("--jobs", type=int, default=32)
+    live.add_argument("--run-seconds", type=float, default=6.0)
     live.add_argument("--crash-pid", type=int, default=1)
     live.add_argument("--crash-at", type=float, default=0.25)
     live.add_argument("--downtime", type=float, default=1.0)
@@ -1042,112 +656,25 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only these nodes (default: all)")
     rollback.set_defaults(func=cmd_rollback)
 
-    live_bench = sub.add_parser(
-        "live-bench",
-        help="live throughput/latency benchmark (BENCH_live.json)",
-    )
-    _add_n(live_bench)
-    _add_cluster_shape(live_bench, jobs=64, run_seconds=6.0)
-    _add_out(live_bench, "BENCH_live.json")
-    _add_workdir(live_bench)
-    live_bench.set_defaults(func=cmd_live_bench)
-
-    wire_bench = sub.add_parser(
-        "wire-bench",
-        help="wire/storage fast-path benchmark (BENCH_wire.json)",
-    )
-    _add_n(wire_bench)
-    _add_cluster_shape(wire_bench, jobs=64, run_seconds=6.0)
-    _add_seed(wire_bench, default=None,
-              help="stress-mix seed for the piggyback section")
-    wire_bench.add_argument("--skip-live", action="store_true",
-                            help="piggyback section only (no TCP clusters)")
-    wire_bench.add_argument("--min-piggyback-reduction", type=float,
-                            default=None, metavar="FACTOR",
-                            help="fail unless delta clocks shrink piggyback "
-                                 "bytes/msg by at least this factor")
-    _add_out(wire_bench, "BENCH_wire.json")
-    _add_workdir(wire_bench)
-    wire_bench.set_defaults(func=cmd_wire_bench)
-
-    load = sub.add_parser(
-        "load",
-        help="open-loop load sweep over live clusters (BENCH_load.json)",
-    )
-    _add_n(load)
-    load.add_argument("--rates", type=float, nargs="+",
-                      default=[250.0, 500.0, 1000.0, 2000.0],
-                      help="offered job rates to sweep (jobs/sec)")
-    load.add_argument("--duration", type=float, default=4.0,
-                      help="seconds of offered load per scenario")
-    load.add_argument("--start-at", type=float, default=0.25,
-                      help="env-time of the first injection")
-    _add_out(load, "BENCH_load.json")
-    _add_workdir(load)
-    load.add_argument("--min-deliveries-per-sec", type=float, default=0.0,
-                      help="fail unless the sweep's best scenario reaches "
-                           "this active-window throughput")
-    load.add_argument("--trend-file", default=None, metavar="JSONL",
-                      help="append a one-line trend row after the sweep")
-    load.add_argument("--check-trend", action="store_true",
-                      help="fail if peak throughput collapses vs the "
-                           "trend file's best recorded row")
-    load.set_defaults(func=cmd_load)
-
-    scale = sub.add_parser(
-        "scale-bench",
-        help="piggyback scale sweep n=4..64 over live clusters "
-             "(BENCH_scale.json)",
-    )
-    scale.add_argument("--ns", type=_positive_int, nargs="+",
-                       default=[4, 8, 16, 32, 64],
-                       help="cluster sizes to sweep")
-    scale.add_argument("--jobs", type=_positive_int, default=12,
-                       help="pipeline jobs per scenario (fixed across n)")
-    scale.add_argument("--runner-jobs", type=_positive_int, default=2,
-                       help="exec-engine workers driving the scenarios")
-    scale.add_argument("--budget-slots", type=_positive_int, default=None,
-                       help="ProcessBudget slots; each scenario weighs "
-                            "n+1 (default: one slot per CPU)")
-    scale.add_argument("--max-exponent", type=float, default=1.3,
-                       help="fail if a fitted bytes/msg growth exponent "
-                            "exceeds this (the O(n) gate)")
-    _add_out(scale, "BENCH_scale.json")
-    _add_workdir(scale)
-    scale.add_argument("--trend-file", default=None, metavar="JSONL",
-                       help="append a one-line trend row after the sweep")
-    scale.add_argument("--check-trend", action="store_true",
-                       help="fail if delta piggyback regresses vs the "
-                            "trend file's best recorded rows")
-    scale.set_defaults(func=cmd_scale_bench)
-
     serve = sub.add_parser(
         "serve",
         help="boot the sharded KV service (repro.service) and run it",
     )
-    _add_service_cluster(serve)
+    serve.add_argument("--shards", type=_positive_int, default=2)
+    serve.add_argument("--nodes-per-shard", type=_positive_int, default=4,
+                       help="1 gateway + N-1 replicas per shard")
+    serve.add_argument("--run-seconds", type=float, default=12.0)
+    serve.add_argument("--crash-at", type=float, default=2.0,
+                       help="env-time of each shard's replica SIGKILL")
+    serve.add_argument("--downtime", type=float, default=0.75)
+    serve.add_argument("--no-crash", action="store_true",
+                       help="skip the per-shard SIGKILL")
+    serve.add_argument("--fault-seed", type=int, default=None,
+                       help="draw a seeded network/disk fault plan per "
+                            "shard (default: no faults)")
+    _add_workdir(serve)
     serve.set_defaults(func=cmd_serve)
 
-    service_bench = sub.add_parser(
-        "service-bench",
-        help="closed-loop user simulator over the sharded service "
-             "(BENCH_service.json)",
-    )
-    _add_service_cluster(service_bench, run_seconds=150.0)
-    service_bench.add_argument("--sessions", type=_positive_int, default=200,
-                               help="concurrent closed-loop user sessions")
-    service_bench.add_argument("--ops-per-session", type=_positive_int,
-                               default=20)
-    service_bench.add_argument("--keys", type=_positive_int, default=64)
-    service_bench.add_argument("--put-ratio", type=float, default=0.6)
-    service_bench.add_argument("--zipf-s", type=float, default=1.1,
-                               help="Zipf skew of the key popularity")
-    _add_seed(service_bench, help="workload seed (session op streams)")
-    service_bench.add_argument("--request-timeout", type=float, default=0.4,
-                               help="per-attempt reply timeout before a "
-                                    "same-op-id retry")
-    _add_out(service_bench, "BENCH_service.json")
-    service_bench.set_defaults(func=cmd_service_bench)
     return parser
 
 

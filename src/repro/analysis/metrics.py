@@ -104,8 +104,7 @@ class OverheadReport:
     def to_dict(self) -> dict:
         """JSON-serialisable form, fields plus the derived ratios.
 
-        Consumed by the observability exporters (``BENCH_obs.json`` and
-        the metrics report of ``python -m repro trace``).
+        Consumed by the metrics report of ``python -m repro trace``.
         """
         from dataclasses import asdict
 

@@ -18,13 +18,10 @@ replayable.
   environment outputs at the sink (output-commit demo).
 
 The kvstore names resolve lazily: :mod:`repro.apps.kvstore` imports its
-wire types from :mod:`repro.service.kv` (their canonical home since the
-service API redesign), and that module in turn depends on
-:mod:`repro.apps.applications` -- resolving kvstore at first attribute
+wire types from :mod:`repro.service.kv`, and that module in turn depends
+on :mod:`repro.apps.applications` -- resolving kvstore at first attribute
 access instead of package-import time keeps the cycle open.
 """
-
-import warnings
 
 from repro.apps.applications import (
     BankApp,
@@ -42,10 +39,6 @@ __all__ = [
     "BankApp",
     "BankState",
     "ClientState",
-    "KVGet",
-    "KVPut",
-    "KVReplicate",
-    "KVReply",
     "KVStoreApp",
     "PingPongApp",
     "PipelineApp",
@@ -57,24 +50,12 @@ __all__ = [
     "mix64",
 ]
 
-#: Deprecated re-exports: the wire types now live in repro.service.kv.
-_MOVED_WIRE_TYPES = frozenset({"KVPut", "KVGet", "KVReplicate", "KVReply"})
-#: Still canonical here, just resolved lazily (cycle: kvstore -> service.kv
-#: -> apps.applications -> this package).
+#: Resolved lazily (cycle: kvstore -> service.kv -> apps.applications ->
+#: this package).
 _KVSTORE_NAMES = frozenset({"ClientState", "KVStoreApp", "ReplicaState"})
 
 
 def __getattr__(name: str):
-    if name in _MOVED_WIRE_TYPES:
-        warnings.warn(
-            f"repro.apps.{name} moved to repro.service.kv; update the "
-            "import (the shim will be removed in the next major version)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.service.kv as kv
-
-        return getattr(kv, name)
     if name in _KVSTORE_NAMES:
         import repro.apps.kvstore as kvstore
 

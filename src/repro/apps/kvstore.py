@@ -20,17 +20,13 @@ invariants to check after crashes and rollbacks:
   lost forever, and replicas may diverge -- a behaviour the kvstore
   example demonstrates deliberately).
 
-.. deprecated:: 1.0
-    The wire types (``KVPut``, ``KVGet``, ``KVReplicate``, ``KVReply``)
-    and ``hash_key`` were promoted to :mod:`repro.service.kv`, where the
-    client-facing service serves them.  Importing them from here still
-    works through shims that emit ``DeprecationWarning``; see
-    ``docs/API.md`` for the migration table.
+The wire types (``KVPut``, ``KVGet``, ``KVReplicate``, ``KVReply``) and
+``hash_key`` live in :mod:`repro.service.kv`, where the client-facing
+service serves them; this module is no longer an import path for them.
 """
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
@@ -42,29 +38,6 @@ from repro.service.kv import KVPut as _KVPut
 from repro.service.kv import KVReplicate as _KVReplicate
 from repro.service.kv import KVReply as _KVReply
 from repro.service.kv import hash_key
-
-#: Wire-type shims: the canonical definitions live in repro.service.kv;
-#: attribute access through this module warns (module __getattr__ below).
-_MOVED_TO_SERVICE = {
-    "KVPut": _KVPut,
-    "KVGet": _KVGet,
-    "KVReplicate": _KVReplicate,
-    "KVReply": _KVReply,
-}
-
-
-def __getattr__(name: str):
-    cls = _MOVED_TO_SERVICE.get(name)
-    if cls is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"repro.apps.kvstore.{name} moved to repro.service.kv; "
-        "update the import (the shim will be removed in the next major "
-        "version)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return cls
 
 
 # ---------------------------------------------------------------------------

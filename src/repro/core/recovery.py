@@ -43,7 +43,6 @@ retransmission is kept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -531,8 +530,10 @@ class DamaniGargProcess(BaseRecoveryProcess):
         link (or after a crash reset) goes out full (``full_bits``, which
         the caller already computed); afterwards only the diff against
         the last clock sent to ``dst``.  Deterministic stats always;
-        exact byte counters (JSON text vs binary varints) only when the
-        obs layer is on, since they cost a serialization.
+        exact byte counters (both in the wire codec's varints) only when
+        the obs layer is on, since they cost a pass over the clock.  The
+        byte counter charges what the wire encoder would put on the
+        link: the delta, or the full clock again when that is smaller.
         """
         base = self._wire_clock_sent.get(dst)
         if base is None:
@@ -540,13 +541,15 @@ class DamaniGargProcess(BaseRecoveryProcess):
         else:
             self.stats.piggyback_delta_bits += clock.delta_wire_size_bits(base)
         if self.obs.enabled:
-            full_json = len(json.dumps(clock.entries, separators=(",", ":")))
+            full_bytes = clock.wire_size_bytes()
             if base is None:
-                delta_bytes = clock.wire_size_bytes()
+                delta_bytes = full_bytes
                 self.obs.counter("dg.wire_full_fallbacks")
             else:
-                delta_bytes = clock.delta_wire_size_bytes(base)
-            self.obs.counter("dg.wire_bytes_full_json", full_json)
+                delta_bytes = min(
+                    full_bytes, clock.delta_wire_size_bytes(base)
+                )
+            self.obs.counter("dg.wire_bytes_full", full_bytes)
             self.obs.counter("dg.wire_bytes_delta", delta_bytes)
             self.obs.counter("dg.wire_clocks_sent")
         self._wire_clock_sent[dst] = clock

@@ -18,15 +18,10 @@ Workers are crash-isolated: a schedule that segfaults its worker fails
 that one task, and a replacement process keeps draining the rest of the
 queue.  See ``docs/PARALLELISM.md`` for the worker model, the
 determinism contract, and the cache-key definition.
-
-:func:`run_exec_bench` (lazy: it pulls in the stress harness) measures the
-serial-vs-parallel speedup on a seed block and writes ``BENCH_exec.json``.
 """
 
-from typing import Any
-
 from repro.exec.cache import ResultCache
-from repro.exec.runner import ParallelRunner, ProcessBudget
+from repro.exec.runner import ParallelRunner
 from repro.exec.tasks import (
     Task,
     TaskOutcome,
@@ -36,33 +31,11 @@ from repro.exec.tasks import (
 )
 
 __all__ = [
-    "ExecBenchResult",
     "ParallelRunner",
-    "ProcessBudget",
     "ResultCache",
     "Task",
     "TaskOutcome",
     "code_fingerprint",
     "resolve_fn",
-    "run_exec_bench",
     "task_key",
-    "write_exec_bench_json",
 ]
-
-_LAZY = {
-    "ExecBenchResult": "repro.exec.bench",
-    "run_exec_bench": "repro.exec.bench",
-    "write_exec_bench_json": "repro.exec.bench",
-}
-
-
-def __getattr__(name: str) -> Any:
-    # The bench module imports the stress harness, which imports this
-    # package for the runner; resolving it lazily (PEP 562, same pattern
-    # as repro.obs) keeps the import graph acyclic.
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.exec' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

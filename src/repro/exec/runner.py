@@ -37,11 +37,8 @@ stay retryable).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 import traceback
-from collections import deque
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
@@ -50,41 +47,6 @@ from repro.exec.tasks import Task, TaskOutcome, resolve_fn, task_key
 
 #: Progress callback: (number of tasks finished so far, outcome just done).
 ProgressFn = Callable[[int, TaskOutcome], None]
-
-
-@dataclass(frozen=True)
-class ProcessBudget:
-    """Admission cap for slot-weighted scheduling (see PARALLELISM.md).
-
-    ``slots`` is the total number of OS processes the runner may have
-    working at once.  Every :class:`~repro.exec.tasks.Task` declares its
-    weight (``Task.slots``); the pool admits tasks in submission order
-    while their combined weight fits.  This is what lets one runner mix
-    ordinary one-process simulations (1 slot) with live-cluster tasks
-    that each spawn an n-node mesh (``n + 1`` slots) without
-    oversubscribing the machine: an n=64 scale-bench scenario takes 65
-    slots, so on a 64-core host nothing else is admitted beside it,
-    while sixteen n=4 scenarios (5 slots each) would need 80 and are
-    throttled to twelve at a time.
-
-    A task *heavier than the whole budget* is still admitted -- alone --
-    once nothing else holds slots: progress beats strictness, and the
-    alternative (rejecting it) would make ``n + 1 > slots`` un-runnable
-    rather than merely slow.
-
-    ``ProcessBudget.default()`` sizes the budget to the machine
-    (``os.cpu_count()``).
-    """
-
-    slots: int
-
-    def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ValueError(f"budget slots must be >= 1, got {self.slots}")
-
-    @classmethod
-    def default(cls) -> "ProcessBudget":
-        return cls(max(os.cpu_count() or 1, 1))
 
 
 def _worker_main(
@@ -138,11 +100,6 @@ class ParallelRunner:
 
     - ``jobs`` -- worker process count; ``<= 1`` executes inline;
     - ``cache`` -- optional :class:`ResultCache` consulted per task;
-    - ``budget`` -- optional :class:`ProcessBudget`; when set, tasks are
-      *admitted* to the worker queue only while their combined
-      ``Task.slots`` weight fits, so multi-process tasks cannot
-      oversubscribe the machine.  ``None`` (the default) admits
-      everything up front -- the historical behaviour;
     - ``start_method`` -- multiprocessing start method; defaults to
       ``fork`` where available (cheap on Linux) and ``spawn`` elsewhere.
     """
@@ -152,14 +109,12 @@ class ParallelRunner:
         jobs: int = 1,
         *,
         cache: ResultCache | None = None,
-        budget: ProcessBudget | None = None,
         start_method: str | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.budget = budget
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -257,74 +212,12 @@ class ParallelRunner:
         reader, writer = self._ctx.Pipe(duplex=False)
         report_lock = self._ctx.Lock()
         worker_count = min(self.jobs, len(pending))
-        slots_cap = self.budget.slots if self.budget is not None else None
-        if slots_cap is not None:
-            # Each admitted task holds >= 1 slot, so concurrency can
-            # never exceed the budget; extra workers would only idle.
-            worker_count = max(1, min(worker_count, slots_cap))
-        sentinels_posted = 0
+        for index in pending:
+            task_queue.put((index, tasks[index].fn, tasks[index].payload))
+        for _ in range(worker_count):
+            task_queue.put(None)
+        sentinels_posted = worker_count
         clean_exits = 0
-
-        # Admission control.  Without a budget, the first admit() call
-        # posts every task followed by the sentinels -- exactly the old
-        # up-front behaviour.  With a budget, tasks become visible to the
-        # workers in submission order only while their combined slot
-        # weight fits, and the sentinels follow the last admission; slots
-        # are released as tasks resolve (done, crashed, or failed).
-        to_post: deque[int] = deque(pending)
-        admitted: dict[int, int] = {}       # task index -> held slots
-        admitted_slots = 0
-        sentinels_armed = True
-        # Flush mode guards against the silent-loss window *while
-        # admission is still blocked*: a worker that dies between
-        # dequeuing a task and announcing it leaves the task's slots
-        # held forever, and with ``to_post`` non-empty the end-of-run
-        # sentinel proof would never run.  Entering flush posts the
-        # sentinels immediately (pausing admission); once every sentinel
-        # is consumed the queue is provably empty, so any admitted task
-        # still unresolved was lost and can safely rejoin ``to_post``.
-        flushing = False
-
-        def admit() -> None:
-            nonlocal admitted_slots, sentinels_armed, sentinels_posted
-            while to_post and not flushing:
-                index = to_post[0]
-                need = tasks[index].slots
-                if (
-                    slots_cap is not None
-                    and admitted_slots > 0
-                    and admitted_slots + need > slots_cap
-                ):
-                    # Oversized tasks (need > slots_cap) still pass the
-                    # admitted_slots > 0 guard eventually: they run
-                    # alone, they are never starved.
-                    break
-                to_post.popleft()
-                admitted[index] = need
-                admitted_slots += need
-                task_queue.put(
-                    (index, tasks[index].fn, tasks[index].payload)
-                )
-            if (not to_post or flushing) and sentinels_armed:
-                for _ in range(worker_count):
-                    task_queue.put(None)
-                sentinels_posted += worker_count
-                sentinels_armed = False
-
-        def enter_flush() -> None:
-            nonlocal flushing
-            if flushing or not to_post:
-                # With to_post empty the sentinels are already behind the
-                # last task, so the normal end-of-run proof covers loss.
-                return
-            flushing = True
-            admit()     # posts the sentinel round now
-
-        def release(index: int) -> None:
-            nonlocal admitted_slots
-            held = admitted.pop(index, None)
-            if held is not None:
-                admitted_slots -= held
 
         workers: dict[int, Any] = {}
         in_flight: dict[int, int | None] = {}      # worker id -> task index
@@ -350,7 +243,6 @@ class ParallelRunner:
         unresolved = set(pending)
         try:
             while unresolved:
-                admit()
                 # Keep the pool at strength while work remains.
                 target = min(worker_count, len(unresolved))
                 while len(workers) < target and respawn_budget > 0:
@@ -359,7 +251,6 @@ class ParallelRunner:
                 if not workers:
                     # Respawn budget exhausted: fail leftovers, don't hang.
                     for index in sorted(unresolved):
-                        release(index)
                         yield TaskOutcome(
                             index=index,
                             crashed=True,
@@ -375,7 +266,6 @@ class ParallelRunner:
                         in_flight[wid] = index
                     elif kind == "done":
                         in_flight[wid] = None
-                        release(index)
                         if index in unresolved:
                             unresolved.discard(index)
                             value, error, wall_s = payload
@@ -397,48 +287,23 @@ class ParallelRunner:
                     continue
                 # Pipe drained: dead workers have no unread announcements,
                 # so attributing their in-flight task as crashed is exact.
-                # A death *without* an announced task may have silently
-                # consumed one -- if admission is still blocked, enter
-                # flush mode so its slots cannot deadlock the pool.
-                for outcome in self._reap_dead(
-                    workers,
-                    in_flight,
-                    tasks,
-                    unresolved,
-                    on_unannounced=enter_flush,
-                ):
-                    release(outcome.index)
-                    yield outcome
+                yield from self._reap_dead(
+                    workers, in_flight, tasks, unresolved
+                )
                 # A worker can die *between* dequeuing a task and
                 # announcing it; such a task is silently lost.  Once every
                 # sentinel has been consumed the queue is provably empty,
                 # so leftovers can be re-posted without double execution.
-                # Re-posting goes back through admit(): leftovers rejoin
-                # the admission queue (slots released first) and a fresh
-                # round of sentinels is armed behind them.
                 busy = any(index is not None for index in in_flight.values())
-                if (
-                    clean_exits == sentinels_posted
-                    and sentinels_posted > 0
-                    and unresolved
-                    and not busy
-                ):
-                    if flushing:
-                        # Queue proven empty: every admitted-but-undone
-                        # task was lost.  Return it to the admission
-                        # queue in submission order and resume.
-                        lost = sorted(set(to_post) | set(admitted))
-                        for index in list(admitted):
-                            release(index)
-                        to_post.clear()
-                        to_post.extend(lost)
-                        flushing = False
-                        sentinels_armed = True
-                    elif not to_post:
-                        for index in sorted(unresolved):
-                            release(index)
-                            to_post.append(index)
-                        sentinels_armed = True
+                if clean_exits == sentinels_posted and unresolved and not busy:
+                    refill = min(worker_count, len(unresolved))
+                    for index in sorted(unresolved):
+                        task_queue.put(
+                            (index, tasks[index].fn, tasks[index].payload)
+                        )
+                    for _ in range(refill):
+                        task_queue.put(None)
+                    sentinels_posted += refill
         finally:
             for proc in workers.values():
                 proc.terminate()
@@ -455,14 +320,8 @@ class ParallelRunner:
         in_flight: dict[int, int | None],
         tasks: Sequence[Task],
         unresolved: set[int],
-        on_unannounced: Callable[[], None] | None = None,
     ):
-        """Attribute dead workers' announced tasks as crashed outcomes.
-
-        ``on_unannounced`` fires for each dead worker with no announced
-        task -- the caller's hook for the silent-loss window (the worker
-        may have dequeued a task it never got to announce).
-        """
+        """Attribute dead workers' announced tasks as crashed outcomes."""
         for wid in list(workers):
             proc = workers[wid]
             if proc.is_alive():
@@ -470,11 +329,7 @@ class ParallelRunner:
             exitcode = proc.exitcode
             workers.pop(wid)
             index = in_flight.pop(wid, None)
-            if index is None:
-                if on_unannounced is not None:
-                    on_unannounced()
-                continue
-            if index in unresolved:
+            if index is not None and index in unresolved:
                 unresolved.discard(index)
                 yield TaskOutcome(
                     index=index,

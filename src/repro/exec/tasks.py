@@ -40,30 +40,18 @@ class Task:
     JSON-serialisable.  ``label`` is only for progress lines; ``cacheable``
     opts the task out of the result cache (timing measurements must never
     be served from disk).
-
-    ``slots`` is the task's weight against a
-    :class:`~repro.exec.runner.ProcessBudget`: how many OS processes the
-    task occupies while it runs.  An ordinary in-worker simulation is 1;
-    a live-cluster task that spawns an n-node mesh is worth ``n + 1``
-    (the nodes plus the supervising worker).  Scheduling weight only --
-    deliberately *not* part of :func:`task_key`, because the computation
-    (fn + payload) is identical however it is scheduled, and cached
-    results must survive budget tuning.
     """
 
     fn: str
     payload: Any = None
     label: str = ""
     cacheable: bool = True
-    slots: int = 1
 
     def __post_init__(self) -> None:
         if ":" not in self.fn:
             raise ValueError(
                 f"task fn must be 'module:callable', got {self.fn!r}"
             )
-        if self.slots < 1:
-            raise ValueError(f"task slots must be >= 1, got {self.slots}")
 
 
 @dataclass

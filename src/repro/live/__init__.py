@@ -5,8 +5,10 @@ the :class:`~repro.runtime.env.RuntimeEnv` interface -- as real OS
 processes talking over TCP, with file-backed stable storage and real
 SIGKILL crashes:
 
-- :mod:`repro.live.codec` / :mod:`repro.live.framing` -- the wire format
-  (tagged JSON in length-prefixed frames);
+- :mod:`repro.live.wire` / :mod:`repro.live.framing` -- the wire format
+  (binary frames with delta-encoded clocks, length-prefixed and
+  checksummed); :mod:`repro.live.codec` is the tagged-JSON encoding of
+  trace fields and done reports;
 - :mod:`repro.live.storage` -- :class:`FileStableStorage`, persisting the
   durable half of a process's state as an append-only, checksummed
   record log (``python -m repro.live.storage PATH`` prints one);
@@ -24,10 +26,8 @@ SIGKILL crashes:
   links, disk faults, corrupt frames), enforced node-side;
 - :mod:`repro.live.verify` -- recovery/no-orphan verdict over the merged
   trace, and the per-crash :func:`recovery_timeline`;
-- :mod:`repro.live.bench` -- throughput/latency benchmark
-  (``BENCH_live.json``);
-- :mod:`repro.live.load` -- open-loop load generator and offered-rate
-  sweep (``BENCH_load.json``).
+- :mod:`repro.live.load` -- the open-loop load source and its cluster
+  spec; :mod:`repro.live.bench` -- a trace's active window.
 """
 
 from repro.live.env import LiveEnv, LiveTrace
@@ -40,7 +40,7 @@ from repro.live.faults import (
     LivePartitionPlan,
     NodeFaults,
 )
-from repro.live.load import LoadPipelineApp, OpenLoopSource, run_load_bench
+from repro.live.load import LoadPipelineApp, OpenLoopSource
 from repro.live.supervisor import LiveClusterSpec, LiveCrashPlan, run_cluster
 from repro.live.verify import (
     LiveVerdict,

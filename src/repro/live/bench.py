@@ -1,33 +1,12 @@
-"""Live-cluster throughput/latency benchmark (``BENCH_live.json``).
-
-Two scenarios over the same 4-process pipeline workload:
-
-- ``failure_free``: no crashes;
-- ``one_crash``: one mid-run SIGKILL + restart.
-
-Reported per scenario: delivery throughput, job-completion latency
-percentiles (bootstrap to final-stage output, in env-time seconds),
-recovery lag for the crash scenario (SIGKILL to the victim's RESTART
-trace event), and the conformance verdict of the run.  Numbers are wall
-time on whatever machine ran the benchmark -- they contextualise the
-protocol's live behaviour, they are not simulator-grade deterministic.
-"""
+"""The throughput denominator of a live run: its active window."""
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
 
-from repro.live.supervisor import (
-    LiveClusterSpec,
-    LiveCrashPlan,
-    LiveRunResult,
-    run_cluster,
-)
-from repro.analysis.metrics import percentile
-from repro.live.verify import check_live_run
 from repro.runtime.trace import EventKind
+
+__all__ = ["active_window"]
 
 
 def active_window(trace: Any) -> tuple[float, float] | None:
@@ -45,112 +24,3 @@ def active_window(trace: Any) -> tuple[float, float] | None:
     if end <= start:
         return None
     return start, end
-
-
-def _scenario_report(result: LiveRunResult) -> dict[str, Any]:
-    spec = result.spec
-    verdict = check_live_run(result.trace, n=spec.n, jobs=spec.jobs)
-    outputs = result.trace.events(EventKind.OUTPUT)
-    # Job latency: the pipeline bootstraps every job at env-time ~0, so
-    # the output timestamp *is* the completion latency.
-    latencies = sorted(e.time for e in outputs)
-    makespan = latencies[-1] if latencies else None
-    delivered = result.total_delivered
-    window = active_window(result.trace)
-    active_seconds = (window[1] - window[0]) if window else None
-    report: dict[str, Any] = {
-        "verdict": verdict.summary(),
-        "ok": verdict.ok,
-        "jobs": spec.jobs,
-        "outputs_committed": verdict.outputs_committed,
-        "wall_seconds": round(result.wall_seconds, 3),
-        "active_seconds": (
-            round(active_seconds, 4) if active_seconds else None
-        ),
-        "app_deliveries": delivered,
-        # Active-window rate: deliveries over first-delivery -> last-
-        # output.  The wall rate divides by the whole run (barrier +
-        # crash padding + linger included) and is kept for context.
-        "deliveries_per_second": (
-            round(delivered / active_seconds, 2)
-            if active_seconds
-            else None
-        ),
-        "deliveries_per_second_wall": (
-            round(delivered / result.wall_seconds, 2)
-            if result.wall_seconds > 0
-            else None
-        ),
-        "job_latency_s": {
-            "p50": percentile(latencies, 0.50),
-            "p90": percentile(latencies, 0.90),
-            "p99": percentile(latencies, 0.99),
-            "max": makespan,
-        },
-        "exit_codes": {
-            str(pid): code for pid, code in sorted(result.exit_codes.items())
-        },
-    }
-    if result.kills:
-        lags = []
-        for pid, kill_time in result.kills:
-            restart = next(
-                (
-                    e
-                    for e in result.trace.events(EventKind.RESTART, pid)
-                    if e.time > kill_time
-                ),
-                None,
-            )
-            if restart is not None:
-                lags.append(restart.time - kill_time)
-        report["crashes"] = [
-            {"pid": pid, "at_s": round(t, 3)} for pid, t in result.kills
-        ]
-        report["recovery_lag_s"] = (
-            [round(lag, 3) for lag in lags] if lags else None
-        )
-    return report
-
-
-def run_live_bench(
-    workdir: str,
-    *,
-    n: int = 4,
-    jobs: int = 64,
-    run_seconds: float = 6.0,
-    crash_at: float = 0.25,
-    downtime: float = 1.0,
-) -> dict[str, Any]:
-    """Run both scenarios; returns the ``BENCH_live.json`` payload."""
-    scenarios: dict[str, Any] = {}
-
-    spec = LiveClusterSpec(n=n, jobs=jobs, run_seconds=run_seconds)
-    result = run_cluster(spec, os.path.join(workdir, "failure_free"))
-    scenarios["failure_free"] = _scenario_report(result)
-
-    spec = LiveClusterSpec(
-        n=n,
-        jobs=jobs,
-        run_seconds=run_seconds,
-        crashes=[LiveCrashPlan(pid=1, at=crash_at, downtime=downtime)],
-    )
-    result = run_cluster(spec, os.path.join(workdir, "one_crash"))
-    scenarios["one_crash"] = _scenario_report(result)
-
-    return {
-        "benchmark": "live-cluster",
-        "protocol": "damani-garg",
-        "n": n,
-        "jobs": jobs,
-        "run_seconds": run_seconds,
-        "scenarios": scenarios,
-    }
-
-
-def write_live_bench(path: str, workdir: str, **kwargs: Any) -> dict[str, Any]:
-    payload = run_live_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload

@@ -1,7 +1,10 @@
-"""Tagged-JSON codec for the live wire format.
+"""Tagged-JSON codec for live trace fields and done reports.
 
-Everything a protocol puts on the wire (or in a trace field) is built from
-JSON scalars, lists, dicts, tuples, sets, frozen dataclasses and the
+The TCP links speak :mod:`repro.live.wire`; this is the text encoding of
+the same values where a human or ``jq`` reads them, and the home of the
+dataclass allow-list both codecs share.  Everything a protocol puts in a
+trace field (or on the wire) is built from JSON scalars, lists, dicts,
+tuples, sets, frozen dataclasses and the
 :class:`~repro.core.ftvc.FaultTolerantVectorClock`.  The codec encodes
 those losslessly into plain JSON with ``"__tag__"``-style markers and
 decodes them back into the original types.

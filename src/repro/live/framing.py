@@ -2,8 +2,8 @@
 
 Each frame is an 8-byte big-endian header -- 4 bytes of payload length
 followed by 4 bytes of CRC32 over the payload -- and then the payload
-itself: binary wire frames (:mod:`repro.live.wire`, first byte 0xB5) or
-legacy UTF-8 JSON (:mod:`repro.live.codec`, first byte ``{``).
+itself: a binary wire frame (:mod:`repro.live.wire`, first byte 0xB5) on
+a TCP link, a storage record in the record log.
 
 The length cap rejects corrupt prefixes before they turn into a
 multi-gigabyte read; the CRC rejects everything subtler.  TCP's own

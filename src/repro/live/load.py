@@ -1,6 +1,6 @@
-"""Open-loop load generation for the live cluster (``BENCH_load.json``).
+"""Open-loop load generation for the live cluster.
 
-The classic pipeline benchmark is *closed-loop*: stage 0 bootstraps all
+The classic pipeline workload is *closed-loop*: stage 0 bootstraps all
 jobs in one burst, so its "throughput" is the workload's send cadence,
 not a system limit, and its latency distribution is one burst's drain
 time.  This module replaces the burst with an **open-loop source**: job
@@ -12,30 +12,20 @@ way a real client would see it (no coordinated omission).
 
 Latency is graded from the merged trace alone: job ``j`` completes at its
 OUTPUT event's timestamp, and its latency is that timestamp minus the
-*intended* injection time -- which the grader recomputes from ``(rate,
-start_at)``, so the measurement cannot be gamed by a late injector.
-
-The sweep driver runs one live cluster per offered rate and reports
-honest p50/p99 latency-vs-offered-load curves plus active-window
-throughput, with every scenario graded by the same closed-form oracle as
-the classic benchmark (:func:`~repro.live.verify.check_live_run` -- the
-injected payloads are byte-identical to bootstrap's, so the reference
-values are unchanged).
+*intended* injection time -- which a grader recomputes from ``(rate,
+start_at)``, so the measurement cannot be gamed by a late injector.  The
+injected payloads are byte-identical to bootstrap's, so a load run is
+graded by the same closed-form oracle as the classic workload
+(:func:`~repro.live.verify.check_live_run`).  The ``live_saturated``
+workload of ``benchmarks/perf`` is the measurement built on this.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Any, Sequence
+from typing import Any
 
-from repro.analysis.metrics import percentile
 from repro.apps.applications import Job, PipelineApp, mix64
-from repro.live.bench import active_window
-from repro.live.supervisor import LiveClusterSpec, LiveRunResult, run_cluster
-from repro.live.verify import check_live_run
-from repro.runtime.trace import EventKind
+from repro.live.supervisor import LiveClusterSpec
 
 
 class LoadPipelineApp(PipelineApp):
@@ -137,104 +127,6 @@ class OpenLoopSource:
         }
 
 
-# ---------------------------------------------------------------------------
-# Grading
-# ---------------------------------------------------------------------------
-def job_latencies(
-    trace: Any, *, rate: float, start_at: float
-) -> dict[int, float]:
-    """Per-job latency: OUTPUT timestamp minus *intended* injection time.
-
-    Recomputed from the deterministic schedule, not from the injector's
-    actual send instant -- queueing delay behind a slow system counts
-    against the system, exactly as an external client would experience.
-    For duplicate outputs (post-crash redelivery races) the first
-    commit wins.
-    """
-    latencies: dict[int, float] = {}
-    for event in trace.events(EventKind.OUTPUT):
-        value = event.get("value")
-        if (
-            not isinstance(value, tuple)
-            or len(value) != 3
-            or value[0] != "done"
-        ):
-            continue
-        job = value[1]
-        if job in latencies:
-            continue
-        latencies[job] = event.time - (start_at + job / rate)
-    return latencies
-
-
-def _scenario_report(
-    result: LiveRunResult, *, rate: float, start_at: float
-) -> dict[str, Any]:
-    spec = result.spec
-    verdict = check_live_run(result.trace, n=spec.n, jobs=spec.jobs)
-    latencies = sorted(
-        job_latencies(result.trace, rate=rate, start_at=start_at).values()
-    )
-    delivered = result.total_delivered
-    window = active_window(result.trace)
-    active_seconds = (window[1] - window[0]) if window else None
-    injected = sum(
-        d.get("load", {}).get("injected", 0) for d in result.done.values()
-    )
-    offered_seconds = spec.jobs / rate
-    # "Sustained" means the system kept pace with the open-loop schedule:
-    # the active window barely outlasts the offered window.  A saturated
-    # run also commits every output eventually (the drain budget sees to
-    # that) -- what distinguishes it is the long tail past the window.
-    sustained = bool(
-        verdict.ok
-        and verdict.outputs_committed == spec.jobs
-        and active_seconds is not None
-        and active_seconds <= offered_seconds + 1.0
-    )
-    return {
-        "verdict": verdict.summary(),
-        "ok": verdict.ok,
-        "sustained": sustained,
-        "offered_rate": rate,
-        "offered_seconds": round(offered_seconds, 3),
-        "jobs": spec.jobs,
-        "injected": injected,
-        "outputs_committed": verdict.outputs_committed,
-        "wall_seconds": round(result.wall_seconds, 3),
-        "active_seconds": (
-            round(active_seconds, 4) if active_seconds else None
-        ),
-        "app_deliveries": delivered,
-        "deliveries_per_second": (
-            round(delivered / active_seconds, 2) if active_seconds else None
-        ),
-        "deliveries_per_second_wall": (
-            round(delivered / result.wall_seconds, 2)
-            if result.wall_seconds > 0
-            else None
-        ),
-        "job_latency_s": {
-            "min": round(latencies[0], 6) if latencies else None,
-            "p50": _r6(percentile(latencies, 0.50)),
-            "p90": _r6(percentile(latencies, 0.90)),
-            "p99": _r6(percentile(latencies, 0.99)),
-            "max": round(latencies[-1], 6) if latencies else None,
-        },
-        "exit_codes": {
-            str(pid): code
-            for pid, code in sorted(result.exit_codes.items())
-        },
-    }
-
-
-def _r6(value: float | None) -> float | None:
-    return None if value is None else round(value, 6)
-
-
-# ---------------------------------------------------------------------------
-# Sweep driver
-# ---------------------------------------------------------------------------
 def load_spec(
     *,
     n: int,
@@ -279,140 +171,3 @@ def load_spec(
             "start_at": start_at,
         },
     )
-
-
-def run_load_bench(
-    workdir: str,
-    *,
-    n: int = 4,
-    rates: Sequence[float] = (250.0, 500.0, 1000.0, 2000.0),
-    duration: float = 4.0,
-    start_at: float = 0.25,
-) -> dict[str, Any]:
-    """Run one cluster per offered rate; returns the payload for
-    ``BENCH_load.json``."""
-    scenarios: dict[str, Any] = {}
-    for rate in rates:
-        spec = load_spec(
-            n=n, rate=rate, duration=duration, start_at=start_at
-        )
-        result = run_cluster(
-            spec, os.path.join(workdir, f"rate_{int(rate)}")
-        )
-        scenarios[f"rate_{int(rate)}"] = _scenario_report(
-            result, rate=rate, start_at=start_at
-        )
-    sustained = [
-        s["offered_rate"] for s in scenarios.values() if s["sustained"]
-    ]
-    return {
-        "benchmark": "live-load",
-        "protocol": "damani-garg",
-        "n": n,
-        "duration_s": duration,
-        "offered_rates": list(rates),
-        "max_sustained_rate": max(sustained) if sustained else None,
-        "peak_deliveries_per_second": max(
-            (
-                s["deliveries_per_second"]
-                for s in scenarios.values()
-                if s["deliveries_per_second"]
-            ),
-            default=None,
-        ),
-        "cpus": os.cpu_count(),
-        "scenarios": scenarios,
-    }
-
-
-def write_load_bench(
-    path: str, workdir: str, **kwargs: Any
-) -> dict[str, Any]:
-    payload = run_load_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Regression gate (CI)
-# ---------------------------------------------------------------------------
-def check_load_payload(
-    payload: dict[str, Any], *, min_deliveries_per_sec: float
-) -> list[str]:
-    """CI gate over a finished sweep; returns human-readable violations.
-
-    Checks, per scenario: the oracle verdict, non-negative latencies (a
-    negative latency means the clock-anchoring contract broke again),
-    and -- for the sweep's best scenario -- the throughput floor.
-    """
-    problems: list[str] = []
-    best = 0.0
-    for name, s in payload.get("scenarios", {}).items():
-        if not s.get("ok"):
-            problems.append(f"{name}: oracle FAIL ({s.get('verdict')})")
-        lat = s.get("job_latency_s", {})
-        low = lat.get("min")
-        if low is not None and low < 0:
-            problems.append(
-                f"{name}: negative job latency {low}s -- env clocks are "
-                f"warped"
-            )
-        rate = s.get("deliveries_per_second") or 0.0
-        best = max(best, rate)
-    if best < min_deliveries_per_sec:
-        problems.append(
-            f"peak throughput {best:.1f} deliveries/sec is below the "
-            f"floor of {min_deliveries_per_sec:.1f}"
-        )
-    return problems
-
-
-def append_trend_row(path: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """Append one JSONL trend row so cross-PR throughput regressions are
-    visible (and CI-checkable) without storing every full report."""
-    row = {
-        "ts": round(time.time(), 3),
-        "n": payload.get("n"),
-        "duration_s": payload.get("duration_s"),
-        "offered_rates": payload.get("offered_rates"),
-        "max_sustained_rate": payload.get("max_sustained_rate"),
-        "peak_deliveries_per_second": payload.get(
-            "peak_deliveries_per_second"
-        ),
-        "cpus": payload.get("cpus"),
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return row
-
-
-def check_trend(
-    path: str, payload: dict[str, Any], *, tolerance: float = 0.5
-) -> list[str]:
-    """Compare this sweep against the recorded trend.
-
-    Fails when peak throughput drops below ``tolerance`` times the best
-    previously recorded row (machines differ, so the gate is loose --
-    it catches collapses, not noise).
-    """
-    if not os.path.exists(path):
-        return []
-    best_prior = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            best_prior = max(
-                best_prior, row.get("peak_deliveries_per_second") or 0.0
-            )
-    current = payload.get("peak_deliveries_per_second") or 0.0
-    if best_prior > 0 and current < tolerance * best_prior:
-        return [
-            f"peak throughput {current:.1f}/s regressed below "
-            f"{tolerance:.0%} of the best recorded {best_prior:.1f}/s"
-        ]
-    return []

@@ -65,6 +65,12 @@ from repro.runtime.trace import EventKind
 from repro.storage.intents import heal
 
 _BOOTS_KEY = "node_boots"
+#: Group-commit window for lazy storage writes (outbox bookkeeping), in
+#: seconds; barriers harden everything pending regardless of it.
+_STORAGE_FLUSH_WINDOW = 0.05
+#: LiveTrace write batching: records per group flush and the age cap.
+_TRACE_BUFFER_RECORDS = 64
+_TRACE_BUFFER_SECONDS = 0.05
 
 
 def build_app(spec: dict[str, Any]):
@@ -131,7 +137,7 @@ async def run_node(
     storage = FileStableStorage(
         pid,
         os.path.join(cfg["data_dir"], f"stable_p{pid}.pickle"),
-        flush_window=float(cfg.get("storage_flush_window", 0.0)),
+        flush_window=_STORAGE_FLUSH_WINDOW,
     )
     # Startup recovery crawler: repair any multi-step durable transition
     # the killed incarnation left in flight, before anything (the boot
@@ -162,7 +168,6 @@ async def run_node(
         host=cfg.get("host", "127.0.0.1"),
         boot=boot,
         storage=storage,
-        wire_format=cfg.get("wire_format", "binary"),
         faults=faults,
     )
     await transport.start()
@@ -179,8 +184,8 @@ async def run_node(
 
     trace = LiveTrace(
         open(cfg["trace_path"], "a", encoding="utf-8"),
-        buffer_records=int(cfg.get("trace_buffer_records", 64)),
-        buffer_seconds=float(cfg.get("trace_buffer_seconds", 0.05)),
+        buffer_records=_TRACE_BUFFER_RECORDS,
+        buffer_seconds=_TRACE_BUFFER_SECONDS,
     )
     # Flush-before-barrier rule: the trace buffer hits the file before
     # every stable-storage persist, so any record describing a durable
@@ -302,7 +307,6 @@ async def run_node(
             "data_frames_sent": transport.data_frames_sent,
             "dial_attempts": transport.dial_attempts,
             "redials_on_hello": transport.redials_on_hello,
-            "wire_format": transport.wire_format,
         },
         "faults": faults.counters(),
         "storage_persists": storage.persist_count,

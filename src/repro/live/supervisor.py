@@ -95,21 +95,15 @@ class LiveClusterSpec:
     faults: LiveFaultPlan = field(default_factory=LiveFaultPlan)
     host: str = "127.0.0.1"
     # Application spec passed to every node.  None means the classic
-    # closed pipeline workload ({"kind": "pipeline", "jobs": jobs}); the
-    # load benchmark substitutes an open-loop source here.
+    # closed pipeline workload ({"kind": "pipeline", "jobs": jobs});
+    # ``repro.live.load.load_spec`` substitutes an open-loop source here
+    # and the service its KV application.
     app: dict[str, Any] | None = None
-    # Wire format for the mesh links: "binary" (delta clocks, varint
-    # framing) or "json" (the legacy text codec, kept for comparison
-    # runs and old-trace tooling).
-    wire_format: str = "binary"
-    # Group-commit window for lazy storage writes (outbox bookkeeping);
-    # 0 restores one fsync per mutation.
-    storage_flush_window: float = 0.05
     # Cooperative early stop: when set, every node polls this path and
     # ends its run phase as soon as the file exists, making
     # ``run_seconds`` a *cap* rather than a fixed duration.  The service
-    # bench uses it to stop shards the moment the closed-loop workload
-    # and its audit complete, whatever the machine's speed.
+    # uses it to stop shards the moment the workload and its audit
+    # complete, whatever the machine's speed.
     stop_path: str | None = None
     # Decentralised stability: gossip frontiers and run GC/compaction
     # locally.  Off by default so existing runs keep their storage
@@ -124,9 +118,6 @@ class LiveClusterSpec:
     # default -- the tracer never feeds back into protocol logic, but
     # the counters cost real work on the hot path.
     obs: bool = False
-    # LiveTrace write batching: records per group flush and the age cap.
-    trace_buffer_records: int = 64
-    trace_buffer_seconds: float = 0.05
 
     def protocol_config(self) -> dict[str, Any]:
         return {
@@ -291,11 +282,7 @@ def _run_cluster(
                 else {"kind": "pipeline", "jobs": spec.jobs}
             ),
             "config": spec.protocol_config(),
-            "wire_format": spec.wire_format,
-            "storage_flush_window": spec.storage_flush_window,
             "obs": spec.obs,
-            "trace_buffer_records": spec.trace_buffer_records,
-            "trace_buffer_seconds": spec.trace_buffer_seconds,
             # Booting an n-node mesh serialises ~n interpreter starts on
             # small machines; give the barrier headroom that grows with
             # the cluster instead of a one-size 30 s.

@@ -30,23 +30,26 @@ Wire format: the outbox stores :class:`NetworkMessage` objects, and each
 connection encodes them at pump time with its own
 :class:`~repro.live.wire.WireEncoder` -- that is what lets consecutive
 messages on a link share an FTVC delta chain, with a reconnect naturally
-restarting the chain at a full clock.  ``wire_format="json"`` keeps the
-legacy tagged-JSON frames (for A/B benchmarking); the receive side always
-accepts both, dispatching on the frame's first byte.
+restarting the chain at a full clock.  Both read sides accept
+:mod:`repro.live.wire` frames only: a frame that passes the CRC but is
+not one (wrong first byte, unknown version, wrong type for the link,
+undecodable body) is handled exactly like a frame that fails the CRC --
+the connection is dropped with the dedup cursor and the outbox
+untouched, and the sender redials and retransmits.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import random
 import sys
 import time
 from typing import Any, Callable
 
-from repro.live import codec, wire
+from repro.live import wire
+from repro.live.codec import CodecError
 from repro.live.framing import (
     OVERHEAD,
     BufferedFrameReader,
@@ -74,6 +77,24 @@ def _dbg(msg: str) -> None:
               file=sys.stderr, flush=True)
 
 
+def _parse(data: bytes, expected: int, parse: Callable[[bytes], Any]) -> Any:
+    """``parse(data)`` for a wire frame of type ``expected``.
+
+    The CRC only proves the bytes arrived as sent; what was sent may
+    still not be a frame this link carries.  Every way it can fail to be
+    one raises :class:`FramingError`, so both read loops drop the
+    connection on it the way they drop it on a CRC failure.
+    """
+    try:
+        if not wire.is_binary(data) or wire.frame_type(data) != expected:
+            raise FramingError(
+                f"not a wire frame of type {expected}: {data[:8]!r}"
+            )
+        return parse(data)
+    except CodecError as exc:
+        raise FramingError(f"undecodable wire frame: {exc}") from None
+
+
 class MeshTransport:
     """Mesh endpoint for one live process."""
 
@@ -86,18 +107,14 @@ class MeshTransport:
         host: str = "127.0.0.1",
         boot: int = 0,
         storage: Any | None = None,
-        wire_format: str = "binary",
         faults: Any | None = None,
     ) -> None:
-        if wire_format not in ("binary", "json"):
-            raise ValueError(f"unknown wire format {wire_format!r}")
         self.pid = pid
         self.n = n
         self.ports = ports
         self.host = host
         self.boot = boot
         self.storage = storage
-        self.wire_format = wire_format
         # NodeFaults (or None): consulted on the dial and write paths so
         # injected partitions / gray links / corruption hit this link the
         # way a real network would.
@@ -223,16 +240,6 @@ class MeshTransport:
         if dst in self._wake:
             self._wake[dst].set()
 
-    def _encode_data(
-        self, encoder: wire.WireEncoder | None, seq: int, msg: NetworkMessage
-    ) -> bytes:
-        if encoder is not None:
-            return encoder.data_frame(seq, msg)
-        return json.dumps(
-            {"seq": seq, "msg": codec.encode(msg)},
-            separators=(",", ":"),
-        ).encode("utf-8")
-
     # ------------------------------------------------------------------
     # Outbound side: dial, retransmit, consume acks
     # ------------------------------------------------------------------
@@ -262,12 +269,7 @@ class MeshTransport:
             _dbg(f"p{self.pid}(boot {self.boot}) connected -> p{dst}")
             ack_task = asyncio.create_task(self._ack_loop(dst, reader))
             try:
-                if self.wire_format == "binary":
-                    hello = wire.hello_frame(self.pid, self.boot)
-                else:
-                    hello = json.dumps(
-                        {"hello": {"pid": self.pid, "boot": self.boot}}
-                    ).encode("utf-8")
+                hello = wire.hello_frame(self.pid, self.boot)
                 await write_frame(writer, hello)
                 self.bytes_sent += len(hello) + OVERHEAD
                 await self._pump(dst, writer, ack_task)
@@ -333,9 +335,7 @@ class MeshTransport:
         written as one batch with a single drain, so a burst of sends
         costs one syscall round, not one per message.
         """
-        encoder = (
-            wire.WireEncoder() if self.wire_format == "binary" else None
-        )
+        encoder = wire.WireEncoder()
         sent_marker = 0   # highest seq written on *this* connection
         while self._running:
             if ack_task.done():
@@ -358,8 +358,7 @@ class MeshTransport:
                 continue
             batch_bytes = 0
             for seq, msg in batch:
-                payload = self._encode_data(encoder, seq, msg)
-                framed = frame(payload)
+                framed = frame(encoder.data_frame(seq, msg))
                 if self.faults is not None:
                     framed = self.faults.corrupt_frame(dst, framed)
                 writer.write(framed)
@@ -390,14 +389,9 @@ class MeshTransport:
             acked = -1
             for data in batch:
                 self.bytes_received += len(data) + OVERHEAD
-                if wire.is_binary(data):
-                    if wire.frame_type(data) != wire.FRAME_ACK:
-                        continue
-                    acked = max(acked, wire.parse_ack(data))
-                else:
-                    value = json.loads(data.decode("utf-8")).get("ack")
-                    if value is not None:
-                        acked = max(acked, value)
+                acked = max(
+                    acked, _parse(data, wire.FRAME_ACK, wire.parse_ack)
+                )
             if acked >= 0:
                 self._outbox.ack(dst, acked)
 
@@ -426,51 +420,33 @@ class MeshTransport:
                 # cursor untouched so the retransmits get another chance.
                 # (Advancing the cursor first would let a mid-batch
                 # decode error permanently swallow the undelivered tail.)
-                decoded: list[tuple[int, NetworkMessage, bool]] = []
+                decoded: list[tuple[int, NetworkMessage]] = []
                 for data in batch:
                     self.bytes_received += len(data) + OVERHEAD
                     if key is None:
                         # First frame on the link is the sender's hello.
-                        if wire.is_binary(data):
-                            if wire.frame_type(data) != wire.FRAME_HELLO:
-                                return
-                            key = wire.parse_hello(data)
-                        else:
-                            hello = json.loads(
-                                data.decode("utf-8")
-                            ).get("hello")
-                            if hello is None:
-                                return
-                            key = (int(hello["pid"]), int(hello["boot"]))
+                        key = _parse(data, wire.FRAME_HELLO, wire.parse_hello)
                         _dbg(f"p{self.pid} accepted connection from {key}")
                         if key[0] in self._hello and key[0] not in self._linked:
                             # The peer is up and dialling: wake our own
                             # outbound loop out of its backoff sleep.
                             self._hello[key[0]].set()
                         continue
-                    binary = wire.is_binary(data)
-                    if binary:
-                        if wire.frame_type(data) != wire.FRAME_DATA:
-                            raise FramingError(
-                                f"unexpected binary frame type on data link"
-                            )
-                        seq, msg = decoder.decode_data(data)
-                    else:
-                        obj = json.loads(data.decode("utf-8"))
-                        seq = obj["seq"]
-                        msg = codec.decode(obj["msg"])
+                    seq, msg = _parse(
+                        data, wire.FRAME_DATA, decoder.decode_data
+                    )
                     if not isinstance(msg, NetworkMessage):
                         raise FramingError(
                             f"frame is not a NetworkMessage: {msg!r}"
                         )
-                    decoded.append((seq, msg, binary))
+                    decoded.append((seq, msg))
                 if not decoded:
                     continue
                 # Pass 2: advance the dedup cursor and collect the fresh
                 # deliveries, then apply the whole batch in one tick
                 # (FIFO, no per-message event-loop round trip).
                 ready: list[NetworkMessage] = []
-                for seq, msg, _ in decoded:
+                for seq, msg in decoded:
                     if seq > self._seen.get(key, 0):
                         self._seen[key] = seq
                         ready.append(msg)
@@ -482,12 +458,7 @@ class MeshTransport:
                 # and the sender prunes cumulatively -- so a batch of
                 # data frames needs exactly one ack (the last seq), one
                 # write and one drain, not one round per frame.
-                ack_seq, _, ack_binary = decoded[-1]
-                ack = (
-                    wire.ack_frame(ack_seq)
-                    if ack_binary
-                    else json.dumps({"ack": ack_seq}).encode("utf-8")
-                )
+                ack = wire.ack_frame(decoded[-1][0])
                 await write_frame(writer, ack)
                 self.bytes_sent += len(ack) + OVERHEAD
         except (ConnectionError, OSError, FramingError):

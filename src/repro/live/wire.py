@@ -1,11 +1,10 @@
-"""Compact binary wire codec for the live cluster (the wire fast path).
+"""Compact binary wire codec for the live cluster: the one format the
+TCP links speak.
 
-Replaces the tagged-JSON text codec on the TCP links with struct-packed
-varint frames.  Every frame starts with a magic byte (0xB5, impossible as
-the first byte of a JSON text frame, which starts with ``{`` = 0x7B) and a
-wire-format version byte, so the receive side keeps decoding legacy JSON
-frames from older peers or recorded traffic: dispatch is per frame, by
-first byte.
+Struct-packed varint frames.  Every frame starts with a magic byte (0xB5)
+and a wire-format version byte; the transport's read sides refuse a frame
+that starts with anything else, or with a version they do not know, the
+way they refuse one that fails its CRC.
 
 Two stateful optimizations ride on the fact that encoder and decoder live
 on the two ends of one TCP connection and observe the same byte stream in
@@ -23,7 +22,7 @@ the same order:
   (``DC_DEF``); later instances reference the definition by a small
   integer (``DC_REF``) and carry field values only.
 
-Security note: like the JSON codec, the decoder only instantiates
+Security note: like the trace codec, the decoder only instantiates
 dataclasses defined in modules under ``repro.`` (shared
 :func:`repro.live.codec.resolve_dataclass` check).
 """
@@ -42,7 +41,7 @@ from repro.live.codec import (
     resolve_dataclass,
 )
 
-#: First byte of every binary frame; a JSON frame starts with ``{`` (0x7B).
+#: First byte of every wire frame.
 MAGIC = 0xB5
 #: Bump when the byte layout changes; the receiver rejects unknown versions.
 WIRE_VERSION = 1
@@ -144,7 +143,7 @@ class _Reader:
 
 
 def is_binary(data: bytes) -> bool:
-    """Is this frame ours?  Anything else falls back to the JSON codec."""
+    """Is this frame ours?  The transport refuses anything else."""
     return bool(data) and data[0] == MAGIC
 
 

@@ -1,4 +1,4 @@
-"""Run-wide observability: live tracer, exporters, benchmark wrapper.
+"""Run-wide observability: live tracer, exporters, named scenarios.
 
 See ``docs/OBSERVABILITY.md`` for the metric-name catalogue and file
 formats.  Quick tour::
@@ -14,7 +14,7 @@ formats.  Quick tour::
 Attaching a tracer never changes a seeded run's event order -- the
 determinism tests pin this down.
 
-The scenario/benchmark helpers are lazy attributes: the substrate
+The scenario helpers are lazy attributes: the substrate
 (``protocols.base``) imports this package for :data:`NULL_TRACER`, and
 eagerly importing the harness-dependent pieces here would close an import
 cycle.
@@ -32,8 +32,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "BenchMatrix",
-    "BenchResult",
     "GaugeSeries",
     "Histogram",
     "MetricsReport",
@@ -42,20 +40,10 @@ __all__ = [
     "SCENARIOS",
     "Tracer",
     "build_scenario",
-    "run_bench",
-    "run_bench_matrix",
-    "write_bench_json",
-    "write_bench_matrix_json",
     "write_jsonl",
 ]
 
 _LAZY = {
-    "BenchMatrix": "repro.obs.bench",
-    "BenchResult": "repro.obs.bench",
-    "run_bench": "repro.obs.bench",
-    "run_bench_matrix": "repro.obs.bench",
-    "write_bench_json": "repro.obs.bench",
-    "write_bench_matrix_json": "repro.obs.bench",
     "SCENARIOS": "repro.obs.scenarios",
     "build_scenario": "repro.obs.scenarios",
 }

@@ -1,10 +1,9 @@
-"""Named reference scenarios for the ``trace`` and ``bench`` CLI commands.
+"""Named reference scenarios for the ``trace`` CLI command.
 
 Each scenario is a zero-argument-friendly builder returning a fresh
-:class:`~repro.harness.runner.ExperimentSpec`; the CLI (and the benchmark
-wrapper) attach a tracer and run it.  They are deliberately small, seeded
-and deterministic so PR-over-PR numbers from ``BENCH_obs.json`` are
-comparable.
+:class:`~repro.harness.runner.ExperimentSpec`; the CLI attaches a tracer
+and runs it.  They are deliberately small, seeded and deterministic so
+two traces of one scenario are comparable line by line.
 
 - ``quickstart``    -- the README quickstart run: 4 processes, one crash;
 - ``failure-free``  -- same workload, no failures (the paper's "zero
@@ -14,7 +13,7 @@ comparable.
 - ``scale``         -- 16 processes, two crashes, the heaviest of the set;
 - ``stress-mix``    -- one schedule drawn from the randomized stress
   generator (crash bursts, partitions, duplicates), pinned to a seed so
-  the adversarial regime also gets a stable PR-over-PR number.
+  the adversarial regime also gets a stable trace.
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ def stress_mix(seed: int = 55) -> ExperimentSpec:
 
     The default seed picks a case that mixes concurrent crashes with
     duplicate injection -- historically the regime that found real
-    protocol bugs -- so its trace/bench numbers track the cost of
-    recovery under compounded failures rather than a hand-picked plan.
+    protocol bugs -- so its trace tracks the cost of recovery under
+    compounded failures rather than a hand-picked plan.
     """
     from repro.stress.generate import build_spec, generate_case
     from repro.stress.profiles import DEFAULT_PROFILE

@@ -18,14 +18,12 @@ whatever control machinery their paper requires.
 
 Construction takes a :class:`RuntimeEnv`; passing a simulation
 :class:`~repro.sim.process.ProcessHost` still works (it is adapted via
-``host.runtime_env()``), as do the deprecated ``protocol.host`` and
-``protocol.sim`` attributes, which warn and delegate to the environment.
+``host.runtime_env()``).
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -176,31 +174,6 @@ class BaseRecoveryProcess(abc.ABC):
         self._paused_gossip: TimerHandle | None = None
         self._deliveries_since_checkpoint = 0
         env.attach(self)
-
-    # ------------------------------------------------------------------
-    # Deprecated attribute paths (pre-RuntimeEnv API)
-    # ------------------------------------------------------------------
-    @property
-    def host(self):
-        """Deprecated: the simulation host behind a :class:`SimEnv`."""
-        warnings.warn(
-            "protocol.host is deprecated; use protocol.env (RuntimeEnv) -- "
-            "env.alive / env.crash_count / env.send / env.broadcast",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.env.host
-
-    @property
-    def sim(self):
-        """Deprecated: the simulator kernel behind a :class:`SimEnv`."""
-        warnings.warn(
-            "protocol.sim is deprecated; use protocol.env (RuntimeEnv) -- "
-            "env.now / env.schedule_after",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.env.sim
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (environment-facing)

@@ -35,16 +35,13 @@ in-shard key -> primary placement)::
     from repro.service import RoutingTable
     shard = manager.routing.shard_for("user:42")
 
-Grading it (the user simulator + exactly-once audit behind
-``python -m repro service-bench``)::
+Grading it: ``python -m repro serve`` checks each shard's trace with
+:func:`repro.service.bench.check_shard_trace`; the open-loop load, the
+replica SIGKILL and the exactly-once audit are the ``service_crash``
+workload of ``benchmarks/perf``.
 
-    from repro.service import run_service_bench
-    payload = run_service_bench(config, workdir)   # BENCH_service.json shape
-    assert payload["exactly_once"]["verified"]
-
-The served workload itself -- wire types (promoted here from
-``repro.apps.kvstore``, which keeps deprecation shims), the
-session-deduping replica state, and the shard application -- lives in
+The served workload itself -- wire types, the session-deduping replica
+state, and the shard application -- lives in
 :mod:`repro.service.kv` and is engine-free: the same
 :class:`KVServiceApp` runs under the deterministic simulator in tests
 and under the live runtime in production shards.
@@ -80,12 +77,9 @@ __all__ = [
     "ServiceReplicaState",
     "ShardEndpoint",
     "ShardManager",
-    "check_service_payload",
-    "run_service_bench",
-    "write_service_bench",
 ]
 
-#: Names resolved lazily: the client/manager/bench halves pull in the
+#: Names resolved lazily: the client and manager halves pull in the
 #: live runtime (asyncio, subprocess supervision), which the engine-free
 #: half of the package must not load eagerly.
 _LAZY = {
@@ -94,9 +88,6 @@ _LAZY = {
     "ShardEndpoint": ("repro.service.client", "ShardEndpoint"),
     "ServiceConfig": ("repro.service.manager", "ServiceConfig"),
     "ShardManager": ("repro.service.manager", "ShardManager"),
-    "check_service_payload": ("repro.service.bench", "check_service_payload"),
-    "run_service_bench": ("repro.service.bench", "run_service_bench"),
-    "write_service_bench": ("repro.service.bench", "write_service_bench"),
 }
 
 

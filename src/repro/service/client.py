@@ -25,7 +25,7 @@ read never violates read-your-writes.
 latencies, *unavailability intervals* (the [first send, completion]
 spans of ops that needed more than one attempt -- the user-visible
 outage), and stale-read windows (first stale reply -> first satisfying
-reply).  The bench merges the intervals into per-shard outage totals.
+reply).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class KVClient:
         self._pending: dict[tuple[int, int], asyncio.Future] = {}
         self._epoch = time.monotonic()
         self.metrics = [ShardClientMetrics() for _ in self.endpoints]
-        #: key -> set of acked put op_ids (the bench's exactly-once ledger)
+        #: key -> set of acked put op_ids (the exactly-once audit's ledger)
         self.acked_puts: dict[str, set[tuple[int, int]]] = {}
         self._sessions = 0
 

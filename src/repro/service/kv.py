@@ -1,9 +1,9 @@
 """The served KV workload: wire types, session dedup, service application.
 
-This module is the canonical home of the KV wire vocabulary (promoted
-out of :mod:`repro.apps.kvstore`, which keeps deprecation shims) plus
-the *service* flavour of the replica: :class:`KVServiceApp`, the
-application one shard of ``repro.service`` runs.
+This module is the home of the KV wire vocabulary (the simulator
+workload :mod:`repro.apps.kvstore` speaks it too) plus the *service*
+flavour of the replica: :class:`KVServiceApp`, the application one shard
+of ``repro.service`` runs.
 
 Topology inside one shard of ``n`` processes:
 

@@ -40,12 +40,7 @@ from repro.service.routing import RoutingTable
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything one service run needs: topology, pacing, workload.
-
-    The cluster half (shards, nodes, intervals, failure plan) shapes the
-    :class:`ShardManager`; the workload half (sessions, ops, keys,
-    Zipf skew) shapes the user simulator in :mod:`repro.service.bench`.
-    """
+    """Everything one service run needs: topology, pacing, failure plan."""
 
     shards: int = 2
     nodes_per_shard: int = 4            # 1 gateway + (nodes - 1) replicas
@@ -61,23 +56,12 @@ class ServiceConfig:
     #: draw a seeded LiveFaultPlan per shard (None: no network faults)
     fault_seed: int | None = None
     host: str = "127.0.0.1"
-    # -- user-simulator workload ---------------------------------------
-    sessions: int = 200
-    ops_per_session: int = 20
-    keys: int = 64
-    put_ratio: float = 0.6
-    zipf_s: float = 1.1
-    seed: int = 0
-    request_timeout: float = 0.4
-    settle_seconds: float = 1.5
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
         if self.nodes_per_shard < 2:
             raise ValueError("a shard needs a gateway plus >= 1 replica")
-        if not 0.0 <= self.put_ratio <= 1.0:
-            raise ValueError("put_ratio is a probability")
 
     @property
     def replicas(self) -> int:

@@ -16,7 +16,6 @@ host via :meth:`ProcessHost.runtime_env`.
 
 from __future__ import annotations
 
-import warnings
 
 from repro.runtime.app import (          # noqa: F401  (compat re-exports)
     Application,
@@ -75,8 +74,7 @@ class ProcessHost:
         """The :class:`~repro.sim.env.SimEnv` wrapping this host.
 
         Created on first use and cached; protocols built from this host
-        (directly or through the deprecated host-passing constructor) all
-        share it.
+        (directly or through the host-passing constructor) all share it.
         """
         if self._env is None:
             from repro.sim.env import SimEnv
@@ -88,16 +86,6 @@ class ProcessHost:
         if self._protocol is not None:
             raise RuntimeError(f"host {self.pid} already has a protocol")
         self._protocol = protocol
-
-    def attach(self, protocol: RecoveryProcess) -> None:
-        """Deprecated: protocols attach through their RuntimeEnv."""
-        warnings.warn(
-            "ProcessHost.attach is deprecated; protocols attach through "
-            "their RuntimeEnv (host.runtime_env().attach(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._attach(protocol)
 
     @property
     def protocol(self) -> RecoveryProcess:

@@ -158,7 +158,6 @@ def sweep(
     progress: Callable[[int, CaseResult], None] | None = None,
     jobs: int = 1,
     cache: "ResultCache | None" = None,
-    budget_slots: int | None = None,
 ) -> SweepReport:
     """Run ``schedules`` generated cases for seeds ``base_seed..``.
 
@@ -214,7 +213,7 @@ def sweep(
 
     if jobs > 1 or cache is not None:
         _parallel_sweep(report, profile, run, progress, fail_fast,
-                        record_failure, account, jobs, cache, budget_slots)
+                        record_failure, account, jobs, cache)
         return report
 
     for index in range(schedules):
@@ -243,11 +242,10 @@ def _parallel_sweep(
     account: Callable[[StressCase], None],
     jobs: int,
     cache: "ResultCache | None",
-    budget_slots: int | None = None,
 ) -> None:
     """Engine-backed sweep body: fan out, merge in seed order, then
     shrink/dump failures serially exactly like the serial loop."""
-    from repro.exec.runner import ParallelRunner, ProcessBudget
+    from repro.exec.runner import ParallelRunner
     from repro.exec.tasks import Task
 
     if run is not run_case:
@@ -278,11 +276,7 @@ def _parallel_sweep(
         if progress is not None:
             progress(done_count - 1, _outcome_to_result(outcome, cases))
 
-    # Optional slot budget: stress cases weigh 1 slot each, so this only
-    # bites when the caller wants the sweep to coexist with heavier
-    # multi-process tasks or to cap concurrency below ``jobs``.
-    budget = ProcessBudget(budget_slots) if budget_slots else None
-    runner = ParallelRunner(jobs=max(1, jobs), cache=cache, budget=budget)
+    runner = ParallelRunner(jobs=max(1, jobs), cache=cache)
     outcomes = runner.map(tasks, progress=on_done)
 
     for case, outcome in zip(cases, outcomes):

@@ -108,7 +108,7 @@ class OverEagerRollback(DamaniGargProcess):
                     from repro.sim.trace import EventKind
 
                     self.trace.record(
-                        self.sim.now,
+                        self.env.now,
                         EventKind.RESTORE,
                         self.pid,
                         ckpt_uid=first.snapshot["uid"],
@@ -123,7 +123,7 @@ class OverEagerRollback(DamaniGargProcess):
                     from repro.sim.trace import EventKind
 
                     self.trace.record(
-                        self.sim.now,
+                        self.env.now,
                         EventKind.ROLLBACK,
                         self.pid,
                         origin=token.origin,

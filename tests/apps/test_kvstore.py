@@ -3,18 +3,11 @@
 import pytest
 
 from repro.analysis import check_recovery
-from repro.apps.kvstore import (
-    ClientState,
-    KVGet,
-    KVPut,
-    KVReplicate,
-    KVReply,
-    KVStoreApp,
-    ReplicaState,
-)
+from repro.apps.kvstore import ClientState, KVStoreApp, ReplicaState
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
+from repro.service.kv import KVGet, KVPut, KVReplicate, KVReply
 from repro.sim.failures import CrashPlan
 from repro.sim.process import ProcessContext
 

@@ -89,22 +89,6 @@ def test_trace_rejects_unknown_scenario():
         main(["trace", "no-such-scenario"])
 
 
-def test_bench_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_obs.json"
-    code = main(
-        ["bench", "quickstart", "--repeats", "1", "--out", str(out_path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "events/sec" in out
-    import json
-
-    data = json.loads(out_path.read_text())
-    assert data["format"] == "repro-bench-v1"
-    assert data["scenario"] == "quickstart"
-    assert data["wall_time_s"] > 0
-
-
 def test_crash_spec_parsing():
     plan = _parse_crashes(["10:1", "20:2:5.0"])
     assert plan is not None

@@ -1,5 +1,6 @@
 """MeshTransport: delivery, acknowledgement, dedup, durable retransmit,
-and the redial policy (blind backoff vs. the peer's own hello)."""
+the redial policy (blind backoff vs. the peer's own hello), and frames
+that pass the CRC without being wire frames."""
 
 import asyncio
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from repro.live import transport as transport_module
 from repro.live import wire
-from repro.live.framing import write_frame
+from repro.live.framing import read_frame, write_frame
 from repro.live.storage import FileStableStorage
 from repro.live.transport import MeshTransport
 from repro.runtime.message import NetworkMessage
@@ -488,3 +489,83 @@ def test_hello_across_a_partition_waits_for_the_heal(slow_backoff):
             await b.stop()
 
     asyncio.run(go())
+
+
+# ---------------------------------------------------------------------------
+# CRC-valid frames that are not wire frames: drop the link, keep the state
+# ---------------------------------------------------------------------------
+_NOT_WIRE_FRAMES = [
+    pytest.param(b"not-a-wire-frame", id="no-magic"),
+    pytest.param(bytes((wire.MAGIC,)), id="magic-only"),
+    pytest.param(bytes((wire.MAGIC, 99, wire.FRAME_ACK, 1)), id="version-99"),
+]
+
+
+@pytest.mark.parametrize("payload", _NOT_WIRE_FRAMES)
+def test_bad_ack_frame_drops_the_link_not_the_peer_loop(payload):
+    """A peer that answers the hello with something that is not an ack
+    costs one connection: the sender redials, keeps its unacked entry,
+    and still shuts down cleanly."""
+    async def go():
+        ports = _free_ports(2)
+
+        async def fake_peer(reader, writer):
+            await read_frame(reader)             # the hello
+            await write_frame(writer, payload)
+            await reader.read()                  # until the sender hangs up
+            writer.close()
+
+        server = await asyncio.start_server(fake_peer, "127.0.0.1", ports[1])
+        a = MeshTransport(0, 2, ports)
+        a.attach(Collector())
+        await a.start()
+        try:
+            a.send(1, _msg(1, 0, 1, "never acknowledged"))
+            await asyncio.sleep(1.0)
+            (peer_loop,) = a._tasks
+            assert not peer_loop.done()
+            await _wait_until(lambda: a.dial_attempts > 1, timeout=2.0)
+            assert a.unacked == 1
+        finally:
+            await a.stop()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize("after_hello", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("payload", _NOT_WIRE_FRAMES)
+def test_bad_inbound_frame_closes_the_connection_quietly(
+    payload, after_hello, capsys
+):
+    async def go():
+        ports = _free_ports(2)
+        b = MeshTransport(1, 2, ports)
+        cb = Collector()
+        b.attach(cb)
+        await b.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", ports[1]
+            )
+            seen = {}
+            if after_hello:
+                await write_frame(writer, wire.hello_frame(0, 1))
+                await write_frame(
+                    writer,
+                    wire.WireEncoder().data_frame(1, _msg(1, 0, 1, "good")),
+                )
+                assert await read_frame(reader) == wire.ack_frame(1)
+                seen = {(0, 1): 1}
+            await write_frame(writer, payload)
+            # The receiver hangs up: EOF, not a reply.
+            assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+            writer.close()
+            assert b._seen == seen
+            assert len(cb.received) == len(seen)
+        finally:
+            await b.stop()
+
+    asyncio.run(go())
+    assert "Traceback" not in capsys.readouterr().err

@@ -105,11 +105,17 @@ class TestFrames:
         assert dec.decode_data(frame) == (42, {"payload": [1, 2]})
 
     def test_json_frames_are_not_binary(self):
-        # Dispatch is per frame, by first byte: a legacy JSON frame
-        # starts with '{' and must fall through to the text codec.
+        # A legacy JSON frame starts with '{': it is not a wire frame,
+        # and the transport's read sides refuse it like a corrupt one.
+        from repro.live.framing import FramingError
+        from repro.live.transport import _parse
+        from repro.live.wire import parse_ack
+
         legacy = json.dumps({"ack": 3}).encode("utf-8")
         assert not is_binary(legacy)
         assert is_binary(bytes([MAGIC, WIRE_VERSION, FRAME_ACK]))
+        with pytest.raises(FramingError):
+            _parse(legacy, FRAME_ACK, parse_ack)
 
     def test_unknown_wire_version_is_rejected(self):
         frame = bytearray(hello_frame(0, 1))

@@ -1,4 +1,4 @@
-"""Exporter tests: JSON-lines trace files, MetricsReport, BENCH_obs.json."""
+"""Exporter tests: JSON-lines trace files and the MetricsReport."""
 
 import json
 
@@ -8,8 +8,6 @@ from repro.obs import (
     MetricsReport,
     Tracer,
     build_scenario,
-    run_bench,
-    write_bench_json,
     write_jsonl,
 )
 
@@ -75,79 +73,3 @@ def test_metrics_report_from_run_and_render():
     assert "dg.tokens_broadcast" in rendered
     assert "history records (max)" in rendered
     assert "events/sec" in rendered
-
-
-def test_run_bench_and_write_bench_json(tmp_path):
-    bench = run_bench("quickstart", repeats=2)
-    assert bench.repeats == 2
-    assert len(bench.wall_time_s_all) == 2
-    assert bench.wall_time_s == min(bench.wall_time_s_all)
-    assert bench.events_per_sec > 0
-    assert bench.peak_history_records > 0
-    assert bench.piggyback_bytes_total > 0
-    assert bench.tokens_broadcast == 3
-    path = tmp_path / "BENCH_obs.json"
-    written = write_bench_json(bench, str(path))
-    assert written == str(path)
-    data = json.loads(path.read_text())
-    assert data["format"] == "repro-bench-v1"
-    for key in (
-        "scenario", "n", "seed", "wall_time_s", "events_fired",
-        "events_per_sec", "delivered", "peak_history_records",
-        "piggyback_bytes_total", "piggyback_bytes_per_message",
-        "tokens_broadcast", "rollbacks", "restarts", "trace_signature",
-        "overhead",
-    ):
-        assert key in data, key
-    assert data["overhead"]["history_within_bound"] is True
-
-
-def test_run_bench_repeats_are_deterministic():
-    a = run_bench("quickstart", repeats=1)
-    b = run_bench("quickstart", repeats=1)
-    assert a.trace_signature == b.trace_signature
-    assert a.piggyback_bytes_total == b.piggyback_bytes_total
-    assert a.peak_history_records == b.peak_history_records
-
-
-# ---------------------------------------------------------------------------
-# Parallel repeats and the multi-scenario matrix
-# ---------------------------------------------------------------------------
-def test_parallel_repeats_match_serial():
-    from repro.obs import run_bench
-
-    serial = run_bench("quickstart", repeats=2)
-    parallel = run_bench("quickstart", repeats=2, jobs=2)
-    assert serial.trace_signature == parallel.trace_signature
-    assert serial.events_fired == parallel.events_fired
-    assert serial.peak_history_records == parallel.peak_history_records
-    assert serial.overhead == parallel.overhead
-
-
-def test_bench_matrix_merges_scenarios(tmp_path):
-    from repro.obs import run_bench_matrix, write_bench_matrix_json
-
-    matrix = run_bench_matrix(
-        ["quickstart", "failure-free"], repeats=1, jobs=2
-    )
-    assert [b.scenario for b in matrix.results] == [
-        "quickstart", "failure-free"
-    ]
-    path = write_bench_matrix_json(matrix, str(tmp_path / "matrix.json"))
-    data = json.loads(open(path).read())
-    assert data["format"] == "repro-bench-matrix-v1"
-    assert set(data["scenarios"]) == {"quickstart", "failure-free"}
-    for entry in data["scenarios"].values():
-        # Each cell stays BENCH_obs.json-compatible.
-        assert entry["format"] == "repro-bench-v1"
-        assert entry["trace_signature"]
-    assert "2 scenario(s)" in matrix.summary()
-
-
-def test_bench_matrix_rejects_unknown_scenario():
-    import pytest
-
-    from repro.obs import run_bench_matrix
-
-    with pytest.raises(KeyError):
-        run_bench_matrix(["no-such-scenario"], repeats=1)

@@ -128,3 +128,19 @@ def test_wall_time_histograms_populated(instrumented_quickstart):
     assert tracer.histograms["run.drain_wall_s"].count == 1
     assert tracer.histograms["proto.checkpoint_wall_s"].count > 0
     assert tracer.histograms["sim.event_wall_s.deliver"].count > 0
+
+
+def test_piggyback_delta_is_cheaper_than_the_full_clock_on_stress_mix():
+    """Both counters speak the wire codec's bytes; the delta wins on the
+    adversarial scenario even though every link's first clock -- and the
+    first after each crash reset -- goes out in full."""
+    spec = build_scenario("stress-mix")
+    tracer = Tracer()
+    spec.tracer = tracer
+    run_experiment(spec)
+    assert tracer.counter_value("dg.wire_clocks_sent") > 0
+    assert tracer.counter_value("dg.wire_full_fallbacks") >= 1
+    assert (
+        tracer.counter_value("dg.wire_bytes_delta")
+        < tracer.counter_value("dg.wire_bytes_full")
+    )

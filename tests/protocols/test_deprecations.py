@@ -1,8 +1,8 @@
-"""The pre-RuntimeEnv attribute paths still work, but warn.
+"""The pre-RuntimeEnv attribute paths were removed in 2.0.
 
-Removal is scheduled for the next major version; until then downstream
-code using ``protocol.host`` / ``protocol.sim`` / ``host.attach`` keeps
-working and gets a :class:`DeprecationWarning` naming the replacement.
+``protocol.host`` / ``protocol.sim`` / ``host.attach`` warned through
+the 1.x line; the spellings are now gone outright, and only the env
+path (and host-passing construction, which never warned) remains.
 """
 
 import warnings
@@ -29,25 +29,31 @@ def protocol(host):
     return DamaniGargProcess(host.runtime_env(), ScriptedApp())
 
 
-def test_protocol_host_warns_but_works(protocol, host):
-    with pytest.warns(DeprecationWarning, match="protocol.env"):
-        assert protocol.host is host
+def test_protocol_host_is_gone(protocol):
+    with pytest.raises(AttributeError):
+        protocol.host  # noqa: B018
 
 
-def test_protocol_sim_warns_but_works(protocol, host):
-    with pytest.warns(DeprecationWarning, match="protocol.env"):
-        assert protocol.sim is host.sim
+def test_protocol_sim_is_gone(protocol):
+    with pytest.raises(AttributeError):
+        protocol.sim  # noqa: B018
 
 
-def test_host_attach_warns_but_works(host):
-    sim = Simulator()
-    network = Network(sim, 1, streams=RandomStreams(0))
-    other = ProcessHost(0, sim, network)
-    env = other.runtime_env()
-    protocol = DamaniGargProcess.__new__(DamaniGargProcess)
-    with pytest.warns(DeprecationWarning, match="RuntimeEnv"):
-        other.attach(protocol)
-    assert other.protocol is protocol
+def test_host_attach_is_gone(host):
+    with pytest.raises(AttributeError):
+        host.attach(object())
+
+
+@pytest.mark.parametrize("name", ["KVPut", "KVGet", "KVReplicate", "KVReply"])
+def test_apps_kv_wire_type_reexports_are_gone(name):
+    import repro.apps
+    import repro.apps.kvstore
+    import repro.service.kv
+
+    assert hasattr(repro.service.kv, name)
+    for module in (repro.apps, repro.apps.kvstore):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 def test_legacy_host_construction_still_works(host):

@@ -24,6 +24,8 @@ FORBIDDEN_PREFIXES = ("repro.sim", "repro.live")
 
 
 def _python_files(package: str):
+    """Every ``.py`` under a ``repro`` package -- or under any absolute
+    directory (``os.path.join`` keeps an absolute second argument)."""
     root = os.path.join(SRC_ROOT, package)
     for dirpath, _, filenames in os.walk(root):
         for filename in sorted(filenames):
@@ -79,3 +81,39 @@ def test_service_workload_half_is_engine_free():
             if module.startswith(FORBIDDEN_PREFIXES):
                 violations.append(f"service/{module_file} imports {module}")
     assert not violations, "; ".join(violations)
+
+
+def test_every_repro_name_the_benchmarks_import_resolves():
+    """``benchmarks/`` is maintained apart from ``src/`` (the perf
+    harness is frozen between ``benchmark`` PRs), and most of its
+    ``repro`` imports sit inside functions, where nothing notices a
+    deleted name until a workload runs.  Resolve each one here."""
+    import importlib
+
+    repo_root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    wanted = set()
+    for path in _python_files(os.path.join(repo_root, "benchmarks")):
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module
+                and node.module.split(".")[0] == "repro"
+            ):
+                rel = os.path.relpath(path, repo_root)
+                for alias in node.names:
+                    wanted.add((node.module, alias.name, rel))
+    assert wanted, "found no repro imports under benchmarks/"
+    missing = []
+    for module_name, name, rel in sorted(wanted):
+        try:
+            module = importlib.import_module(module_name)
+            if not hasattr(module, name):
+                importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append(f"{rel}: from {module_name} import {name}")
+    assert not missing, "; ".join(missing)

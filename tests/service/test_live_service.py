@@ -22,8 +22,6 @@ def test_single_session_versions_survive_sigkill(tmp_path):
         run_seconds=7.0,
         crash_at=1.2,
         downtime=0.5,
-        request_timeout=0.3,
-        sessions=1,
     )
     manager = ShardManager(config, str(tmp_path))
     manager.start()
@@ -33,7 +31,7 @@ def test_single_session_versions_survive_sigkill(tmp_path):
         client = KVClient(
             manager.routing,
             manager.endpoints(),
-            request_timeout=config.request_timeout,
+            request_timeout=0.3,
         )
         await client.start()
         session = client.session()

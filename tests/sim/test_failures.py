@@ -33,7 +33,7 @@ def make_stack(n=3):
     net = Network(sim, n, latency=FixedLatency(1.0))
     hosts = [ProcessHost(pid, sim, net) for pid in range(n)]
     for h in hosts:
-        h.attach(NullProtocol())
+        h.runtime_env().attach(NullProtocol())
     return sim, net, hosts
 
 

@@ -177,7 +177,7 @@ class TestProcessHost:
                 self.restarts += 1
 
         proto = FakeProtocol()
-        host.attach(proto)
+        host.runtime_env().attach(proto)
         return sim, net, host, proto, trace
 
     def test_delivery_reaches_protocol(self):
@@ -219,7 +219,7 @@ class TestProcessHost:
     def test_attach_twice_rejected(self):
         sim, net, host, proto, _ = self.make_host()
         with pytest.raises(RuntimeError):
-            host.attach(proto)
+            host.runtime_env().attach(proto)
 
     def test_protocol_required(self):
         sim = Simulator()

@@ -22,39 +22,18 @@ CLI_SURFACE = {
     "table1": ["--help", "--jobs", "--seeds", "-h", "-n"],
     "figures": ["--help", "-h"],
     "trace": ["--help", "--out", "--seed", "-h", "<scenario>"],
-    "bench": ["--help", "--jobs", "--matrix", "--out", "--repeats", "--seed",
-              "-h", "<scenario>"],
     "stress": ["--cache-dir", "--fail-fast", "--help", "--jobs", "--live",
                "--no-shrink", "--out-dir", "--profile", "--quiet", "--replay",
                "--schedules", "--seed", "-h"],
-    "exec-bench": ["--budget-slots", "--help", "--jobs", "--min-speedup",
-                   "--out", "--profile", "--schedules", "--seed", "-h"],
     "overhead": ["--crash", "--help", "--horizon", "--seed", "-h", "-n"],
     "live": ["--crash-at", "--crash-pid", "--downtime", "--fault-seed",
              "--faults", "--help", "--jobs", "--no-crash", "--run-seconds",
              "--workdir", "-h", "-n"],
     "rollback": ["--at", "--data-dir", "--dry-run", "--earliest", "--help",
                  "--pids", "--reason", "--witness", "-h", "-n"],
-    "live-bench": ["--help", "--jobs", "--out", "--run-seconds", "--workdir",
-                   "-h", "-n"],
-    "wire-bench": ["--help", "--jobs", "--min-piggyback-reduction", "--out",
-                   "--run-seconds", "--seed", "--skip-live", "--workdir",
-                   "-h", "-n"],
-    "load": ["--check-trend", "--duration", "--help",
-             "--min-deliveries-per-sec", "--out", "--rates", "--start-at",
-             "--trend-file", "--workdir", "-h", "-n"],
-    "scale-bench": ["--budget-slots", "--check-trend", "--help", "--jobs",
-                    "--max-exponent", "--ns", "--out", "--runner-jobs",
-                    "--trend-file", "--workdir", "-h"],
     "serve": ["--crash-at", "--downtime", "--fault-seed", "--help",
               "--no-crash", "--nodes-per-shard", "--run-seconds", "--shards",
               "--workdir", "-h"],
-    "service-bench": ["--crash-at", "--downtime", "--fault-seed", "--help",
-                      "--keys", "--no-crash", "--nodes-per-shard",
-                      "--ops-per-session", "--out", "--put-ratio",
-                      "--request-timeout", "--run-seconds", "--seed",
-                      "--sessions", "--shards", "--workdir", "--zipf-s",
-                      "-h"],
 }
 
 

@@ -9,7 +9,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "2.0.0"
 
 
 # The frozen top-level surface.  Removing or renaming any of these names
@@ -117,9 +117,6 @@ FROZEN_SERVICE = [
     "ServiceReplicaState",
     "ShardEndpoint",
     "ShardManager",
-    "check_service_payload",
-    "run_service_bench",
-    "write_service_bench",
 ]
 
 
@@ -135,35 +132,6 @@ def test_service_surface_resolves_and_documents_itself():
     for name in FROZEN_SERVICE:
         obj = getattr(repro.service, name)
         assert obj.__doc__, f"repro.service.{name} lacks a docstring"
-
-
-def test_kvstore_wire_types_are_the_service_ones():
-    """The deprecation shims must hand back the canonical classes, so
-    isinstance checks and codec round-trips agree across old and new
-    import paths."""
-    import warnings
-
-    import repro.service
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        import repro.apps.kvstore as kvstore
-
-        for name in ("KVPut", "KVGet", "KVReplicate", "KVReply"):
-            assert getattr(kvstore, name) is getattr(repro.service, name)
-
-
-def test_kvstore_wire_type_shim_warns():
-    import warnings
-
-    import repro.apps.kvstore as kvstore
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        kvstore.KVPut  # noqa: B018
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
 
 
 # The frozen RuntimeEnv protocol surface: everything an engine must

@@ -35,6 +35,11 @@ table1:
 # reconnect + warm-standby respawn): `outage_s` a gain in 10/10 pairs of
 #   make perf-pairs WORKLOAD=service_crash
 # with WORKLOAD=live_saturated as the workload that must not move.
+# PR 24 (the simulate half at 41 Python frames a delivery): `ops_per_s`
+# a gain in 10/10 pairs of
+#   make perf-pairs WORKLOAD=sim_stress
+# on seeds 0 and 7, with sim_steady expected up and the two live
+# workloads as the ones that must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

@@ -165,45 +165,42 @@ def build_ground_truth(trace: SimTrace, n: int) -> GroundTruth:
     # uid -> undo reason, for states popped and not (yet) replayed
     undone: dict[StateUid, str] = {}
 
-    for event in trace:
-        kind = event.kind
+    for _, _, kind, pid, fields in trace:
         if kind is EventKind.SEND:
-            gt.send_info[event["msg_id"]] = (event["uid"], event["dst"])
+            gt.send_info[fields["msg_id"]] = (fields["uid"], fields["dst"])
         elif kind is EventKind.DELIVER:
-            uid: StateUid = event["uid"]
-            prev: StateUid = event["prev_uid"]
+            uid: StateUid = fields["uid"]
             if uid not in gt.states:        # a replay recreates, not creates
                 gt.states.add(uid)
                 gt.order.append(uid)
-            gt.local_edges.add((prev, uid))
-            msg_id = event["msg_id"]
+            gt.local_edges.add((fields["prev_uid"], uid))
+            msg_id = fields["msg_id"]
             gt.delivery_states.setdefault(msg_id, set()).add(uid)
             sender = gt.send_info.get(msg_id)
             if sender is not None:
                 gt.message_edges.add((sender[0], uid))
-            chains[event.pid].append(uid)
+            chains[pid].append(uid)
             undone.pop(uid, None)   # recreated => rescued
         elif kind is EventKind.RESTORE:
-            ckpt_uid: StateUid = event["ckpt_uid"]
-            chain = chains[event.pid]
-            reason = event["reason"]
+            ckpt_uid: StateUid = fields["ckpt_uid"]
+            chain = chains[pid]
+            reason = fields["reason"]
             while chain and chain[-1] != ckpt_uid:
                 undone[chain.pop()] = reason
             if not chain:
                 raise ValueError(
-                    f"RESTORE to unknown state {ckpt_uid} on P{event.pid}"
+                    f"RESTORE to unknown state {ckpt_uid} on P{pid}"
                 )
         elif kind in (EventKind.RESTART, EventKind.ROLLBACK):
-            new_uid: StateUid = event["new_uid"]
-            restored_uid: StateUid = event["restored_uid"]
+            new_uid: StateUid = fields["new_uid"]
             gt.states.add(new_uid)
             gt.order.append(new_uid)
             gt.recovery_states.add(new_uid)
-            gt.local_edges.add((restored_uid, new_uid))
-            chains[event.pid].append(new_uid)
+            gt.local_edges.add((fields["restored_uid"], new_uid))
+            chains[pid].append(new_uid)
         elif kind is EventKind.DISCARD:
-            if event.get("reason") == "obsolete":
-                gt.obsolete_discards.add(event["msg_id"])
+            if fields.get("reason") == "obsolete":
+                gt.obsolete_discards.add(fields["msg_id"])
 
     for uid, reason in undone.items():
         if uid in gt.recovery_states:

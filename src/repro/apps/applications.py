@@ -38,12 +38,20 @@ class WorkItem:
         return f"Work(o{self.origin}#{self.serial} hops={self.hops_left})"
 
 
+def _share(state: Any, memo: dict) -> Any:
+    """``__deepcopy__`` of an immutable state: a checkpoint may hold the
+    state itself, there is nothing a copy would protect."""
+    return state
+
+
 @dataclass(frozen=True)
 class RoutingState:
     """Per-process state of :class:`RandomRoutingApp` (immutable)."""
 
     received: int = 0
     acc: int = 0            # rolling hash of everything consumed
+
+    __deepcopy__ = _share
 
 
 class RandomRoutingApp:
@@ -159,6 +167,8 @@ class BankState:
     balance: int
     sent_transfers: int = 0
     received_transfers: int = 0
+
+    __deepcopy__ = _share
 
 
 class BankApp:

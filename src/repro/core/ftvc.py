@@ -26,8 +26,12 @@ Theorem 1: for *useful* states (neither lost nor orphan),
 from __future__ import annotations
 
 from itertools import chain, compress, starmap
-from operator import itemgetter, le, ne
+from operator import gt, itemgetter, le, ne
 from typing import Iterable, Sequence
+
+# Entries and clocks derived from valid ones skip the validating constructors.
+_new_entry = tuple.__new__
+_new_clock = object.__new__
 
 
 class ClockEntry(tuple):
@@ -74,14 +78,16 @@ class FaultTolerantVectorClock:
     Immutability means clocks can be stored in checkpoints, log entries and
     message envelopes without defensive copying -- a rollback that restores
     a checkpointed clock cannot be corrupted by later clock updates.
+    ``entries`` is the clock itself, a tuple of :class:`ClockEntry`: read
+    directly on the hot paths, never assigned after construction.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[ClockEntry]) -> None:
         if not entries:
             raise ValueError("FTVC needs at least one entry")
-        self._entries = tuple(entries)
+        self.entries: tuple[ClockEntry, ...] = tuple(entries)
 
     @classmethod
     def initial(cls, pid: int, n: int) -> "FaultTolerantVectorClock":
@@ -103,37 +109,35 @@ class FaultTolerantVectorClock:
     # Accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __getitem__(self, i: int) -> ClockEntry:
-        return self._entries[i]
+        return self.entries[i]
 
     def __iter__(self):
-        return iter(self._entries)
-
-    @property
-    def entries(self) -> tuple[ClockEntry, ...]:
-        return self._entries
+        return iter(self.entries)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Entries as plain ``(version, timestamp)`` tuples."""
-        return tuple(map(tuple, self._entries))
+        return tuple(map(tuple, self.entries))
 
     # ------------------------------------------------------------------
     # Clock rules (Figure 2)
     # ------------------------------------------------------------------
     def tick(self, pid: int) -> "FaultTolerantVectorClock":
         """Increment the own timestamp (send / post-receive / rollback)."""
-        entries = list(self._entries)
+        entries = list(self.entries)
         version, timestamp = entries[pid]
-        entries[pid] = ClockEntry(version, timestamp + 1)
-        return FaultTolerantVectorClock(entries)
+        entries[pid] = _new_entry(ClockEntry, (version, timestamp + 1))
+        clock = _new_clock(FaultTolerantVectorClock)
+        clock.entries = tuple(entries)
+        return clock
 
     def merge(
         self, other: "FaultTolerantVectorClock"
     ) -> "FaultTolerantVectorClock":
         """Component-wise maximum under the lexicographic entry order."""
-        mine, theirs = self._entries, other._entries
+        mine, theirs = self.entries, other.entries
         if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
         # One frame for the whole pass; the comparisons themselves are the
@@ -156,9 +160,27 @@ class FaultTolerantVectorClock:
         (possibly lost) previous timestamp -- the property the paper relies
         on for asynchronous restart.
         """
-        entries = list(self._entries)
+        entries = list(self.entries)
         entries[pid] = ClockEntry(entries[pid][0] + 1, 0)
         return FaultTolerantVectorClock(entries)
+
+    def receive(
+        self, other: "FaultTolerantVectorClock", pid: int
+    ) -> "FaultTolerantVectorClock":
+        """Figure 2 receive: ``self.merge(other).tick(pid)`` as one pass
+        and one new clock.  The comparison runs in C; only the entries the
+        message raises reach the loop."""
+        mine, theirs = self.entries, other.entries
+        if len(theirs) != len(mine):
+            raise ValueError("FTVC length mismatch")
+        entries = list(mine)
+        for i, entry in compress(enumerate(theirs), map(gt, theirs, mine)):
+            entries[i] = entry
+        version, timestamp = entries[pid]
+        entries[pid] = _new_entry(ClockEntry, (version, timestamp + 1))
+        clock = _new_clock(FaultTolerantVectorClock)
+        clock.entries = tuple(entries)
+        return clock
 
     # ------------------------------------------------------------------
     # Partial order (Section 4.1)
@@ -166,19 +188,19 @@ class FaultTolerantVectorClock:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultTolerantVectorClock):
             return NotImplemented
-        return self._entries == other._entries
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.entries)
 
     def __le__(self, other: "FaultTolerantVectorClock") -> bool:
-        mine, theirs = self._entries, other._entries
+        mine, theirs = self.entries, other.entries
         if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
         return all(map(le, mine, theirs))
 
     def __lt__(self, other: "FaultTolerantVectorClock") -> bool:
-        mine, theirs = self._entries, other._entries
+        mine, theirs = self.entries, other.entries
         if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
         return entries_precede(mine, theirs)
@@ -199,7 +221,7 @@ class FaultTolerantVectorClock:
         just the sender's own entry moved, so the diff is O(1) where the
         full clock is O(n).
         """
-        mine, theirs = self._entries, base._entries
+        mine, theirs = self.entries, base.entries
         if len(theirs) != len(mine):
             raise ValueError("FTVC length mismatch")
         # The comparison pass runs in C; only changed entries reach the
@@ -214,7 +236,7 @@ class FaultTolerantVectorClock:
         changes: Iterable[tuple[int, int, int]],
     ) -> "FaultTolerantVectorClock":
         """Invert :meth:`diff`: apply ``changes`` on top of ``base``."""
-        entries = list(base._entries)
+        entries = list(base.entries)
         for i, version, timestamp in changes:
             entries[i] = ClockEntry(version, timestamp)
         return cls(entries)
@@ -224,7 +246,7 @@ class FaultTolerantVectorClock:
     # ------------------------------------------------------------------
     def piggyback_entries(self) -> int:
         """Number of scalar timestamps piggybacked on a message: O(n)."""
-        return len(self._entries)
+        return len(self.entries)
 
     def wire_size_bits(self, timestamp_bits: int = 32) -> int:
         """Estimated encoded size.
@@ -234,9 +256,9 @@ class FaultTolerantVectorClock:
         largest version in the clock -- the paper's "log f bits" claim.
         """
         # The lexicographic maximum carries the largest version.
-        max_version = max(self._entries)[0]
+        max_version = max(self.entries)[0]
         version_bits = max(1, max_version.bit_length())
-        return len(self._entries) * (timestamp_bits + version_bits)
+        return len(self.entries) * (timestamp_bits + version_bits)
 
     def delta_wire_size_bits(
         self, base: "FaultTolerantVectorClock", timestamp_bits: int = 32
@@ -248,13 +270,18 @@ class FaultTolerantVectorClock:
         change-count field.  The counterpart of the full-clock estimate
         for Section 6.9-style accounting of the delta scheme.
         """
-        changes = self.diff(base)
-        n = len(self._entries)
+        mine, theirs = self.entries, base.entries
+        n = len(mine)
+        if len(theirs) != n:
+            raise ValueError("FTVC length mismatch")
+        # What :meth:`diff` lists, without the triples; the lexicographic
+        # maximum of the changed entries carries the largest version.
+        changed = tuple(compress(mine, map(ne, mine, theirs)))
         index_bits = max(1, (n - 1).bit_length())
-        max_version = max(map(itemgetter(1), changes), default=0)
+        max_version = max(changed)[0] if changed else 0
         version_bits = max(1, max_version.bit_length())
         count_bits = max(1, n.bit_length())
-        return count_bits + len(changes) * (
+        return count_bits + len(changed) * (
             index_bits + version_bits + timestamp_bits
         )
 
@@ -269,8 +296,8 @@ class FaultTolerantVectorClock:
         ``(version, timestamp)`` pair per entry."""
         return (
             1
-            + self._uvarint_size(len(self._entries))
-            + sum(map(self._uvarint_size, chain.from_iterable(self._entries)))
+            + self._uvarint_size(len(self.entries))
+            + sum(map(self._uvarint_size, chain.from_iterable(self.entries)))
         )
 
     def delta_wire_size_bytes(self, base: "FaultTolerantVectorClock") -> int:
@@ -285,5 +312,5 @@ class FaultTolerantVectorClock:
         )
 
     def __repr__(self) -> str:
-        inner = " ".join(map(repr, self._entries))
+        inner = " ".join(map(repr, self.entries))
         return f"FTVC[{inner}]"

@@ -27,6 +27,7 @@ per process.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.core.ftvc import FaultTolerantVectorClock
@@ -42,6 +43,8 @@ class RecordKind(Enum):
 
 
 _MESSAGE, _TOKEN = RecordKind.MESSAGE, RecordKind.TOKEN
+_version_of = itemgetter(0)
+_new_record = tuple.__new__     # no namedtuple ``__new__`` frame per record
 
 
 class HistoryRecord(NamedTuple):
@@ -69,6 +72,12 @@ class History:
         # the floor is treated as obsolete and a token below it as
         # already-applied.
         self._floor: list[int] = [0] * n
+        # Per process, the version ``v`` such that every version in
+        # ``[floor, v)`` has a token record and no version ``>= v`` has
+        # one; -1 while tokens have arrived out of order (v+1 before v).
+        # A clock whose versions equal this tuple is neither obsolete nor
+        # waiting for a token -- see :meth:`admits`.
+        self._frontier: tuple[int, ...] = (0,) * n
         # Figure 3 Initialize: (mes,0,0) for every process, (mes,0,1) for self.
         for j in range(n):
             self._records[j][0] = HistoryRecord(_MESSAGE, 0, 0)
@@ -112,7 +121,7 @@ class History:
         above the token's) is obsolete and must have been discarded before
         this method is called.
         """
-        if len(clock) != self.n:
+        if len(clock.entries) != self.n:
             raise ValueError("clock length mismatch")
         for per, floor, (version, timestamp) in zip(
             self._records, self._floor, clock.entries
@@ -127,7 +136,9 @@ class History:
                 existing[0] is _TOKEN or existing[2] >= timestamp
             ):
                 continue
-            per[version] = HistoryRecord(_MESSAGE, version, timestamp)
+            per[version] = _new_record(
+                HistoryRecord, (_MESSAGE, version, timestamp)
+            )
 
     def observe_token(self, token: RecoveryToken) -> None:
         """Receive-token rule: install the final record for that version."""
@@ -135,13 +146,39 @@ class History:
             # Already observed, applied, and compacted away (tokens are
             # final per version, so a duplicate carries nothing new).
             return
-        self._records[token.origin][token.version] = HistoryRecord(
-            _TOKEN, token.version, token.timestamp
+        record = _new_record(
+            HistoryRecord, (_TOKEN, token.version, token.timestamp)
         )
+        per = self._records[token.origin]
+        # Restart and rollback re-apply every logged token; most are
+        # already in place.
+        if per.get(token.version) != record:
+            per[token.version] = record
+            self._refresh_frontier(token.origin)
+
+    def _refresh_frontier(self, j: int) -> None:
+        """Recompute ``_frontier[j]`` after a token record of ``j`` changed
+        (no record sits below the floor, so counting tokens tells whether
+        they form one run starting there)."""
+        per = self._records[j]
+        tokened = [v for v, rec in per.items() if rec[0] is _TOKEN]
+        floor, count = self._floor[j], len(tokened)
+        in_order = not tokened or max(tokened) - floor + 1 == count
+        frontier = list(self._frontier)
+        frontier[j] = floor + count if in_order else -1
+        self._frontier = tuple(frontier)
 
     # ------------------------------------------------------------------
     # The paper's exact tests
     # ------------------------------------------------------------------
+    def admits(self, clock: FaultTolerantVectorClock) -> bool:
+        """One C-level comparison that settles the common receive: true
+        means :meth:`is_obsolete` is false and :meth:`missing_tokens` is
+        empty, because every entry names the version the frontier holds
+        for its process -- no token of its own, one for every version
+        below it.  False means "run the two exact tests"."""
+        return tuple(map(_version_of, clock.entries)) == self._frontier
+
     def is_obsolete(self, clock: FaultTolerantVectorClock) -> bool:
         """Lemma 4: the message carrying ``clock`` is from a lost or orphan
         state iff some entry exceeds a known token's restoration point.
@@ -181,11 +218,14 @@ class History:
         if len(entries) != self.n:
             raise ValueError("clock length mismatch")
         missing: list[tuple[int, int]] = []
-        for j, (floor, (version, _)) in enumerate(zip(self._floor, entries)):
+        for j, (per, floor, (version, _)) in enumerate(
+            zip(self._records, self._floor, entries)
+        ):
             # Versions below the floor are known-tokened (compaction
             # precondition), so the scan starts at the floor.
             for l in range(floor, version):
-                if not self.has_token(j, l):
+                rec = per.get(l)
+                if rec is None or rec[0] is not _TOKEN:
                     missing.append((j, l))
         return missing
 
@@ -260,6 +300,8 @@ class History:
             for version in range(self._floor[j], new_floor):
                 if self._records[j].pop(version, None) is not None:
                     dropped += 1
+            # The frontier stays put: the floor moved inside the run of
+            # tokens it already counted.
             self._floor[j] = new_floor
         return dropped
 
@@ -277,8 +319,9 @@ class History:
         clone = History.__new__(History)
         clone.pid = self.pid
         clone.n = self.n
-        clone._records = [dict(per) for per in self._records]
+        clone._records = list(map(dict, self._records))
         clone._floor = list(self._floor)
+        clone._frontier = self._frontier
         return clone
 
     def __repr__(self) -> str:

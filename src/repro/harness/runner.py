@@ -108,6 +108,15 @@ class ExperimentResult:
     def total_delivered(self) -> int:
         return self.total("app_delivered")
 
+    def release(self) -> None:
+        """Give a graded run back to the reference count: network, hosts,
+        environments and protocols form one cycle of ~2k objects that only
+        the collector's older generations would free (a tenth of a stress
+        sweep).  Trace, stats and storage still read afterwards; the
+        simulation cannot run again."""
+        for host in self.hosts:
+            host.dismantle()
+
     def max_rollbacks_for_single_failure(self) -> int:
         """Across all processes: the most times any one process rolled back
         in response to one failure -- Table 1's "rollbacks per failure"."""

@@ -135,7 +135,10 @@ def scan(data: bytes, path: str = "<bytes>") -> tuple[list[tuple[int, bytes]], i
         pos += OVERHEAD + len(payload)
     if pos == len(data):
         return records, pos
-    if pos == 0 and data[:1] == b"\x80":
+    # A record log whose length field got its top bit flipped starts like
+    # a pickle too, but still carries the tag of a first record.
+    legacy = data[:1] == b"\x80" and not data.startswith(_MAGIC, OVERHEAD)
+    if pos == 0 and legacy:
         raise RuntimeError(
             f"stable-storage format 'pickle image' of {path} not "
             f"supported (expected record log {_MAGIC.decode()})"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.obs.tracer import NULL_TRACER
@@ -128,6 +129,22 @@ class ProtocolStats:
         return max(self.rollbacks_per_failure.values())
 
 
+class _Periodic:
+    """One periodic activity: the method it calls, the ``ProtocolConfig``
+    fields holding its interval and (optionally) its on/off switch, and
+    its pending timer -- running (``handle``) or suspended (``paused``)."""
+
+    __slots__ = ("action", "interval", "switch", "label", "handle", "paused")
+
+    def __init__(
+        self, action: str, interval: str, label: str, switch: str | None = None
+    ) -> None:
+        self.action, self.interval, self.switch = action, interval, switch
+        self.label = label
+        self.handle: TimerHandle | None = None
+        self.paused: TimerHandle | None = None
+
+
 class BaseRecoveryProcess(abc.ABC):
     """One protocol instance attached to one :class:`RuntimeEnv`."""
 
@@ -164,14 +181,16 @@ class BaseRecoveryProcess(abc.ABC):
         # ``self.obs.enabled``.
         self.obs = env.tracer if env.tracer is not None else NULL_TRACER
         self.outputs: list[tuple[float, Any]] = []   # committed outputs
-        # Periodic-task state (see start_periodic_tasks).
+        # Periodic-task state (see start_periodic_tasks), in firing-setup
+        # order: checkpoints, log flushes, stability gossip.
         self._periodic_enabled = False
-        self._ckpt_handle: TimerHandle | None = None
-        self._flush_handle: TimerHandle | None = None
-        self._paused_ckpt: TimerHandle | None = None
-        self._paused_flush: TimerHandle | None = None
-        self._gossip_handle: TimerHandle | None = None
-        self._paused_gossip: TimerHandle | None = None
+        self._periodic = (
+            _Periodic("take_checkpoint", "checkpoint_interval",
+                      f"ckpt:{self.pid}"),
+            _Periodic("flush_log", "flush_interval", f"flush:{self.pid}"),
+            _Periodic("gossip_tick", "gossip_interval",
+                      f"gossip:{self.pid}", switch="gossip_stability"),
+        )
         self._deliveries_since_checkpoint = 0
         env.attach(self)
 
@@ -201,12 +220,9 @@ class BaseRecoveryProcess(abc.ABC):
         followed by an unconditional call without doubling the timers.
         """
         self._periodic_enabled = True
-        if self._ckpt_handle is None:
-            self._schedule_checkpoint()
-        if self._flush_handle is None:
-            self._schedule_flush()
-        if self.config.gossip_stability and self._gossip_handle is None:
-            self._schedule_gossip()
+        for chain in self._periodic:
+            if chain.handle is None and self._wanted(chain):
+                self._arm(chain)
 
     def halt_periodic_tasks(self) -> None:
         """Stop the periodic activities for good (end of experiment).
@@ -220,124 +236,65 @@ class BaseRecoveryProcess(abc.ABC):
     def pause_periodic_tasks(self) -> None:
         """Suspend the periodic chains (the environment calls this when the
         process crashes -- a dead process must not run protocol timers)."""
-        if self._ckpt_handle is not None:
-            self._paused_ckpt = self.env.suspend_timer(
-                self._ckpt_handle,
-                self.config.checkpoint_interval,
-                label=f"ckpt:{self.pid}",
-            )
-            self._ckpt_handle = None
-        if self._flush_handle is not None:
-            self._paused_flush = self.env.suspend_timer(
-                self._flush_handle,
-                self.config.flush_interval,
-                label=f"flush:{self.pid}",
-            )
-            self._flush_handle = None
-        if self._gossip_handle is not None:
-            self._paused_gossip = self.env.suspend_timer(
-                self._gossip_handle,
-                self.config.gossip_interval,
-                label=f"gossip:{self.pid}",
-            )
-            self._gossip_handle = None
+        for chain in self._periodic:
+            if chain.handle is not None:
+                chain.paused = self.env.suspend_timer(
+                    chain.handle,
+                    getattr(self.config, chain.interval),
+                    label=chain.label,
+                )
+                chain.handle = None
 
     def resume_periodic_tasks(self) -> None:
         """Resume chains paused by :meth:`pause_periodic_tasks`, preserving
         their phase: fire times are exactly those the never-paused chain
         would have used (minus the fires that fell inside the downtime,
         which would have done no work)."""
-        paused_ckpt, self._paused_ckpt = self._paused_ckpt, None
-        paused_flush, self._paused_flush = self._paused_flush, None
-        paused_gossip, self._paused_gossip = self._paused_gossip, None
+        suspended = [(chain, chain.paused) for chain in self._periodic]
+        for chain in self._periodic:
+            chain.paused = None
         if not self._periodic_enabled:
             # Halted while down: abandon the suspended chains.
-            if paused_ckpt is not None:
-                paused_ckpt.cancel()
-            if paused_flush is not None:
-                paused_flush.cancel()
-            if paused_gossip is not None:
-                paused_gossip.cancel()
+            for _, paused in suspended:
+                if paused is not None:
+                    paused.cancel()
             return
-        if paused_ckpt is not None:
-            self._ckpt_handle = self.env.resume_timer(
-                paused_ckpt,
-                self.config.checkpoint_interval,
-                self._periodic_checkpoint,
-                label=f"ckpt:{self.pid}",
-            )
-        if paused_flush is not None:
-            self._flush_handle = self.env.resume_timer(
-                paused_flush,
-                self.config.flush_interval,
-                self._periodic_flush,
-                label=f"flush:{self.pid}",
-            )
-        if paused_gossip is not None:
-            self._gossip_handle = self.env.resume_timer(
-                paused_gossip,
-                self.config.gossip_interval,
-                self._periodic_gossip,
-                label=f"gossip:{self.pid}",
-            )
+        for chain, paused in suspended:
+            if paused is not None:
+                chain.handle = self.env.resume_timer(
+                    paused,
+                    getattr(self.config, chain.interval),
+                    partial(self._fire, chain),
+                    label=chain.label,
+                )
         # A crash *inside* a periodic callback (an armed crash point
         # firing mid-checkpoint/flush) lands after the callback nulled
         # its handle and before it rescheduled, so there was no timer to
         # pause -- restart such a chain from scratch or it is dead for
         # the rest of the run.  Ordinary crashes land between events and
         # never hit this.
-        if paused_ckpt is None and self._ckpt_handle is None:
-            self._schedule_checkpoint()
-        if paused_flush is None and self._flush_handle is None:
-            self._schedule_flush()
-        if (
-            self.config.gossip_stability
-            and paused_gossip is None
-            and self._gossip_handle is None
-        ):
-            self._schedule_gossip()
+        for chain, paused in suspended:
+            if paused is None and chain.handle is None and self._wanted(chain):
+                self._arm(chain)
 
-    def _schedule_checkpoint(self) -> None:
-        self._ckpt_handle = self.env.schedule_after(
-            self.config.checkpoint_interval,
-            self._periodic_checkpoint,
-            label=f"ckpt:{self.pid}",
+    def _wanted(self, chain: _Periodic) -> bool:
+        return chain.switch is None or getattr(self.config, chain.switch)
+
+    def _arm(self, chain: _Periodic) -> None:
+        chain.handle = self.env.schedule_after(
+            getattr(self.config, chain.interval),
+            partial(self._fire, chain),
+            label=chain.label,
         )
 
-    def _periodic_checkpoint(self) -> None:
-        self._ckpt_handle = None
+    def _fire(self, chain: _Periodic) -> None:
+        chain.handle = None
         if not self._periodic_enabled or not self.env.alive:
             return
-        self.take_checkpoint()
-        self._schedule_checkpoint()
-
-    def _schedule_flush(self) -> None:
-        self._flush_handle = self.env.schedule_after(
-            self.config.flush_interval,
-            self._periodic_flush,
-            label=f"flush:{self.pid}",
-        )
-
-    def _periodic_flush(self) -> None:
-        self._flush_handle = None
-        if not self._periodic_enabled or not self.env.alive:
-            return
-        self.flush_log()
-        self._schedule_flush()
-
-    def _schedule_gossip(self) -> None:
-        self._gossip_handle = self.env.schedule_after(
-            self.config.gossip_interval,
-            self._periodic_gossip,
-            label=f"gossip:{self.pid}",
-        )
-
-    def _periodic_gossip(self) -> None:
-        self._gossip_handle = None
-        if not self._periodic_enabled or not self.env.alive:
-            return
-        self.gossip_tick()
-        self._schedule_gossip()
+        # Looked up on the instance at every fire: subclasses and harness
+        # wrappers override take_checkpoint / flush_log / gossip_tick.
+        getattr(self, chain.action)()
+        self._arm(chain)
 
     def gossip_tick(self) -> None:
         """One stability-gossip round.  Protocols that support the
@@ -404,18 +361,19 @@ class BaseRecoveryProcess(abc.ABC):
         return {}
 
     def flush_log(self) -> int:
-        moved = self.storage.log.flush()
+        log = self.storage.log
+        moved = log.flush()
         if moved:
             self.obs.counter("proto.log_flushes")
             self.obs.counter("proto.log_entries_flushed", moved)
-        if moved and self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.LOG_FLUSH,
-                self.pid,
-                moved=moved,
-                stable_length=self.storage.log.stable_length,
-            )
+            if self.trace is not None:
+                self.trace.record(
+                    self.env.now,
+                    EventKind.LOG_FLUSH,
+                    self.pid,
+                    moved=moved,
+                    stable_length=log.stable_length,
+                )
         return moved
 
     # ------------------------------------------------------------------

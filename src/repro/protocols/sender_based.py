@@ -115,7 +115,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
         # Only checkpoints are periodic; the receiver log is deliberately
         # volatile between checkpoints (that is the protocol's premise).
         self._periodic_enabled = True
-        self._schedule_checkpoint()
+        self._arm(self._periodic[0])
 
     def on_network_message(self, msg: NetworkMessage) -> None:
         payload = msg.payload

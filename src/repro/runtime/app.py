@@ -21,26 +21,28 @@ the discrete-event simulator and the live asyncio runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Protocol
+import copy
+from operator import attrgetter
+from typing import Any, NamedTuple, Protocol
 
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     """One send issued by the application during a state transition."""
 
     dst: int
     payload: Any
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One value the application emitted to the environment."""
 
     value: Any
+
+
+_new_record = tuple.__new__
 
 
 class ProcessContext:
@@ -62,11 +64,11 @@ class ProcessContext:
         """Queue an application message to ``dst``."""
         if not 0 <= dst < self.n:
             raise ValueError(f"destination {dst} out of range 0..{self.n - 1}")
-        self.sends.append(SendRecord(dst, payload))
+        self.sends.append(_new_record(SendRecord, (dst, payload)))
 
     def output(self, value: Any) -> None:
         """Emit a value to the environment (subject to output commit)."""
-        self.outputs.append(OutputRecord(value))
+        self.outputs.append(_new_record(OutputRecord, (value,)))
 
 
 class Application(Protocol):
@@ -123,13 +125,8 @@ class _SimClockAdapter:
         self._sim = sim
         self.trace = trace
 
-    @property
-    def now(self) -> float:
-        return self._sim.now
-
-    @property
-    def tracer(self) -> Any | None:
-        return self._sim.tracer
+    now = property(attrgetter("_sim.now"))
+    tracer = property(attrgetter("_sim.tracer"))
 
 
 class AppExecutor:
@@ -240,8 +237,6 @@ class AppExecutor:
 
     def snapshot(self) -> dict[str, Any]:
         """Capture executor state for a checkpoint."""
-        import copy
-
         return {
             "state": copy.deepcopy(self.state),
             "epoch": self.epoch,
@@ -253,8 +248,6 @@ class AppExecutor:
         """Reset to a snapshot.  The serial counter is deliberately *not*
         restored: fresh states after a rollback must not reuse the uids of
         the states they replace."""
-        import copy
-
         self.state = copy.deepcopy(snap["state"])
         self.step = snap["step"]
         self.epoch = snap["epoch"]

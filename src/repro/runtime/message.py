@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkMessage:
     """A message in flight.
 
     ``kind`` distinguishes application messages from recovery tokens and
     other control traffic; ordering disciplines apply uniformly, but the
-    metrics layer accounts for them separately.
+    metrics layer accounts for them separately.  A dataclass because the
+    live codecs encode it by its fields; slotted because one is built per
+    send.
     """
 
     msg_id: int

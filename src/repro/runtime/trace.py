@@ -11,9 +11,12 @@ thin, audited hooks, not by protocol logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from collections import defaultdict
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator, NamedTuple
+
+_new_event = tuple.__new__
 
 
 class EventKind(Enum):
@@ -38,20 +41,20 @@ class EventKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded occurrence.
+class TraceEvent(NamedTuple):
+    """One recorded occurrence (immutable).
 
     ``fields`` carries kind-specific data (message ids, state ids, version
     numbers).  Keeping it a plain dict keeps the trace schema-free; the
-    analysis layer documents the keys each oracle requires.
+    analysis layer documents the keys each oracle requires.  Indexing an
+    event reads ``fields``, not the tuple: ``event["msg_id"]``.
     """
 
     seq: int
     time: float
     kind: EventKind
     pid: int
-    fields: dict[str, Any] = field(default_factory=dict)
+    fields: dict[str, Any]
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
@@ -65,15 +68,22 @@ class SimTrace:
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
+        # The same events again by kind, so a per-kind query costs its
+        # matches, not the trace (keyed by the kind's value: hashing an
+        # Enum member is a Python call).
+        self._by_kind: dict[str, list[TraceEvent]] = defaultdict(list)
 
     def record(
         self, time: float, kind: EventKind, pid: int, **fields: Any
     ) -> TraceEvent:
-        event = TraceEvent(
-            seq=len(self._events), time=time, kind=kind, pid=pid, fields=fields
-        )
-        self._events.append(event)
+        events = self._events
+        event = _new_event(TraceEvent, (len(events), time, kind, pid, fields))
+        events.append(event)
+        self._by_kind[kind._value_].append(event)
         return event
+
+    def _of_kind(self, kind: EventKind) -> list[TraceEvent]:
+        return self._by_kind.get(kind._value_, [])
 
     def __len__(self) -> int:
         return len(self._events)
@@ -87,19 +97,22 @@ class SimTrace:
         pid: int | None = None,
     ) -> list[TraceEvent]:
         """Events filtered by kind and/or process id, in order."""
-        result: Iterable[TraceEvent] = self._events
-        if kind is not None:
-            result = (e for e in result if e.kind is kind)
-        if pid is not None:
-            result = (e for e in result if e.pid == pid)
-        return list(result)
+        events = self._events if kind is None else self._of_kind(kind)
+        if pid is None:
+            return list(events)
+        return [e for e in events if e.pid == pid]
 
     def count(self, kind: EventKind, pid: int | None = None) -> int:
-        return len(self.events(kind, pid))
+        of_kind = self._of_kind(kind)
+        if pid is None:
+            return len(of_kind)
+        return sum(1 for e in of_kind if e.pid == pid)
 
     def last(self, kind: EventKind, pid: int | None = None) -> TraceEvent | None:
-        matches = self.events(kind, pid)
-        return matches[-1] if matches else None
+        for event in reversed(self._of_kind(kind)):
+            if pid is None or event.pid == pid:
+                return event
+        return None
 
     def signature(self) -> str:
         """A deterministic digest of the whole trace.
@@ -107,12 +120,10 @@ class SimTrace:
         Two runs with the same seed must produce equal signatures; the
         determinism tests rely on this.
         """
-        import hashlib
-
         h = hashlib.blake2b(digest_size=16)
-        for e in self._events:
+        for seq, time, kind, pid, fields in self._events:
             h.update(
-                f"{e.seq}|{e.time!r}|{e.kind.value}|{e.pid}|"
-                f"{sorted(e.fields.items())!r}\n".encode("utf-8")
+                f"{seq}|{time!r}|{kind._value_}|{pid}|"
+                f"{sorted(fields.items())!r}\n".encode("utf-8")
             )
         return h.hexdigest()

@@ -10,6 +10,7 @@ pins the trace signatures.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.runtime.env import RuntimeEnv, TimerHandle
@@ -26,6 +27,7 @@ class SimEnv(RuntimeEnv):
     ) -> None:
         self.host = host
         self.sim = host.sim
+        self.network = host.network
         self.pid: int = host.pid
         self.n: int = host.network.n
         self.trace = host.trace
@@ -36,21 +38,12 @@ class SimEnv(RuntimeEnv):
     # ------------------------------------------------------------------
     # Clock, liveness, observability
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    @property
-    def alive(self) -> bool:
-        return self.host.alive
-
-    @property
-    def crash_count(self) -> int:
-        return self.host.crash_count
-
-    @property
-    def tracer(self) -> Any | None:
-        return self.sim.tracer
+    # ``attrgetter`` properties read straight through to the kernel and
+    # the host without a Python frame (``now`` is read per trace record).
+    now = property(attrgetter("sim.now"))
+    alive = property(attrgetter("host.alive"))
+    crash_count = property(attrgetter("host.crash_count"))
+    tracer = property(attrgetter("sim.tracer"))
 
     # ------------------------------------------------------------------
     # Messaging
@@ -63,7 +56,7 @@ class SimEnv(RuntimeEnv):
         kind: str = "app",
         latency: float | None = None,
     ) -> NetworkMessage:
-        return self.host.network.send(
+        return self.network.send(
             self.pid, dst, payload, kind=kind, latency=latency
         )
 
@@ -74,7 +67,7 @@ class SimEnv(RuntimeEnv):
         kind: str = "token",
         include_self: bool = False,
     ) -> list[NetworkMessage]:
-        return self.host.network.broadcast(
+        return self.network.broadcast(
             self.pid, payload, kind=kind, include_self=include_self
         )
 
@@ -85,19 +78,14 @@ class SimEnv(RuntimeEnv):
         """Convert an armed crash point into a crash + scheduled restart."""
         self.host.on_crash_point(exc)
 
-    def _guard(self, callback: Callable[[], None]) -> Callable[[], None]:
-        """Wrap a timer callback so a crash point raised inside it (a
+    def _run_timer(self, callback: Callable[[], None]) -> None:
+        """Fire a timer callback; a crash point raised inside it (a
         periodic checkpoint/flush hitting an armed point) crashes the
         process instead of unwinding the kernel."""
-        host = self.host
-
-        def run() -> None:
-            try:
-                callback()
-            except CrashPointReached as exc:
-                host.on_crash_point(exc)
-
-        return run
+        try:
+            callback()
+        except CrashPointReached as exc:
+            self.host.on_crash_point(exc)
 
     # ------------------------------------------------------------------
     # Timers
@@ -111,7 +99,7 @@ class SimEnv(RuntimeEnv):
         label: str = "",
     ) -> TimerHandle:
         return self.sim.schedule(
-            delay, self._guard(callback), priority=priority, label=label
+            delay, self._run_timer, callback, priority=priority, label=label
         )
 
     def schedule_at(
@@ -126,7 +114,7 @@ class SimEnv(RuntimeEnv):
         # arithmetic can miss ``when`` by an ulp, which would shift resumed
         # periodic chains off their historical fire times.
         return self.sim.schedule_at(
-            when, self._guard(callback), priority=priority, label=label
+            when, self._run_timer, callback, priority=priority, label=label
         )
 
     def suspend_timer(
@@ -161,7 +149,8 @@ class SimEnv(RuntimeEnv):
             return super().resume_timer(
                 handle, interval, callback, label=label
             )
-        return handle._hand_back(self._guard(callback))
+        handle._active = False
+        return self.sim.retarget(handle._handle, self._run_timer, callback)
 
     # ------------------------------------------------------------------
     # Protocol attachment
@@ -191,13 +180,8 @@ class _SimPhaseKeeper:
         self._label = label
         self._active = True
 
-    @property
-    def time(self) -> float:
-        return self._handle.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._handle.cancelled
+    time = property(attrgetter("_handle.time"))
+    cancelled = property(attrgetter("_handle.cancelled"))
 
     def cancel(self) -> None:
         self._active = False
@@ -209,7 +193,3 @@ class _SimPhaseKeeper:
         self._handle = self._sim.schedule(
             self._interval, self._tick, label=self._label
         )
-
-    def _hand_back(self, callback: Callable[[], None]) -> TimerHandle:
-        self._active = False
-        return self._sim.retarget(self._handle, callback)

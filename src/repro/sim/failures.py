@@ -193,8 +193,7 @@ class FailureInjector:
                 # Crash fires at high priority so that at time t the failure
                 # precedes message deliveries scheduled for the same instant.
                 self.sim.schedule_at(
-                    ev.time,
-                    lambda host=host, ev=ev: self._crash(host, ev),
+                    ev.time, self._crash, host, ev,
                     priority=-1,
                     label=f"crash:{ev.pid}",
                 )
@@ -204,8 +203,7 @@ class FailureInjector:
             partitions.validate()
             for pev in partitions.events:
                 self.sim.schedule_at(
-                    pev.time,
-                    lambda groups=pev.groups: self.network.partition(groups),
+                    pev.time, self.network.partition, pev.groups,
                     priority=-1,
                     label="partition",
                 )

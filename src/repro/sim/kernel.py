@@ -18,7 +18,6 @@ which is what the determinism tests pin down.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
 
@@ -33,48 +32,38 @@ class SimulationError(Exception):
     """Raised for kernel misuse (negative delays, running a spent kernel)."""
 
 
-@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled call, and the handle its owner cancels it with.
 
-    The kernel fires events in ``(time, priority, seq)`` order.
-    ``priority`` defaults to 0; lower fires first among events at the same
-    virtual time.
+    The kernel fires events in ``(time, priority, seq)`` order as
+    ``callback(*args)``.  ``priority`` defaults to 0; lower fires first
+    among events at the same virtual time.  Cancellation is O(1): the
+    event is tombstoned, not removed from the heap.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    label: str = ""
+    __slots__ = (
+        "time", "priority", "seq", "callback", "args", "cancelled", "label"
+    )
 
-
-class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule`.
-
-    Holding a handle allows the owner to cancel the event before it fires;
-    cancellation is O(1) (the event is tombstoned, not removed from the
-    heap).
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Virtual time at which the event will fire (or would have)."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+    def __init__(
+        self, time: float, priority: int, seq: int,
+        callback: Callable[..., None], args: tuple = (), label: str = "",
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.label = label
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self._event.cancelled = True
+        self.cancelled = True
+
+
+#: What :meth:`Simulator.schedule` returns is the event itself.
+EventHandle = Event
 
 
 def _label_root(label: str) -> str:
@@ -109,21 +98,13 @@ class Simulator:
 
     def __init__(self, *, tracer: Any | None = None) -> None:
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._now: float = 0.0
+        #: Current virtual time.
+        self.now: float = 0.0
+        #: Number of callbacks executed so far.
+        self.events_fired: int = 0
         self._seq: int = 0
-        self._fired: int = 0
         self._running: bool = False
         self.tracer: Any | None = tracer
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Number of callbacks executed so far."""
-        return self._fired
 
     @property
     def pending(self) -> int:
@@ -143,30 +124,28 @@ class Simulator:
     def schedule(
         self,
         delay: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         priority: int = 0,
         label: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` time units from now.
+    ) -> Event:
+        """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
 
         ``delay`` must be non-negative; zero-delay events fire after any
         already-scheduled events at the current time (sequence order).
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        time, seq = self._now + delay, self._seq
-        event = Event(time, priority, seq, callback, label=label)
+        time, seq = self.now + delay, self._seq
+        event = Event(time, priority, seq, callback, args, label)
         self._seq = seq + 1
         heapq.heappush(self._queue, (time, priority, seq, event))
-        return EventHandle(event)
+        return event
 
     def retarget(
-        self,
-        handle: EventHandle,
-        callback: Callable[[], None],
-    ) -> EventHandle:
-        """Swap the callback of a pending event, keeping its position.
+        self, handle: Event, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Swap the call of a pending event, keeping its position.
 
         The event keeps its ``(time, priority, seq)`` key, so it fires
         exactly where it always would have -- including its place among
@@ -174,38 +153,40 @@ class Simulator:
         across a process's downtime and handing it back this way is
         indistinguishable from never having touched it.
         """
-        handle._event.callback = callback
+        handle.callback = callback
+        handle.args = args
         return handle
 
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         priority: int = 0,
         label: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual time ``time``.
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
         ``time`` values recomputed through float arithmetic can fall a
         rounding error below ``now`` even when they mean "right now"; such
         deltas (within :data:`TIME_EPSILON`, relative) are clamped to zero
         rather than rejected.  Genuinely-past times still raise.
         """
-        delay = time - self._now
+        now = self.now
+        delay = time - now
         if delay < 0.0:
-            tolerance = TIME_EPSILON * max(1.0, abs(self._now), abs(time))
-            if delay >= -tolerance:
-                delay = 0.0
-        return self.schedule(
-            delay, callback, priority=priority, label=label
-        )
-
-    def _next_event_time(self) -> float | None:
-        """Time of the earliest live event, discarding leading tombstones."""
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
+            tolerance = TIME_EPSILON * max(1.0, abs(now), abs(time))
+            if delay < -tolerance:
+                raise SimulationError(f"negative delay: {delay!r}")
+            delay = 0.0
+        # The fire time is ``now + delay`` as :meth:`schedule` computes it,
+        # not ``time``: the two can differ by an ulp, and every recorded
+        # run has the former.
+        time, seq = now + delay, self._seq
+        event = Event(time, priority, seq, callback, args, label)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
 
     def run(
         self,
@@ -229,11 +210,12 @@ class Simulator:
         self._running = True
         fired_this_call = 0
         tracer = self.tracer
+        queue, pop = self._queue, heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0][3]
+            while queue:
+                event = queue[0][3]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    pop(queue)
                     if tracer is not None:
                         tracer.counter("sim.tombstones_popped")
                     continue
@@ -241,29 +223,30 @@ class Simulator:
                     break
                 if max_events is not None and fired_this_call >= max_events:
                     break
-                heapq.heappop(self._queue)
-                self._now = event.time
+                pop(queue)
+                self.now = event.time
                 if tracer is None:
-                    event.callback()
+                    event.callback(*event.args)
                 else:
                     start = perf_counter()
-                    event.callback()
+                    event.callback(*event.args)
                     elapsed = perf_counter() - start
                     tracer.counter("sim.events_fired")
                     tracer.observe(
                         f"sim.event_wall_s.{_label_root(event.label)}",
                         elapsed,
                     )
-                    tracer.gauge("sim.queue_depth", len(self._queue))
-                    tracer.gauge("sim.virtual_time", self._now)
-                self._fired += 1
+                    tracer.gauge("sim.queue_depth", len(queue))
+                    tracer.gauge("sim.virtual_time", self.now)
+                self.events_fired += 1
                 fired_this_call += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            next_time = self._next_event_time()
-            if next_time is None or next_time > until:
-                self._now = until
+        if until is not None and self.now < until:
+            while queue and queue[0][3].cancelled:      # leading tombstones
+                pop(queue)
+            if not queue or queue[0][0] > until:
+                self.now = until
 
     def drain(self, limit: int = 10_000_000) -> None:
         """Run to quiescence, failing loudly if ``limit`` events fire.
@@ -272,10 +255,10 @@ class Simulator:
         loops); the limit converts those into a crisp test failure instead
         of a hang.
         """
-        before = self._fired
+        before = self.events_fired
         self.run(max_events=limit)
         if self.pending:
             raise SimulationError(
                 f"simulation did not quiesce within {limit} events "
-                f"({self._fired - before} fired this call)"
+                f"({self.events_fired - before} fired this call)"
             )

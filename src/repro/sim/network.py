@@ -22,7 +22,7 @@ transport, exactly as in the paper's model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
@@ -63,7 +63,8 @@ class UniformLatency(LatencyModel):
             raise ValueError(f"bad latency bounds [{self.low}, {self.high}]")
 
     def sample(self, rng, src: int, dst: int, kind: str) -> float:
-        return rng.uniform(self.low, self.high)
+        # ``rng.uniform(low, high)`` written out: same draw, one frame less.
+        return self.low + (self.high - self.low) * rng.random()
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,14 @@ class Network:
         self.duplicate_rate = duplicate_rate
         self.duplicates_injected = 0
         self._streams = streams if streams is not None else RandomStreams(0)
+        self._duplication = (
+            self._streams.stream("duplication") if duplicate_rate else None
+        )
         self._receivers: dict[int, Callable[[NetworkMessage], None]] = {}
         self._msg_ids = itertools.count()
-        # FIFO bookkeeping: earliest admissible delivery time per channel.
+        # Per channel: its latency stream (``latency/<src>-><dst>``) and,
+        # for FIFO, the earliest admissible delivery time.
+        self._channel_rng: dict[tuple[int, int], Any] = {}
         self._channel_clock: dict[tuple[int, int], float] = {}
         # Partition state: either None (fully connected) or a mapping
         # pid -> group id.
@@ -160,6 +166,11 @@ class Network:
             raise ValueError(f"pid {pid} already registered")
         self._receivers[pid] = receiver
 
+    def unregister(self, pid: int) -> None:
+        """Detach endpoint ``pid``; messages still due to it can no longer
+        be delivered."""
+        self._receivers.pop(pid, None)
+
     def send(
         self,
         src: int,
@@ -174,20 +185,16 @@ class Network:
         ``latency`` overrides the latency model for this one message, which
         the hand-scripted figure scenarios use to force exact orderings.
         """
+        sim = self.sim
         msg = NetworkMessage(
-            msg_id=next(self._msg_ids),
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            send_time=self.sim.now,
-            latency_override=latency,
+            next(self._msg_ids), src, dst, kind, payload, sim.now, latency
         )
         self.sent_count[kind] = self.sent_count.get(kind, 0) + 1
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer is not None:
             tracer.counter(f"net.sent.{kind}")
-        if self._blocked(src, dst):
+        partition = self._partition
+        if partition is not None and partition[src] != partition[dst]:
             self._held.append(msg)
             if tracer is not None:
                 tracer.counter("net.partition_held")
@@ -197,8 +204,7 @@ class Network:
             if (
                 self.duplicate_rate > 0.0
                 and kind == "app"
-                and self._streams.stream("duplication").random()
-                < self.duplicate_rate
+                and self._duplication.random() < self.duplicate_rate
             ):
                 self.duplicates_injected += 1
                 if tracer is not None:
@@ -226,33 +232,43 @@ class Network:
     # Delivery machinery
     # ------------------------------------------------------------------
     def _schedule_delivery(self, msg: NetworkMessage) -> None:
-        rng = self._streams.stream(f"latency/{msg.src}->{msg.dst}")
+        sim = self.sim
+        channel = (msg.src, msg.dst)
         if msg.latency_override is not None:
             delay = msg.latency_override
         else:
+            rng = self._channel_rng.get(channel)
+            if rng is None:
+                rng = self._channel_rng[channel] = self._streams.stream(
+                    f"latency/{msg.src}->{msg.dst}"
+                )
             delay = self.latency.sample(rng, msg.src, msg.dst, msg.kind)
-        deliver_at = self.sim.now + delay
+        deliver_at = sim.now + delay
         if self.order is DeliveryOrder.FIFO:
-            key = (msg.src, msg.dst)
-            floor = self._channel_clock.get(key, 0.0)
+            floor = self._channel_clock.get(channel, 0.0)
             deliver_at = max(deliver_at, floor)
-            self._channel_clock[key] = deliver_at
-        self.sim.schedule_at(
-            deliver_at,
-            lambda m=msg: self._deliver(m),
-            label=f"deliver#{msg.msg_id}",
-        )
+            self._channel_clock[channel] = deliver_at
         self._in_flight += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
+        tracer = sim.tracer
+        if tracer is None:
+            sim.schedule_at(deliver_at, self._deliver, msg)
+        else:
+            # The per-message label is formatted only for a tracer: it is
+            # the only reader (``sim.event_wall_s.deliver``).
+            sim.schedule_at(
+                deliver_at, self._deliver, msg,
+                label=f"deliver#{msg.msg_id}",
+            )
             tracer.gauge("net.in_flight", self._in_flight)
 
     def _deliver(self, msg: NetworkMessage) -> None:
         self._in_flight -= 1
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer is not None:
             tracer.gauge("net.in_flight", self._in_flight)
-        if self._blocked(msg.src, msg.dst):
+        partition = self._partition
+        if partition is not None and partition[msg.src] != partition[msg.dst]:
             # A partition was imposed while the message was in flight.
             self._held.append(msg)
             if tracer is not None:
@@ -262,14 +278,11 @@ class Network:
         receiver = self._receivers.get(msg.dst)
         if receiver is None:
             raise RuntimeError(f"no receiver registered for pid {msg.dst}")
-        self.delivered_count[msg.kind] = (
-            self.delivered_count.get(msg.kind, 0) + 1
-        )
+        kind = msg.kind
+        self.delivered_count[kind] = self.delivered_count.get(kind, 0) + 1
         if tracer is not None:
-            tracer.counter(f"net.delivered.{msg.kind}")
-            tracer.observe(
-                f"net.latency.{msg.kind}", self.sim.now - msg.send_time
-            )
+            tracer.counter(f"net.delivered.{kind}")
+            tracer.observe(f"net.latency.{kind}", sim.now - msg.send_time)
         receiver(msg)
 
     # ------------------------------------------------------------------
@@ -335,11 +348,6 @@ class Network:
             tracer.event("net.heal", released=len(held))
         if self.trace is not None:
             self.trace.record(self.sim.now, EventKind.HEAL, -1, released=len(held))
-
-    def _blocked(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
-        return self._partition[src] != self._partition[dst]
 
     @property
     def held_messages(self) -> int:

@@ -87,6 +87,13 @@ class ProcessHost:
             raise RuntimeError(f"host {self.pid} already has a protocol")
         self._protocol = protocol
 
+    def dismantle(self) -> None:
+        """Unhook a finished host from network, protocol and environment
+        (see :meth:`ExperimentResult.release`); it can no longer run."""
+        self.network.unregister(self.pid)
+        self._protocol = None
+        self._env = None
+
     @property
     def protocol(self) -> RecoveryProcess:
         if self._protocol is None:
@@ -177,7 +184,7 @@ class ProcessHost:
                 )
             return
         try:
-            self.protocol.on_network_message(msg)
+            self._protocol.on_network_message(msg)
         except CrashPointReached as exc:
             self.on_crash_point(exc)
 
@@ -202,13 +209,3 @@ class ProcessHost:
         self.sim.schedule(
             exc.downtime, self.restart, label=f"restart:{self.pid}"
         )
-
-    def send(self, dst: int, payload, *, kind: str = "app",
-             latency: float | None = None) -> NetworkMessage:
-        """Protocol-facing send helper."""
-        return self.network.send(
-            self.pid, dst, payload, kind=kind, latency=latency
-        )
-
-    def broadcast(self, payload, *, kind: str = "token") -> list[NetworkMessage]:
-        return self.network.broadcast(self.pid, payload, kind=kind)

@@ -12,13 +12,11 @@ taken, so replay after recovery is simply ``entries[checkpoint.log_position:]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One received message as stored in the log.
+class LogEntry(NamedTuple):
+    """One received message as stored in the log (immutable).
 
     ``meta`` carries protocol metadata needed for faithful replay (e.g. the
     FTVC the message arrived with); the substrate does not interpret it.
@@ -29,6 +27,9 @@ class LogEntry:
     src: int
     payload: Any
     meta: Any = None
+
+
+_new_entry = tuple.__new__
 
 
 class MessageLog:
@@ -58,13 +59,8 @@ class MessageLog:
     # Writing
     # ------------------------------------------------------------------
     def append(self, msg_id: int, src: int, payload: Any, meta: Any = None) -> LogEntry:
-        entry = LogEntry(
-            index=self.total_length,
-            msg_id=msg_id,
-            src=src,
-            payload=payload,
-            meta=meta,
-        )
+        index = self._gc_offset + len(self._stable) + len(self._volatile)
+        entry = _new_entry(LogEntry, (index, msg_id, src, payload, meta))
         self._volatile.append(entry)
         return entry
 

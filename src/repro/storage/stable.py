@@ -106,9 +106,7 @@ class StableStorage:
         """
         if self._active_intent is not None:
             return None
-        record = IntentRecord(
-            intent_id=self._intent_next_id, kind=kind, payload=dict(payload)
-        )
+        record = IntentRecord(self._intent_next_id, kind, payload=payload)
         self._intent_next_id += 1
         self._active_intent = record
         self._commit_pending = None
@@ -120,7 +118,7 @@ class StableStorage:
         step's persist records which transition was in flight."""
         if intent is None:
             return
-        if not self._fires_on_persist:
+        if self._armed_crash_points and not self._fires_on_persist:
             self._fire_crash_point(f"{intent.kind}:{intent.step}")
         intent.step = step
 
@@ -130,7 +128,7 @@ class StableStorage:
         durable with no extra write."""
         if intent is None:
             return
-        if not self._fires_on_persist:
+        if self._armed_crash_points and not self._fires_on_persist:
             self._fire_crash_point(f"{intent.kind}:{intent.step}")
         intent.status = "committed"
         self.intents_committed += 1

@@ -83,6 +83,7 @@ def run_case(
             result, case, theorem_max_states=theorem_max_states
         )
         signature = result.trace.signature()
+        result.release()
     except Exception:
         return CaseResult(case=case, error=traceback.format_exc(limit=12))
     return CaseResult(

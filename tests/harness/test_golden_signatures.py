@@ -100,3 +100,32 @@ def test_trace_signature_matches_golden(key):
     assert result.trace.signature() == GOLDEN[key], (
         f"{key}: deterministic execution changed"
     )
+
+
+# Counters the trace does not carry but the benchmark reads
+# (``core.piggyback_delta_bytes_per_msg``, ``storage.intents_per_delivery``,
+# ``sim.kernel.events_per_delivery``), plus the two storage tallies a
+# cheaper no-op flush could silently skip.  Captured at the commit before
+# the hot path was slimmed: a fast path must do the same accounting.
+GOLDEN_COUNTERS = {
+    # schedule: (piggyback_delta_bits, intents_begun, events_fired,
+    #            sync_writes, log flush_count)
+    "early-crash-mid-stage": (1929, 277, 309, 280, 276),
+    "late-crash-final-stage": (1929, 277, 309, 280, 276),
+    "double-sequential-crash": (1929, 277, 314, 283, 275),
+}
+
+
+@pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES, ids=lambda s: s.name)
+def test_damani_garg_counters_match_golden(schedule):
+    result = run_experiment(
+        build_conformance_spec(PROTOCOL_REGISTRY["damani-garg"], schedule)
+    )
+    storages = [p.storage for p in result.protocols]
+    assert (
+        result.total("piggyback_delta_bits"),
+        sum(s.intents_begun for s in storages),
+        result.sim.events_fired,
+        sum(s.sync_writes for s in storages),
+        sum(s.log.flush_count for s in storages),
+    ) == GOLDEN_COUNTERS[schedule.name]

@@ -67,6 +67,19 @@ def ref_delta_bits(a, base, timestamp_bits=32):
     return bits_for(len(a) + 1) + len(changes) * per_change
 
 
+def diff_delta_bits(clock, base, timestamp_bits=32):
+    """The delta size as it was computed before it became a C-level
+    pass: from the triples ``diff()`` lists."""
+    changes = clock.diff(base)
+    n = len(clock)
+    index_bits = max(1, (n - 1).bit_length())
+    max_version = max((v for _, v, _ in changes), default=0)
+    version_bits = max(1, max_version.bit_length())
+    return max(1, n.bit_length()) + len(changes) * (
+        index_bits + version_bits + timestamp_bits
+    )
+
+
 def ref_bytes(a):
     return 1 + varint_len(len(a)) + sum(
         varint_len(v) + varint_len(t) for v, t in a
@@ -132,7 +145,7 @@ def test_operations_match_the_reference(relation, seed):
     if relation == "mismatched":
         for operation in (
             lambda: a <= b, lambda: a < b, lambda: a.concurrent_with(b),
-            lambda: a.merge(b), lambda: a.diff(b),
+            lambda: a.merge(b), lambda: a.diff(b), lambda: a.receive(b, 0),
             lambda: a.delta_wire_size_bits(b),
             lambda: a.delta_wire_size_bytes(b),
         ):
@@ -163,6 +176,7 @@ def test_operations_match_the_reference(relation, seed):
         assert FTVC.from_delta(y, changes) == x
         assert x.delta_wire_size_bits(y) == ref_delta_bits(px, py)
         assert x.delta_wire_size_bits(y, 16) == ref_delta_bits(px, py, 16)
+        assert x.delta_wire_size_bits(y) == diff_delta_bits(x, y)
         assert x.delta_wire_size_bytes(y) == ref_delta_bytes(px, py)
 
     assert a.wire_size_bits() == ref_bits(pa)
@@ -174,7 +188,26 @@ def test_operations_match_the_reference(relation, seed):
     restarted = pa[:pid] + [(version + 1, 0)] + pa[pid + 1:]
     assert list(a.tick(pid).pairs()) == ticked
     assert list(a.restart(pid).pairs()) == restarted
+    # Figure 2's receive rule is the merge followed by the own tick.
+    assert a.receive(b, pid) == a.merge(b).tick(pid)
+    assert b.receive(a, pid) == b.merge(a).tick(pid)
     assert list(a.pairs()) == pa            # immutable
+
+
+def test_delta_size_of_equal_clocks_and_of_a_version_bump():
+    clock = FTVC.of([(0, 3), (1, 7), (0, 0), (2, 40)])
+    assert clock.delta_wire_size_bits(clock) == diff_delta_bits(clock, clock)
+    assert clock.delta_wire_size_bits(clock) == 3      # the count field
+    for pid in range(len(clock)):
+        bumped = clock.restart(pid)
+        for a, b in ((bumped, clock), (clock, bumped)):
+            assert a.delta_wire_size_bits(b) == diff_delta_bits(a, b)
+            assert a.delta_wire_size_bits(b, 8) == diff_delta_bits(a, b, 8)
+    # The version bits follow the largest *changed* version, not the
+    # largest in the clock.
+    low = clock.tick(0)
+    assert low.delta_wire_size_bits(clock) == 3 + (2 + 1 + 32)
+    assert clock.restart(3).delta_wire_size_bits(clock) == 3 + (2 + 2 + 32)
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,22 @@ class ReferenceHistory:
             self.floor[j] = max(self.floor[j], run_end - 1)
         return dropped
 
+    def expected_version(self, j):
+        """The first version of ``j`` at or above the floor without a
+        token: what an up-to-date sender's clock names for ``j``."""
+        version = self.floor[j]
+        while self.kind(j, version) == "token":
+            version += 1
+        return version
+
+    def tokens_in_order(self, j):
+        """No token of ``j`` has overtaken an older one (v+1 before v)."""
+        first_missing = self.expected_version(j)
+        return not any(
+            owner == j and version > first_missing and kind == "token"
+            for (owner, version), (kind, _) in self.table.items()
+        )
+
     def records(self, j):
         """``(kind, version, timestamp)`` kept about ``j``, oldest first."""
         return [
@@ -94,8 +110,28 @@ def random_token(rng, n):
     )
 
 
+def current_clock(reference, rng):
+    """A clock naming, for every process, the version the history expects
+    next -- the common message, the one ``admits`` exists for."""
+    return [
+        (reference.expected_version(j), rng.randint(0, 12))
+        for j in range(reference.n)
+    ]
+
+
 def assert_same(history, reference, rng):
     n = reference.n
+    # The receive step's fast path is exactly "every entry names the
+    # expected version and no token is out of order" ...
+    pairs = current_clock(reference, rng)
+    in_order = all(reference.tokens_in_order(j) for j in range(n))
+    assert history.admits(FTVC.of(pairs)) == in_order
+    if n > 1:
+        stale = list(pairs)
+        j = rng.randrange(n)
+        stale[j] = (pairs[j][0] + rng.choice((-1, 1)), pairs[j][1])
+        if stale[j][0] >= 0:
+            assert not history.admits(FTVC.of(stale))
     for j in range(n):
         assert [
             (r.kind.value, r.version, r.timestamp)
@@ -110,6 +146,10 @@ def assert_same(history, reference, rng):
         assert history.missing_tokens(clock) == (
             reference.missing_tokens(pairs)
         )
+        # ... and whenever it says yes, the two exact tests agree.
+        if history.admits(clock):
+            assert not reference.is_obsolete(pairs)
+            assert reference.missing_tokens(pairs) == []
         token = random_token(rng, n)
         assert history.orphaned_by(token) == reference.orphaned_by(token)
         # Lemma 3: a state survives a token iff it is not its orphan.
@@ -144,3 +184,33 @@ def test_random_sequences_match_the_reference(seed):
         else:
             assert history.compact() == reference.compact()
         assert_same(history.snapshot(), reference, rng)
+
+
+def test_the_fast_path_through_out_of_order_tokens_and_a_floor():
+    history = History(0, 3)
+    fresh = FTVC.of([(0, 5), (0, 2), (0, 0)])
+    assert history.admits(fresh)
+    # Token v1 of P1 overtakes token v0: nothing about P1 is settled in
+    # one comparison until v0 arrives, whatever version a clock names.
+    history.observe_token(RecoveryToken(1, 1, 4))
+    for version in (0, 1, 2):
+        assert not history.admits(FTVC.of([(0, 5), (version, 1), (0, 0)]))
+    assert history.missing_tokens(FTVC.of([(0, 5), (2, 1), (0, 0)])) == [
+        (1, 0)
+    ]
+    history.observe_token(RecoveryToken(1, 0, 2))
+    assert history.admits(FTVC.of([(0, 5), (2, 0), (0, 0)]))
+    # A clock still on a tokened version takes the exact tests: within
+    # the restoration point it is deliverable, beyond it obsolete.
+    for timestamp, obsolete in ((4, False), (5, True)):
+        old = FTVC.of([(0, 5), (1, timestamp), (0, 0)])
+        assert not history.admits(old)
+        assert history.is_obsolete(old) == obsolete
+    # Compaction raises the floor inside the run of tokens: the expected
+    # version stays, and a replayed clock from below the floor is
+    # refused by both paths.
+    assert history.compact() == 1 and history.floor(1) == 1
+    assert history.admits(FTVC.of([(0, 5), (2, 0), (0, 0)]))
+    below = FTVC.of([(0, 5), (0, 1), (0, 0)])
+    assert not history.admits(below) and history.is_obsolete(below)
+    assert history.snapshot().admits(FTVC.of([(0, 9), (2, 3), (0, 1)]))

@@ -250,3 +250,51 @@ def test_schedule_at_still_rejects_genuinely_past_times():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(4.9, lambda: None)
+
+
+def test_callbacks_take_positional_arguments():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "after")
+    sim.schedule_at(0.5, lambda a, b: seen.append((a, b)), 1, 2)
+    sim.run()
+    assert seen == [(1, 2), "after"]
+
+
+def test_the_handle_is_the_event():
+    sim = Simulator()
+    handle = sim.schedule(2.0, lambda: None, priority=3, label="x")
+    assert (handle.time, handle.priority, handle.seq) == (2.0, 3, 0)
+    assert handle.label == "x" and not handle.cancelled
+
+
+def test_a_suspended_then_retargeted_timer_keeps_its_slot():
+    """Three same-instant events; the middle one is handed to a
+    placeholder (what suspending a timer does) and later handed back with
+    a new callback and argument.  It still fires between its neighbours,
+    at its original ``(time, priority, seq)``."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(5.0, fired.append, "first")
+    handle = sim.schedule(5.0, fired.append, "owner")
+    sim.schedule(5.0, fired.append, "last")
+    key = (handle.time, handle.priority, handle.seq)
+    sim.retarget(handle, lambda: fired.append("placeholder"))
+    sim.run(until=4.0)
+    assert sim.retarget(handle, fired.append, "owner again") is handle
+    assert (handle.time, handle.priority, handle.seq) == key
+    sim.run()
+    assert fired == ["first", "owner again", "last"]
+    assert sim.events_fired == 3
+
+
+def test_schedule_at_fires_when_schedule_would():
+    """``schedule_at(now + d)`` and ``schedule(d)`` agree to the bit, even
+    where ``now + ((now + d) - now)`` is not ``now + d``."""
+    sim = Simulator()
+    sim.schedule(0.1, lambda: None)
+    sim.run()
+    delay = 0.7
+    absolute = sim.schedule_at(sim.now + delay, lambda: None)
+    assert absolute.time == sim.now + ((sim.now + delay) - sim.now)
+    assert absolute.seq == 1

@@ -61,3 +61,28 @@ def test_iteration_order_is_record_order():
     trace.record(1.0, EventKind.CUSTOM, 0, tag="second")
     tags = [e["tag"] for e in trace]
     assert tags == ["first", "second"]
+
+
+def test_events_refuse_attribute_assignment():
+    import pytest
+
+    event = SimTrace().record(1.0, EventKind.SEND, 0, msg_id=7)
+    for name, value in (("pid", 3), ("fields", {}), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(event, name, value)
+    assert (event.pid, event["msg_id"]) == (0, 7)
+
+
+def test_per_kind_queries_see_every_event_in_order():
+    trace = SimTrace()
+    kinds = [EventKind.SEND, EventKind.DELIVER, EventKind.SEND,
+             EventKind.CRASH, EventKind.SEND]
+    for at, kind in enumerate(kinds):
+        trace.record(float(at), kind, at % 2)
+    assert [e.seq for e in trace.events(EventKind.SEND)] == [0, 2, 4]
+    assert [e.seq for e in trace.events(EventKind.SEND, pid=0)] == [0, 2, 4]
+    assert trace.count(EventKind.SEND, pid=1) == 0
+    assert trace.last(EventKind.SEND).seq == 4
+    assert trace.last(EventKind.DELIVER, pid=0) is None
+    assert trace.events(EventKind.ROLLBACK) == []
+    assert trace.events() == list(trace)

@@ -190,3 +190,20 @@ def test_garbage_after_the_last_record_is_a_torn_tail(history, tmp_path):
     assert _state(storage) == barriers[-1][1]
     assert storage.torn_tails_healed == 1
     _assert_appends_and_reloads(copy, storage)
+
+
+def test_a_flipped_top_bit_of_the_first_length_is_damage_not_a_pickle(
+    history, tmp_path
+):
+    """Byte 0 is the high byte of the first record's length: with its top
+    bit set the file starts like a pickle (``\\x80``), but the record tag
+    right behind the header says what it is."""
+
+    def flip(fh):
+        first = fh.read(1)[0]
+        fh.seek(0)
+        fh.write(bytes([first ^ 0x80]))
+
+    copy = _reopen(history, tmp_path, flip)
+    with pytest.raises(StorageCorruptionError, match="offset 0"):
+        FileStableStorage(0, copy)

@@ -40,6 +40,10 @@ table1:
 #   make perf-pairs WORKLOAD=sim_stress
 # on seeds 0 and 7, with sim_steady expected up and the two live
 # workloads as the ones that must not move.
+# Output-driven reply forwarding (no 5 ms poll of protocol.outputs):
+# `latency_p50_ms` a gain in 10/10 pairs of
+#   make perf-pairs WORKLOAD=service_crash
+# on seeds 0 and 7; every other workload must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

@@ -968,6 +968,8 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 # commit lost with the window is re-derived from the
                 # replayed outputs at the next sweep.
                 self.storage.put_lazy("committed_outputs", committed)
+                if self.output_listener is not None:
+                    self.output_listener()
 
         ckpts_collected = 0
         entries_collected = 0

@@ -22,6 +22,7 @@ import time
 from typing import Any, Callable, IO
 
 from repro.live import codec
+from repro.live.framing import compact_json
 from repro.runtime.env import RuntimeEnv, TimerHandle
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace
@@ -87,11 +88,11 @@ class LiveTrace:
     ) -> None:
         line = {
             "t": time_,
-            "kind": kind.value,
+            "kind": kind._value_,
             "pid": pid,
             "fields": {k: codec.encode(v) for k, v in fields.items()},
         }
-        self._buffer.append(json.dumps(line, separators=(",", ":")) + "\n")
+        self._buffer.append(compact_json(line) + "\n")
         self.records_written += 1
         if len(self._buffer) > self.records_buffered_max:
             self.records_buffered_max = len(self._buffer)

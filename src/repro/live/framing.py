@@ -3,7 +3,8 @@
 Each frame is an 8-byte big-endian header -- 4 bytes of payload length
 followed by 4 bytes of CRC32 over the payload -- and then the payload
 itself: a binary wire frame (:mod:`repro.live.wire`, first byte 0xB5) on
-a TCP link, a storage record in the record log.
+a TCP link, a storage record in the record log, a compact JSON object
+(:func:`frame_json`) between a KV client and the service.
 
 The length cap rejects corrupt prefixes before they turn into a
 multi-gigabyte read; the CRC rejects everything subtler.  TCP's own
@@ -20,11 +21,17 @@ already handles.
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 import zlib
+from typing import Any
 
 #: Refuse frames larger than this (a live token or envelope is ~KBs).
 MAX_FRAME = 16 * 1024 * 1024
+
+#: Compact JSON text, from one encoder built once (``json.dumps`` with
+#: non-default ``separators`` builds a new encoder on every call).
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 _HEADER = struct.Struct(">II")
 
@@ -42,6 +49,11 @@ def frame(payload: bytes, *, cap: int = MAX_FRAME) -> bytes:
     if len(payload) > cap:
         raise FramingError(f"frame of {len(payload)} bytes exceeds cap")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def frame_json(obj: Any) -> bytes:
+    """Frame ``obj`` as compact UTF-8 JSON (the KV service's client wire)."""
+    return frame(compact_json(obj).encode("utf-8"))
 
 
 def _check_crc(payload: bytes, crc: int) -> bytes:

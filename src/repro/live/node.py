@@ -379,7 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     done = asyncio.run(run_node(cfg, released_at))
     tmp = cfg["done_path"] + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(done, fh, indent=2)
+        # Compact on purpose: ``indent`` forces the pure-Python encoder
+        # over every committed output, and every reader uses json.load.
+        fh.write(json.dumps(done))
     os.replace(tmp, cfg["done_path"])
     return 0
 

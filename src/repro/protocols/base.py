@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.app import (
@@ -181,6 +181,10 @@ class BaseRecoveryProcess(abc.ABC):
         # ``self.obs.enabled``.
         self.obs = env.tracer if env.tracer is not None else NULL_TRACER
         self.outputs: list[tuple[float, Any]] = []   # committed outputs
+        # Called with no arguments after outputs are appended (once per
+        # emitting step or stability sweep).  A live service port sets it
+        # to learn that replies exist; the simulator never does.
+        self.output_listener: Callable[[], None] | None = None
         # Periodic-task state (see start_periodic_tasks), in firing-setup
         # order: checkpoints, log flushes, stability gossip.
         self._periodic_enabled = False
@@ -397,6 +401,8 @@ class BaseRecoveryProcess(abc.ABC):
                     value=rec.value,
                     uid=self.executor.current_uid,
                 )
+        if records and self.output_listener is not None:
+            self.output_listener()
 
     # ------------------------------------------------------------------
     # Introspection used by the comparison harness

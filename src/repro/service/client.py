@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.live.framing import frame, read_frame
+from repro.live.framing import frame_json, read_frame
 from repro.service.routing import RoutingTable
 
 
@@ -92,9 +92,7 @@ class _ShardLink:
             except (OSError, asyncio.TimeoutError):
                 return False
         try:
-            self.writer.write(
-                frame(json.dumps(msg, separators=(",", ":")).encode("utf-8"))
-            )
+            self.writer.write(frame_json(msg))
             await self.writer.drain()
             return True
         except (ConnectionError, RuntimeError):

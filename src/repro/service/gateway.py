@@ -13,9 +13,13 @@ cluster (see :mod:`repro.live.node`), in one of two roles:
   (:class:`~repro.service.kv.KVReply`, emitted by ``ctx.output``) to
   every connected client as framed JSON.  Outputs are the one legal exit
   path for replies -- a ``ctx.send`` back to pid 0 would make the
-  gateway rollback-able.  The forwarder tails ``protocol.outputs`` from
-  index 0 on every boot: after a crash the checkpoint-restored prefix is
-  re-forwarded, and clients drop acks for ops no longer pending.
+  gateway rollback-able.  The forwarder is woken by the output listener
+  (``protocol.output_listener``): every notification of one event-loop
+  turn becomes a single forward pass, so a reply leaves the replica in
+  the turn after the delivery that produced it.  It forwards
+  ``protocol.outputs`` from index 0 on every boot: after a crash the
+  checkpoint-restored prefix is re-forwarded, and clients drop acks for
+  ops no longer pending.
 
 The wire format is the cluster's own length-prefixed CRC framing
 (:mod:`repro.live.framing`) carrying plain JSON objects, so clients need
@@ -34,17 +38,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Any
 
-from repro.live.framing import frame, read_frame
+from repro.live.framing import frame_json, read_frame
 from repro.service.kv import KVGet, KVPut, KVReply, KVServiceApp
-
-#: How often the reply forwarder tails ``protocol.outputs`` (seconds).
-_FORWARD_INTERVAL = 0.005
-
-
-def _encode(obj: dict[str, Any]) -> bytes:
-    return frame(json.dumps(obj, separators=(",", ":")).encode("utf-8"))
 
 
 class ServicePort:
@@ -72,9 +70,15 @@ class ServicePort:
             self.port = 0
         self.host = str(spec.get("service_host", "127.0.0.1"))
         self._server: asyncio.AbstractServer | None = None
-        self._forward_task: asyncio.Task | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._forwarded = 0
+        # Monotonic instant of the oldest notification no pass has served
+        # yet; None when no pass is owed.
+        self._notified_at: float | None = None
+        self.forward_passes = 0
+        self._delay_sum = 0.0
+        self._delay_max = 0.0
+        self._delays = 0
         self.requests = 0
         self.puts = 0
         self.gets = 0
@@ -85,21 +89,20 @@ class ServicePort:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the port and (for replicas) start tailing outputs."""
+        """Bind the port and (for replicas) listen for outputs."""
         if self.role == "none":
             return
+        if self.role == "reply":
+            self.protocol.output_listener = self._on_outputs
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
-        if self.role == "reply":
-            self._forward_task = asyncio.ensure_future(self._forward_loop())
 
     async def stop(self) -> None:
-        """Tear the port down; a final tail pass drains pending replies."""
-        if self._forward_task is not None:
+        """Tear the port down; a final pass drains pending replies."""
+        if self.role == "reply":
+            self.protocol.output_listener = None
             self._forward_replies()   # don't strand replies in the tail
-            self._forward_task.cancel()
-            self._forward_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -119,6 +122,12 @@ class ServicePort:
             "gets": self.gets,
             "rejected": self.rejected,
             "replies_forwarded": self._forwarded,
+            "forward_passes": self.forward_passes,
+            "forward_delay_mean_ms": (
+                1000.0 * self._delay_sum / self._delays if self._delays
+                else 0.0
+            ),
+            "forward_delay_max_ms": 1000.0 * self._delay_max,
         }
 
     # ------------------------------------------------------------------
@@ -130,7 +139,7 @@ class ServicePort:
         self.connections += 1
         try:
             writer.write(
-                _encode(
+                frame_json(
                     {
                         "role": self.role,
                         "shard": int(self.spec.get("shard", 0)),
@@ -144,6 +153,7 @@ class ServicePort:
             await writer.drain()
             if self.role == "reply":
                 self._writers.add(writer)
+                self._forward_replies()   # release a held tail now
             while True:
                 payload = await read_frame(reader)
                 if payload is None:
@@ -186,6 +196,14 @@ class ServicePort:
     # ------------------------------------------------------------------
     # Reply forwarding (replica role)
     # ------------------------------------------------------------------
+    def _on_outputs(self) -> None:
+        # The output listener runs inside protocol code: it only
+        # schedules, and the notifications of one loop turn share a pass.
+        # While a held tail owes a pass, the connecting reader flushes it.
+        if self._notified_at is None:
+            self._notified_at = time.monotonic()
+            asyncio.get_running_loop().call_soon(self._forward_replies)
+
     def _forward_replies(self) -> None:
         if not self._writers:
             # Hold the tail while nobody is listening: a restarted
@@ -194,12 +212,15 @@ class ServicePort:
             # sees (a put whose retry is then acked from no cache).
             return
         outputs = self.protocol.outputs
+        if self._forwarded == len(outputs):
+            return    # a reader connected to a fully forwarded tail
+        self.forward_passes += 1
         while self._forwarded < len(outputs):
             _, value = outputs[self._forwarded]
             self._forwarded += 1
             if not isinstance(value, KVReply):
                 continue
-            data = _encode(
+            data = frame_json(
                 {
                     "session": value.op_id[0],
                     "seq": value.op_id[1],
@@ -213,8 +234,9 @@ class ServicePort:
                     writer.write(data)
                 except (ConnectionError, RuntimeError):
                     self._writers.discard(writer)
-
-    async def _forward_loop(self) -> None:
-        while True:
-            self._forward_replies()
-            await asyncio.sleep(_FORWARD_INTERVAL)
+        if self._notified_at is not None:
+            delay = time.monotonic() - self._notified_at
+            self._notified_at = None
+            self._delays += 1
+            self._delay_sum += delay
+            self._delay_max = max(self._delay_max, delay)

@@ -1,6 +1,7 @@
 """Length+CRC framing: round trips, EOF semantics, size cap, corruption."""
 
 import asyncio
+import json
 import struct
 import zlib
 
@@ -11,6 +12,7 @@ from repro.live.framing import (
     OVERHEAD,
     FramingError,
     frame,
+    frame_json,
     read_frame,
     write_frame,
 )
@@ -36,6 +38,13 @@ def test_frame_prefixes_length_and_crc():
 def test_frame_rejects_oversize():
     with pytest.raises(FramingError):
         frame(b"x" * (MAX_FRAME + 1))
+
+
+def test_frame_json_is_compact_utf8_json():
+    obj = {"key": "é", "seq": [1, 2], "value": None}
+    assert frame_json(obj) == frame(
+        json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    )
 
 
 def test_read_roundtrip():

@@ -1,12 +1,25 @@
 """LiveEnv: clock, message ids, broadcast fan-out, event-loop timers."""
 
 import asyncio
+import io
+import json
 import time
 
+from repro.core.ftvc import FaultTolerantVectorClock
+from repro.harness.conformance import (
+    CONFORMANCE_SCHEDULES,
+    PROTOCOL_REGISTRY,
+    build_conformance_spec,
+)
+from repro.harness.runner import run_experiment
+from repro.live import codec
 from repro.live.env import LiveEnv, LiveTrace, merge_traces
 from repro.runtime.env import RuntimeEnv
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind
+from repro.service.kv import KVPut, KVReply, KVServiceApp
+from repro.sim.failures import CrashPlan
+from tests.service.test_exactly_once import _boot, _settle
 
 
 class FakeTransport:
@@ -115,6 +128,64 @@ def test_trace_roundtrip_through_merge(tmp_path):
     ]
     # Tuples survive the codec round trip (the oracles depend on it).
     assert merged.events(EventKind.OUTPUT)[0].get("value") == ("done", 3, 12)
+
+
+def _recorded_events():
+    """Every event of a pipeline run and of a KV run through a crash."""
+    for schedule in CONFORMANCE_SCHEDULES:
+        yield from run_experiment(
+            build_conformance_spec(PROTOCOL_REGISTRY["damani-garg"], schedule)
+        ).trace
+    app = KVServiceApp(replicas=3)
+    primary = app.primary_for("a")
+    plan = CrashPlan()
+    plan.crash(5.0, primary, 2.0)
+    sim, trace, _, protocols, _ = _boot(crashes=plan)
+    for t in (1.0, 2.0, 6.0, 12.0):
+        sim.schedule(
+            t,
+            lambda t=t: protocols[0].inject_app_send(
+                primary, KVPut(key="a", value=int(t), op_id=(7, int(t)))
+            ),
+        )
+    _settle(sim, protocols, horizon=40.0)
+    yield from trace
+
+
+def test_trace_lines_are_byte_identical_to_the_codec_reference():
+    """Records written through the shared compact encoder are exactly what
+    codec.encode + json.dumps wrote, for every field type a run records."""
+    clock = FaultTolerantVectorClock.initial(1, 3)
+    reply = KVReply(op_id=(7, 8), key="a", value=None, version=3)
+    events = [
+        (e.time, e.kind, e.pid, e.fields) for e in _recorded_events()
+    ]
+    events.append((0.5, EventKind.CUSTOM, 2, {
+        "clock": clock, "reply": reply, "ids": {3, 1, 2},
+        "frozen": frozenset({"b", "a"}), "nested": (1, (2, 3)),
+        "mixed": ("x", 1.5, True, None), "empty": (), "holder": (reply,),
+        "clocks": (clock,), "listed": [1, (2,)], "mapping": {"k": (1, 2)},
+        "flag": False, "nothing": None, "ratio": 0.25,
+    }))
+    buf = io.StringIO()
+    trace = LiveTrace(buf, buffer_records=1)
+    expected = []
+    seen = set()
+    for time_, kind, pid, fields in events:
+        trace.record(time_, kind, pid, **fields)
+        expected.append(json.dumps(
+            {
+                "t": time_, "kind": kind.value, "pid": pid,
+                "fields": {k: codec.encode(v) for k, v in fields.items()},
+            },
+            separators=(",", ":"),
+        ) + "\n")
+        seen.update(type(v).__name__ for v in fields.values())
+    assert buf.getvalue() == "".join(expected)
+    assert {
+        "FaultTolerantVectorClock", "KVReply", "set", "frozenset", "tuple",
+        "list", "dict", "bool", "float", "NoneType", "int", "str",
+    } <= seen
 
 
 class TestMonotonicAnchor:

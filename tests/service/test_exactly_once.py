@@ -21,7 +21,7 @@ from repro.sim.rng import RandomStreams
 from repro.sim.trace import SimTrace
 
 
-def _boot(n=4, crashes=None, seed=0):
+def _boot(n=4, crashes=None, seed=0, **config):
     """A manual shard: gateway at pid 0, replicas 1..n-1, like live."""
     sim = Simulator()
     trace = SimTrace()
@@ -43,6 +43,7 @@ def _boot(n=4, crashes=None, seed=0):
                 checkpoint_interval=2.0,
                 flush_interval=0.5,
                 retransmit_on_token=True,
+                **config,
             ),
         )
         for host in hosts

@@ -44,6 +44,14 @@ table1:
 # `latency_p50_ms` a gain in 10/10 pairs of
 #   make perf-pairs WORKLOAD=service_crash
 # on seeds 0 and 7; every other workload must not move.
+# The trace digest as one value-based binary pass (SimTrace.signature()
+# pickles each event into blake2b; the 27 historical goldens are kept
+# through the test suite's reference encoder): `ops_per_s` a gain in
+# 10/10 pairs of
+#   make perf-pairs WORKLOAD=sim_stress
+# on seeds 0 and 7, with `peak_rss_mb` within +2% and sim_steady and the
+# two live workloads (none of which digests a trace) as the ones that
+# must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

@@ -587,8 +587,21 @@ class FileStableStorage(StableStorage):
 # ---------------------------------------------------------------------------
 # python -m repro.live.storage PATH
 # ---------------------------------------------------------------------------
+def _size(nbytes: int) -> str:
+    return f"{nbytes}B" if nbytes < 1024 else f"{round(nbytes / 1024)}KB"
+
+
+def _pickled(value: Any) -> str:
+    """``value``'s size as it would be pickled on its own."""
+    return _size(len(pickle.dumps(value, protocol=4)))
+
+
 def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
-    """One line per record: offset, bytes, what it holds, active intent."""
+    """One line per record: offset, bytes, what it holds, active intent.
+
+    Each part of a record is sized as if pickled on its own, so small
+    ops can add up to more than their record, which pickles the class
+    of a repeated object once."""
     records, end = scan(data, path)
     for offset, payload in records:
         kind, body = _decode(payload)
@@ -596,22 +609,30 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
             scalars = body["scalars"]
             held = (
                 f"snapshot pid={body['pid']} "
-                f"checkpoints={len(body['checkpoints'])} "
+                f"checkpoints={len(body['checkpoints'])}:"
+                f"{_pickled(body['checkpoints'])} "
                 f"log=[{body['log_gc_offset']},"
-                f"{body['log_gc_offset'] + len(body['log_stable'])}) "
-                f"tokens={len(body['tokens'])} kv={len(body['kv'])} "
-                f"outbox={sum(map(len, body['outbox'].values()))}"
+                f"{body['log_gc_offset'] + len(body['log_stable'])}):"
+                f"{_pickled(body['log_stable'])} "
+                f"tokens={len(body['tokens'])} "
+                f"kv={len(body['kv'])}:{_pickled(body['kv'])} "
+                f"outbox={sum(map(len, body['outbox'].values()))}:"
+                f"{_pickled(body['outbox'])}"
             )
         else:
             scalars, ops = body
-            counts: dict[str, int] = {}
+            counts: dict[str, list[int]] = {}
             for op in ops:
                 label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
-                counts[label] = counts.get(label, 0) + (
-                    len(op[1]) if op[0] == "log+" else 1
-                )
+                tally = counts.setdefault(label, [0, 0])
+                tally[0] += len(op[1]) if op[0] == "log+" else 1
+                tally[1] += len(pickle.dumps(op, protocol=4))
             held = "delta " + (
-                ",".join(f"{k}x{v}" for k, v in counts.items()) or "-"
+                ",".join(
+                    f"{k}x{n}:{_size(nbytes)}"
+                    for k, (n, nbytes) in counts.items()
+                )
+                or "-"
             )
         *_, active, _audit = scalars
         intent = "-" if active is None else f"{active.kind}@{active.step}"

@@ -14,9 +14,16 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from enum import Enum
+from types import SimpleNamespace
 from typing import Any, Iterator, NamedTuple
 
 _new_event = tuple.__new__
+
+#: Events per ``Pickler.dump`` in :meth:`SimTrace.signature`: what the
+#: digest holds at once.  Part of the encoding: changing it changes the
+#: signature of every trace longer than a chunk.  64-512 time alike on
+#: a stress schedule; 1024 and up are slower.
+_DIGEST_CHUNK = 256
 
 
 class EventKind(Enum):
@@ -115,15 +122,26 @@ class SimTrace:
         return None
 
     def signature(self) -> str:
-        """A deterministic digest of the whole trace.
+        """A deterministic digest of the whole trace (32 hex digits).
 
         Two runs with the same seed must produce equal signatures; the
-        determinism tests rely on this.
+        determinism tests rely on this.  Each event goes in as ``(seq,
+        time, kind value, pid, sorted field items)``, pickled (protocol
+        5) straight into the hash, :data:`_DIGEST_CHUNK` events per
+        ``dump``.  The pickler keeps no memo, so the bytes depend on the
+        values alone, never on which of them happen to be one object.
         """
-        h = hashlib.blake2b(digest_size=16)
-        for seq, time, kind, pid, fields in self._events:
-            h.update(
-                f"{seq}|{time!r}|{kind._value_}|{pid}|"
-                f"{sorted(fields.items())!r}\n".encode("utf-8")
-            )
-        return h.hexdigest()
+        import pickle   # here: a run that is never digested never loads it
+
+        digest = hashlib.blake2b(digest_size=16)
+        sink = SimpleNamespace(write=digest.update)
+        pickler = pickle.Pickler(sink, protocol=5)
+        pickler.fast = True     # no memo
+        events = self._events
+        for start in range(0, len(events), _DIGEST_CHUNK):
+            pickler.dump([
+                (seq, time, kind._value_, pid, sorted(fields.items()))
+                for seq, time, kind, pid, fields
+                in events[start:start + _DIGEST_CHUNK]
+            ])
+        return digest.hexdigest()

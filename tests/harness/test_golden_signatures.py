@@ -1,16 +1,26 @@
 """Golden trace signatures: the engine refactor safety net.
 
 Every (protocol, conformance schedule) pair has a deterministic ground
-truth trace; its MD5 digest is pinned here.  These digests were captured
-before the protocols were ported onto :class:`RuntimeEnv`, so a mismatch
-means an engine or protocol change altered the *semantics* of a run --
-event order, timing, or content -- not just its implementation.
+truth trace, pinned here twice, each time as a 16-byte blake2b digest:
+
+- ``GOLDEN`` holds the *historical* digests, captured before the
+  protocols were ported onto :class:`RuntimeEnv`.  They are digests of
+  the text encoding the trace used until its digest became binary, and
+  :func:`reference_signature` below is that encoder, kept verbatim.  A
+  mismatch here means an engine or protocol change altered the
+  *semantics* of a run -- event order, timing, or content -- not just
+  its implementation.
+- ``SIGNATURE`` holds what :meth:`SimTrace.signature` returns for the
+  same runs (the value-based pickle encoding).  A mismatch here with
+  ``GOLDEN`` still matching means the encoder changed, not the run.
 
 If a change is *supposed* to alter execution (a protocol fix, a new
-event), re-pin by printing ``result.trace.signature()`` for the failing
-pairs and updating the table in the same commit, with the reason in the
-commit message.
+event), re-pin both tables by printing ``reference_signature(trace)``
+and ``result.trace.signature()`` for the failing pairs, in the same
+commit, with the reason in the commit message.
 """
+
+import hashlib
 
 import pytest
 
@@ -20,6 +30,19 @@ from repro.harness.conformance import (
     build_conformance_spec,
 )
 from repro.harness.runner import run_experiment
+
+
+def reference_signature(trace) -> str:
+    """The trace digest as ``SimTrace.signature`` computed it until the
+    encoding became binary: one ``repr`` line per event."""
+    h = hashlib.blake2b(digest_size=16)
+    for seq, time, kind, pid, fields in trace:
+        h.update(
+            f"{seq}|{time!r}|{kind._value_}|{pid}|"
+            f"{sorted(fields.items())!r}\n".encode("utf-8")
+        )
+    return h.hexdigest()
+
 
 GOLDEN = {
     "causal/double-sequential-crash": "0700c6770080bc95ee5ca4519f60c312",
@@ -75,6 +98,60 @@ GOLDEN = {
         "78a2fe67c7972e398b80530e7e2da605",
 }
 
+SIGNATURE = {
+    "causal/double-sequential-crash": "78ed57f764feaf9240fbca0e87ff7bd0",
+    "causal/early-crash-mid-stage": "2d6000f44c06319147d238b8d2a76b0b",
+    "causal/late-crash-final-stage": "d02706372d416778b68d5da03e87a5b6",
+    "coordinated/double-sequential-crash":
+        "29ab3937c8e64f0779d9cab3ec2a8454",
+    "coordinated/early-crash-mid-stage":
+        "096b475835c1b9d0a4c2277f5897ba12",
+    "coordinated/late-crash-final-stage":
+        "09891c2b6a940a213ad5857393b699f0",
+    "damani-garg/double-sequential-crash":
+        "ca4a8aa936062762f7d7db949243ed96",
+    "damani-garg/early-crash-mid-stage":
+        "5ae8c8a9d2d1303948cc01d35619726a",
+    "damani-garg/late-crash-final-stage":
+        "1fe44583a4f851ae8421539559abedf0",
+    "pessimistic/double-sequential-crash":
+        "cd23265ecc1d339bb999415842757957",
+    "pessimistic/early-crash-mid-stage":
+        "8469bbdd472d199da7f68e4ce8943c49",
+    "pessimistic/late-crash-final-stage":
+        "6fd55b92caeeeece75f20e559153cd68",
+    "peterson-kearns/double-sequential-crash":
+        "adac4aac515ff761591ca3cc4a9e8521",
+    "peterson-kearns/early-crash-mid-stage":
+        "a263a772cb3e5c52462824ee49cbb9e3",
+    "peterson-kearns/late-crash-final-stage":
+        "73f680d3caea41d2b93a50f02a9f8d0b",
+    "sender-based/double-sequential-crash":
+        "cb4644deaa12e2ac814cea4d6488eed8",
+    "sender-based/early-crash-mid-stage":
+        "acedc1d3567e12d7aef18e3729bdffc6",
+    "sender-based/late-crash-final-stage":
+        "f7f7df5ee41c4403e9fcd2a0a747d511",
+    "sistla-welch/double-sequential-crash":
+        "d34a1dc31fdd2d6cdb72abc09d7dcac9",
+    "sistla-welch/early-crash-mid-stage":
+        "c412e9f04540d7beebfcd02848ab8bc0",
+    "sistla-welch/late-crash-final-stage":
+        "64f29f42715341f466f48845b5ff24d1",
+    "smith-johnson-tygar/double-sequential-crash":
+        "ca4a8aa936062762f7d7db949243ed96",
+    "smith-johnson-tygar/early-crash-mid-stage":
+        "5ae8c8a9d2d1303948cc01d35619726a",
+    "smith-johnson-tygar/late-crash-final-stage":
+        "1fe44583a4f851ae8421539559abedf0",
+    "strom-yemini/double-sequential-crash":
+        "ca0b67633c2e968c28a331a789c7f58b",
+    "strom-yemini/early-crash-mid-stage":
+        "ab699ba23b10d15818d2f1c6d093d40a",
+    "strom-yemini/late-crash-final-stage":
+        "c5d5bd75f7936f9420d3847c9f5ec45d",
+}
+
 
 def test_every_registry_pair_is_pinned():
     expected = {
@@ -82,7 +159,7 @@ def test_every_registry_pair_is_pinned():
         for name in PROTOCOL_REGISTRY
         for schedule in CONFORMANCE_SCHEDULES
     }
-    assert expected == set(GOLDEN), (
+    assert expected == set(GOLDEN) == set(SIGNATURE), (
         "registry/schedule changed: pin signatures for the new pairs"
     )
 
@@ -96,9 +173,12 @@ def test_trace_signature_matches_golden(key):
     spec = build_conformance_spec(
         PROTOCOL_REGISTRY[protocol_name], schedule
     )
-    result = run_experiment(spec)
-    assert result.trace.signature() == GOLDEN[key], (
+    trace = run_experiment(spec).trace
+    assert reference_signature(trace) == GOLDEN[key], (
         f"{key}: deterministic execution changed"
+    )
+    assert trace.signature() == SIGNATURE[key], (
+        f"{key}: the run is unchanged but SimTrace.signature()'s encoding is not"
     )
 
 

@@ -6,11 +6,12 @@ over the same file -- exactly what a restarted live node does.
 
 import os
 import pickle
+import re
 
 import pytest
 
 from repro.core.tokens import RecoveryToken
-from repro.live.storage import FileStableStorage, scan
+from repro.live.storage import FileStableStorage, _size, scan
 from repro.runtime.message import NetworkMessage
 
 
@@ -450,7 +451,15 @@ def test_cli_prints_one_line_per_record(path):
     lines = done.stdout.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("offset=0 ") and "snapshot pid=0" in lines[0]
-    assert "log+x2" in lines[1] and "intent=flush@log_flushed" in lines[1]
-    assert "kv:stable_ownx1" in lines[2] and "intent=-" in lines[2]
+    assert re.search(r" checkpoints=0:\d+B log=\[0,0\):\d+B ", lines[0])
+    assert re.search(r" log\+x2:\d+B[ ,]", lines[1])
+    assert "intent=flush@log_flushed" in lines[1]
+    assert re.search(r" kv:stable_ownx1:\d+B ", lines[2])
+    assert "intent=-" in lines[2]
     assert "TORN TAIL" in lines[3]
     assert os.path.getsize(path) == size        # looked, did not heal
+
+
+def test_cli_sizes_read_in_bytes_then_kilobytes():
+    assert (_size(0), _size(1023), _size(1024)) == ("0B", "1023B", "1KB")
+    assert _size(1_122_000) == "1096KB"

@@ -19,8 +19,22 @@ carry their own strict xfail below.
 
 Replay one by hand with ``python -m repro stress --replay
 tests/stress/reproducers/stress-repro-seed1725.json``.
+
+Every failing schedule runs both ``commit_outputs`` and ``enable_gc``.
+The twin replays at the bottom run each reproducer again with one of
+the two switched off, which splits the inventory in two:
+
+- the eight ``_rollback`` reproducers replay clean without GC and still
+  raise without output commit: that bug lives in the choice of the GC
+  anchor (which checkpoints and log prefix a stability sweep discards);
+- heavy seed 1480 is the reverse: clean without output commit, still
+  committing from a condemned state without GC: that bug lives in the
+  output-commit predicate itself.
+
+The "still fails" twins are strict xfails as well, so the fix flips them.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,10 +43,13 @@ from repro.stress import load_reproducer, run_case
 
 REPRODUCERS = sorted((Path(__file__).parent / "reproducers").glob("*.json"))
 HEAVY = Path(__file__).parent / "reproducers" / "heavy"
+ROLLBACK = REPRODUCERS + [HEAVY / "stress-repro-seed386.json"]
+OUTPUT_COMMIT = HEAVY / "stress-repro-seed1480.json"
 
 
-def replays_clean(path):
+def replays_clean(path, **switches):
     case, _ = load_reproducer(path)
+    case = replace(case, **switches)
     result = run_case(case)
     assert not result.failed, f"{case.describe()}: {result.headline()}"
 
@@ -72,4 +89,35 @@ def test_heavy_rollback_failure_replays_clean():
     "condemns -- Section 6.5's output-commit guarantee is violated",
 )
 def test_heavy_output_commit_failure_replays_clean():
-    replays_clean(HEAVY / "stress-repro-seed1480.json")
+    replays_clean(OUTPUT_COMMIT)
+
+
+# ---------------------------------------------------------------------------
+# Twin replays: the same schedule with one extension switched off
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("path", ROLLBACK, ids=lambda path: path.stem)
+def test_rollback_failure_replays_clean_without_gc(path):
+    replays_clean(path, enable_gc=False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the _rollback failure does not need output commit: it still "
+    "raises 'no non-orphan checkpoint for Token' with commit_outputs off",
+)
+@pytest.mark.parametrize("path", ROLLBACK, ids=lambda path: path.stem)
+def test_rollback_failure_replays_clean_without_output_commit(path):
+    replays_clean(path, commit_outputs=False)
+
+
+def test_output_commit_failure_replays_clean_without_output_commit():
+    replays_clean(OUTPUT_COMMIT, commit_outputs=False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="heavy seed 1480 does not need GC: pid 8 still commits output "
+    "('done', 3, ...) from the condemned state (8, 0, 5) with enable_gc off",
+)
+def test_output_commit_failure_replays_clean_without_gc():
+    replays_clean(OUTPUT_COMMIT, enable_gc=False)

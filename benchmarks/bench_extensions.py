@@ -17,7 +17,7 @@ from repro.harness.reporting import format_table
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run_pipeline(stability_interval: float, seed: int = 1):

@@ -9,7 +9,7 @@ the obsolete m0 outright (having already seen the token).
 from repro.analysis import check_recovery
 from repro.core.history import RecordKind
 from repro.harness.scenarios import figure5
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def test_bench_figure5_scenario(benchmark):

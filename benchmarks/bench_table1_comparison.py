@@ -144,7 +144,7 @@ def test_pessimistic_context_row(benchmark):
     total_sync = sum(p.stats.sync_log_writes for p in result.protocols)
     assert total_sync == result.total_delivered
 
-    from repro.sim.trace import EventKind
+    from repro.runtime.trace import EventKind
 
     optimistic = run_standard(DamaniGargProcess, seed=1)
     # Stable-storage write operations actually performed (empty periodic

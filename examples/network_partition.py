@@ -29,7 +29,7 @@ from repro import (
 from repro.analysis import check_recovery
 from repro.apps import RandomRoutingApp
 from repro.protocols import SenderBasedProcess
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 PARTITION_START, CRASH_AT, HEAL_AT = 18.0, 25.0, 50.0
 

@@ -12,7 +12,7 @@ Run:  python examples/paper_figures.py
 
 from repro.analysis import check_recovery
 from repro.harness.scenarios import figure1, figure5
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 INTERESTING = (
     EventKind.SEND,

@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.analysis import check_recovery, check_theorem1, measure_overhead
 from repro.apps import RandomRoutingApp
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def main() -> None:

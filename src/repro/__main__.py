@@ -200,7 +200,7 @@ def cmd_figures(_args: argparse.Namespace) -> int:
     print(f"figure 1: {'verified' if ok1 else 'MISMATCH'}")
 
     result5 = figure5()
-    from repro.sim.trace import EventKind
+    from repro.runtime.trace import EventKind
 
     ok5 = (
         len(result5.trace.events(EventKind.POSTPONE, pid=0)) == 1

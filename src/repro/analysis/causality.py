@@ -1,7 +1,7 @@
 """Ground-truth extended happen-before, lost states, and orphan states.
 
 Everything here is computed from the substrate-written
-:class:`~repro.sim.trace.SimTrace` alone -- never from protocol data
+:class:`~repro.runtime.trace.SimTrace` alone -- never from protocol data
 structures -- so it can judge any protocol, including a buggy one.
 
 The reconstruction walks the trace in order, maintaining per-process state
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 StateUid = tuple[int, int, int]
 Edge = tuple[StateUid, StateUid]

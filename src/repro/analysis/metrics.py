@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from repro.harness.runner import ExperimentResult
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def percentile(values: list[float], q: float) -> float | None:

@@ -21,7 +21,7 @@ Checked invariants (the contract `analysis/causality.py` depends on):
 
 from __future__ import annotations
 
-from repro.sim.trace import EventKind, SimTrace, TraceEvent
+from repro.runtime.trace import EventKind, SimTrace, TraceEvent
 
 
 class TraceDisciplineError(AssertionError):

@@ -55,7 +55,7 @@ from repro.protocols import (
 )
 from repro.sim.failures import CrashPlan
 from repro.sim.network import DeliveryOrder
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 #: Canonical CLI name -> protocol class, for every implementation the repo
 #: has.  The CLI, the conformance suite, and the parallel Table 1 harness

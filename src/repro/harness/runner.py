@@ -1,17 +1,23 @@
 """The experiment runner: protocol x workload x failure schedule -> result.
 
 A single entry point, :func:`run_experiment`, assembles the full stack
-(simulator, network, hosts, protocol processes, failure injector), runs it,
-and returns an :class:`ExperimentResult` bundling the ground-truth trace,
-per-process protocol stats and the live protocol objects for inspection.
-Everything is driven by an :class:`ExperimentSpec`, which is plain data so
-sweeps are trivial to express.
+(simulator, network, simulated processes, protocols, failure injector),
+runs it, and returns an :class:`ExperimentResult` bundling the ground-truth
+trace, per-process protocol stats and the live protocol objects for
+inspection.  Everything is driven by an :class:`ExperimentSpec`, which is
+plain data so sweeps are trivial to express.
+
+This module is the only place a simulated run is assembled.  A scripted
+run splits :func:`run_experiment` in two: :meth:`ExperimentResult.build`
+assembles the stack and installs the failure plans, the script schedules
+its own calls on ``result.sim``, and :meth:`ExperimentResult.run` starts,
+runs, halts and drains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.obs.tracer import NULL_TRACER
 from repro.protocols.base import (
@@ -32,10 +38,11 @@ from repro.sim.network import (
     Network,
     UniformLatency,
 )
+from repro.runtime.app import Application
 from repro.runtime.env import RuntimeEnv
-from repro.sim.process import Application, ProcessHost
+from repro.runtime.trace import SimTrace
+from repro.sim.env import SimEnv
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
 
 ProtocolFactory = Callable[
     [RuntimeEnv, Application, ProtocolConfig], BaseRecoveryProcess
@@ -84,7 +91,7 @@ class ExperimentResult:
     sim: Simulator
     network: Network
     trace: SimTrace
-    hosts: list[ProcessHost]
+    hosts: list[SimEnv]
     protocols: list[BaseRecoveryProcess]
     coordinator: Any = None   # StabilityCoordinator when enabled
 
@@ -125,67 +132,77 @@ class ExperimentResult:
             default=0,
         )
 
+    @classmethod
+    def build(cls, spec: ExperimentSpec) -> "ExperimentResult":
+        """Assemble the stack ``spec`` describes and install its failure
+        plans, without starting it.  Calls scheduled on ``result.sim``
+        before :meth:`run` fire at their virtual times."""
+        sim = Simulator(tracer=spec.tracer)
+        if spec.tracer is not None:
+            # Gauge samples and obs events carry virtual timestamps.
+            spec.tracer.bind_clock(lambda: sim.now)
+        trace = SimTrace()
+        network = Network(
+            sim,
+            spec.n,
+            streams=RandomStreams(spec.seed),
+            latency=spec.latency,
+            order=spec.order,
+            trace=trace,
+            duplicate_rate=spec.duplicate_rate,
+        )
+        hosts = [SimEnv(pid, sim, network, trace) for pid in range(spec.n)]
+        protocols = [
+            spec.protocol(host, spec.app, spec.config) for host in hosts
+        ]
+        if spec.record_states:
+            for protocol in protocols:
+                protocol.executor.record_states = True
+        coordinator = None
+        if spec.stability_interval is not None:
+            from repro.core.extensions import StabilityCoordinator
+
+            coordinator = StabilityCoordinator(
+                sim, protocols, interval=spec.stability_interval
+            )
+            coordinator.start()
+        FailureInjector(sim, hosts, network).install(
+            spec.crashes, spec.partitions, crash_points=spec.crash_points
+        )
+        return cls(
+            spec=spec,
+            sim=sim,
+            network=network,
+            trace=trace,
+            hosts=hosts,
+            protocols=protocols,
+            coordinator=coordinator,
+        )
+
+    def run(self) -> "ExperimentResult":
+        """Start every process, run to the horizon, then (``spec.drain``)
+        halt the periodic tasks and run to quiescence; returns ``self``."""
+        spec = self.spec
+        for host in self.hosts:
+            host.start()
+        obs = spec.tracer if spec.tracer is not None else NULL_TRACER
+        with obs.span("run.horizon_wall_s"):
+            self.sim.run(until=spec.horizon)
+        if spec.drain:
+            # Stop checkpoint/flush heartbeats so the run can quiesce, then
+            # let in-flight application and recovery traffic finish.
+            for protocol in self.protocols:
+                protocol.halt_periodic_tasks()
+            if self.coordinator is not None:
+                self.coordinator.stop()
+            with obs.span("run.drain_wall_s"):
+                self.sim.drain(limit=spec.drain_limit)
+            if self.coordinator is not None:
+                # One final sweep so outputs stranded by the cutoff commit.
+                self.coordinator.sweep_now()
+        return self
+
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Build the stack described by ``spec``, run it, return the result."""
-    sim = Simulator(tracer=spec.tracer)
-    if spec.tracer is not None:
-        # Gauge samples and obs events carry virtual timestamps.
-        spec.tracer.bind_clock(lambda: sim.now)
-    streams = RandomStreams(spec.seed)
-    trace = SimTrace()
-    network = Network(
-        sim,
-        spec.n,
-        streams=streams,
-        latency=spec.latency,
-        order=spec.order,
-        trace=trace,
-        duplicate_rate=spec.duplicate_rate,
-    )
-    hosts = [ProcessHost(pid, sim, network, trace) for pid in range(spec.n)]
-    protocols = [
-        spec.protocol(host.runtime_env(), spec.app, spec.config)
-        for host in hosts
-    ]
-    if spec.record_states:
-        for protocol in protocols:
-            protocol.executor.record_states = True
-    coordinator = None
-    if spec.stability_interval is not None:
-        from repro.core.extensions import StabilityCoordinator
-
-        coordinator = StabilityCoordinator(
-            sim, protocols, interval=spec.stability_interval
-        )
-        coordinator.start()
-    injector = FailureInjector(sim, hosts, network)
-    injector.install(
-        spec.crashes, spec.partitions, crash_points=spec.crash_points
-    )
-    for host in hosts:
-        host.start()
-    obs = spec.tracer if spec.tracer is not None else NULL_TRACER
-    with obs.span("run.horizon_wall_s"):
-        sim.run(until=spec.horizon)
-    if spec.drain:
-        # Stop checkpoint/flush heartbeats so the run can quiesce, then let
-        # in-flight application and recovery traffic finish.
-        for protocol in protocols:
-            protocol.halt_periodic_tasks()
-        if coordinator is not None:
-            coordinator.stop()
-        with obs.span("run.drain_wall_s"):
-            sim.drain(limit=spec.drain_limit)
-        if coordinator is not None:
-            # One final sweep so outputs stranded by the cutoff commit.
-            coordinator.sweep_now()
-    return ExperimentResult(
-        spec=spec,
-        sim=sim,
-        network=network,
-        trace=trace,
-        hosts=hosts,
-        protocols=protocols,
-        coordinator=coordinator,
-    )
+    return ExperimentResult.build(spec).run()

@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.recovery import DamaniGargProcess
+from repro.harness.runner import ExperimentResult, ExperimentSpec
 from repro.protocols.base import BaseRecoveryProcess, ProtocolConfig
-from repro.sim.failures import CrashPlan, FailureInjector
-from repro.sim.kernel import Simulator
-from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
-from repro.sim.process import ProcessContext, ProcessHost
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.app import ProcessContext
+from repro.sim.failures import CrashPlan
+from repro.sim.network import ScriptedLatency
 
 
 class ScriptedApp:
@@ -62,39 +60,31 @@ class ScriptedApp:
 
 
 @dataclass
-class ScenarioResult:
+class ScenarioResult(ExperimentResult):
     """A finished scripted run plus handles for assertions."""
 
-    sim: Simulator
-    network: Network
-    trace: SimTrace
-    hosts: list[ProcessHost]
-    protocols: list[DamaniGargProcess]
     notes: dict[str, Any] = field(default_factory=dict)
 
 
 def _build(
-    n: int,
     app: ScriptedApp,
     latency: ScriptedLatency,
-    config: ProtocolConfig,
+    crashes: CrashPlan,
     protocol_cls: type[BaseRecoveryProcess] = DamaniGargProcess,
-) -> tuple[Simulator, Network, SimTrace, list[ProcessHost], list]:
-    sim = Simulator()
-    trace = SimTrace()
-    network = Network(
-        sim,
-        n,
-        streams=RandomStreams(0),
-        latency=latency,
-        order=DeliveryOrder.RANDOM,
-        trace=trace,
+    horizon: float = 60.0,
+) -> ScenarioResult:
+    """Assemble a three-process scripted run, not yet started."""
+    return ScenarioResult.build(
+        ExperimentSpec(
+            n=3,
+            app=app,
+            protocol=protocol_cls,
+            horizon=horizon,
+            latency=latency,
+            config=ProtocolConfig(checkpoint_interval=1e9, flush_interval=1e9),
+            crashes=crashes,
+        )
     )
-    hosts = [ProcessHost(pid, sim, network, trace) for pid in range(n)]
-    protocols = [
-        protocol_cls(host.runtime_env(), app, config) for host in hosts
-    ]
-    return sim, network, trace, hosts, protocols
 
 
 def figure1() -> ScenarioResult:
@@ -130,35 +120,20 @@ def figure1() -> ScenarioResult:
         .plan(0, 1, 5.0, 10.0)     # m1, m2
         .plan(1, 2, 5.0)           # m3 (sent at t=10, arrives t=15)
     )
-    config = ProtocolConfig(checkpoint_interval=1e9, flush_interval=1e9)
-    sim, network, trace, hosts, protocols = _build(3, app, latency, config)
-
-    injector = FailureInjector(sim, hosts, network)
-    injector.install(CrashPlan().crash(20.0, 1, downtime=2.0))
-    sim.schedule_at(7.0, protocols[1].flush_log, label="flush-m1")
-
-    for host in hosts:
-        host.start()
-    sim.run(until=60.0)
-    for protocol in protocols:
-        protocol.halt_periodic_tasks()
-    sim.drain()
-
-    return ScenarioResult(
-        sim=sim,
-        network=network,
-        trace=trace,
-        hosts=hosts,
-        protocols=protocols,
-        notes={
-            "s11": ((0, 1), (0, 2), (0, 0)),
-            "s12": ((0, 2), (0, 3), (0, 0)),
-            "s22": ((0, 2), (0, 3), (0, 3)),
-            "r10": ((0, 1), (1, 0), (0, 0)),
-            "r20": ((0, 0), (0, 0), (0, 3)),
-            "p1_after_m0": ((0, 1), (1, 1), (0, 1)),
-        },
+    result = _build(app, latency, CrashPlan().crash(20.0, 1, downtime=2.0))
+    result.sim.schedule_at(
+        7.0, result.protocols[1].flush_log, label="flush-m1"
     )
+    result.run()
+    result.notes = {
+        "s11": ((0, 1), (0, 2), (0, 0)),
+        "s12": ((0, 2), (0, 3), (0, 0)),
+        "s22": ((0, 2), (0, 3), (0, 3)),
+        "r10": ((0, 1), (1, 0), (0, 0)),
+        "r20": ((0, 0), (0, 0), (0, 3)),
+        "p1_after_m0": ((0, 1), (1, 1), (0, 1)),
+    }
+    return result
 
 
 def figure5() -> ScenarioResult:
@@ -208,28 +183,12 @@ def figure5() -> ScenarioResult:
         .plan(1, 2, 2.0, kind="token")     # token to P2 (t=12)
         .plan(1, 0, 10.0, kind="token")    # token to P0 (t=20)
     )
-    config = ProtocolConfig(checkpoint_interval=1e9, flush_interval=1e9)
-    sim, network, trace, hosts, protocols = _build(3, app, latency, config)
-
-    injector = FailureInjector(sim, hosts, network)
-    injector.install(CrashPlan().crash(8.0, 1, downtime=2.0))
+    result = _build(app, latency, CrashPlan().crash(8.0, 1, downtime=2.0))
+    sim, protocols = result.sim, result.protocols
     sim.schedule_at(3.0, protocols[1].flush_log, label="flush-x1")
     sim.schedule_at(7.0, protocols[0].flush_log, label="flush-m1")
-
-    for host in hosts:
-        host.start()
-    sim.run(until=60.0)
-    for protocol in protocols:
-        protocol.halt_periodic_tasks()
-    sim.drain()
-
-    return ScenarioResult(
-        sim=sim,
-        network=network,
-        trace=trace,
-        hosts=hosts,
-        protocols=protocols,
-    )
+    result.run()
+    return result
 
 
 def cascade(protocol_cls: type[BaseRecoveryProcess]) -> ScenarioResult:
@@ -274,20 +233,9 @@ def cascade(protocol_cls: type[BaseRecoveryProcess]) -> ScenarioResult:
         .plan(1, 2, 1.5, kind="token")     # P1's announcements (S-Y only)
         .plan(1, 0, 1.5, kind="token")
     )
-    config = ProtocolConfig(checkpoint_interval=1e9, flush_interval=1e9)
-    sim, network, trace, hosts, protocols = _build(
-        3, app, latency, config, protocol_cls
+    result = _build(
+        app, latency, CrashPlan().crash(5.0, 0, downtime=1.0),
+        protocol_cls, horizon=80.0,
     )
-    FailureInjector(sim, hosts, network).install(
-        CrashPlan().crash(5.0, 0, downtime=1.0)
-    )
-    for host in hosts:
-        host.start()
-    sim.run(until=80.0)
-    for protocol in protocols:
-        protocol.halt_periodic_tasks()
-    sim.drain()
-    return ScenarioResult(
-        sim=sim, network=network, trace=trace, hosts=hosts,
-        protocols=protocols,
-    )
+    result.run()
+    return result

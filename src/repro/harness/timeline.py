@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 _GLYPHS = {
     EventKind.SEND: "->",

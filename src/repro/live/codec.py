@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import json
 from typing import Any
 
 from repro.core.ftvc import FaultTolerantVectorClock
-from repro.runtime.message import NetworkMessage
 
 #: Module prefix decodable dataclasses must live under.
 TRUSTED_PREFIX = "repro."
@@ -165,17 +163,3 @@ def _decode_dataclass(obj: dict) -> Any:
     fields = {k: decode(v) for k, v in obj["fields"].items()}
     return cls(**fields)
 
-
-# ----------------------------------------------------------------------
-# Message envelopes
-# ----------------------------------------------------------------------
-def dump_message(msg: NetworkMessage) -> bytes:
-    """Serialize one :class:`NetworkMessage` for the wire."""
-    return json.dumps(encode(msg), separators=(",", ":")).encode("utf-8")
-
-
-def load_message(data: bytes) -> NetworkMessage:
-    msg = decode(json.loads(data.decode("utf-8")))
-    if not isinstance(msg, NetworkMessage):
-        raise CodecError(f"frame does not hold a NetworkMessage: {msg!r}")
-    return msg

@@ -16,9 +16,8 @@ live asyncio cluster runtime.  Subclasses implement the four lifecycle
 hooks (`on_start`, `on_network_message`, `on_crash`, `on_restart`) plus
 whatever control machinery their paper requires.
 
-Construction takes a :class:`RuntimeEnv`; passing a simulation
-:class:`~repro.sim.process.ProcessHost` still works (it is adapted via
-``host.runtime_env()``).
+Construction takes a :class:`RuntimeEnv`: under the simulator that is the
+:class:`~repro.sim.env.SimEnv` (alias ``ProcessHost``) itself.
 """
 
 from __future__ import annotations
@@ -164,9 +163,6 @@ class BaseRecoveryProcess(abc.ABC):
         app: Application,
         config: ProtocolConfig | None = None,
     ) -> None:
-        if not isinstance(env, RuntimeEnv):
-            # Legacy construction from a simulation ProcessHost.
-            env = env.runtime_env()
         self.env = env
         self.pid = env.pid
         self.n = env.n

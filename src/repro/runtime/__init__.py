@@ -9,9 +9,8 @@ application model (:class:`Application` / :class:`AppExecutor`).
 
 Two implementations exist:
 
-- :class:`repro.sim.env.SimEnv` -- wraps a discrete-event
-  :class:`~repro.sim.process.ProcessHost`; bit-identical to the historical
-  host-coupled behaviour (the conformance suite pins trace signatures);
+- :class:`repro.sim.env.SimEnv` -- one simulated process under the
+  discrete-event kernel (the conformance suite pins its trace signatures);
 - :class:`repro.live.env.LiveEnv` -- an asyncio TCP runtime where each
   process is a real OS process with file-backed stable storage and crashes
   are real SIGKILLs.
@@ -30,14 +29,13 @@ from repro.runtime.app import (
     StateUid,
 )
 from repro.runtime.env import RuntimeEnv, TimerHandle
-from repro.runtime.message import Message, NetworkMessage
+from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace, TraceEvent
 
 __all__ = [
     "AppExecutor",
     "Application",
     "EventKind",
-    "Message",
     "NetworkMessage",
     "OutputRecord",
     "ProcessContext",

@@ -22,7 +22,6 @@ the discrete-event simulator and the live asyncio runtime.
 from __future__ import annotations
 
 import copy
-from operator import attrgetter
 from typing import Any, NamedTuple, Protocol
 
 from repro.runtime.message import NetworkMessage
@@ -107,60 +106,16 @@ class Application(Protocol):
 StateUid = tuple[int, int, int]
 
 
-#: Sentinel distinguishing the legacy ``AppExecutor(app, pid, n, sim,
-#: trace)`` construction form from the env-based one.
-_LEGACY = object()
-
-
-class _SimClockAdapter:
-    """Give a bare simulator + trace the reading surface of a RuntimeEnv.
-
-    Supports the legacy ``AppExecutor(app, pid, n, sim, trace)``
-    construction form without this module importing :mod:`repro.sim`.
-    """
-
-    __slots__ = ("_sim", "trace")
-
-    def __init__(self, sim: Any, trace: SimTrace | None) -> None:
-        self._sim = sim
-        self.trace = trace
-
-    now = property(attrgetter("_sim.now"))
-    tracer = property(attrgetter("_sim.tracer"))
-
-
 class AppExecutor:
     """Drives one process's application, with replay support.
 
     The executor is substrate code shared by every recovery protocol, so the
     ``DELIVER`` trace events it records are trustworthy ground truth for the
-    analysis oracles.
-
-    The canonical constructor takes a :class:`~repro.runtime.env.RuntimeEnv`
-    (time, tracer and trace are read through it); the legacy five-argument
-    form ``AppExecutor(app, pid, n, sim, trace)`` still works.
+    analysis oracles.  Time, tracer and trace are read through ``env``, a
+    :class:`~repro.runtime.env.RuntimeEnv`.
     """
 
-    def __init__(
-        self,
-        app: Application,
-        pid: int,
-        n: int,
-        env: Any = None,
-        trace: Any = _LEGACY,
-        *,
-        sim: Any = None,
-    ) -> None:
-        if sim is not None:
-            # Legacy keyword form: AppExecutor(app, pid, n, sim=..., trace=...)
-            env = _SimClockAdapter(
-                sim, None if trace is _LEGACY else trace
-            )
-        elif trace is not _LEGACY:
-            # Legacy positional form: AppExecutor(app, pid, n, sim, trace)
-            env = _SimClockAdapter(env, trace)
-        if env is None:
-            raise TypeError("AppExecutor requires an env (or legacy sim=)")
+    def __init__(self, app: Application, pid: int, n: int, env: Any) -> None:
         self.app = app
         self.pid = pid
         self.n = n

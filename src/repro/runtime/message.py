@@ -31,7 +31,3 @@ class NetworkMessage:
     payload: Any
     send_time: float
     latency_override: float | None = None
-
-
-#: Public-API alias; ``NetworkMessage`` remains the canonical class name.
-Message = NetworkMessage

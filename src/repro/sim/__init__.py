@@ -7,17 +7,19 @@ This package provides everything the recovery protocols run on top of:
 - :mod:`repro.sim.network` -- point-to-point channels with configurable
   ordering (FIFO or arbitrary), latency models, partitions, and a reliable
   broadcast used for recovery tokens.
-- :mod:`repro.sim.process` -- the piecewise-deterministic application/process
-  model of the paper's Section 3.
+- :mod:`repro.sim.env` -- :class:`SimEnv` (alias :class:`ProcessHost`),
+  one simulated process: the simulation implementation of the
+  engine-agnostic :class:`repro.runtime.RuntimeEnv` protocols run on, and
+  the owner of the process's liveness and crash/restart mechanics.
 - :mod:`repro.sim.failures` -- crash and partition injection.
-- :mod:`repro.sim.env` -- :class:`SimEnv`, the simulation implementation of
-  the engine-agnostic :class:`repro.runtime.RuntimeEnv` protocols run on.
 
-The trace model and the wire envelope are re-exported from
-:mod:`repro.runtime`, their canonical home.
+The application model, the trace model and the wire envelope are
+re-exported from :mod:`repro.runtime`, their canonical home.
 """
 
-from repro.sim.env import SimEnv
+from repro.runtime.app import Application, ProcessContext, SendRecord
+from repro.runtime.trace import EventKind, SimTrace, TraceEvent
+from repro.sim.env import ProcessHost, SimEnv
 from repro.sim.failures import CrashPlan, FailureInjector, PartitionPlan
 from repro.sim.kernel import Event, EventHandle, Simulator
 from repro.sim.network import (
@@ -27,18 +29,7 @@ from repro.sim.network import (
     NetworkMessage,
     UniformLatency,
 )
-from repro.sim.process import (
-    Application,
-    ProcessContext,
-    ProcessHost,
-    SendRecord,
-)
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import (
-    EventKind,
-    SimTrace,
-    TraceEvent,
-)
 
 __all__ = [
     "Application",

@@ -1,11 +1,15 @@
-"""The simulation implementation of :class:`~repro.runtime.env.RuntimeEnv`.
+"""The simulated process: :class:`SimEnv`, the simulation implementation
+of :class:`~repro.runtime.env.RuntimeEnv`.
 
-:class:`SimEnv` adapts one :class:`~repro.sim.process.ProcessHost` (and
-through it the deterministic kernel and the simulated network) to the
-narrow environment interface protocols run against.  It adds nothing: every
-method is a one-line delegation, so a protocol running through a ``SimEnv``
-is bit-identical to one wired to the host directly -- the conformance suite
-pins the trace signatures.
+One :class:`SimEnv` is one of the paper's Section 3 processes as the
+simulator models it.  It is the environment a protocol runs against
+(clock, send/broadcast, timers, stable storage, trace) and the substrate
+that owns the process's liveness: while the process is crashed, transport
+deliveries are buffered here (the network is reliable) and drained on
+restart.  The *volatile memory* lost in a crash belongs to the protocol
+object, which clears it in ``on_crash``.
+
+``ProcessHost`` is the same class under its historical name.
 """
 
 from __future__ import annotations
@@ -13,37 +17,68 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable
 
+from repro.runtime.app import RecoveryProcess
 from repro.runtime.env import RuntimeEnv, TimerHandle
 from repro.runtime.message import NetworkMessage
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
 from repro.storage.intents import CrashPointReached
 from repro.storage.stable import StableStorage
 
 
 class SimEnv(RuntimeEnv):
-    """One simulated process's runtime environment."""
+    """One simulated process: its runtime environment and its host."""
+
+    # Plain attributes, overriding RuntimeEnv's abstract properties:
+    # crash() and restart() flip them.
+    alive: bool = True
+    crash_count: int = 0
 
     def __init__(
-        self, host: Any, *, storage: StableStorage | None = None
+        self,
+        pid: int,
+        sim: Simulator,
+        network: Network,
+        trace: SimTrace | None = None,
     ) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.network = host.network
-        self.pid: int = host.pid
-        self.n: int = host.network.n
-        self.trace = host.trace
-        self.storage = (
-            storage if storage is not None else StableStorage(host.pid)
-        )
+        self.pid = pid
+        self.sim = sim
+        self.network = network
+        self.n: int = network.n
+        self.trace = trace
+        self.storage = StableStorage(pid)
+        self._protocol: RecoveryProcess | None = None
+        self._buffered: list[NetworkMessage] = []
+        network.register(pid, self._on_transport_deliver)
 
     # ------------------------------------------------------------------
-    # Clock, liveness, observability
+    # Clock, observability
     # ------------------------------------------------------------------
-    # ``attrgetter`` properties read straight through to the kernel and
-    # the host without a Python frame (``now`` is read per trace record).
+    # ``attrgetter`` properties read straight through to the kernel
+    # without a Python frame (``now`` is read per trace record).
     now = property(attrgetter("sim.now"))
-    alive = property(attrgetter("host.alive"))
-    crash_count = property(attrgetter("host.crash_count"))
     tracer = property(attrgetter("sim.tracer"))
+
+    # ------------------------------------------------------------------
+    # Protocol attachment
+    # ------------------------------------------------------------------
+    def attach(self, protocol: Any) -> None:
+        if self._protocol is not None:
+            raise RuntimeError(f"host {self.pid} already has a protocol")
+        self._protocol = protocol
+
+    @property
+    def protocol(self) -> RecoveryProcess:
+        if self._protocol is None:
+            raise RuntimeError(f"host {self.pid} has no protocol attached")
+        return self._protocol
+
+    def dismantle(self) -> None:
+        """Unhook a finished process from network and protocol (see
+        :meth:`ExperimentResult.release`); it can no longer run."""
+        self.network.unregister(self.pid)
+        self._protocol = None
 
     # ------------------------------------------------------------------
     # Messaging
@@ -71,13 +106,116 @@ class SimEnv(RuntimeEnv):
             self.pid, payload, kind=kind, include_self=include_self
         )
 
-    # ------------------------------------------------------------------
-    # Crash points (fault injection)
-    # ------------------------------------------------------------------
-    def on_crash_point(self, exc: CrashPointReached) -> None:
-        """Convert an armed crash point into a crash + scheduled restart."""
-        self.host.on_crash_point(exc)
+    def _on_transport_deliver(self, msg: NetworkMessage) -> None:
+        if not self.alive:
+            self._buffered.append(msg)
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.counter("host.deliveries_buffered")
+                tracer.gauge(
+                    f"host.buffered.p{self.pid}", len(self._buffered)
+                )
+            return
+        try:
+            self._protocol.on_network_message(msg)
+        except CrashPointReached as exc:
+            self.on_crash_point(exc)
 
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        try:
+            self.protocol.on_start()
+        except CrashPointReached as exc:
+            self.on_crash_point(exc)
+
+    def crash(self) -> None:
+        """Fail the process: volatile state is lost, delivery pauses."""
+        if not self.alive:
+            return
+        self.alive = False
+        self.crash_count += 1
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.counter("host.crashes")
+            tracer.event("host.crash", pid=self.pid, count=self.crash_count)
+        if self.trace is not None:
+            self.trace.record(
+                self.sim.now, EventKind.CRASH, self.pid, count=self.crash_count
+            )
+        self.protocol.on_crash()
+        # A dead process has no timers: stop the protocol's periodic
+        # checkpoint/flush chains instead of letting them churn in the
+        # kernel for the whole downtime.
+        pause = getattr(self.protocol, "pause_periodic_tasks", None)
+        if pause is not None:
+            pause()
+
+    def restart(self) -> None:
+        """Bring the process back; the protocol runs its restart logic,
+        then buffered transport deliveries are drained in arrival order."""
+        if self.alive:
+            return
+        self.alive = True
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.counter("host.restarts")
+            tracer.event(
+                "host.restart", pid=self.pid, buffered=len(self._buffered)
+            )
+        try:
+            self.protocol.on_restart()
+        except CrashPointReached as exc:
+            # An armed crash point fired mid-restart: the process dies
+            # again with the partial image on "disk"; the rescheduled
+            # restart heals and retries.
+            self.on_crash_point(exc)
+            return
+        # Resume the periodic chains paused at crash time, preserving their
+        # original phase (fire times are exactly those the pre-pause chain
+        # would have used).
+        resume = getattr(self.protocol, "resume_periodic_tasks", None)
+        if resume is not None:
+            resume()
+        buffered, self._buffered = self._buffered, []
+        for i, msg in enumerate(buffered):
+            try:
+                self.protocol.on_network_message(msg)
+            except CrashPointReached as exc:
+                # Undelivered drainees go back to the buffer, ahead of
+                # anything that arrived while handling this message.
+                self._buffered = buffered[i + 1:] + self._buffered
+                self.on_crash_point(exc)
+                return
+        if tracer is not None:
+            tracer.gauge(f"host.buffered.p{self.pid}", 0)
+
+    def on_crash_point(self, exc: CrashPointReached) -> None:
+        """An armed crash point fired: die here, restart after downtime.
+
+        The protocol raised out of whatever durable step the point
+        names, so its in-memory state is mid-transition -- exactly what
+        crash semantics require: volatile state is discarded by
+        :meth:`crash` and the restart re-derives everything from the
+        (partial) stable image, which the startup crawler heals first.
+        """
+        if self.trace is not None:
+            self.trace.record(
+                self.sim.now,
+                EventKind.CUSTOM,
+                self.pid,
+                what="crash_point",
+                point=exc.point,
+            )
+        self.crash()
+        self.sim.schedule(
+            exc.downtime, self.restart, label=f"restart:{self.pid}"
+        )
+
+    # ------------------------------------------------------------------
+    # Timers
+    # ------------------------------------------------------------------
     def _run_timer(self, callback: Callable[[], None]) -> None:
         """Fire a timer callback; a crash point raised inside it (a
         periodic checkpoint/flush hitting an armed point) crashes the
@@ -85,11 +223,8 @@ class SimEnv(RuntimeEnv):
         try:
             callback()
         except CrashPointReached as exc:
-            self.host.on_crash_point(exc)
+            self.on_crash_point(exc)
 
-    # ------------------------------------------------------------------
-    # Timers
-    # ------------------------------------------------------------------
     def schedule_after(
         self,
         delay: float,
@@ -143,20 +278,12 @@ class SimEnv(RuntimeEnv):
         *,
         label: str = "",
     ) -> TimerHandle:
-        if not isinstance(handle, _SimPhaseKeeper):
-            # Chains suspended before this env existed (or by generic
-            # code) fall back to the phase-preserving reschedule.
-            return super().resume_timer(
-                handle, interval, callback, label=label
-            )
         handle._active = False
         return self.sim.retarget(handle._handle, self._run_timer, callback)
 
-    # ------------------------------------------------------------------
-    # Protocol attachment
-    # ------------------------------------------------------------------
-    def attach(self, protocol: Any) -> None:
-        self.host._attach(protocol)
+
+#: The simulated process under its historical name.
+ProcessHost = SimEnv
 
 
 class _SimPhaseKeeper:

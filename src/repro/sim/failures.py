@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.sim.env import SimEnv
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
 
 
@@ -169,7 +169,7 @@ class FailureInjector:
     def __init__(
         self,
         sim: Simulator,
-        hosts: Sequence[ProcessHost],
+        hosts: Sequence[SimEnv],
         network: Network | None = None,
     ) -> None:
         self.sim = sim
@@ -184,7 +184,7 @@ class FailureInjector:
     ) -> None:
         if crash_points:
             for cp in crash_points:
-                self.hosts[cp.pid].runtime_env().storage.arm_crash_point(
+                self.hosts[cp.pid].storage.arm_crash_point(
                     cp.point, downtime=cp.downtime
                 )
         if crashes is not None:
@@ -217,7 +217,7 @@ class FailureInjector:
                     label="heal",
                 )
 
-    def _crash(self, host: ProcessHost, ev: CrashEvent) -> None:
+    def _crash(self, host: SimEnv, ev: CrashEvent) -> None:
         """Crash ``host`` and schedule the paired restart -- liveness-aware.
 
         A crash landing while the process is already down is a no-op, and

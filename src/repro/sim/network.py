@@ -13,7 +13,7 @@ Point-to-point reliable channels between ``n`` endpoints with:
 - broadcast (used for recovery tokens).
 
 Delivery is *at-least-queued*: the network always hands the message to the
-destination's :class:`~repro.sim.process.ProcessHost`, which buffers it if
+destination's :class:`~repro.sim.env.SimEnv`, which buffers it if
 the process is currently crashed.  Loss of received-but-unlogged messages in
 a failure is a property of the *process* (volatile memory), not of this
 transport, exactly as in the paper's model.

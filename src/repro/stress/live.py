@@ -161,28 +161,28 @@ def _draw_fault_plan(
         pids = list(range(n))
         rng.shuffle(pids)
         cut = rng.randint(1, n - 1)
-        partitions = (
-            LivePartitionPlan(
-                at=at,
-                groups=(
-                    tuple(sorted(pids[:cut])),
-                    tuple(sorted(pids[cut:])),
+        # A window clamped to ``fault_close`` can close as it opens
+        # (``seeded_fault_plan`` at 3 s or less): it is not drawn.
+        if heal > at:
+            partitions = (
+                LivePartitionPlan(
+                    at=at,
+                    groups=(
+                        tuple(sorted(pids[:cut])),
+                        tuple(sorted(pids[cut:])),
+                    ),
+                    heal_at=heal,
                 ),
-                heal_at=heal,
-            ),
-        )
+            )
 
     drops: tuple[LiveLinkDropPlan, ...] = ()
     if rng.random() < 0.35:
         src = rng.randrange(n)
         dst = rng.choice([p for p in range(n) if p != src])
         at = round(rng.uniform(0.2, 1.0), 3)
-        drops = (
-            LiveLinkDropPlan(
-                src, dst, at,
-                round(min(at + rng.uniform(0.4, 1.0), fault_close), 3),
-            ),
-        )
+        until = round(min(at + rng.uniform(0.4, 1.0), fault_close), 3)
+        if until > at:
+            drops = (LiveLinkDropPlan(src, dst, at, until),)
 
     gray: tuple[LiveGrayLinkPlan, ...] = ()
     if rng.random() < 0.4:

@@ -29,7 +29,7 @@ from repro.analysis.consistency import check_recovery
 from repro.analysis.metrics import measure_overhead
 from repro.analysis.theorem import MAX_STATES, check_theorem1
 from repro.harness.runner import ExperimentResult
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 from repro.stress.generate import StressCase
 
 

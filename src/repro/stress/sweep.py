@@ -43,7 +43,7 @@ class CaseResult:
     """One graded run.
 
     ``trace_signature`` is the deterministic digest of the run's ground
-    truth trace (see :meth:`repro.sim.trace.SimTrace.signature`); the
+    truth trace (see :meth:`repro.runtime.trace.SimTrace.signature`); the
     parallel-vs-serial equivalence oracle compares it to prove that
     ``jobs=N`` executed bit-identical simulations.
     """

@@ -29,24 +29,15 @@ from typing import Any
 
 from repro.analysis.consistency import RecoveryVerdict, check_recovery
 from repro.core.recovery import DamaniGargProcess
+from repro.harness.runner import ExperimentResult, ExperimentSpec
 from repro.protocols.base import BaseRecoveryProcess, ProtocolConfig
-from repro.sim.failures import CrashPlan, FailureInjector
-from repro.sim.kernel import Simulator
-from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
-from repro.sim.process import Application, ProcessHost
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.app import Application
+from repro.sim.failures import CrashPlan
+from repro.sim.network import ScriptedLatency
 
 
-class ScenarioRun:
+class ScenarioRun(ExperimentResult):
     """A finished scripted run with assertion helpers."""
-
-    def __init__(self, sim, network, trace, hosts, protocols) -> None:
-        self.sim: Simulator = sim
-        self.network: Network = network
-        self.trace: SimTrace = trace
-        self.hosts: list[ProcessHost] = hosts
-        self.protocols: list[BaseRecoveryProcess] = protocols
 
     def verdict(self, **kwargs: Any) -> RecoveryVerdict:
         return check_recovery(self, **kwargs)
@@ -134,33 +125,21 @@ class ScenarioBuilder:
     def run(self) -> ScenarioRun:
         if self._app is None:
             raise ValueError("ScenarioBuilder needs .app(...)")
-        sim = Simulator()
-        trace = SimTrace()
-        network = Network(
-            sim,
-            self.n,
-            streams=RandomStreams(self.seed),
-            latency=self._latency,
-            order=DeliveryOrder.RANDOM,
-            trace=trace,
+        result = ScenarioRun.build(
+            ExperimentSpec(
+                n=self.n,
+                app=self._app,
+                protocol=self._protocol_cls,
+                seed=self.seed,
+                horizon=self._horizon,
+                latency=self._latency,
+                config=self._config,
+                crashes=self._crashes,
+            )
         )
-        hosts = [
-            ProcessHost(pid, sim, network, trace) for pid in range(self.n)
-        ]
-        protocols = [
-            self._protocol_cls(host.runtime_env(), self._app, self._config)
-            for host in hosts
-        ]
-        if self._crashes.events:
-            FailureInjector(sim, hosts, network).install(self._crashes)
         for pid, time in self._flushes:
-            sim.schedule_at(time, protocols[pid].flush_log)
+            result.sim.schedule_at(time, result.protocols[pid].flush_log)
         for pid, time in self._checkpoints:
-            sim.schedule_at(time, protocols[pid].take_checkpoint)
-        for host in hosts:
-            host.start()
-        sim.run(until=self._horizon)
-        for protocol in protocols:
-            protocol.halt_periodic_tasks()
-        sim.drain()
-        return ScenarioRun(sim, network, trace, hosts, protocols)
+            result.sim.schedule_at(time, result.protocols[pid].take_checkpoint)
+        result.run()
+        return result

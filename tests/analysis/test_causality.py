@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.causality import GroundTruth, build_ground_truth
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 
 def uid(pid, inc, serial):

@@ -105,7 +105,7 @@ class OverEagerRollback(DamaniGargProcess):
                 # force a gratuitous rollback to the first checkpoint
                 first = next(iter(self.storage.checkpoints))
                 if self.trace is not None:
-                    from repro.sim.trace import EventKind
+                    from repro.runtime.trace import EventKind
 
                     self.trace.record(
                         self.env.now,
@@ -120,7 +120,7 @@ class OverEagerRollback(DamaniGargProcess):
                 self.clock = self.clock.tick(self.pid)
                 restored = self.executor.new_recovery_state()
                 if self.trace is not None:
-                    from repro.sim.trace import EventKind
+                    from repro.runtime.trace import EventKind
 
                     self.trace.record(
                         self.env.now,

@@ -95,7 +95,7 @@ class TestRecoveryLatencies:
 
     def test_settle_covers_peer_rollbacks(self):
         from repro.analysis import recovery_latencies
-        from repro.sim.trace import EventKind
+        from repro.runtime.trace import EventKind
 
         for seed in range(8):
             result = run(seed=seed, crashes=CrashPlan().crash(20.0, 1, 2.0))

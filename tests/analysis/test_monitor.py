@@ -7,11 +7,11 @@ from repro.apps import RandomRoutingApp
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim import ProcessHost
 from repro.sim.failures import CrashPlan
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import ProcessHost
-from repro.sim.trace import EventKind, SimTrace
 
 
 def test_every_builtin_protocol_passes_the_monitor():

@@ -10,7 +10,7 @@ from repro.apps import (
     Transfer,
     mix64,
 )
-from repro.sim.process import ProcessContext
+from repro.runtime.app import ProcessContext
 
 
 def ctx(pid=0, n=4):

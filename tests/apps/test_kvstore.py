@@ -9,7 +9,7 @@ from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.service.kv import KVGet, KVPut, KVReplicate, KVReply
 from repro.sim.failures import CrashPlan
-from repro.sim.process import ProcessContext
+from repro.runtime.app import ProcessContext
 
 
 def ctx(pid, n=5):

@@ -6,7 +6,7 @@ from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run(app=None, crashes=None, seed=0, *, commit=False, gc=False,

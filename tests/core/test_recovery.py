@@ -8,7 +8,7 @@ from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.sim.failures import CrashPlan
 from repro.sim.network import DeliveryOrder
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run(

@@ -1,5 +1,7 @@
 """White-box tests of DamaniGargProcess internals."""
 
+import json
+
 import pytest
 
 from repro.core.ftvc import ClockEntry
@@ -10,7 +12,7 @@ from repro.live import codec
 from repro.live.wire import WireDecoder, WireEncoder
 from repro.protocols.base import ProtocolConfig
 from repro.runtime.message import NetworkMessage
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 from repro.testing import ScenarioBuilder
 
 
@@ -84,7 +86,7 @@ class TestStableFrontier:
 
 
 def _through_json(msg):
-    return codec.load_message(codec.dump_message(msg))
+    return codec.decode(json.loads(json.dumps(codec.encode(msg))))
 
 
 def _through_binary(msg):
@@ -230,7 +232,7 @@ class TestMessageCountCheckpointPolicy:
     def test_checkpoints_every_k_deliveries(self):
         from repro.apps import RandomRoutingApp
         from repro.harness.runner import ExperimentSpec, run_experiment
-        from repro.sim.trace import EventKind
+        from repro.runtime.trace import EventKind
 
         spec = ExperimentSpec(
             n=3,
@@ -254,7 +256,7 @@ class TestMessageCountCheckpointPolicy:
         from repro.apps import RandomRoutingApp
         from repro.harness.runner import ExperimentSpec, run_experiment
         from repro.sim.failures import CrashPlan
-        from repro.sim.trace import EventKind
+        from repro.runtime.trace import EventKind
         from repro.analysis import check_recovery
 
         spec = ExperimentSpec(

@@ -11,12 +11,12 @@ from repro.core.history import RecordKind
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.scenarios import ScriptedApp
 from repro.protocols.base import ProtocolConfig
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim import ProcessHost
 from repro.sim.failures import CrashPlan, FailureInjector
 from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import EventKind, SimTrace
 
 
 def build(n, app, latency, crashes=None, flush_at=()):

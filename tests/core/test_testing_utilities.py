@@ -5,7 +5,7 @@ import pytest
 from repro.harness.scenarios import ScriptedApp
 from repro.protocols.pessimistic_receiver import PessimisticReceiverProcess
 from repro.testing import ScenarioBuilder
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def test_docstring_example_works():

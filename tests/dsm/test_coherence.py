@@ -15,7 +15,7 @@ from repro.dsm.coherence import (
     HomeState,
     WorkerState,
 )
-from repro.sim.process import ProcessContext
+from repro.runtime.app import ProcessContext
 
 
 def ctx(pid=0, n=4):

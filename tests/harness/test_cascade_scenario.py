@@ -4,7 +4,7 @@ from repro.analysis import check_recovery
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.scenarios import cascade
 from repro.protocols.strom_yemini import StromYeminiProcess
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def test_strom_yemini_rolls_p2_back_twice():

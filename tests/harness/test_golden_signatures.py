@@ -209,3 +209,47 @@ def test_damani_garg_counters_match_golden(schedule):
         sum(s.sync_writes for s in storages),
         sum(s.log.flush_count for s in storages),
     ) == GOLDEN_COUNTERS[schedule.name]
+
+
+# The hand-scripted runs, assembled through ``ExperimentResult.build`` with
+# their flushes scheduled between build and run: ``signature()`` of each,
+# captured while each still built its own simulator, network and hosts.
+SCRIPTED = {
+    "figure1": "3f82c4ef6392d8b0e8818e01051bad16",
+    "figure5": "94cf0b927fd51e2431cbd0557bf67132",
+    "cascade/damani-garg": "31de5dc9ddf2cd60cfe7c556e03678e9",
+    "cascade/strom-yemini": "45f896605a2f675a919faae46a82ae2c",
+    "scenario-builder-docstring": "65a34a059fe574fa818d20c3fa54c3e7",
+}
+
+
+def _scripted_run(key):
+    from repro.core.recovery import DamaniGargProcess
+    from repro.harness.scenarios import ScriptedApp, cascade, figure1, figure5
+    from repro.protocols.strom_yemini import StromYeminiProcess
+    from repro.testing import ScenarioBuilder
+
+    if key == "figure1":
+        return figure1()
+    if key == "figure5":
+        return figure5()
+    if key == "cascade/damani-garg":
+        return cascade(DamaniGargProcess)
+    if key == "cascade/strom-yemini":
+        return cascade(StromYeminiProcess)
+    # The example in repro.testing's module docstring, verbatim.
+    return (
+        ScenarioBuilder(n=2)
+        .app(ScriptedApp(bootstrap_sends={0: [(1, "m")]}))
+        .latency(0, 1, 1.0)
+        .crash(at=5.0, pid=1, downtime=1.0)
+        .flush(pid=1, at=2.0)
+        .run()
+    )
+
+
+@pytest.mark.parametrize("key", sorted(SCRIPTED))
+def test_scripted_run_signature_matches_golden(key):
+    assert _scripted_run(key).trace.signature() == SCRIPTED[key], (
+        f"{key}: the scripted run changed"
+    )

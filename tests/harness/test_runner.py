@@ -50,7 +50,7 @@ def test_latency_model_is_used():
     result = run_experiment(spec)
     # 1 bootstrap send + 2 replies at exactly 5 time units apart.
     delivers = result.trace.events()
-    from repro.sim.trace import EventKind
+    from repro.runtime.trace import EventKind
 
     times = [e.time for e in result.trace.events(EventKind.DELIVER)]
     assert times == [5.0, 10.0, 15.0]
@@ -65,7 +65,7 @@ def test_crash_and_partition_plans_both_install():
         horizon=80.0,
     )
     result = run_experiment(spec)
-    from repro.sim.trace import EventKind
+    from repro.runtime.trace import EventKind
 
     assert result.trace.count(EventKind.CRASH) == 1
     assert result.trace.count(EventKind.PARTITION) == 1

@@ -3,7 +3,7 @@
 from repro.analysis import check_recovery
 from repro.analysis.causality import build_ground_truth
 from repro.harness.scenarios import figure1, figure5
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 class TestFigure1:

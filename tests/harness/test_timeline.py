@@ -5,7 +5,7 @@ from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.harness.timeline import lane_summary, render_timeline
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 
 def make_result():

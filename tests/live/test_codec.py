@@ -1,4 +1,6 @@
-"""Round-trip and trust-boundary tests for the live wire codec."""
+"""Round-trip and trust-boundary tests for the live trace codec."""
+
+import json
 
 import pytest
 
@@ -75,7 +77,8 @@ def test_roundtrip_network_message():
         payload=RecoveryToken(origin=0, version=2, timestamp=9),
         send_time=1.0,
     )
-    out = codec.load_message(codec.dump_message(msg))
+    # The trace path: encode, one JSON line, decode.
+    out = codec.decode(json.loads(json.dumps(codec.encode(msg))))
     assert out == msg
 
 
@@ -114,6 +117,6 @@ def test_decode_rejects_unknown_markers():
         codec.decode({"__pickle__": "base64..."})
 
 
-def test_load_message_rejects_non_messages():
+def test_decode_rejects_names_that_are_not_dataclasses():
     with pytest.raises(codec.CodecError):
-        codec.load_message(b'{"__tuple__": [1, 2]}')
+        codec.decode({"__dc__": "repro.live.codec:CodecError", "fields": {}})

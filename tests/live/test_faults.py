@@ -335,6 +335,22 @@ def test_live_case_generation_is_deterministic_and_bounded():
             assert d.until <= case.run_seconds - 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("run_seconds", [2.0, 3.0])
+def test_short_seeded_fault_plans_are_valid_for_every_seed(run_seconds):
+    # At 3 s or less the windows are clamped to close at 1.0 s, where a
+    # partition or drop drawn to open has no room (seeds 748, 1531, ...
+    # once raised "bad partition window").
+    from repro.stress import seeded_fault_plan
+
+    for seed in range(20_000):
+        plan = seeded_fault_plan(seed, n=3, run_seconds=run_seconds)
+        plan.validate(3)
+        for p in plan.partitions:
+            assert p.at < p.heal_at <= 1.0
+        for d in plan.drops:
+            assert d.at < d.until <= 1.0
+
+
 def test_live_reproducer_round_trips_and_replays_shrunk(tmp_path):
     from repro.stress.live import (
         LiveCaseResult,

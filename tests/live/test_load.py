@@ -16,12 +16,11 @@ from repro.live.load import LoadPipelineApp, OpenLoopSource, load_spec
 from repro.live.supervisor import run_cluster
 from repro.live.verify import check_live_run, pipeline_reference
 from repro.protocols.base import ProtocolConfig
-from repro.runtime.trace import EventKind
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim import ProcessHost
 from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
 
 
 def test_intended_schedule_is_deterministic():
@@ -69,7 +68,7 @@ def _run_sim_load(n=4, rate=20.0, jobs=10, start_at=1.0, horizon=400.0):
     hosts = [ProcessHost(pid, sim, network, trace) for pid in range(n)]
     protocols = [
         DamaniGargProcess(
-            host.runtime_env(),
+            host,
             LoadPipelineApp(jobs=jobs),
             ProtocolConfig(checkpoint_interval=1e9, flush_interval=1e9),
         )

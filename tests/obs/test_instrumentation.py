@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.metrics import measure_overhead
 from repro.harness.runner import run_experiment
 from repro.obs import Tracer, build_scenario
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 @pytest.fixture(scope="module")

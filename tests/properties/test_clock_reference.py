@@ -8,6 +8,7 @@ Seeded random clock pairs of every relation must agree on every
 operation, including *which operand instance* ``merge`` hands back.
 """
 
+import gc
 import math
 import random
 import sys
@@ -223,6 +224,10 @@ def python_frames(operation):
         if event == "call":
             entered += 1
 
+    # Start from an empty collector: a collection landing inside
+    # ``operation`` would otherwise finalize earlier tests' garbage (a
+    # suspended generator resumes to close) and count those frames too.
+    gc.collect()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:

@@ -28,7 +28,7 @@ from repro.protocols import (
     SmithJohnsonTygarProcess,
 )
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run(protocol, seed, crashes=None):

@@ -9,7 +9,7 @@ from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.causal_logging import CausalLoggingProcess
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run(seed=0, crashes=None, n=4, horizon=100.0):

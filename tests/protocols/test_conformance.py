@@ -23,7 +23,7 @@ from repro.harness.conformance import (
 )
 from repro.harness.runner import run_experiment
 from repro.protocols import CoordinatedProcess, StromYeminiProcess
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """The pre-RuntimeEnv attribute paths were removed in 2.0.
 
-``protocol.host`` / ``protocol.sim`` / ``host.attach`` warned through
-the 1.x line; the spellings are now gone outright, and only the env
-path (and host-passing construction, which never warned) remains.
+``protocol.host`` / ``protocol.sim`` warned through the 1.x line; the
+spellings are now gone outright.  Host-passing construction, which never
+warned, still works: the host *is* the env.
 """
 
 import warnings
@@ -11,9 +11,9 @@ import pytest
 
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.scenarios import ScriptedApp
+from repro.sim import ProcessHost
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
 
 
@@ -26,7 +26,7 @@ def host():
 
 @pytest.fixture
 def protocol(host):
-    return DamaniGargProcess(host.runtime_env(), ScriptedApp())
+    return DamaniGargProcess(host, ScriptedApp())
 
 
 def test_protocol_host_is_gone(protocol):
@@ -37,11 +37,6 @@ def test_protocol_host_is_gone(protocol):
 def test_protocol_sim_is_gone(protocol):
     with pytest.raises(AttributeError):
         protocol.sim  # noqa: B018
-
-
-def test_host_attach_is_gone(host):
-    with pytest.raises(AttributeError):
-        host.attach(object())
 
 
 @pytest.mark.parametrize("name", ["KVPut", "KVGet", "KVReplicate", "KVReply"])
@@ -58,11 +53,11 @@ def test_apps_kv_wire_type_reexports_are_gone(name):
 
 def test_legacy_host_construction_still_works(host):
     # Passing the ProcessHost itself (the pre-env constructor signature)
-    # must keep working -- it routes through host.runtime_env().
+    # must keep working -- the host is the env.
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # and without warning: supported
         protocol = DamaniGargProcess(host, ScriptedApp())
-    assert protocol.env is host.runtime_env()
+    assert protocol.env is host
     assert protocol.pid == 0
 
 

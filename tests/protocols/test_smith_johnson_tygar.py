@@ -7,7 +7,7 @@ from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.smith_johnson_tygar import SmithJohnsonTygarProcess
 from repro.sim.failures import CrashPlan
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 
 
 def run(protocol=SmithJohnsonTygarProcess, seed=0, crashes=None, n=4):

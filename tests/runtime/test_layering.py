@@ -83,31 +83,59 @@ def test_service_workload_half_is_engine_free():
     assert not violations, "; ".join(violations)
 
 
+ASSEMBLY_CALLS = ("Simulator", "Network", "FailureInjector")
+
+
+def test_simulated_runs_are_assembled_in_one_place():
+    """Every simulated run in ``repro`` is assembled by
+    :meth:`repro.harness.runner.ExperimentResult.build`; a second place
+    that builds a simulator, network or failure injector is a second
+    assembly path to keep in step."""
+    violations = []
+    for path in _python_files(""):
+        rel = os.path.relpath(path, SRC_ROOT)
+        if rel == os.path.join("harness", "runner.py"):
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ASSEMBLY_CALLS:
+                    violations.append(f"{rel}:{node.lineno} calls {name}(")
+    assert not violations, "; ".join(violations)
+
+
 def test_every_repro_name_the_benchmarks_import_resolves():
-    """``benchmarks/`` is maintained apart from ``src/`` (the perf
-    harness is frozen between ``benchmark`` PRs), and most of its
+    """``benchmarks/`` and ``examples/`` are maintained apart from
+    ``src/`` (the perf harness is frozen between ``benchmark`` PRs, and
+    the examples run only under ``make examples``), and many of their
     ``repro`` imports sit inside functions, where nothing notices a
-    deleted name until a workload runs.  Resolve each one here."""
+    deleted name until the script runs.  Resolve each one here."""
     import importlib
 
     repo_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     wanted = set()
-    for path in _python_files(os.path.join(repo_root, "benchmarks")):
-        with open(path, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 0
-                and node.module
-                and node.module.split(".")[0] == "repro"
-            ):
-                rel = os.path.relpath(path, repo_root)
-                for alias in node.names:
-                    wanted.add((node.module, alias.name, rel))
-    assert wanted, "found no repro imports under benchmarks/"
+    for tree_name in ("benchmarks", "examples"):
+        for path in _python_files(os.path.join(repo_root, tree_name)):
+            with open(path, "r", encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.ImportFrom)
+                    and node.level == 0
+                    and node.module
+                    and node.module.split(".")[0] == "repro"
+                ):
+                    rel = os.path.relpath(path, repo_root)
+                    for alias in node.names:
+                        wanted.add((node.module, alias.name, rel))
+    assert {rel.split(os.sep)[0] for _, _, rel in wanted} == {
+        "benchmarks", "examples"
+    }, "found no repro imports under benchmarks/ or examples/"
     missing = []
     for module_name, name, rel in sorted(wanted):
         try:

@@ -97,13 +97,13 @@ def test_periodic_state_is_initialised_before_start():
     from repro.core.recovery import DamaniGargProcess
     from repro.sim.kernel import Simulator
     from repro.sim.network import Network
-    from repro.sim.process import ProcessHost
+    from repro.sim import ProcessHost
     from repro.sim.rng import RandomStreams
 
     sim = Simulator()
     network = Network(sim, 1, streams=RandomStreams(0))
     host = ProcessHost(0, sim, network)
-    protocol = DamaniGargProcess(host.runtime_env(), ScriptedApp())
+    protocol = DamaniGargProcess(host, ScriptedApp())
     assert protocol._periodic_enabled is False
     protocol.pause_periodic_tasks()       # no chains yet: must be a no-op
     protocol.resume_periodic_tasks()

@@ -11,14 +11,13 @@ that never regress.  The live-engine half of this contract is
 
 from repro.core.recovery import DamaniGargProcess
 from repro.protocols.base import ProtocolConfig
-from repro.runtime.trace import EventKind
+from repro.runtime.trace import EventKind, SimTrace
 from repro.service.kv import KVPut, KVReply, KVServiceApp
+from repro.sim import ProcessHost
 from repro.sim.failures import CrashPlan, FailureInjector
 from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
 
 
 def _boot(n=4, crashes=None, seed=0, **config):
@@ -37,7 +36,7 @@ def _boot(n=4, crashes=None, seed=0, **config):
     app = KVServiceApp(replicas=n - 1)
     protocols = [
         DamaniGargProcess(
-            host.runtime_env(),
+            host,
             app,
             ProtocolConfig(
                 checkpoint_interval=2.0,

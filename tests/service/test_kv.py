@@ -18,7 +18,7 @@ from repro.service.kv import (
     SessionSlot,
     lookup_sorted,
 )
-from repro.sim.process import ProcessContext
+from repro.runtime.app import ProcessContext
 
 
 def ctx(pid, n=4):

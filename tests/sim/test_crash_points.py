@@ -14,7 +14,7 @@ from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.sim.failures import CrashPlan, CrashPointEvent
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 from repro.storage.intents import HEAL_LOG_KEY, SIM_CRASH_POINTS
 
 

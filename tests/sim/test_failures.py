@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import ProcessHost
 from repro.sim.failures import (
     CrashEvent,
     CrashPlan,
@@ -10,7 +11,6 @@ from repro.sim.failures import (
 )
 from repro.sim.kernel import Simulator
 from repro.sim.network import FixedLatency, Network
-from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
 
 
@@ -33,7 +33,7 @@ def make_stack(n=3):
     net = Network(sim, n, latency=FixedLatency(1.0))
     hosts = [ProcessHost(pid, sim, net) for pid in range(n)]
     for h in hosts:
-        h.runtime_env().attach(NullProtocol())
+        h.attach(NullProtocol())
     return sim, net, hosts
 
 

@@ -2,14 +2,11 @@
 
 import pytest
 
+from repro.runtime.app import AppExecutor, ProcessContext
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim import ProcessHost, SimEnv
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.process import (
-    AppExecutor,
-    ProcessContext,
-    ProcessHost,
-)
-from repro.sim.trace import EventKind, SimTrace
 
 
 class CountingApp:
@@ -30,9 +27,14 @@ class CountingApp:
         return state + 1
 
 
-def make_executor(trace=None):
+def make_env(n, trace=None):
     sim = Simulator()
-    return AppExecutor(CountingApp(), pid=0, n=3, sim=sim, trace=trace), sim
+    return SimEnv(0, sim, Network(sim, n), trace)
+
+
+def make_executor(trace=None):
+    env = make_env(3, trace)
+    return AppExecutor(CountingApp(), 0, 3, env), env.sim
 
 
 class TestProcessContext:
@@ -104,8 +106,7 @@ class TestAppExecutor:
             def handle(self, state, payload, ctx):
                 return state + [payload]
 
-        sim = Simulator()
-        ex = AppExecutor(ListApp(), 0, 2, sim, None)
+        ex = AppExecutor(ListApp(), 0, 2, make_env(2))
         ex.execute("a", msg_id=1)
         snap = ex.snapshot()
         ex.execute("b", msg_id=2)
@@ -177,7 +178,7 @@ class TestProcessHost:
                 self.restarts += 1
 
         proto = FakeProtocol()
-        host.runtime_env().attach(proto)
+        host.attach(proto)
         return sim, net, host, proto, trace
 
     def test_delivery_reaches_protocol(self):
@@ -219,7 +220,7 @@ class TestProcessHost:
     def test_attach_twice_rejected(self):
         sim, net, host, proto, _ = self.make_host()
         with pytest.raises(RuntimeError):
-            host.runtime_env().attach(proto)
+            host.attach(proto)
 
     def test_protocol_required(self):
         sim = Simulator()

@@ -6,7 +6,7 @@ import pickle
 import subprocess
 import sys
 
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 
 def test_record_and_len():

@@ -74,6 +74,8 @@ def test_env_implementations_share_the_interface():
 
     assert issubclass(SimEnv, RuntimeEnv)
     assert issubclass(LiveEnv, RuntimeEnv)
+    # One class per simulated process: the host is the env.
+    assert repro.ProcessHost is SimEnv
 
 
 PUBLIC_MODULES = [

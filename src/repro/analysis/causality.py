@@ -8,7 +8,8 @@ The reconstruction walks the trace in order, maintaining per-process state
 *chains*:
 
 - a live ``DELIVER`` appends the newly created state;
-- a ``RESTORE`` (which the protocols record *before* replaying) pops the
+- a ``RESTORE`` (recorded for every protocol by
+  ``BaseRecoveryProcess._restore``, *before* any replay) pops the
   chain back to the restored checkpoint's state, tentatively marking the
   popped states undone with the restore's reason (``"restart"`` -> lost,
   ``"rollback"`` -> rolled back);

@@ -94,8 +94,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         super().__init__(env, app, config)
         self.clock = FaultTolerantVectorClock.initial(self.pid, self.n)
         self.history = History(self.pid, self.n)
-        # Volatile state, all lost in a crash:
-        self._held: list[NetworkMessage] = []     # postponed messages
+        # Volatile state, all lost in a crash (with the base's _held):
         self._send_seq = 0                        # dedup id source
         self._delivered_ids: set[tuple[int, int]] = set()
         self._send_log: list[_SendLogEntry] = []  # Remark-1 send history
@@ -127,16 +126,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._register_send(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
-        # Checkpoint 0 is taken after bootstrap so a restart never needs to
-        # re-run the (unreplayable) initial sends.
-        self.take_checkpoint()
-        self.start_periodic_tasks()
-
     def on_network_message(self, msg: NetworkMessage) -> None:
         if msg.kind == "token":
             self._receive_token(msg.payload)
@@ -174,20 +163,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
             self._fresh_start_after_crash()
             return
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTORE,
-                self.pid,
-                ckpt_uid=ckpt.snapshot["uid"],
-                reason="restart",
-            )
         with self.obs.span("dg.restart_replay_wall_s"):
-            self._restore_checkpoint(ckpt)
-            replayed = 0
-            for entry in self.storage.log.stable_entries(ckpt.log_position):
-                self._replay_entry(entry)
-                replayed += 1
+            self._restore(ckpt, "restart")
+            replayed = self._replay_log(ckpt.log_position)
         # The restored checkpoint can predate the incarnation that just
         # failed (a rollback may have discarded every later checkpoint), in
         # which case replay reconstructed our own entry in an *older*
@@ -248,22 +226,15 @@ class DamaniGargProcess(BaseRecoveryProcess):
             )
         self.clock = self.clock.restart(self.pid)
         self.history.observe_token(token)
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.clock[self.pid].version
+        new_version = self.clock[self.pid].version
+        self._restarted(
+            new_version,
+            replayed,
+            failed_version=failed_version,
+            new_version=new_version,
+            restored_ts=restored_ts,
         )
         self.clock_by_uid[self.executor.current_uid] = self.clock
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTART,
-                self.pid,
-                failed_version=failed_version,
-                new_version=self.clock[self.pid].version,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                restored_ts=restored_ts,
-                replayed=replayed,
-            )
         # Memory-only commit: the restart checkpoint's writes persist the
         # intent-free image, making the transition durably committed.
         self.storage.commit_intent(intent)
@@ -362,46 +333,21 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # history expects.
         if not history.admits(envelope.clock):
             if history.is_obsolete(envelope.clock):
-                self.stats.app_discarded += 1
                 self.obs.counter("dg.obsolete_discarded")
-                if self.trace is not None:
-                    self.trace.record(
-                        self.env.now,
-                        EventKind.DISCARD,
-                        self.pid,
-                        msg_id=msg.msg_id,
-                        reason="obsolete",
-                    )
+                self._discard(msg, "obsolete")
                 return
             missing = history.missing_tokens(envelope.clock)
             if missing:
-                self._held.append(msg)
-                self.stats.app_postponed += 1
+                self._postpone(msg, missing)
                 self.obs.counter("dg.postponed")
                 if self.obs.enabled:
                     self.obs.gauge(
                         f"dg.postponed_depth.p{self.pid}", len(self._held)
                     )
-                if self.trace is not None:
-                    self.trace.record(
-                        self.env.now,
-                        EventKind.POSTPONE,
-                        self.pid,
-                        msg_id=msg.msg_id,
-                        awaiting=missing,
-                    )
                 return
         if envelope.dedup_id in self._delivered_ids:
-            self.stats.duplicates_discarded += 1
             self.obs.counter("dg.duplicates_discarded")
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now,
-                    EventKind.DISCARD,
-                    self.pid,
-                    msg_id=msg.msg_id,
-                    reason="duplicate",
-                )
+            self._discard(msg, "duplicate")
             return
         self._deliver(msg)
 
@@ -434,7 +380,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
             meta=(envelope.clock, envelope.dedup_id, uid, state_clock),
         )
         for send in ctx.sends:
-            self._register_send(send.dst, send.payload, transmit=True)
+            self._send_app(send.dst, send.payload, transmit=True)
         if ctx.outputs:
             self.emit_outputs(ctx.outputs, replay=False)
         if self.config.checkpoint_every_messages is not None:
@@ -450,20 +396,13 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # recovery events made between entries (see the append site).
         self.clock = state_clock
         self._delivered_ids.add(dedup_id)
-        self.stats.replayed += 1
-        ctx = self.executor.execute(
-            entry.payload, msg_id=entry.msg_id, replay=True, uid=uid
-        )
         # First write wins: a same-incarnation replay reconstructs the
         # original clock exactly, but a post-restart replay of an entry
         # from a later incarnation rebuilds the state content under an
         # older own version -- the clock recorded at the original
         # delivery is the truthful one for the Theorem 1 oracle.
-        self.clock_by_uid.setdefault(self.executor.current_uid, self.clock)
-        for send in ctx.sends:
-            self._register_send(send.dst, send.payload, transmit=False)
-        if ctx.outputs:
-            self.emit_outputs(ctx.outputs, replay=True)
+        self.clock_by_uid.setdefault(uid, state_clock)
+        self._replay(entry.payload, entry.msg_id, uid)
 
     def inject_app_send(self, dst: int, payload: Any) -> None:
         """Environment-driven send outside any delivery or bootstrap.
@@ -479,9 +418,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
         *receives* application messages acquires no foreign clock
         dependencies and can never become an orphan.
         """
-        self._register_send(dst, payload, transmit=True)
+        self._send_app(dst, payload, transmit=True)
 
-    def _register_send(self, dst: int, payload: Any, *, transmit: bool) -> None:
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         """Attach the current clock, remember send history, tick.
 
         With ``transmit=False`` (replay) the message is not re-sent but the
@@ -612,10 +551,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         return AppEnvelope(payload=payload, clock=clock, dedup_id=dedup_id)
 
     def _release_held(self) -> None:
-        """Re-examine postponed messages after a token arrived."""
-        held, self._held = self._held, []
-        for msg in held:
-            self._receive_app(msg)
+        super()._release_held()
         if self.obs.enabled:
             self.obs.gauge(
                 f"dg.postponed_depth.p{self.pid}", len(self._held)
@@ -688,24 +624,13 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # A non-failed process loses nothing: log everything first.
         self.storage.advance_intent(intent, "log_flushed")
         self.flush_log()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTORE,
-                self.pid,
-                ckpt_uid=ckpt.snapshot["uid"],
-                reason="rollback",
-            )
         with self.obs.span("dg.rollback_wall_s"):
-            self._restore_checkpoint(ckpt)
+            self._restore(ckpt, "rollback")
             self.storage.advance_intent(intent, "checkpoints_discarded")
             self.storage.checkpoints.discard_after(ckpt)
-            replayed = 0
-            for entry in self.storage.log.stable_entries(position):
-                if entry.index >= boundary:
-                    break
-                self._replay_entry(entry)
-                replayed += 1
+            replayed = self._replay_log(
+                position, lambda entry: entry.index >= boundary
+            )
         leftovers = list(self.storage.log.stable_entries(boundary))
         self.storage.advance_intent(intent, "log_truncated")
         discarded = self.storage.log.truncate(boundary)
@@ -725,8 +650,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 own_before.version, own_before.timestamp + 1
             )
             self.clock = FaultTolerantVectorClock(entries)
-        restored_uid = self.executor.new_recovery_state()
-        self.clock_by_uid[self.executor.current_uid] = self.clock
         # Memory-only commit: the stable_own write below persists the
         # intent-free image, making the rollback durably committed.
         self.storage.commit_intent(intent)
@@ -738,7 +661,16 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # restored (older) history.
         for logged in self.storage.tokens:
             self.history.observe_token(logged)
-        self.stats.note_rollback(token.origin, token.version)
+        # After every durable step: a crash point firing inside one of
+        # them must find no ROLLBACK recorded.
+        self._rolled_back(
+            token.origin,
+            token.version,
+            token.timestamp,
+            replayed=replayed,
+            discarded=discarded,
+        )
+        self.clock_by_uid[self.executor.current_uid] = self.clock
         self.obs.counter("dg.rollbacks")
         if self.obs.enabled:
             self.obs.event(
@@ -750,19 +682,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 discarded=discarded,
             )
         self._sample_obs_gauges()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.ROLLBACK,
-                self.pid,
-                origin=token.origin,
-                version=token.version,
-                timestamp=token.timestamp,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-                discarded_log_entries=discarded,
-            )
         return leftovers
 
     # ------------------------------------------------------------------
@@ -783,7 +702,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         return extras
 
     def _restore_checkpoint(self, ckpt) -> None:
-        self.executor.restore(ckpt.snapshot)
+        super()._restore_checkpoint(ckpt)
         self.clock = ckpt.extras["clock"]
         self.history = ckpt.extras["history"].snapshot()
         self._send_seq = ckpt.extras["send_seq"]

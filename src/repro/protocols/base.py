@@ -12,9 +12,19 @@ A protocol process owns, per application process:
 Protocols are engine-agnostic: everything they touch goes through the
 narrow :class:`~repro.runtime.env.RuntimeEnv` interface (``self.env``), so
 the same protocol object runs under the discrete-event simulator and the
-live asyncio cluster runtime.  Subclasses implement the four lifecycle
-hooks (`on_start`, `on_network_message`, `on_crash`, `on_restart`) plus
-whatever control machinery their paper requires.
+live asyncio cluster runtime.  Subclasses implement `on_network_message`
+and `on_restart` (`on_start` and `on_crash` have defaults) plus whatever
+control machinery their paper requires.
+
+The recovery steps every protocol takes -- restore a checkpoint, replay
+the stable log, begin a new incarnation, roll back, discard or postpone a
+message -- are helpers here that each protocol calls in its own order, so
+the ground-truth events they record (``RESTORE``, ``RESTART``,
+``ROLLBACK``, ``DISCARD``, ``POSTPONE``) are written in one place.  A
+protocol supplies only its tracking: ``_send_app`` (the envelope),
+``_replay_entry`` (what its log entries carry), ``_receive_app`` (what
+decides a held message) and ``_restore_checkpoint`` (what its
+``checkpoint_extras`` saved).
 
 Construction takes a :class:`RuntimeEnv`: under the simulator that is the
 :class:`~repro.sim.env.SimEnv` (alias ``ProcessHost``) itself.
@@ -33,6 +43,7 @@ from repro.runtime.app import (
     AppExecutor,
     OutputRecord,
     ProcessContext,
+    StateUid,
 )
 from repro.runtime.env import RuntimeEnv, TimerHandle
 from repro.runtime.message import NetworkMessage
@@ -192,22 +203,184 @@ class BaseRecoveryProcess(abc.ABC):
                       f"gossip:{self.pid}", switch="gossip_stability"),
         )
         self._deliveries_since_checkpoint = 0
+        # Postponed messages (volatile): see _postpone / _release_held.
+        self._held: list[NetworkMessage] = []
         env.attach(self)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (environment-facing)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def on_start(self) -> None: ...
+    def on_start(self) -> None:
+        """Bootstrap, then checkpoint 0 and the periodic tasks.
+
+        Checkpoint 0 is taken after bootstrap so a restart never needs to
+        re-run the (unreplayable) initial sends.
+        """
+        self._finish_step(self.executor.bootstrap())
+        self.take_checkpoint()
+        self.start_periodic_tasks()
 
     @abc.abstractmethod
     def on_network_message(self, msg: NetworkMessage) -> None: ...
 
-    @abc.abstractmethod
-    def on_crash(self) -> None: ...
+    def on_crash(self) -> None:
+        """Lose the volatile state: the unflushed log suffix and the held
+        messages.  Protocols extend it with their own."""
+        self.storage.on_crash()
+        self._held.clear()
 
     @abc.abstractmethod
     def on_restart(self) -> None: ...
+
+    # ------------------------------------------------------------------
+    # Recovery steps, called by each protocol in its own order
+    # ------------------------------------------------------------------
+    def _finish_step(
+        self, ctx: ProcessContext, *, replay: bool = False
+    ) -> None:
+        """Hand on the sends and outputs of one application step."""
+        for send in ctx.sends:
+            self._send_app(send.dst, send.payload, transmit=not replay)
+        if ctx.outputs:
+            self.emit_outputs(ctx.outputs, replay=replay)
+
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
+        """Wrap one application send in the protocol's envelope and send it.
+
+        ``transmit=False`` marks a send regenerated by replay, which the
+        failed incarnation already put on the wire: the protocol advances
+        its sequence numbers and clock exactly as the original did but
+        sends nothing (a protocol that resends replayed sends ignores it).
+        """
+        raise NotImplementedError
+
+    def _replay(self, payload: Any, msg_id: int, uid: StateUid) -> None:
+        """Re-execute one logged receive under its original state uid."""
+        self.stats.replayed += 1
+        ctx = self.executor.execute(
+            payload, msg_id=msg_id, replay=True, uid=uid
+        )
+        self._finish_step(ctx, replay=True)
+
+    def _replay_entry(self, entry: Any) -> None:
+        """Replay one stable log entry: reinstate what the protocol logged
+        in ``entry.meta``, then :meth:`_replay` it."""
+        raise NotImplementedError
+
+    def _replay_log(
+        self, position: int, stop: Callable[[Any], bool] | None = None
+    ) -> int:
+        """Replay the stable log from ``position`` up to the first entry
+        ``stop`` accepts (a rollback's orphan point), or to its end;
+        returns how many entries were replayed."""
+        replayed = 0
+        for entry in self.storage.log.stable_entries(position):
+            if stop is not None and stop(entry):
+                break
+            self._replay_entry(entry)
+            replayed += 1
+        return replayed
+
+    def _restore(self, ckpt: Any, reason: str) -> None:
+        """Record ``RESTORE`` (``reason`` is ``"restart"`` or
+        ``"rollback"``), then load ``ckpt``.  The ground truth reads the
+        event as the start of a replay, so it comes first."""
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now,
+                EventKind.RESTORE,
+                self.pid,
+                ckpt_uid=ckpt.snapshot["uid"],
+                reason=reason,
+            )
+        self._restore_checkpoint(ckpt)
+
+    def _restore_checkpoint(self, ckpt: Any) -> None:
+        """Load a checkpoint: the executor snapshot here, and in each
+        protocol the state its :meth:`checkpoint_extras` saved."""
+        self.executor.restore(ckpt.snapshot)
+
+    def _restarted(self, epoch: int, replayed: int, **fields: Any) -> None:
+        """Begin the post-failure incarnation (the executor's ``epoch``)
+        and record ``RESTART`` with the protocol's extra ``fields``."""
+        restored_uid = self.executor.begin_incarnation(
+            self.env.crash_count, epoch
+        )
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now,
+                EventKind.RESTART,
+                self.pid,
+                restored_uid=restored_uid,
+                new_uid=self.executor.current_uid,
+                replayed=replayed,
+                **fields,
+            )
+
+    def _rolled_back(
+        self,
+        origin: int,
+        version: int,
+        timestamp: int,
+        *,
+        replayed: int = 0,
+        discarded: int = 0,
+        failure: tuple[int, int] | None = None,
+    ) -> None:
+        """Mint the post-rollback state, count the rollback against
+        ``failure`` (default ``(origin, version)``) and record
+        ``ROLLBACK``."""
+        restored_uid = self.executor.new_recovery_state()
+        self.stats.note_rollback(*(failure or (origin, version)))
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now,
+                EventKind.ROLLBACK,
+                self.pid,
+                origin=origin,
+                version=version,
+                timestamp=timestamp,
+                restored_uid=restored_uid,
+                new_uid=self.executor.current_uid,
+                replayed=replayed,
+                discarded_log_entries=discarded,
+            )
+
+    def _discard(self, msg: NetworkMessage, reason: str) -> None:
+        """Drop an application message: a ``"duplicate"`` of one already
+        delivered, or ``"obsolete"`` (sent from a state recovery undid)."""
+        if reason == "duplicate":
+            self.stats.duplicates_discarded += 1
+        else:
+            self.stats.app_discarded += 1
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now,
+                EventKind.DISCARD,
+                self.pid,
+                msg_id=msg.msg_id,
+                reason=reason,
+            )
+
+    def _postpone(self, msg: NetworkMessage, awaiting: Any) -> None:
+        """Hold a message until the recovery knowledge it awaits arrives."""
+        self._held.append(msg)
+        self.stats.app_postponed += 1
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now,
+                EventKind.POSTPONE,
+                self.pid,
+                msg_id=msg.msg_id,
+                awaiting=awaiting,
+            )
+
+    def _release_held(self) -> None:
+        """Hand every held message to the protocol's ``_receive_app``
+        again, now that new recovery knowledge arrived."""
+        held, self._held = self._held, []
+        for msg in held:
+            self._receive_app(msg)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Periodic activities

@@ -106,51 +106,35 @@ class CausalLoggingProcess(BaseRecoveryProcess):
         #: (pid, incarnation) incarnations known ended but not yet announced
         #: (between CLRecover and CLAnnounce): their messages are held
         self._ending: set[tuple[int, int]] = set()
-        self._held: list[NetworkMessage] = []
         # Recovery session:
         self._recovering = False
         self._responses: dict[int, CLDeterminants] = {}
         self._buffered: list[NetworkMessage] = []
+        self._post_replay = 0    # entries the restart replayed locally
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
-        self.take_checkpoint()
-        self.start_periodic_tasks()
-
     def on_network_message(self, msg: NetworkMessage) -> None:
         payload = msg.payload
         if isinstance(payload, CLRecover):
             self._on_recover_request(payload)
-            return
-        if isinstance(payload, CLAnnounce):
+        elif isinstance(payload, CLAnnounce):
             self._on_announce(payload)
-            return
-        if self._recovering:
-            if isinstance(payload, CLDeterminants):
-                self._on_determinants(payload)
-            else:
-                self._buffered.append(msg)
-            return
-        if isinstance(payload, CLMessage):
-            self._on_app_message(msg)
+        elif isinstance(payload, CLMessage):
+            self._receive_app(msg)
         elif isinstance(payload, CLDeterminants):
-            pass   # stale response from a finished session
+            if self._recovering:   # else a stale finished session's
+                self._on_determinants(payload)
         else:
             raise ValueError(f"unexpected payload {payload!r}")
 
     def on_crash(self) -> None:
-        self.storage.on_crash()
+        super().on_crash()
         self._determinants.clear()
         self._watermarks.clear()
         self._delivered.clear()
         self._ending.clear()
-        self._held.clear()
         self._recovering = False
         self._responses.clear()
         self._buffered.clear()
@@ -166,15 +150,13 @@ class CausalLoggingProcess(BaseRecoveryProcess):
             if det.rsn >= self._watermarks.get(det.dest, 0)
         }
 
-    def _on_app_message(self, msg: NetworkMessage) -> None:
+    def _receive_app(self, msg: NetworkMessage) -> None:
+        if self._recovering:
+            self._buffered.append(msg)   # taken once recovery completes
+            return
         envelope: CLMessage = msg.payload
         if (msg.src, envelope.ssn) in self._delivered:
-            self.stats.duplicates_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.DISCARD, self.pid,
-                    msg_id=msg.msg_id, reason="duplicate",
-                )
+            self._discard(msg, "duplicate")
             return
         # Stale-incarnation filter (the Manetho-style coordination that
         # keeps causal logging orphan-free): a message from an ended
@@ -183,22 +165,11 @@ class CausalLoggingProcess(BaseRecoveryProcess):
         key = (msg.src, envelope.incarnation)
         cutoff = self._ssn_cutoffs.get(key)
         if cutoff is not None and envelope.ssn >= cutoff:
-            self.stats.app_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.DISCARD, self.pid,
-                    msg_id=msg.msg_id, reason="obsolete",
-                )
+            self._discard(msg, "obsolete")
             return
         if key in self._ending:
             # Incarnation ended but its cutoff is not known yet: hold.
-            self._held.append(msg)
-            self.stats.app_postponed += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.POSTPONE, self.pid,
-                    msg_id=msg.msg_id, awaiting=[key],
-                )
+            self._postpone(msg, [key])
             return
         # Absorb the sender's knowledge before creating our own receive.
         for det in envelope.determinants:
@@ -227,12 +198,14 @@ class CausalLoggingProcess(BaseRecoveryProcess):
         self._determinants[(self.pid, rsn)] = determinant
         self.storage.log.append(msg_id, src, payload, meta=determinant)
         self.stats.app_delivered += 1
-        ctx = self.executor.execute(payload, msg_id=msg_id)
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(self.executor.execute(payload, msg_id=msg_id))
 
-    def _send_app(self, dst: int, payload: Any) -> None:
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
+        """Sends regenerated by replay go out again (``transmit`` is
+        ignored) with their ORIGINAL ssns -- the restored counter and
+        deterministic replay reproduce them -- so receivers deduplicate
+        exact copies, and sends that never left before the crash go out
+        here for the first time."""
         self._prune()
         determinants = tuple(
             self._determinants[key] for key in sorted(self._determinants)
@@ -265,19 +238,7 @@ class CausalLoggingProcess(BaseRecoveryProcess):
     def on_restart(self) -> None:
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="restart",
-            )
-        self.executor.restore(ckpt.snapshot)
-        self._rsn = ckpt.extras["rsn"]
-        self._ssn = ckpt.extras["ssn"]
-        self._incarnation = ckpt.extras["incarnation"]
-        self._delivered = set(ckpt.extras["delivered"])
-        self._determinants = dict(ckpt.extras["determinants"])
-        self._watermarks = dict(ckpt.extras["watermarks"])
-        self._ssn_cutoffs = dict(ckpt.extras["ssn_cutoffs"])
+        self._restore(ckpt, "restart")
         # Ended-incarnation knowledge is durable (synchronously logged).
         for logged in self.storage.tokens:
             if isinstance(logged, CLAnnounce):
@@ -288,13 +249,9 @@ class CausalLoggingProcess(BaseRecoveryProcess):
                 key = (logged.requester, logged.incarnation)
                 if key not in self._ssn_cutoffs:
                     self._ending.add(key)
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            self._replay_determinant(entry.meta)
-            replayed += 1
-        self._post_replay = replayed
+        self._post_replay = self._replay_log(ckpt.log_position)
         if self.n == 1:
-            self._finish_recovery(replayed, ())
+            self._finish_recovery(self._post_replay, ())
             return
         self._recovering = True
         self._responses = {}
@@ -308,29 +265,20 @@ class CausalLoggingProcess(BaseRecoveryProcess):
         )
         self.stats.control_sent += self.n - 1
 
-    def _replay_determinant(self, det: Determinant) -> None:
+    def _replay_entry(self, entry) -> None:
         """Replay one logged/collected receive, reconstructing its uid.
 
         Causal logging never rolls back, so original state uids since any
         checkpoint are consecutive serials: the state this replay recreates
         is exactly the successor of the executor's current uid.
         """
+        det: Determinant = entry.meta
         current = self.executor.current_uid
         original_uid = (self.pid, current[1], current[2] + 1)
         self._rsn = det.rsn + 1
         self._delivered.add((det.src, det.ssn))
         self._determinants[(self.pid, det.rsn)] = det
-        self.stats.replayed += 1
-        ctx = self.executor.execute(
-            det.payload, msg_id=det.msg_id, replay=True, uid=original_uid
-        )
-        for send in ctx.sends:
-            # Regenerated sends are retransmitted with their ORIGINAL ssns
-            # (the restored counter + deterministic replay reproduce them),
-            # so receivers deduplicate exact copies; sends that never left
-            # before the crash go out here for the first time.
-            self._send_app(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=True)
+        self._replay(det.payload, det.msg_id, original_uid)
 
     def _on_recover_request(self, request: CLRecover) -> None:
         key = (request.requester, request.incarnation)
@@ -363,12 +311,7 @@ class CausalLoggingProcess(BaseRecoveryProcess):
                 origin=announce.origin, version=announce.incarnation,
                 timestamp=announce.ssn_cutoff,
             )
-        held, self._held = self._held, []
-        for msg in held:
-            if self._recovering:
-                self._buffered.append(msg)
-            else:
-                self._on_app_message(msg)
+        self._release_held()
         # The announce may be exactly what our own recovery was waiting on.
         self._try_complete()
 
@@ -402,7 +345,7 @@ class CausalLoggingProcess(BaseRecoveryProcess):
         # the same piggybacking reason) if occasionally lossy under
         # overlapping failures.
         expected = self._rsn
-        replayed = getattr(self, "_post_replay", 0)
+        replayed = self._post_replay
         fresh: list[Determinant] = []
         for rsn in sorted(collected):
             det = collected[rsn]
@@ -412,9 +355,9 @@ class CausalLoggingProcess(BaseRecoveryProcess):
                 expected = None   # chain broken; the rest is fresh at best
                 continue
             if det.rsn == expected and not fresh:
-                self.storage.log.append(det.msg_id, det.src, det.payload,
-                                        meta=det)
-                self._replay_determinant(det)
+                self._replay_entry(self.storage.log.append(
+                    det.msg_id, det.src, det.payload, meta=det
+                ))
                 replayed += 1
                 expected += 1
             else:
@@ -449,16 +392,7 @@ class CausalLoggingProcess(BaseRecoveryProcess):
                 version=announce.incarnation,
                 timestamp=announce.ssn_cutoff,
             )
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.env.crash_count
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTART, self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restarted(self.env.crash_count, replayed)
         self._recovering = False
         self._responses = {}
         self.take_checkpoint()
@@ -487,6 +421,16 @@ class CausalLoggingProcess(BaseRecoveryProcess):
             "watermarks": dict(self._watermarks),
             "ssn_cutoffs": dict(self._ssn_cutoffs),
         }
+
+    def _restore_checkpoint(self, ckpt) -> None:
+        super()._restore_checkpoint(ckpt)
+        self._rsn = ckpt.extras["rsn"]
+        self._ssn = ckpt.extras["ssn"]
+        self._incarnation = ckpt.extras["incarnation"]
+        self._delivered = set(ckpt.extras["delivered"])
+        self._determinants = dict(ckpt.extras["determinants"])
+        self._watermarks = dict(ckpt.extras["watermarks"])
+        self._ssn_cutoffs = dict(ckpt.extras["ssn_cutoffs"])
 
     def piggyback_entry_count(self) -> int:
         return 1 + len(self._determinants)

@@ -92,6 +92,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
         # Coordinator-only:
         self._pending_round: int | None = None
         self._acks: set[int] = set()
+        self._rounds_enabled = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -101,10 +102,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
         # round -1 so they count as in-flight across the round-0 cut (a
         # recovery to round 0 must deliver, not discard, them).
         self.round = -1
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(self.executor.bootstrap())
         self.round = 0
         self._take_snapshot(0)
         self.storage.put("committed_round", 0)
@@ -120,7 +118,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
         )
 
     def _initiate_round(self) -> None:
-        if not getattr(self, "_rounds_enabled", True):
+        if not self._rounds_enabled:
             return
         if self.env.alive and self._pending_round is None:
             next_round = self.storage.get("next_round", 1)
@@ -159,7 +157,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
             raise ValueError(f"unexpected payload {payload!r}")
 
     def on_crash(self) -> None:
-        self.storage.on_crash()
+        super().on_crash()
         self._pending_round = None
         self._acks = set()
         self._acked_rounds = set()
@@ -169,22 +167,9 @@ class CoordinatedProcess(BaseRecoveryProcess):
         committed = self.storage.get("committed_round", 0)
         epoch = self.storage.get("epoch", 0) + 1
         ckpt = self._checkpoint_for_round(committed)
+        self._restore_to(ckpt, epoch, "restart")
+        self._restarted(epoch, 0)
         if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="restart",
-            )
-        self._restore_to(ckpt, epoch)
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, epoch
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTART, self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=0,
-            )
             self.trace.record(
                 self.env.now, EventKind.TOKEN_SEND, self.pid,
                 version=epoch, timestamp=committed,
@@ -289,40 +274,28 @@ class CoordinatedProcess(BaseRecoveryProcess):
         if recover.epoch <= self.epoch:
             return     # already past this recovery
         ckpt = self._checkpoint_for_round(recover.round)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="rollback",
-            )
-        self._restore_to(ckpt, recover.epoch)
-        restored_uid = self.executor.new_recovery_state()
-        self.stats.note_rollback(-1, recover.epoch)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.ROLLBACK, self.pid,
-                origin=-1, version=recover.epoch, timestamp=recover.round,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=0,
-                discarded_log_entries=0,
-            )
+        self._restore_to(ckpt, recover.epoch, "rollback")
+        self._rolled_back(-1, recover.epoch, recover.round)
         self._redeliver_channel_state(ckpt)
 
-    def _restore_to(self, ckpt, new_epoch: int) -> None:
-        old_epoch = self.epoch
-        self.executor.restore(ckpt.snapshot)
-        self.storage.checkpoints.discard_after(ckpt)
+    def _restore_checkpoint(self, ckpt) -> None:
+        super()._restore_checkpoint(ckpt)
         self._send_seq = ckpt.extras["send_seq"]
         self._delivered = set(ckpt.extras["delivered"])
         self._recovery_cuts = dict(ckpt.extras["recovery_cuts"])
-        restored_round = ckpt.extras["round"]
+        self.round = ckpt.extras["round"]
+
+    def _restore_to(self, ckpt, new_epoch: int, reason: str) -> None:
+        """Restore the cut's checkpoint and begin epoch ``new_epoch``."""
+        old_epoch = self.epoch
+        self._restore(ckpt, reason)
+        self.storage.checkpoints.discard_after(ckpt)
         for epoch in range(ckpt.extras["epoch"], new_epoch):
-            self._recovery_cuts.setdefault(epoch, restored_round)
-        self._recovery_cuts[old_epoch] = restored_round
-        self.round = restored_round
+            self._recovery_cuts.setdefault(epoch, self.round)
+        self._recovery_cuts[old_epoch] = self.round
         self.epoch = new_epoch
         self.storage.put("epoch", new_epoch)
-        self.storage.put("committed_round", restored_round)
+        self.storage.put("committed_round", self.round)
         self._pending_round = None
         self._acks = set()
         self._acked_rounds = set()
@@ -348,7 +321,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
     def _receive_app(self, msg: NetworkMessage) -> None:
         envelope: CoEnvelope = msg.payload
         if envelope.dedup_id in self._delivered:
-            self.stats.duplicates_discarded += 1
+            self._discard(msg, "duplicate")
             return
         if envelope.epoch < self.epoch:
             # From an overtaken epoch: acceptable only if it was in flight
@@ -356,12 +329,7 @@ class CoordinatedProcess(BaseRecoveryProcess):
             for epoch in range(envelope.epoch, self.epoch):
                 cut = self._recovery_cuts.get(epoch)
                 if cut is None or envelope.round >= cut:
-                    self.stats.app_discarded += 1
-                    if self.trace is not None:
-                        self.trace.record(
-                            self.env.now, EventKind.DISCARD, self.pid,
-                            msg_id=msg.msg_id, reason="obsolete",
-                        )
+                    self._discard(msg, "obsolete")
                     return
         # A message from a round we have not joined yet proves that round
         # started: join (snapshot) before delivering, or the cut would
@@ -379,12 +347,12 @@ class CoordinatedProcess(BaseRecoveryProcess):
                           src: int) -> None:
         self._delivered.add(envelope.dedup_id)
         self.stats.app_delivered += 1
-        ctx = self.executor.execute(envelope.payload, msg_id=msg_id)
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(
+            self.executor.execute(envelope.payload, msg_id=msg_id)
+        )
 
-    def _send_app(self, dst: int, payload: Any) -> None:
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
+        """Coordinated checkpointing never replays: every send transmits."""
         envelope = CoEnvelope(
             payload=payload,
             round=self.round,

@@ -48,28 +48,12 @@ class PessimisticReceiverProcess(BaseRecoveryProcess):
         self._delivered: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
-        self.take_checkpoint()
-        self.start_periodic_tasks()
-
     def on_network_message(self, msg: NetworkMessage) -> None:
         if msg.kind != "app":
             raise ValueError(f"unexpected message kind {msg.kind!r}")
         envelope: _Envelope = msg.payload
         if envelope.dedup_id in self._delivered:
-            self.stats.duplicates_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now,
-                    EventKind.DISCARD,
-                    self.pid,
-                    msg_id=msg.msg_id,
-                    reason="duplicate",
-                )
+            self._discard(msg, "duplicate")
             return
         self._delivered.add(envelope.dedup_id)
         self.stats.app_delivered += 1
@@ -87,9 +71,7 @@ class PessimisticReceiverProcess(BaseRecoveryProcess):
         self.storage.log.flush()
         self.stats.sync_log_writes += 1
         self.storage.sync_writes += 1
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(ctx)
 
     def on_crash(self) -> None:
         lost = self.storage.on_crash()
@@ -100,42 +82,15 @@ class PessimisticReceiverProcess(BaseRecoveryProcess):
         """Purely local recovery: checkpoint + full log replay."""
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTORE,
-                self.pid,
-                ckpt_uid=ckpt.snapshot["uid"],
-                reason="restart",
-            )
-        self.executor.restore(ckpt.snapshot)
-        self._send_seq = ckpt.extras["send_seq"]
-        self._delivered = set(ckpt.extras["delivered"])
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            dedup_id, uid = entry.meta
-            self._delivered.add(dedup_id)
-            self.stats.replayed += 1
-            ctx = self.executor.execute(
-                entry.payload, msg_id=entry.msg_id, replay=True, uid=uid
-            )
-            for send in ctx.sends:
-                self._send_app(send.dst, send.payload, transmit=False)
-            self.emit_outputs(ctx.outputs, replay=True)
-            replayed += 1
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.env.crash_count
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTART,
-                self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restore(ckpt, "restart")
+        replayed = self._replay_log(ckpt.log_position)
+        self._restarted(self.env.crash_count, replayed)
         self.take_checkpoint()
+
+    def _replay_entry(self, entry) -> None:
+        dedup_id, uid = entry.meta
+        self._delivered.add(dedup_id)
+        self._replay(entry.payload, entry.msg_id, uid)
 
     # ------------------------------------------------------------------
     def checkpoint_extras(self) -> dict[str, Any]:
@@ -143,6 +98,11 @@ class PessimisticReceiverProcess(BaseRecoveryProcess):
             "send_seq": self._send_seq,
             "delivered": set(self._delivered),
         }
+
+    def _restore_checkpoint(self, ckpt) -> None:
+        super()._restore_checkpoint(ckpt)
+        self._send_seq = ckpt.extras["send_seq"]
+        self._delivered = set(ckpt.extras["delivered"])
 
     def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         envelope = _Envelope(payload=payload, dedup_id=(self.pid, self._send_seq))

@@ -66,7 +66,6 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         self.epoch = 0
         # epoch -> (failed pid, restored timestamp): the cutoff that ended it
         self.cutoffs: dict[int, tuple[int, int]] = {}
-        self._held: list[NetworkMessage] = []
         # Synchronous-recovery session state (when we are the failed one):
         self._awaiting_acks: set[int] | None = None
         self._buffered: list[NetworkMessage] = []
@@ -75,14 +74,6 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
-        self.take_checkpoint()
-        self.start_periodic_tasks()
-
     def on_network_message(self, msg: NetworkMessage) -> None:
         payload = msg.payload
         if isinstance(payload, PKToken):
@@ -98,8 +89,7 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         self._receive_app(msg)
 
     def on_crash(self) -> None:
-        self.storage.on_crash()
-        self._held.clear()
+        super().on_crash()
         self._buffered.clear()
         self._awaiting_acks = None
         self._blocked_since = None
@@ -107,16 +97,8 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
     def on_restart(self) -> None:
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="restart",
-            )
-        self._restore_checkpoint(ckpt)
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            self._replay_entry(entry)
-            replayed += 1
+        self._restore(ckpt, "restart")
+        replayed = self._replay_log(ckpt.log_position)
         restored_ts = self.clock[self.pid]
         new_epoch = self.epoch + 1
         token = PKToken(
@@ -125,20 +107,12 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         self.storage.log_token(token)
         self.cutoffs[self.epoch] = (self.pid, restored_ts)
         self.epoch = new_epoch
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, new_epoch
-        )
         if self.trace is not None:
             self.trace.record(
                 self.env.now, EventKind.TOKEN_SEND, self.pid,
                 version=new_epoch, timestamp=restored_ts,
             )
-            self.trace.record(
-                self.env.now, EventKind.RESTART, self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restarted(new_epoch, replayed)
         self.take_checkpoint()
         if self.n == 1:
             return
@@ -168,21 +142,10 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         envelope: PKEnvelope = msg.payload
         if envelope.epoch > self.epoch:
             # From a recovery we have not heard about yet.
-            self._held.append(msg)
-            self.stats.app_postponed += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.POSTPONE, self.pid,
-                    msg_id=msg.msg_id, awaiting=[("epoch", envelope.epoch)],
-                )
+            self._postpone(msg, [("epoch", envelope.epoch)])
             return
         if self._is_obsolete(envelope):
-            self.stats.app_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.DISCARD, self.pid,
-                    msg_id=msg.msg_id, reason="obsolete",
-                )
+            self._discard(msg, "obsolete")
             return
         self._deliver(msg)
 
@@ -195,20 +158,12 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
             msg.msg_id, msg.src, envelope.payload,
             meta=(envelope.clock, self.executor.current_uid),
         )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(ctx)
 
     def _replay_entry(self, entry) -> None:
         clock, uid = entry.meta
         self.clock = self.clock.merge(clock).tick(self.pid)
-        self.stats.replayed += 1
-        ctx = self.executor.execute(
-            entry.payload, msg_id=entry.msg_id, replay=True, uid=uid
-        )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=False)
-        self.emit_outputs(ctx.outputs, replay=True)
+        self._replay(entry.payload, entry.msg_id, uid)
 
     def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         envelope = PKEnvelope(payload=payload, clock=self.clock,
@@ -246,9 +201,7 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         self.env.send(token.origin, PKAck(epoch=token.epoch, sender=self.pid),
                        kind="control")
         self.stats.control_sent += 1
-        held, self._held = self._held, []
-        for msg in held:
-            self._receive_app(msg)
+        self._release_held()
 
     def _receive_ack(self, ack: PKAck) -> None:
         if self._awaiting_acks is None or ack.epoch != self.epoch:
@@ -269,44 +222,25 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
     def _rollback(self, token: PKToken) -> None:
         self.flush_log()
         j = token.origin
-
-        def survives(ckpt) -> bool:
-            return ckpt.extras["clock"][j] <= token.restored_ts
-
-        ckpt = self.storage.checkpoints.latest_satisfying(survives)
+        ckpt = self.storage.checkpoints.latest_satisfying(
+            lambda c: c.extras["clock"][j] <= token.restored_ts
+        )
         if ckpt is None:
             raise RuntimeError(
                 f"P{self.pid}: no surviving checkpoint for {token!r}"
             )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="rollback",
-            )
-        self._restore_checkpoint(ckpt)
+        self._restore(ckpt, "rollback")
         self.storage.checkpoints.discard_after(ckpt)
-        position = ckpt.log_position
-        replayed = 0
-        for entry in self.storage.log.stable_entries(position):
-            clock, _uid = entry.meta
-            if clock[j] > token.restored_ts:
-                break
-            self._replay_entry(entry)
-            replayed += 1
-        discarded = self.storage.log.truncate(position + replayed)
+        replayed = self._replay_log(
+            ckpt.log_position,
+            lambda entry: entry.meta[0][j] > token.restored_ts,
+        )
+        discarded = self.storage.log.truncate(ckpt.log_position + replayed)
         self.clock = self.clock.tick(self.pid)
-        restored_uid = self.executor.new_recovery_state()
-        self.stats.note_rollback(token.origin, token.epoch)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.ROLLBACK, self.pid,
-                origin=token.origin, version=token.epoch,
-                timestamp=token.restored_ts,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-                discarded_log_entries=discarded,
-            )
+        self._rolled_back(
+            token.origin, token.epoch, token.restored_ts,
+            replayed=replayed, discarded=discarded,
+        )
 
     # ------------------------------------------------------------------
     def checkpoint_extras(self) -> dict[str, Any]:
@@ -317,7 +251,7 @@ class PetersonKearnsProcess(BaseRecoveryProcess):
         }
 
     def _restore_checkpoint(self, ckpt) -> None:
-        self.executor.restore(ckpt.snapshot)
+        super()._restore_checkpoint(ckpt)
         self.clock = ckpt.extras["clock"]
         self.epoch = ckpt.extras["epoch"]
         self.cutoffs = dict(ckpt.extras["cutoffs"])

@@ -107,10 +107,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
     # Lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._transmit_new(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(self.executor.bootstrap())
         self.take_checkpoint()
         # Only checkpoints are periodic; the receiver log is deliberately
         # volatile between checkpoints (that is the protocol's premise).
@@ -140,7 +137,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
             raise ValueError(f"unexpected payload {payload!r}")
 
     def on_crash(self) -> None:
-        self.storage.on_crash()
+        super().on_crash()
         self._delivered.clear()
         self._unconfirmed.clear()
         self._outbox.clear()
@@ -152,19 +149,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
     def on_restart(self) -> None:
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTORE,
-                self.pid,
-                ckpt_uid=ckpt.snapshot["uid"],
-                reason="restart",
-            )
-        self.executor.restore(ckpt.snapshot)
-        self._send_seq = ckpt.extras["send_seq"]
-        self._rsn = ckpt.extras["rsn"]
-        self._delivered = set(ckpt.extras["delivered"])
-        self._outbox = list(ckpt.extras["outbox"])
+        self._restore(ckpt, "restart")
         self._unconfirmed = set()
         # Checkpointing flushes the receiver log, so there is never a
         # replayable local suffix: everything past the checkpoint must be
@@ -185,15 +170,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
     def _on_app_message(self, msg: NetworkMessage) -> None:
         envelope: JZMessage = msg.payload
         if envelope.send_seq in self._delivered:
-            self.stats.duplicates_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now,
-                    EventKind.DISCARD,
-                    self.pid,
-                    msg_id=msg.msg_id,
-                    reason="duplicate",
-                )
+            self._discard(msg, "duplicate")
             return
         rsn = self._rsn
         self._rsn += 1
@@ -206,10 +183,9 @@ class SenderBasedProcess(BaseRecoveryProcess):
         self.env.send(msg.src, JZAck(envelope.send_seq, rsn), kind="control")
         self.stats.control_sent += 1
         self.stats.app_delivered += 1
-        ctx = self.executor.execute(envelope.payload, msg_id=msg.msg_id)
-        for send in ctx.sends:
-            self._queue_send(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(
+            self.executor.execute(envelope.payload, msg_id=msg.msg_id)
+        )
 
     def _on_ack(self, ack: JZAck) -> None:
         # Record the RSN next to the logged data, then acknowledge back to
@@ -226,9 +202,13 @@ class SenderBasedProcess(BaseRecoveryProcess):
         if not self._unconfirmed:
             self._drain_outbox()
 
-    def _queue_send(self, dst: int, payload: Any) -> None:
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         """The partial-blocking rule: hold sends while any RSN is
-        unconfirmed."""
+        unconfirmed.  Sends regenerated by replay go out again too
+        (``transmit`` is ignored): receivers deduplicate by ``send_seq``,
+        and a send still blocked at the crash leaves here for the first
+        time.  No RSN is unconfirmed while recovering, so those are never
+        held."""
         envelope = JZMessage(payload=payload, send_seq=(self.pid, self._send_seq))
         self._send_seq += 1
         if self._unconfirmed:
@@ -245,11 +225,6 @@ class SenderBasedProcess(BaseRecoveryProcess):
         outbox, self._outbox = self._outbox, []
         for dst, envelope in outbox:
             self._transmit(dst, envelope)
-
-    def _transmit_new(self, dst: int, payload: Any) -> None:
-        envelope = JZMessage(payload=payload, send_seq=(self.pid, self._send_seq))
-        self._send_seq += 1
-        self._transmit(dst, envelope)
 
     def _transmit(self, dst: int, envelope: JZMessage) -> None:
         sent = self.env.send(dst, envelope, kind="app")
@@ -332,37 +307,14 @@ class SenderBasedProcess(BaseRecoveryProcess):
                 self._rsn += 1
                 self.storage.log.append(msg_id, send_seq[0], payload,
                                         meta=(send_seq, rsn))
-                self.stats.replayed += 1
-                ctx = self.executor.execute(payload, msg_id=msg_id,
-                                            replay=True, uid=uid)
-                for send in ctx.sends:
-                    # Regenerated sends are retransmitted: receivers
-                    # deduplicate by send_seq, and sends that were still
-                    # blocked at the crash are transmitted here for the
-                    # first time.
-                    envelope = JZMessage(payload=send.payload,
-                                         send_seq=(self.pid, self._send_seq))
-                    self._send_seq += 1
-                    self._transmit(send.dst, envelope)
-                self.emit_outputs(ctx.outputs, replay=True)
+                self._replay(payload, msg_id, uid)
                 replayed += 1
                 expected += 1
             else:
                 remainder.append((payload, send_seq, msg_id))
         fresh = remainder + fresh
 
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.env.crash_count
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.RESTART,
-                self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restarted(self.env.crash_count, replayed)
         self._finish_recovery()
         # Beyond-the-prefix messages become fresh deliveries with new RSNs.
         for payload, send_seq, msg_id in fresh:
@@ -392,10 +344,7 @@ class SenderBasedProcess(BaseRecoveryProcess):
         self.env.send(send_seq[0], JZAck(send_seq, rsn), kind="control")
         self.stats.control_sent += 1
         self.stats.app_delivered += 1
-        ctx = self.executor.execute(payload, msg_id=msg_id)
-        for send in ctx.sends:
-            self._queue_send(send.dst, send.payload)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(self.executor.execute(payload, msg_id=msg_id))
 
     # ------------------------------------------------------------------
     def checkpoint_extras(self) -> dict[str, Any]:
@@ -405,6 +354,13 @@ class SenderBasedProcess(BaseRecoveryProcess):
             "delivered": set(self._delivered),
             "outbox": list(self._outbox),
         }
+
+    def _restore_checkpoint(self, ckpt) -> None:
+        super()._restore_checkpoint(ckpt)
+        self._send_seq = ckpt.extras["send_seq"]
+        self._rsn = ckpt.extras["rsn"]
+        self._delivered = set(ckpt.extras["delivered"])
+        self._outbox = list(ckpt.extras["outbox"])
 
     def piggyback_entry_count(self) -> int:
         return 1

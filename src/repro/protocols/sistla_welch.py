@@ -81,7 +81,6 @@ class SistlaWelchProcess(BaseRecoveryProcess):
         self.clock = VectorClock.initial(self.pid, self.n)
         self.epoch = 0
         self.cutoffs: dict[int, tuple[int, ...]] = {}   # epoch -> committed cut
-        self._held: list[NetworkMessage] = []
         # Session state:
         self._paused_for: int | None = None     # epoch of the active session
         self._buffered: list[NetworkMessage] = []
@@ -94,14 +93,6 @@ class SistlaWelchProcess(BaseRecoveryProcess):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
-        self.take_checkpoint()
-        self.start_periodic_tasks()
-
     def on_network_message(self, msg: NetworkMessage) -> None:
         payload = msg.payload
         if isinstance(payload, SWBegin):
@@ -118,8 +109,7 @@ class SistlaWelchProcess(BaseRecoveryProcess):
             self._receive_app(msg)
 
     def on_crash(self) -> None:
-        self.storage.on_crash()
-        self._held.clear()
+        super().on_crash()
         self._buffered.clear()
         self._paused_for = None
         self._blocked_since = None
@@ -128,26 +118,9 @@ class SistlaWelchProcess(BaseRecoveryProcess):
     def on_restart(self) -> None:
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="restart",
-            )
-        self._restore_checkpoint(ckpt)
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            self._replay_entry(entry)
-            replayed += 1
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.epoch + 1
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTART, self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restore(ckpt, "restart")
+        replayed = self._replay_log(ckpt.log_position)
+        self._restarted(self.epoch + 1, replayed)
         self.take_checkpoint()
         if self.n == 1:
             self.epoch += 1
@@ -282,9 +255,7 @@ class SistlaWelchProcess(BaseRecoveryProcess):
         buffered, self._buffered = self._buffered, []
         for msg in buffered:
             self.on_network_message(msg)
-        held, self._held = self._held, []
-        for msg in held:
-            self._receive_app(msg)
+        self._release_held()
 
     def _rollback_to(
         self, position: int, epoch: int, cut: tuple[int, ...]
@@ -293,32 +264,17 @@ class SistlaWelchProcess(BaseRecoveryProcess):
             lambda c: c.log_position <= position
         )
         assert ckpt is not None   # the initial checkpoint is at position 0
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="rollback",
-            )
-        self._restore_checkpoint(ckpt)
+        self._restore(ckpt, "rollback")
         self.storage.checkpoints.discard_after(ckpt)
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            if ckpt.log_position + replayed >= position:
-                break
-            self._replay_entry(entry)
-            replayed += 1
+        replayed = self._replay_log(
+            ckpt.log_position, lambda entry: entry.index >= position
+        )
         discarded = self.storage.log.truncate(position)
         self.clock = self.clock.tick(self.pid)
-        restored_uid = self.executor.new_recovery_state()
-        self.stats.note_rollback(epoch, 0)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.ROLLBACK, self.pid,
-                origin=-1, version=epoch, timestamp=0,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-                discarded_log_entries=discarded,
-            )
+        self._rolled_back(
+            -1, epoch, 0,
+            replayed=replayed, discarded=discarded, failure=(epoch, 0),
+        )
 
     # ------------------------------------------------------------------
     # Application traffic
@@ -335,21 +291,10 @@ class SistlaWelchProcess(BaseRecoveryProcess):
     def _receive_app(self, msg: NetworkMessage) -> None:
         envelope: SWEnvelope = msg.payload
         if envelope.epoch > self.epoch:
-            self._held.append(msg)
-            self.stats.app_postponed += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.POSTPONE, self.pid,
-                    msg_id=msg.msg_id, awaiting=[("epoch", envelope.epoch)],
-                )
+            self._postpone(msg, [("epoch", envelope.epoch)])
             return
         if self._is_obsolete(envelope):
-            self.stats.app_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.DISCARD, self.pid,
-                    msg_id=msg.msg_id, reason="obsolete",
-                )
+            self._discard(msg, "obsolete")
             return
         self._deliver(msg)
 
@@ -362,20 +307,12 @@ class SistlaWelchProcess(BaseRecoveryProcess):
             msg.msg_id, msg.src, envelope.payload,
             meta=(envelope.clock, self.clock, self.executor.current_uid),
         )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(ctx)
 
     def _replay_entry(self, entry) -> None:
         msg_clock, _state_clock, uid = entry.meta
         self.clock = self.clock.merge(msg_clock).tick(self.pid)
-        self.stats.replayed += 1
-        ctx = self.executor.execute(
-            entry.payload, msg_id=entry.msg_id, replay=True, uid=uid
-        )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=False)
-        self.emit_outputs(ctx.outputs, replay=True)
+        self._replay(entry.payload, entry.msg_id, uid)
 
     def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         envelope = SWEnvelope(payload=payload, clock=self.clock,
@@ -402,7 +339,7 @@ class SistlaWelchProcess(BaseRecoveryProcess):
         }
 
     def _restore_checkpoint(self, ckpt) -> None:
-        self.executor.restore(ckpt.snapshot)
+        super()._restore_checkpoint(ckpt)
         self.clock = ckpt.extras["clock"]
         self.epoch = ckpt.extras["epoch"]
         self.cutoffs = dict(ckpt.extras["cutoffs"])

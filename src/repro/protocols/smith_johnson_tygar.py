@@ -115,7 +115,7 @@ class SmithJohnsonTygarProcess(DamaniGargProcess):
     # ------------------------------------------------------------------
     # Wire format
     # ------------------------------------------------------------------
-    def _register_send(self, dst: int, payload: Any, *, transmit: bool) -> None:
+    def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         self.matrix[self.pid] = self.clock
         envelope = SJTEnvelope(
             payload=payload,

@@ -76,19 +76,13 @@ class StromYeminiProcess(BaseRecoveryProcess):
         self.dv[self.pid] = (0, 0)
         # incarnation end table: (pid, incarnation) -> end index
         self.iet: dict[tuple[int, int], int] = {}
-        self._held: list[NetworkMessage] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
         self.storage.put("max_incarnation", 0)
-        ctx = self.executor.bootstrap()
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
-        self.take_checkpoint()
-        self.start_periodic_tasks()
+        super().on_start()
 
     def on_network_message(self, msg: NetworkMessage) -> None:
         if msg.kind == "token":
@@ -98,35 +92,14 @@ class StromYeminiProcess(BaseRecoveryProcess):
         else:
             raise ValueError(f"unexpected message kind {msg.kind!r}")
 
-    def on_crash(self) -> None:
-        self.storage.on_crash()
-        self._held.clear()
-
     def on_restart(self) -> None:
         self.stats.restarts += 1
         ckpt = self.storage.checkpoints.latest()
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="restart",
-            )
-        self._restore_checkpoint(ckpt)
-        replayed = 0
-        for entry in self.storage.log.stable_entries(ckpt.log_position):
-            self._replay_entry(entry)
-            replayed += 1
+        self._restore(ckpt, "restart")
+        replayed = self._replay_log(ckpt.log_position)
         root = (self.pid, self.env.crash_count)
         self._end_incarnations_and_reincarnate(root)
-        restored_uid = self.executor.begin_incarnation(
-            self.env.crash_count, self.incarnation
-        )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTART, self.pid,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-            )
+        self._restarted(self.incarnation, replayed)
         self.take_checkpoint()
         for announcement in self.storage.tokens:
             self._apply_announcement(announcement)
@@ -164,22 +137,11 @@ class StromYeminiProcess(BaseRecoveryProcess):
     def _receive_app(self, msg: NetworkMessage) -> None:
         envelope: SYEnvelope = msg.payload
         if self._dv_obsolete(envelope.dv):
-            self.stats.app_discarded += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.DISCARD, self.pid,
-                    msg_id=msg.msg_id, reason="obsolete",
-                )
+            self._discard(msg, "obsolete")
             return
         missing = self._dv_missing(envelope.dv)
         if missing:
-            self._held.append(msg)
-            self.stats.app_postponed += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, EventKind.POSTPONE, self.pid,
-                    msg_id=msg.msg_id, awaiting=missing,
-                )
+            self._postpone(msg, missing)
             return
         self._deliver(msg)
 
@@ -198,22 +160,14 @@ class StromYeminiProcess(BaseRecoveryProcess):
             meta=(envelope.dv, self.executor.current_uid,
                   (self.incarnation, self.index)),
         )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=True)
-        self.emit_outputs(ctx.outputs, replay=False)
+        self._finish_step(ctx)
 
     def _replay_entry(self, entry) -> None:
         dv, uid, own_label = entry.meta
         self._dv_merge(dv)
         self.incarnation, self.index = own_label
         self.dv[self.pid] = own_label
-        self.stats.replayed += 1
-        ctx = self.executor.execute(
-            entry.payload, msg_id=entry.msg_id, replay=True, uid=uid
-        )
-        for send in ctx.sends:
-            self._send_app(send.dst, send.payload, transmit=False)
-        self.emit_outputs(ctx.outputs, replay=True)
+        self._replay(entry.payload, entry.msg_id, uid)
 
     def _send_app(self, dst: int, payload: Any, *, transmit: bool) -> None:
         envelope = SYEnvelope(payload=payload, dv=tuple(self.dv))
@@ -289,9 +243,7 @@ class StromYeminiProcess(BaseRecoveryProcess):
                 timestamp=announcement.end_index,
             )
         self._apply_announcement(announcement)
-        held, self._held = self._held, []
-        for msg in held:
-            self._receive_app(msg)
+        self._release_held()
 
     def _apply_announcement(self, announcement: SYAnnouncement) -> None:
         if self._dv_orphaned_by(self.dv, announcement):
@@ -306,37 +258,21 @@ class StromYeminiProcess(BaseRecoveryProcess):
     # ------------------------------------------------------------------
     def _rollback(self, announcement: SYAnnouncement) -> None:
         self.flush_log()
-        j = announcement.origin
-
-        def survives(ckpt) -> bool:
-            inc, idx = ckpt.extras["dv"][j]
-            return not (
-                inc == announcement.incarnation
-                and idx > announcement.end_index
-            )
-
-        ckpt = self.storage.checkpoints.latest_satisfying(survives)
+        orphaned = self._dv_orphaned_by
+        ckpt = self.storage.checkpoints.latest_satisfying(
+            lambda c: not orphaned(c.extras["dv"], announcement)
+        )
         if ckpt is None:
             raise RuntimeError(
                 f"P{self.pid}: no surviving checkpoint for {announcement!r}"
             )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.RESTORE, self.pid,
-                ckpt_uid=ckpt.snapshot["uid"], reason="rollback",
-            )
-        self._restore_checkpoint(ckpt)
+        self._restore(ckpt, "rollback")
         self.storage.checkpoints.discard_after(ckpt)
-        position = ckpt.log_position
-        replayed = 0
-        for entry in self.storage.log.stable_entries(position):
-            dv, _uid, _own_label = entry.meta
-            inc, idx = dv[j]
-            if inc == announcement.incarnation and idx > announcement.end_index:
-                break
-            self._replay_entry(entry)
-            replayed += 1
-        discarded = self.storage.log.truncate(position + replayed)
+        replayed = self._replay_log(
+            ckpt.log_position,
+            lambda entry: orphaned(entry.meta[0], announcement),
+        )
+        discarded = self.storage.log.truncate(ckpt.log_position + replayed)
         # Re-apply all known announcements over the restored table.
         for logged in self.storage.tokens:
             self._iet_install(
@@ -344,19 +280,14 @@ class StromYeminiProcess(BaseRecoveryProcess):
             )
         # The Strom-Yemini move: a rollback ends this incarnation too.
         self._end_incarnations_and_reincarnate(announcement.root)
-        restored_uid = self.executor.new_recovery_state()
-        self.stats.note_rollback(*announcement.root)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, EventKind.ROLLBACK, self.pid,
-                origin=announcement.origin,
-                version=announcement.incarnation,
-                timestamp=announcement.end_index,
-                restored_uid=restored_uid,
-                new_uid=self.executor.current_uid,
-                replayed=replayed,
-                discarded_log_entries=discarded,
-            )
+        self._rolled_back(
+            announcement.origin,
+            announcement.incarnation,
+            announcement.end_index,
+            replayed=replayed,
+            discarded=discarded,
+            failure=announcement.root,
+        )
 
     # ------------------------------------------------------------------
     def checkpoint_extras(self) -> dict[str, Any]:
@@ -368,7 +299,7 @@ class StromYeminiProcess(BaseRecoveryProcess):
         }
 
     def _restore_checkpoint(self, ckpt) -> None:
-        self.executor.restore(ckpt.snapshot)
+        super()._restore_checkpoint(ckpt)
         self.dv = list(ckpt.extras["dv"])
         self.incarnation = ckpt.extras["incarnation"]
         self.index = ckpt.extras["index"]

@@ -253,3 +253,31 @@ def test_scripted_run_signature_matches_golden(key):
     assert _scripted_run(key).trace.signature() == SCRIPTED[key], (
         f"{key}: the scripted run changed"
     )
+
+
+# Damani-Garg's recovery interleavings the conformance schedules never
+# reach -- a restart after a rollback, crash points inside durable
+# transitions, garbage collection -- pinned as one blake2b digest over
+# ``profile|seed|trace signature|headline`` lines for seeds 0-49 of the
+# quick, default and heavy stress profiles (150 schedules).
+STRESS_PROFILES = ("quick", "default", "heavy")
+STRESS_SEEDS = 50
+STRESS_DIGEST = "e24094821f53945d0a945dc19dcee440"
+
+
+def test_stress_schedules_match_golden():
+    from repro.stress.generate import generate_case
+    from repro.stress.profiles import PROFILES
+    from repro.stress.sweep import run_case
+
+    digest = hashlib.blake2b(digest_size=16)
+    for profile in STRESS_PROFILES:
+        for seed in range(STRESS_SEEDS):
+            case = run_case(generate_case(seed, PROFILES[profile]))
+            digest.update(
+                f"{profile}|{seed}|{case.trace_signature}|"
+                f"{case.headline()}\n".encode()
+            )
+    assert digest.hexdigest() == STRESS_DIGEST, (
+        "a stress schedule's run or verdict changed"
+    )

@@ -2,13 +2,17 @@
 
 ``sys.setprofile`` counts function entries exactly, so unlike a timing
 these numbers repeat and can gate a change.  The path one application
-message travels -- ``_register_send`` -> ``Network.send`` -> the kernel ->
+message travels -- ``_send_app`` -> ``Network.send`` -> the kernel ->
 ``Network._deliver`` -> ``on_network_message`` -> ``_deliver`` ->
 ``execute`` -> ``MessageLog.append`` -> ``SimTrace.record`` -- entered 92
 frames per delivery before it was made to cost one object per concept
 and no frame that only forwards; a stress schedule entered 21.8k.  The
 budgets below leave about a third of headroom over what it costs now
-(docs/PERFORMANCE.md, "The simulate half", has the ledger).
+(docs/PERFORMANCE.md, "The simulate half", has the ledger).  That path
+stays inline in ``DamaniGargProcess``: the recovery steps shared with the
+baselines (``BaseRecoveryProcess._replay``, ``_finish_step``, ...) run
+only on restart, replay and rollback, so they add frames to a stress
+schedule (about 1%: 10.18k -> 10.27k) and none to a delivery (41.1).
 """
 
 from repro.apps import RandomRoutingApp

@@ -107,6 +107,43 @@ def test_simulated_runs_are_assembled_in_one_place():
     assert not violations, "; ".join(violations)
 
 
+RECOVERY_EVENTS = ("RESTORE", "RESTART", "ROLLBACK", "DISCARD", "POSTPONE")
+
+
+def test_recovery_events_are_recorded_only_by_the_base_protocol():
+    """The ground truth (``analysis/causality.py``) reads ``RESTORE`` as
+    the start of a replay and ``RESTART`` / ``ROLLBACK`` as the birth of
+    the post-recovery state, and the metrics read ``DISCARD`` /
+    ``POSTPONE`` next to their counters.  One helper each in
+    :class:`~repro.protocols.base.BaseRecoveryProcess` records them; a
+    protocol that records its own is a second copy of that contract."""
+    allowed = os.path.join("protocols", "base.py")
+    violations = []
+    for path in _python_files(""):
+        rel = os.path.relpath(path, SRC_ROOT)
+        if rel == allowed:
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "record"
+            ):
+                continue
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                if (
+                    isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "EventKind"
+                    and arg.attr in RECOVERY_EVENTS
+                ):
+                    violations.append(
+                        f"{rel}:{node.lineno} records EventKind.{arg.attr}"
+                    )
+    assert not violations, "; ".join(violations)
+
+
 def test_every_repro_name_the_benchmarks_import_resolves():
     """``benchmarks/`` and ``examples/`` are maintained apart from
     ``src/`` (the perf harness is frozen between ``benchmark`` PRs, and

@@ -187,9 +187,9 @@ class History:
         compacted versions' restoration points are gone, so the exact
         Lemma 4 comparison is no longer available, and delivering such a
         message could make us an undetectable orphan (its record would
-        be skipped by the floor).  Conservative discard is the only safe
-        answer, and the floor only advances past versions whose tokens
-        were observed long enough ago for a stability sweep to run.
+        be skipped by the floor).  Conservative discard avoids that, but
+        it also discards messages of surviving states (a known bug, see
+        :meth:`compact`).
         """
         entries = clock.entries
         if len(entries) != self.n:
@@ -261,12 +261,12 @@ class History:
     # Compaction (Section 6.9)
     # ------------------------------------------------------------------
     def compact(self) -> int:
-        """Drop records provably dead under the token-supersession rule.
+        """Drop records superseded under the token-supersession rule.
 
         For each process ``j``, scan the contiguous run of TOKEN records
         starting at the current floor.  Every version in that run except
         the newest has a token for a *newer* version sitting right above
-        it, which makes its record dead on all three paths:
+        it, which makes its record dead on two of its three paths:
 
         - ``orphaned_by`` / ``survives_token`` (Lemma 3): the token was
           observed and applied before compaction ran, so any orphan it
@@ -274,12 +274,13 @@ class History:
         - ``missing_tokens``: the floor certifies the token was seen.
         - ``is_obsolete`` (Lemma 4): a clock entry below the floor is
           answered conservatively -- obsolete -- instead of comparing
-          against the dropped restoration point.  Messages still carrying
-          such an entry depend on an incarnation at least two failures
-          old; discarding the stragglers is safe (dedup ids and Remark-1
-          retransmission make delivery at-least-once, and an orphaned
-          dependence *must* be discarded), it can only cost a delivery
-          that the exact test would have allowed.
+          against the dropped restoration point.  That is *not* safe, and
+          a known bug: an entry at or below the old restoration point
+          belongs to a surviving state, and a process that has not heard
+          from ``j`` since that incarnation (one that never received from
+          ``j`` carries ``(0, 0)``) keeps sending it.  Those messages are
+          discarded although their senders survive, and nothing resends
+          them (tests/stress/test_known_failures.py, compaction case).
 
         The newest token of the run is kept: no newer token supersedes
         it, and it is the live restoration point for Lemma 4.  MESSAGE

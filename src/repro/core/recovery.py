@@ -108,11 +108,11 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self.clock_by_uid: dict[tuple[int, int, int], FaultTolerantVectorClock] = {
             self.executor.current_uid: self.clock
         }
-        # Section 6.5 extension state (driven by a StabilityCoordinator):
+        # Section 6.5 extension state (driven by stability gossip):
         self._stable_own = self.clock[self.pid]   # flushed frontier entry
-        # Decentralised stability (config.gossip_stability): last frontier
-        # entry reported by each peer.  Volatile: after a crash the next
-        # gossip round repopulates it (a stale loss only delays GC).
+        # Last frontier entry reported by each peer.  Volatile: after a
+        # crash the next gossip round repopulates it (a stale loss only
+        # delays GC).
         self._frontier_reports: dict[int, ClockEntry] = {}
         # pending outputs: (dedup key, clock at emission, value); volatile.
         self._pending_outputs: list[
@@ -572,14 +572,10 @@ class DamaniGargProcess(BaseRecoveryProcess):
             lambda c: c.extras["history"].survives_token(token)
         )
         if ckpt is None:
-            # Known to happen: 7 of default-profile seeds 0-9999 and 9 of
-            # heavy seeds 0-1999, all with ``commit_outputs`` + ``enable_gc``
-            # (tests/stress/test_known_failures.py, shrunk cases under
-            # tests/stress/reproducers/).  The initial checkpoint would
-            # always qualify -- its history holds at most (mes, 0, 0/1) per
-            # process -- so a retained set without a survivor means garbage
-            # collection dropped it; the suspect is the GC anchor that
-            # ``apply_stability`` picks with ``_clock_permanently_safe``.
+            # The initial checkpoint always qualifies, so only GC can empty
+            # the survivors, and its anchor is permanently safe -- as long
+            # as no rollback re-mints a timestamp a frontier report already
+            # certified (the clock rule below; tests/stress/reproducers/).
             retained = [c.ckpt_id for c in self.storage.checkpoints]
             raise RuntimeError(
                 f"P{self.pid}: no non-orphan checkpoint for {token!r} "
@@ -595,7 +591,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # and the restored own-entry mirrors the post-rollback clock
         # rule: each entry's meta[3] is the receiver clock right after
         # its delivery, so the last replayed entry's own-component plus
-        # the rollback tick is exactly what _set_stable_own will persist.
+        # the rollback tick is what the intent records (replayed sends can
+        # tick the live clock past it; a restart reads back only the
+        # version).
         boundary = position
         for entry in self.storage.log.all_entries(position):
             e = entry.meta[0][token.origin]
@@ -606,20 +604,33 @@ class DamaniGargProcess(BaseRecoveryProcess):
             replayed_own = self.storage.log.entry(boundary - 1).meta[3][self.pid]
         else:
             replayed_own = ckpt.extras["clock"][self.pid]
-        if replayed_own.version == own_before.version:
-            stable_own_after = ClockEntry(
+        # Figure 4's rule ticks the replayed clock.  Two cases continue
+        # the *current* incarnation above everything it used instead:
+        # - The surviving checkpoint predates one of our own restarts.
+        #   Regressing to its older version would mint version-v
+        #   timestamps beyond the restoration point we announced for v
+        #   (our own token would declare our fresh states obsolete).
+        # - Stability gossip is on.  Figure 4's rule re-mints the
+        #   timestamps of the truncated orphans, which a frontier report
+        #   sent before the rollback still certifies as flushed.
+        #   Continuing, a (version, timestamp) pair names one state
+        #   forever (a deviation from the paper, docs/PROTOCOL.md).
+        paper_rule = (
+            self.config.gossip_interval is None
+            and replayed_own.version == own_before.version
+        )
+        if paper_rule:
+            own_after = ClockEntry(
                 replayed_own.version, replayed_own.timestamp + 1
             )
         else:
-            stable_own_after = ClockEntry(
-                own_before.version, own_before.timestamp + 1
-            )
+            own_after = ClockEntry(own_before.version, own_before.timestamp + 1)
         intent = self.storage.begin_intent(
             intents.ROLLBACK,
             token=(token.origin, token.version, token.timestamp),
             anchor_ckpt_id=ckpt.ckpt_id,
             truncate_at=boundary,
-            stable_own=stable_own_after,
+            stable_own=own_after,
         )
         # A non-failed process loses nothing: log everything first.
         self.storage.advance_intent(intent, "log_flushed")
@@ -634,21 +645,11 @@ class DamaniGargProcess(BaseRecoveryProcess):
         leftovers = list(self.storage.log.stable_entries(boundary))
         self.storage.advance_intent(intent, "log_truncated")
         discarded = self.storage.log.truncate(boundary)
-        if self.clock[self.pid].version == own_before.version:
-            # Figure 4's rollback rule: bump the timestamp, keep the version.
+        if paper_rule:
             self.clock = self.clock.tick(self.pid)
         else:
-            # The surviving checkpoint predates one of our own restarts, so
-            # the restored clock carries an older version.  Regressing to it
-            # would mint version-v timestamps beyond the restoration point
-            # we already announced for v (making our own token declare our
-            # fresh states obsolete).  The version must never move backwards:
-            # continue the *current* incarnation instead, with a timestamp
-            # above everything it has used.
             entries = list(self.clock.entries)
-            entries[self.pid] = type(own_before)(
-                own_before.version, own_before.timestamp + 1
-            )
+            entries[self.pid] = own_after
             self.clock = FaultTolerantVectorClock(entries)
         # Memory-only commit: the stable_own write below persists the
         # intent-free image, making the rollback durably committed.
@@ -765,29 +766,28 @@ class DamaniGargProcess(BaseRecoveryProcess):
         interleaved rollback, or a second failure would re-announce an
         already-dead version and leave that incarnation's orphans standing.
 
-        Plain assignment, not a monotone max: a rollback truncates the
-        stable log and then re-records the (lower) post-rollback entry --
-        the old frontier would cover states that stable storage no longer
-        holds, which both mis-aims the next restart token and lets the
-        stability coordinator certify outputs against vanished states.
+        Plain assignment: under Figure 4's rollback rule the post-rollback
+        entry can fall below the old one, which would cover states stable
+        storage no longer holds and mis-aim the next restart token.  With
+        stability gossip on, a rollback continues the timestamp instead,
+        so within a version the frontier only grows.
         """
         self._stable_own = entry
         self.storage.put("stable_own", self._stable_own)
 
     def stable_frontier(self):
         """The own clock entry of our latest stable-storage-recoverable
-        state, reported to the StabilityCoordinator."""
+        state, what :meth:`gossip_tick` reports."""
         return self._stable_own
 
     # ------------------------------------------------------------------
-    # Decentralised stability gossip (live-runtime alternative to the
-    # StabilityCoordinator object, which needs one Python object holding
-    # every protocol -- impossible across OS processes)
+    # Stability gossip: what runs output commit, GC and history
+    # compaction, on both engines
     # ------------------------------------------------------------------
     def gossip_tick(self) -> None:
         """Broadcast our stable frontier; sweep if a full vector is held.
 
-        Stale reports are sound (see ProtocolConfig.gossip_stability):
+        Stale reports are sound (see ProtocolConfig.gossip_interval):
         a frontier entry only ever certifies states that were stable when
         it was reported, and a stable prefix is recoverable forever.
         """
@@ -854,13 +854,8 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 return False
         return True
 
-    def apply_stability(self, frontier) -> tuple[int, int, int]:
-        """One coordinator sweep: commit safe outputs, reclaim space.
-
-        Returns ``(outputs committed, checkpoints collected, log entries
-        collected)`` for the coordinator's stats.
-        """
-        committed_count = 0
+    def apply_stability(self, frontier) -> None:
+        """One stability sweep: commit safe outputs, reclaim space."""
         if self.config.commit_outputs and self._pending_outputs:
             committed: set = self.storage.get("committed_outputs")
             still_pending = []
@@ -868,7 +863,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 if self._clock_permanently_safe(clock, frontier):
                     committed.add(key)
                     self.outputs.append((self.env.now, value))
-                    committed_count += 1
                     if self.trace is not None:
                         self.trace.record(
                             self.env.now,
@@ -880,8 +874,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
                         )
                 else:
                     still_pending.append((key, clock, value))
+            committed_any = len(still_pending) < len(self._pending_outputs)
             self._pending_outputs = still_pending
-            if committed_count:
+            if committed_any:
                 # The set was grown in place: write it back, or nothing
                 # ever makes the commit durable.  Lazy is enough -- a
                 # commit lost with the window is re-derived from the
@@ -890,8 +885,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 if self.output_listener is not None:
                     self.output_listener()
 
-        ckpts_collected = 0
-        entries_collected = 0
         if self.config.enable_gc:
             anchor = None
             for ckpt in self.storage.checkpoints:
@@ -909,15 +902,11 @@ class DamaniGargProcess(BaseRecoveryProcess):
                     anchor_position=anchor.log_position,
                 )
                 self.storage.advance_intent(intent, "checkpoints_collected")
-                ckpts_collected = (
-                    self.storage.checkpoints.garbage_collect_before(
-                        anchor.ckpt_id
-                    )
+                self.storage.checkpoints.garbage_collect_before(
+                    anchor.ckpt_id
                 )
                 self.storage.commit_intent(intent)
-                entries_collected = self.storage.log.discard_prefix(
-                    anchor.log_position
-                )
+                self.storage.log.discard_prefix(anchor.log_position)
         if self.config.compact_history:
             # Tokens are logged synchronously on receipt, so every record
             # the run below drops had its killing token durably observed
@@ -927,7 +916,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 self.stats.history_compacted += compacted
                 self.obs.counter("dg.history_compacted", compacted)
                 self._sample_obs_gauges()
-        return committed_count, ckpts_collected, entries_collected
 
     # ------------------------------------------------------------------
     # Harness introspection

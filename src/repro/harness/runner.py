@@ -74,9 +74,6 @@ class ExperimentSpec:
     # Record application states per state uid (needed by the predicate
     # detection utilities).
     record_states: bool = False
-    # Run a StabilityCoordinator sweep at this interval (enables the output
-    # commit / GC extensions for protocols that support apply_stability).
-    stability_interval: float | None = None
     # Observability: a repro.obs.Tracer to wire through the whole stack
     # (kernel, network, hosts, protocols).  None = zero-instrumentation.
     # Attaching one must not change the run (determinism test pins this).
@@ -93,7 +90,6 @@ class ExperimentResult:
     trace: SimTrace
     hosts: list[SimEnv]
     protocols: list[BaseRecoveryProcess]
-    coordinator: Any = None   # StabilityCoordinator when enabled
 
     @property
     def stats(self) -> list[ProtocolStats]:
@@ -158,14 +154,6 @@ class ExperimentResult:
         if spec.record_states:
             for protocol in protocols:
                 protocol.executor.record_states = True
-        coordinator = None
-        if spec.stability_interval is not None:
-            from repro.core.extensions import StabilityCoordinator
-
-            coordinator = StabilityCoordinator(
-                sim, protocols, interval=spec.stability_interval
-            )
-            coordinator.start()
         FailureInjector(sim, hosts, network).install(
             spec.crashes, spec.partitions, crash_points=spec.crash_points
         )
@@ -176,12 +164,15 @@ class ExperimentResult:
             trace=trace,
             hosts=hosts,
             protocols=protocols,
-            coordinator=coordinator,
         )
 
     def run(self) -> "ExperimentResult":
         """Start every process, run to the horizon, then (``spec.drain``)
-        halt the periodic tasks and run to quiescence; returns ``self``."""
+        halt the periodic tasks and run to quiescence; returns ``self``.
+
+        With stability gossip on, the drain ends with one more gossip round
+        from every live process and a drain of its reports, so outputs
+        stranded by the cutoff still commit."""
         spec = self.spec
         for host in self.hosts:
             host.start()
@@ -193,13 +184,18 @@ class ExperimentResult:
             # let in-flight application and recovery traffic finish.
             for protocol in self.protocols:
                 protocol.halt_periodic_tasks()
-            if self.coordinator is not None:
-                self.coordinator.stop()
             with obs.span("run.drain_wall_s"):
                 self.sim.drain(limit=spec.drain_limit)
-            if self.coordinator is not None:
-                # One final sweep so outputs stranded by the cutoff commit.
-                self.coordinator.sweep_now()
+                if spec.config.gossip_interval is not None:
+                    # As timers, so a crash point firing in a sweep
+                    # crashes that process and the drain restarts it.
+                    for host in self.hosts:
+                        if host.alive:
+                            host.schedule_after(
+                                0.0, host.protocol.gossip_tick,
+                                label=f"gossip:{host.pid}",
+                            )
+                    self.sim.drain(limit=spec.drain_limit)
         return self
 
 

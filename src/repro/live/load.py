@@ -161,7 +161,7 @@ def load_spec(
         jobs=jobs,
         run_seconds=start_at + duration + drain + jobs / drain_rate,
         linger=linger,
-        gossip_stability=True,
+        gossip_interval=0.5,
         enable_gc=True,
         compact_history=True,
         app={

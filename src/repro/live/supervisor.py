@@ -105,11 +105,10 @@ class LiveClusterSpec:
     # uses it to stop shards the moment the workload and its audit
     # complete, whatever the machine's speed.
     stop_path: str | None = None
-    # Decentralised stability: gossip frontiers and run GC/compaction
-    # locally.  Off by default so existing runs keep their storage
-    # profile byte-for-byte.
-    gossip_stability: bool = False
-    gossip_interval: float = 0.5
+    # Stability gossip interval (None = off): gossip frontiers and run
+    # GC/compaction locally.  Off by default so existing runs keep their
+    # storage profile byte-for-byte.
+    gossip_interval: float | None = None
     enable_gc: bool = False
     compact_history: bool = False
     # Per-process observability: each node builds a live Tracer, the
@@ -126,7 +125,6 @@ class LiveClusterSpec:
             # Remark 1 is what makes real message loss at a sender crash
             # recoverable; the live runtime always enables it.
             "retransmit_on_token": True,
-            "gossip_stability": self.gossip_stability,
             "gossip_interval": self.gossip_interval,
             "enable_gc": self.enable_gc,
             "compact_history": self.compact_history,

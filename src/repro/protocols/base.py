@@ -72,21 +72,18 @@ class ProtocolConfig:
     # token and peers retransmit messages concurrent with the restored state.
     retransmit_on_token: bool = False
     # Hold environment outputs until they are stable (never rolled back).
-    # Requires a StabilityCoordinator driving apply_stability sweeps.
+    # Needs gossip_interval: the stability sweeps commit them.
     commit_outputs: bool = False
     # Remark 2 extension: reclaim checkpoints and log prefixes below the
-    # permanently-safe line.  Also coordinator-driven.
+    # permanently-safe line.  Also done by the stability sweeps.
     enable_gc: bool = False
-    # Decentralised alternative to the StabilityCoordinator: periodically
-    # broadcast the stable frontier and run apply_stability locally once a
-    # report from every peer is in hand.  This is how the live runtime
-    # (which has no cross-process coordinator object) drives GC/commit.
-    # Stale reports are sound: a frontier entry only ever covers states
-    # that were stable when reported, and any dependence on a
-    # later-truncated state also depends on some failure's never-stable
-    # lost states, which no report covers.
-    gossip_stability: bool = False
-    gossip_interval: float = 1.0
+    # Stability gossip, the one trigger of the sweeps above (None = no
+    # sweeps): every interval each process broadcasts its flushed
+    # frontier and runs apply_stability once it holds a report from every
+    # peer.  Stale reports are sound: with gossip on a rollback never
+    # re-mints a (version, timestamp) pair (DamaniGargProcess._rollback),
+    # so a report only ever covers states that were stable when sent.
+    gossip_interval: float | None = None
     # History compaction (Section 6.9): during stability sweeps, drop
     # token records for versions wholly below the contiguous token
     # prefix -- every such version's restoration point is superseded by
@@ -141,15 +138,13 @@ class ProtocolStats:
 
 class _Periodic:
     """One periodic activity: the method it calls, the ``ProtocolConfig``
-    fields holding its interval and (optionally) its on/off switch, and
-    its pending timer -- running (``handle``) or suspended (``paused``)."""
+    field holding its interval (``None`` there switches it off), and its
+    pending timer -- running (``handle``) or suspended (``paused``)."""
 
-    __slots__ = ("action", "interval", "switch", "label", "handle", "paused")
+    __slots__ = ("action", "interval", "label", "handle", "paused")
 
-    def __init__(
-        self, action: str, interval: str, label: str, switch: str | None = None
-    ) -> None:
-        self.action, self.interval, self.switch = action, interval, switch
+    def __init__(self, action: str, interval: str, label: str) -> None:
+        self.action, self.interval = action, interval
         self.label = label
         self.handle: TimerHandle | None = None
         self.paused: TimerHandle | None = None
@@ -199,8 +194,7 @@ class BaseRecoveryProcess(abc.ABC):
             _Periodic("take_checkpoint", "checkpoint_interval",
                       f"ckpt:{self.pid}"),
             _Periodic("flush_log", "flush_interval", f"flush:{self.pid}"),
-            _Periodic("gossip_tick", "gossip_interval",
-                      f"gossip:{self.pid}", switch="gossip_stability"),
+            _Periodic("gossip_tick", "gossip_interval", f"gossip:{self.pid}"),
         )
         self._deliveries_since_checkpoint = 0
         # Postponed messages (volatile): see _postpone / _release_held.
@@ -451,7 +445,7 @@ class BaseRecoveryProcess(abc.ABC):
                 self._arm(chain)
 
     def _wanted(self, chain: _Periodic) -> bool:
-        return chain.switch is None or getattr(self.config, chain.switch)
+        return getattr(self.config, chain.interval) is not None
 
     def _arm(self, chain: _Periodic) -> None:
         chain.handle = self.env.schedule_after(

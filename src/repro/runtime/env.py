@@ -224,19 +224,6 @@ class RuntimeEnv(abc.ABC):
         return self.schedule_at(next_at, callback, label=label)
 
     # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def on_crash_point(self, exc: Exception) -> None:
-        """Handle an armed crash point that fired in protocol code.
-
-        Engines that can model an in-place crash override this (the
-        simulator crashes the host and schedules a restart).  The live
-        engine never sees the exception -- its crash points SIGKILL the
-        process directly -- so the default re-raises.
-        """
-        raise exc
-
-    # ------------------------------------------------------------------
     # Protocol attachment
     # ------------------------------------------------------------------
     @abc.abstractmethod

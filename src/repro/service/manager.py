@@ -146,7 +146,7 @@ class ShardManager:
             },
             # Long-running service posture: decentralised stability so
             # logs/history stay bounded while the shard keeps serving.
-            gossip_stability=True,
+            gossip_interval=0.5,
             enable_gc=True,
             compact_history=True,
             stop_path=self.stop_path,

@@ -47,6 +47,7 @@ class StressCase:
     retransmit_on_token: bool
     commit_outputs: bool
     enable_gc: bool
+    # The stability gossip interval (ProtocolConfig.gossip_interval).
     stability_interval: float | None
     crashes: tuple[CrashTuple, ...]
     partitions: tuple[PartitionTuple, ...]
@@ -231,6 +232,7 @@ def build_spec(case: StressCase) -> ExperimentSpec:
             retransmit_on_token=case.retransmit_on_token,
             commit_outputs=case.commit_outputs,
             enable_gc=case.enable_gc,
+            gossip_interval=case.stability_interval,
         ),
         crashes=crashes if case.crashes else None,
         partitions=partitions if case.partitions else None,
@@ -238,7 +240,6 @@ def build_spec(case: StressCase) -> ExperimentSpec:
             CrashPointEvent(pid, point, downtime)
             for pid, point, downtime in case.crash_points
         ),
-        stability_interval=case.stability_interval,
     )
 
 

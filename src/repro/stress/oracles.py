@@ -16,7 +16,11 @@ existing :mod:`repro.analysis` oracles rather than re-deriving anything:
   structure stays within the paper's O(n.f) bound;
 - output-commit safety -- when the Section 6.5 extension is on, no
   output committed to the environment may originate in a state that the
-  ground truth later classifies as lost or orphaned.
+  ground truth later classifies as lost or orphaned;
+- one own clock entry per state -- when stability gossip is on, no two
+  states of a process that sent a message or emitted an output carry
+  the same own entry, the property that makes stale frontier reports
+  sound.
 
 The strings are shrinker-friendly: a case "still fails" when it produces
 *any* violation, so shrinking never needs to parse them.
@@ -66,8 +70,37 @@ def check_case(
 
     if case.commit_outputs:
         violations.extend(_check_output_commit(result, gt))
+    if result.spec.config.gossip_interval is not None:
+        violations.extend(_check_own_entries_unique(result, gt))
 
     return violations
+
+
+def _check_own_entries_unique(
+    result: ExperimentResult, gt: GroundTruth
+) -> list[str]:
+    """No two states of one process that sent a message or emitted an
+    output share their own clock entry, which is what frontier reports
+    name them by.  (A restart attempt cut short by a crash point can
+    leave a state that never ran, whose entry the next one re-mints.)"""
+    seen = {uid for uid, _dst in gt.send_info.values()}
+    seen.update(
+        tuple(ev["uid"]) for ev in result.trace.events(EventKind.OUTPUT)
+    )
+    bad: list[str] = []
+    for protocol in result.protocols:
+        owner: dict = {}
+        for uid, clock in protocol.clock_by_uid.items():
+            if uid not in seen:
+                continue
+            entry = clock[protocol.pid]
+            first = owner.setdefault(entry, uid)
+            if first != uid:
+                bad.append(
+                    f"clock: pid {protocol.pid} states {first} and {uid} "
+                    f"share own entry {tuple(entry)}"
+                )
+    return bad
 
 
 def _check_output_commit(

@@ -23,20 +23,26 @@ def run(app=None, crashes=None, seed=0, *, commit=False, gc=False,
             flush_interval=2.5,
             commit_outputs=commit,
             enable_gc=gc,
+            gossip_interval=stability,
         ),
-        stability_interval=stability,
     )
     return run_experiment(spec)
+
+
+def collected(protocol):
+    """(checkpoints, log entries) garbage collection reclaimed: every
+    checkpoint below the oldest retained one, and the log prefix."""
+    oldest = min(ckpt.ckpt_id for ckpt in protocol.storage.checkpoints)
+    log = protocol.storage.log
+    return oldest, log.stable_length - log.retained_stable_entries
 
 
 class TestGarbageCollection:
     def test_space_is_reclaimed(self):
         result = run(gc=True)
-        assert result.coordinator.stats.checkpoints_collected > 0
-        assert result.coordinator.stats.log_entries_collected > 0
         for protocol in result.protocols:
-            log = protocol.storage.log
-            assert log.retained_stable_entries <= log.stable_length
+            checkpoints, entries = collected(protocol)
+            assert checkpoints > 0 and entries > 0
 
     def test_recovery_still_correct_with_gc(self):
         for seed in range(5):
@@ -62,8 +68,8 @@ class TestGarbageCollection:
 
     def test_no_gc_without_flag(self):
         result = run(gc=False)
-        assert result.coordinator.stats.checkpoints_collected == 0
-        assert result.coordinator.stats.log_entries_collected == 0
+        for protocol in result.protocols:
+            assert collected(protocol) == (0, 0)
 
 
 class TestOutputCommit:
@@ -106,7 +112,7 @@ class TestOutputCommit:
 
     def test_commit_waits_for_stability(self):
         """An output is never committed before the sweep that certifies
-        it: committed=True events only appear at coordinator sweeps."""
+        it: committed=True events only appear at stability sweeps."""
         result = run(app=PipelineApp(jobs=6), commit=True)
         emitted = {
             e["uid"]: e.seq
@@ -118,17 +124,19 @@ class TestOutputCommit:
                 assert event.seq > emitted[event["uid"]]
 
 
-class TestStabilityCoordinator:
-    def test_sweeps_run_on_schedule(self):
+class TestStabilityGossip:
+    def test_rounds_run_on_schedule(self):
+        # Every process broadcasts to its 3 peers at t = 5, 10, ..., 60
+        # and once more after the drain.
         result = run(stability=5.0, horizon=60.0)
-        assert result.coordinator.stats.rounds >= 60.0 / 5.0
+        assert result.network.sent_count["frontier"] == 13 * 4 * 3
 
-    def test_frontier_survives_crashes(self):
+    def test_gossip_survives_crashes(self):
         result = run(
             gc=True,
             crashes=CrashPlan().crash(20.0, 1, 2.0),
         )
-        frontier = result.coordinator.sweep_now()
-        assert set(frontier) == {0, 1, 2, 3}
-        # The failed process reports its new incarnation's frontier.
-        assert frontier[1].version == 1
+        # The failed process rejoins the gossip with its new incarnation's
+        # frontier: it reclaims every checkpoint of the failed one.
+        for ckpt in result.protocols[1].storage.checkpoints:
+            assert ckpt.extras["clock"][1].version == 1

@@ -35,9 +35,8 @@ def test_failure_free_run_compacts_nothing():
         crashes=None,
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True,
+            compact_history=True, gossip_interval=6.0,
         ),
-        stability_interval=6.0,
     )
     result = run_experiment(spec)
     assert result.total("history_compacted") == 0
@@ -53,9 +52,8 @@ def test_single_failure_keeps_the_restoration_point():
         crashes=CrashPlan().crash(20.0, 1, 2.0),
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True,
+            compact_history=True, gossip_interval=6.0,
         ),
-        stability_interval=6.0,
     )
     result = run_experiment(spec)
     assert result.total("history_compacted") == 0
@@ -71,9 +69,8 @@ def test_repeated_failures_compact_superseded_records():
         crashes=CrashPlan().crash(20.0, 1, 2.0).crash(45.0, 1, 2.0),
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True,
+            compact_history=True, gossip_interval=6.0,
         ),
-        stability_interval=6.0,
     )
     result = run_experiment(spec)
     assert result.total("history_compacted") > 0
@@ -99,9 +96,8 @@ def test_crash_after_compaction_stays_recoverable():
         ),
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True, enable_gc=True,
+            compact_history=True, enable_gc=True, gossip_interval=6.0,
         ),
-        stability_interval=6.0,
     )
     result = run_experiment(spec)
     assert result.total("history_compacted") > 0
@@ -120,9 +116,8 @@ def test_history_stays_O_n_with_compaction():
         crashes=crashes,
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True,
+            compact_history=True, gossip_interval=6.0,
         ),
-        stability_interval=6.0,
         horizon=130.0,
     )
     result = run_experiment(spec)
@@ -137,17 +132,16 @@ def test_history_stays_O_n_with_compaction():
 def test_gossiped_frontiers_drive_compaction_without_a_coordinator():
     # Decentralised stability: every process broadcasts its flushed
     # frontier and runs apply_stability locally once it holds a report
-    # from everyone -- no StabilityCoordinator in the loop.
+    # from everyone -- no object sees all the processes at once.
     spec = _spec(
         crashes=CrashPlan().crash(20.0, 1, 2.0).crash(45.0, 1, 2.0),
         config=ProtocolConfig(
             checkpoint_interval=8.0, flush_interval=2.5,
-            compact_history=True,
-            gossip_stability=True, gossip_interval=5.0,
+            compact_history=True, gossip_interval=5.0,
         ),
     )
     result = run_experiment(spec)
-    assert result.coordinator is None
+    assert result.network.sent_count["frontier"] > 0
     assert result.total("history_compacted") > 0
     verdict = check_recovery(result)
     assert verdict.ok, verdict.violations

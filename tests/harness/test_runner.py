@@ -72,23 +72,24 @@ def test_crash_and_partition_plans_both_install():
     assert result.trace.count(EventKind.HEAL) == 1
 
 
-def test_stability_interval_builds_coordinator():
+def test_gossip_interval_runs_stability_gossip():
     spec = ExperimentSpec(
         n=3, app=RandomRoutingApp(hops=20, seeds=(0,), initial_items=2),
         protocol=DamaniGargProcess, horizon=40.0,
-        stability_interval=5.0,
+        config=ProtocolConfig(gossip_interval=5.0),
     )
     result = run_experiment(spec)
-    assert result.coordinator is not None
-    assert result.coordinator.stats.rounds >= 8
+    # Rounds at t = 5, 10, ..., 40 and one after the drain, each one
+    # broadcast from every process to its two peers.
+    assert result.network.sent_count["frontier"] == 9 * 3 * 2
 
 
-def test_no_coordinator_by_default():
+def test_no_gossip_by_default():
     spec = ExperimentSpec(
         n=2, app=PingPongApp(rounds=4), protocol=DamaniGargProcess,
         horizon=30.0,
     )
-    assert run_experiment(spec).coordinator is None
+    assert "frontier" not in run_experiment(spec).network.sent_count
 
 
 def test_record_states_flag_populates_executors():

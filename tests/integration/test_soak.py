@@ -68,13 +68,15 @@ def test_soak_with_everything_enabled():
             retransmit_on_token=True,
             commit_outputs=True,
             enable_gc=True,
+            gossip_interval=4.0,
         ),
-        stability_interval=4.0,
     )
     result = run_experiment(spec)
     verdict = check_recovery(result)
     assert verdict.ok, verdict.violations
-    assert result.coordinator.stats.rounds > 10
+    # More than ten gossip rounds, each from up to five processes to
+    # their four peers.
+    assert result.network.sent_count["frontier"] > 10 * 5 * 4
 
 
 @pytest.mark.parametrize(

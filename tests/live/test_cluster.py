@@ -94,7 +94,6 @@ def test_cluster_compacts_history_under_gossiped_stability(tmp_path):
             LiveCrashPlan(pid=1, at=0.6, downtime=0.6),
             LiveCrashPlan(pid=1, at=2.4, downtime=0.6),
         ],
-        gossip_stability=True,
         gossip_interval=0.4,
         compact_history=True,
         enable_gc=True,

@@ -96,7 +96,6 @@ def test_full_matrix_every_point_heals(point, tmp_path):
         kwargs["run_seconds"] = 5.5
     if kind in ("compaction",):
         kwargs.update(
-            gossip_stability=True,
             gossip_interval=0.4,
             enable_gc=True,
             compact_history=True,

@@ -176,7 +176,7 @@ def test_load_spec_budgets_drain_for_the_backlog():
     assert saturated.app["kind"] == "load"
     # Pruning must be on: open-loop runs would otherwise grow the
     # storage image with every delivered message.
-    assert saturated.gossip_stability
+    assert saturated.gossip_interval is not None
     assert saturated.enable_gc
     assert saturated.compact_history
 

@@ -38,9 +38,9 @@ def build(seed, events, *, gc, sweep):
         seed=seed,
         horizon=80.0,
         config=ProtocolConfig(
-            checkpoint_interval=6.0, flush_interval=2.0, enable_gc=gc
+            checkpoint_interval=6.0, flush_interval=2.0, enable_gc=gc,
+            gossip_interval=sweep,
         ),
-        stability_interval=sweep if gc else None,
     )
 
 

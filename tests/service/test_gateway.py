@@ -4,7 +4,6 @@ import asyncio
 import json
 from types import SimpleNamespace
 
-from repro.core.extensions import StabilityCoordinator
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.conformance import (
     CONFORMANCE_SCHEDULES,
@@ -111,7 +110,9 @@ def test_an_output_committed_by_a_stability_sweep_is_forwarded_too():
         await asyncio.sleep(0)
         # Held until stable: nothing appended, nothing written.
         assert protocols[primary].outputs == [] and reader.frames == []
-        StabilityCoordinator(sim, protocols).sweep_now()
+        for protocol in protocols:
+            protocol.gossip_tick()
+        sim.run(until=6.0)      # the frontier reports arrive and sweep
         assert len(protocols[primary].outputs) == 1
         await asyncio.sleep(0)
         assert [json.loads(f)["seq"] for f in reader.frames] == [0]

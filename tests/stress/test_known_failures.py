@@ -1,37 +1,34 @@
-"""Known failures, tracked: shrunk reproducers that must flip loudly.
+"""Shrunk stress reproducers, replayed on every run.
 
-Seven of the default-profile schedules 0-9999 raise ``RuntimeError: no
+Each file under ``reproducers/`` was written by ``python -m repro stress
+--schedules 1 --seed S --out-dir ...`` for a schedule that once failed;
+replay one by hand with ``python -m repro stress --replay <file>``.
+
+``reproducers/*.json`` and ``reproducers/heavy/``: the schedules that
+failed when a simulator-only coordinator object drove output commit and
+GC.  Seven default-profile seeds and heavy seed 386 raised ``no
 non-orphan checkpoint for Token(...)`` out of
-``DamaniGargProcess._rollback`` (all seven run with ``commit_outputs``
-and ``enable_gc``).  Each was shrunk with ``python -m repro stress
---schedules 1 --seed S --out-dir tests/stress/reproducers`` and is
-replayed here under a *strict* xfail: while the bug stands the tests
-xfail, and the PR that fixes it gets an XPASS failure telling it to
-delete the marker (and ``KNOWN_FAILING`` in ``benchmarks/perf``).
+``DamaniGargProcess._rollback``; heavy seed 1480 committed an output
+from a state the ground truth condemns.  All of them ran
+``commit_outputs`` + ``enable_gc``, and the twin replays below run each
+one again with one of the two switched off.  The cause was Figure 4's
+rollback rule: it re-mints the timestamps of the truncated orphan
+states, and a frontier report sent before the rollback still certified
+them as flushed.  With stability gossip on, a rollback now continues
+the timestamp instead, and every one of these replays clean.  Most of
+them replay clean under gossip even with that rule reverted, so they
+no longer pin it.
 
-The heavy profile is clean on seeds 0-384; over 0-1999 ten schedules
-fail.  Nine are the same ``_rollback`` error (386, 651, 768, 886, 1320,
-1325, 1443, 1485, 1649; 386 is kept here) and one is of another kind:
-seed 1480 commits an output from a state the ground truth condemns, i.e.
-the Section 6.5 output-commit guarantee itself.  Both were shrunk with
-``--profile heavy ... --out-dir tests/stress/reproducers/heavy`` and
-carry their own strict xfail below.
+``reproducers/gossip/``: the ones that do.  Each was shrunk under
+gossip with the rollback rule reverted, failed there, and replays clean
+with it: default seeds 40, 747 and 2595 (``no non-orphan checkpoint``)
+and heavy seed 1480 (the output-commit violation again).
 
-Replay one by hand with ``python -m repro stress --replay
-tests/stress/reproducers/stress-repro-seed1725.json``.
-
-Every failing schedule runs both ``commit_outputs`` and ``enable_gc``.
-The twin replays at the bottom run each reproducer again with one of
-the two switched off, which splits the inventory in two:
-
-- the eight ``_rollback`` reproducers replay clean without GC and still
-  raise without output commit: that bug lives in the choice of the GC
-  anchor (which checkpoints and log prefix a stability sweep discards);
-- heavy seed 1480 is the reverse: clean without output commit, still
-  committing from a condemned state without GC: that bug lives in the
-  output-commit predicate itself.
-
-The "still fails" twins are strict xfails as well, so the fix flips them.
+``reproducers/compaction/``: the next known failure, kept under a strict
+xfail until it is fixed.  With ``compact_history`` on, a schedule may
+discard as obsolete messages sent by states that survive.  No stress
+profile draws compaction yet, so the case file cannot say it; the test
+switches it on.
 """
 
 from dataclasses import replace
@@ -39,12 +36,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.runner import run_experiment
 from repro.stress import load_reproducer, run_case
+from repro.stress.generate import build_spec
+from repro.stress.oracles import check_case
 
-REPRODUCERS = sorted((Path(__file__).parent / "reproducers").glob("*.json"))
-HEAVY = Path(__file__).parent / "reproducers" / "heavy"
+HERE = Path(__file__).parent / "reproducers"
+REPRODUCERS = sorted(HERE.glob("*.json"))
+HEAVY = HERE / "heavy"
 ROLLBACK = REPRODUCERS + [HEAVY / "stress-repro-seed386.json"]
 OUTPUT_COMMIT = HEAVY / "stress-repro-seed1480.json"
+GOSSIP = sorted((HERE / "gossip").glob("*.json"))
+COMPACTION = HERE / "compaction" / "stress-repro-seed18.json"
+
+
+def seeds(paths):
+    return {load_reproducer(path)[0].seed for path in paths}
 
 
 def replays_clean(path, **switches):
@@ -55,39 +62,23 @@ def replays_clean(path, **switches):
 
 
 def test_every_known_failing_seed_has_a_reproducer():
-    seeds = {load_reproducer(path)[0].seed for path in REPRODUCERS}
-    assert seeds == {1725, 2193, 4704, 6397, 6865, 7578, 8103}
+    assert seeds(REPRODUCERS) == {1725, 2193, 4704, 6397, 6865, 7578, 8103}
+    assert seeds(GOSSIP) == {40, 747, 2595, 1480}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_rollback finds no non-orphan checkpoint under commit+gc",
-)
 @pytest.mark.parametrize("path", REPRODUCERS, ids=lambda path: path.stem)
 def test_known_rollback_failure_replays_clean(path):
     replays_clean(path)
 
 
 def test_the_heavy_reproducers_are_the_two_described():
-    seeds = {load_reproducer(path)[0].seed for path in HEAVY.glob("*.json")}
-    assert seeds == {386, 1480}
+    assert seeds(HEAVY.glob("*.json")) == {386, 1480}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="heavy seed 386: the same _rollback 'no non-orphan checkpoint "
-    "for Token' under commit+gc, at n=10 with 8 crashes",
-)
 def test_heavy_rollback_failure_replays_clean():
     replays_clean(HEAVY / "stress-repro-seed386.json")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="heavy seed 1480 (n=9 pipeline, commit+gc): pid 8 commits "
-    "output ('done', 3, ...) from state (8, 0, 5), which a later failure "
-    "condemns -- Section 6.5's output-commit guarantee is violated",
-)
 def test_heavy_output_commit_failure_replays_clean():
     replays_clean(OUTPUT_COMMIT)
 
@@ -100,11 +91,6 @@ def test_rollback_failure_replays_clean_without_gc(path):
     replays_clean(path, enable_gc=False)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the _rollback failure does not need output commit: it still "
-    "raises 'no non-orphan checkpoint for Token' with commit_outputs off",
-)
 @pytest.mark.parametrize("path", ROLLBACK, ids=lambda path: path.stem)
 def test_rollback_failure_replays_clean_without_output_commit(path):
     replays_clean(path, commit_outputs=False)
@@ -114,10 +100,34 @@ def test_output_commit_failure_replays_clean_without_output_commit():
     replays_clean(OUTPUT_COMMIT, commit_outputs=False)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="heavy seed 1480 does not need GC: pid 8 still commits output "
-    "('done', 3, ...) from the condemned state (8, 0, 5) with enable_gc off",
-)
 def test_output_commit_failure_replays_clean_without_gc():
     replays_clean(OUTPUT_COMMIT, enable_gc=False)
+
+
+# ---------------------------------------------------------------------------
+# Shrunk under gossip: they fail without the rollback clock rule
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("path", GOSSIP, ids=lambda path: path.stem)
+def test_gossip_reproducer_replays_clean(path):
+    case, recorded = load_reproducer(path)
+    assert case.stability_interval is not None
+    assert recorded["error"] or recorded["violations"]
+    replays_clean(path)
+
+
+# ---------------------------------------------------------------------------
+# History compaction: known to fail
+# ---------------------------------------------------------------------------
+@pytest.mark.xfail(
+    strict=True,
+    reason="default seed 18 (n=5 pipeline, compaction only, P2 crashing "
+    "twice): P1 never heard from P2, so its messages carry P2's entry "
+    "(0, 0); compaction lifts P2's floor to version 1 and P2 discards "
+    "them as obsolete although P1's states survive",
+)
+def test_compaction_keeps_messages_from_surviving_states():
+    case, _ = load_reproducer(COMPACTION)
+    spec = build_spec(case)
+    spec.config = replace(spec.config, compact_history=True)
+    violations = check_case(run_experiment(spec), case)
+    assert not violations, violations[0]

@@ -89,6 +89,11 @@ class FaultTolerantVectorClock:
             raise ValueError("FTVC needs at least one entry")
         self.entries: tuple[ClockEntry, ...] = tuple(entries)
 
+    def __reduce__(self):
+        # One flat tuple of ints: a stable-log entry carries two clocks,
+        # and a reduce call per entry was half the cost of pickling it.
+        return _clock_from_flat, (tuple(chain.from_iterable(self.entries)),)
+
     @classmethod
     def initial(cls, pid: int, n: int) -> "FaultTolerantVectorClock":
         """Figure 2 Initialize: all (0,0), own timestamp 1."""
@@ -314,3 +319,13 @@ class FaultTolerantVectorClock:
     def __repr__(self) -> str:
         inner = " ".join(map(repr, self.entries))
         return f"FTVC[{inner}]"
+
+
+def _clock_from_flat(flat: tuple[int, ...]) -> FaultTolerantVectorClock:
+    """Unpickle a clock from ``(v0, t0, v1, t1, ...)``: every entry goes
+    back through :class:`ClockEntry`, i.e. through validation."""
+    if len(flat) % 2:
+        raise ValueError(f"flat clock of odd length {len(flat)}")
+    return FaultTolerantVectorClock(
+        tuple(map(ClockEntry, flat[::2], flat[1::2]))
+    )

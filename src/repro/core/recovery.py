@@ -44,6 +44,7 @@ retransmission is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, NamedTuple
 
 from repro.core.ftvc import ClockEntry, FaultTolerantVectorClock
@@ -55,6 +56,7 @@ from repro.runtime.env import RuntimeEnv
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind
 from repro.storage import intents
+from repro.storage.checkpoint import SEND_LOG
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,9 @@ class DamaniGargProcess(BaseRecoveryProcess):
         # Volatile state, all lost in a crash (with the base's _held):
         self._send_seq = 0                        # dedup id source
         self._delivered_ids: set[tuple[int, int]] = set()
-        self._send_log: list[_SendLogEntry] = []  # Remark-1 send history
+        # Remark-1 sends since the last checkpoint; the checkpoint moves
+        # them onto the storage's send stream.
+        self._send_tail: list[_SendLogEntry] = []
         # Last clock put on the wire per destination, the delta-encoding
         # base a link-level encoder would hold.  Volatile on purpose: a
         # crash (like a live reconnect) resets every link to the
@@ -139,7 +143,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
     def on_crash(self) -> None:
         lost = self.storage.on_crash()
         self._held.clear()
-        self._send_log.clear()
+        self._send_tail.clear()
         self._delivered_ids.clear()
         self._pending_outputs.clear()
         self._wire_clock_sent.clear()
@@ -432,7 +436,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self._send_seq += 1
         uid = self.executor.current_uid
         if self.config.retransmit_on_token:
-            self._send_log.append(
+            self._send_tail.append(
                 _new_send_log_entry(_SendLogEntry, (dst, envelope, uid))
             )
         if transmit:
@@ -699,7 +703,11 @@ class DamaniGargProcess(BaseRecoveryProcess):
             "delivered_ids": set(self._delivered_ids),
         }
         if self.config.retransmit_on_token:
-            extras["send_log"] = list(self._send_log)
+            # Called once per checkpoint, by take_checkpoint: the tail
+            # joins the send stream in the checkpoint's own write, and
+            # the checkpoint keeps a view of the stream up to its end.
+            extras[SEND_LOG] = self.storage.send_append(self._send_tail)
+            self._send_tail = []
         return extras
 
     def _restore_checkpoint(self, ckpt) -> None:
@@ -709,10 +717,8 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self._send_seq = ckpt.extras["send_seq"]
         self._pending_outputs = []    # replay re-emits what still matters
         self._delivered_ids = set(ckpt.extras.get("delivered_ids", set()))
-        if self.config.retransmit_on_token:
-            self._send_log = list(ckpt.extras.get("send_log", []))
-        else:
-            self._send_log = []
+        self._send_tail = []
+        self.storage.send_cut_to(ckpt)
 
     # ------------------------------------------------------------------
     # Remark-1 extension: retransmission of possibly-lost messages
@@ -729,7 +735,8 @@ class DamaniGargProcess(BaseRecoveryProcess):
         Receiver-side dedup ids make the superset harmless.
         """
         assert token.full_clock is not None
-        for dst, envelope, sender_uid in self._send_log:
+        sends = chain(self.storage.sends, self._send_tail)
+        for dst, envelope, sender_uid in sends:
             if dst == token.origin and not (
                 token.full_clock <= envelope.clock
             ):

@@ -9,10 +9,10 @@ it was durably checkpointed.
 
 Three rules make it auditable:
 
-1. **Nothing is deleted.**  Checkpoints and stable log entries past the
-   anchor are *moved* to a durable orphan area (:data:`ORPHANS_KEY`)
-   before the primary structures are rewound; an operator can inspect or
-   export them indefinitely.
+1. **Nothing is deleted.**  Checkpoints, stable log entries and sends
+   past the anchor are *moved* to a durable orphan area
+   (:data:`ORPHANS_KEY`) before the primary structures are rewound; an
+   operator can inspect or export them indefinitely.
 2. **Every run is witnessed.**  An audit record naming the anchor, the
    orphan counts, the operator's ``--reason`` and ``--witness``, and
    blake2b digests of the storage image before and after is appended both
@@ -26,8 +26,9 @@ Three rules make it auditable:
 
 After the rollback, restarting the cluster over the same data directory
 recovers through the ordinary ``on_restart`` path: each node restores its
-anchor, broadcasts a recovery token, and Remark-1 retransmission (the
-send log is part of every checkpoint) re-drives the lost interval.
+anchor, broadcasts a recovery token, and Remark-1 retransmission (every
+checkpoint names its end of the send stream) re-drives the lost
+interval.
 Orphaned records are *not* re-presented -- the operator asked for those
 events to be undone.
 """
@@ -119,6 +120,7 @@ def rollback_storage(
         if storage.log.stable_length > truncate_at
         else []
     )
+    orphan_sends = storage.sends_after(anchor)
     anchor_clock = anchor.extras.get("clock")
     stable_own = (
         anchor_clock[storage.pid] if anchor_clock is not None else None
@@ -158,12 +160,15 @@ def rollback_storage(
             "witness": witness,
             "checkpoints": orphan_ckpts,
             "entries": orphan_entries,
+            "sends": orphan_sends,
         }
     )
     storage.put(ORPHANS_KEY, area)
-    # Step 2: rewind the checkpoint store.
+    # Step 2: rewind the checkpoint store and the send stream they name
+    # (the cut rides the next step's persist).
     storage.advance_intent(intent, "checkpoints_discarded")
     storage.checkpoints.discard_after(anchor)
+    storage.send_cut_to(anchor)
     # Step 3: rewind the stable log and restore the durable clock
     # frontier the anchor certifies.
     storage.advance_intent(intent, "log_truncated")

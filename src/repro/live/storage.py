@@ -9,11 +9,11 @@ durable remainder to one file of length+CRC32-framed records
 
 - a **delta** record per barrier, holding only the mutations made since
   the previous barrier (log entries flushed, checkpoint taken / suffix
-  discarded / prefix collected, log truncated / prefix discarded, token,
-  kv put, outbox add / ack) plus the few always-current scalars
-  (counters, the active intent, the intent audit tail).  One ``write``
-  and one ``fsync``: a barrier costs what it flushed, not what the
-  process has accumulated;
+  discarded / prefix collected, log truncated / prefix discarded, sends
+  appended / cut, token, kv put, outbox add / ack) plus the few
+  always-current scalars (counters, the active intent, the intent audit
+  tail).  One ``write`` and one ``fsync``: a barrier costs what it
+  flushed, not what the process has accumulated;
 - a **snapshot** record holding the whole durable state.  It is always
   the file's first record and is written only when the file is created
   and by compaction, through a temp file, :func:`os.replace` and a
@@ -21,6 +21,13 @@ durable remainder to one file of length+CRC32-framed records
   bytes appended since the last snapshot exceed that snapshot's size
   (or :data:`_COMPACT_FLOOR`), so the file stays within about twice the
   state and the amortised cost per barrier stays O(delta).
+
+The two streams -- the stable message log and the send stream -- are
+pickled once.  Each flush or checkpoint pickles what it adds as one
+*chunk*; the delta record carries the chunk's bytes, memory keeps them,
+and a snapshot writes them again as they are.  Message-log GC drops
+whole chunks (loading skips the collected head of the first one), and a
+truncation or cut re-pickles only the chunk it splits.
 
 The atomicity unit is one barrier: a record is CRC-valid or ignored.
 Loading folds the records in order.  A bad record with nothing valid
@@ -59,6 +66,7 @@ value in place afterwards changes memory and not the disk.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import pickle
 import sys
@@ -66,14 +74,16 @@ from typing import Any, Callable, Iterator
 
 from repro.live.framing import OVERHEAD, FramingError, frame, parse_frame
 from repro.live.outbox import Outbox
-from repro.storage.checkpoint import CheckpointStore
+from repro.storage.checkpoint import CheckpointStore, SendHistory
 from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
 #: First bytes of every record payload; the trailing digit is the format
-#: version.  It is also what lets the loader look for a valid record
-#: *after* a bad one without trusting the bad one's length field.
-_MAGIC = b"DGL1"
+#: version (2: the streams journaled as pickled chunks, a checkpoint's
+#: send history pickled as its end in the send stream).  It is also what
+#: lets the loader look for a valid record *after* a bad one without
+#: trusting the bad one's length field.
+_MAGIC = b"DGL2"
 _SNAPSHOT = b"S"
 _DELTA = b"D"
 _KIND_AT = len(_MAGIC)
@@ -193,6 +203,60 @@ class _JournaledCheckpointStore(CheckpointStore):
         return dropped
 
 
+class _Chunks:
+    """The pickled bytes of one journaled stream, one chunk per append.
+
+    A span ``(start, stop, blob)`` holds stream entries ``[start, stop)``
+    as they were pickled when journaled.  GC drops whole spans, so the
+    first one may still hold entries below the stream's base;
+    :meth:`entries` skips them.
+    """
+
+    __slots__ = ("spans",)
+
+    def __init__(self) -> None:
+        self.spans: list[tuple[int, int, bytes]] = []
+
+    def add(self, start: int, entries: list) -> bytes:
+        blob = pickle.dumps(entries, protocol=4)
+        self.spans.append((start, start + len(entries), blob))
+        return blob
+
+    def adopt(self, start: int, blob: bytes) -> list:
+        """Keep a chunk read back from the file; return its entries."""
+        entries = pickle.loads(blob)
+        self.spans.append((start, start + len(entries), blob))
+        return entries
+
+    def collect(self, before: int) -> None:
+        """Drop the spans that end at or before ``before``."""
+        spans = self.spans
+        whole = 0
+        while whole < len(spans) and spans[whole][1] <= before:
+            whole += 1
+        del spans[:whole]
+
+    def cut(self, end: int, entries: list, base: int) -> None:
+        """Drop everything from ``end`` on, re-pickling the span that
+        straddles it from ``entries`` (the stream from ``base``)."""
+        spans = self.spans
+        while spans and spans[-1][0] >= end:
+            spans.pop()
+        if spans and spans[-1][1] > end:
+            start = max(spans.pop()[0], base)
+            if start < end:
+                self.add(start, entries[start - base:end - base])
+
+    def entries(self, base: int) -> list:
+        """The stream from ``base`` on, unpickled."""
+        out: list = []
+        for _start, _stop, blob in self.spans:
+            out.extend(pickle.loads(blob))
+        if self.spans:
+            del out[:base - self.spans[0][0]]
+        return out
+
+
 class _JournaledMessageLog(MessageLog):
     """MessageLog whose *stable* mutations are barriers.
 
@@ -203,23 +267,28 @@ class _JournaledMessageLog(MessageLog):
     def __init__(self, barrier: Callable[[tuple], None]) -> None:
         super().__init__()
         self._barrier = barrier
+        self.chunks = _Chunks()
 
     def flush(self) -> int:
-        entries = list(self._volatile)
+        blob = None
+        if self._volatile:
+            blob = self.chunks.add(self.stable_length, self._volatile)
         moved = super().flush()
-        if moved:
-            self._barrier(("log+", entries))
+        if blob is not None:
+            self._barrier(("log+", blob))
         return moved
 
     def truncate(self, keep: int) -> int:
         dropped = super().truncate(keep)
         if dropped:
+            self.chunks.cut(keep, self._stable, self._gc_offset)
             self._barrier(("log_truncate", keep))
         return dropped
 
     def discard_prefix(self, before: int) -> int:
         dropped = super().discard_prefix(before)
         if dropped:
+            self.chunks.collect(self._gc_offset)
             self._barrier(("log_gc", before))
         return dropped
 
@@ -281,6 +350,7 @@ class FileStableStorage(StableStorage):
         self._loading = True
         self.checkpoints = _JournaledCheckpointStore(self._barrier)
         self.log = _JournaledMessageLog(self._barrier)
+        self._send_chunks = _Chunks()
         self.outbox = _JournaledOutbox(self._lazy_outbox)
         if os.path.exists(path):
             self._load()
@@ -298,6 +368,24 @@ class FileStableStorage(StableStorage):
     def put(self, key: str, value: Any) -> None:
         super().put(key, value)
         self._barrier(("kv", key, value))
+
+    # The send stream's ops ride the next barrier rather than paying
+    # their own: an append is made for the checkpoint whose ``ckpt+``
+    # follows at once, and a tail past a restored checkpoint is never
+    # read (restoring cuts it again).
+    def send_append(self, entries: list[Any]) -> SendHistory:
+        if entries:
+            blob = self._send_chunks.add(len(self.sends), entries)
+            self._ops.append(("send+", blob))
+        return super().send_append(entries)
+
+    def send_cut(self, end: int) -> int:
+        dropped = super().send_cut(end)
+        if dropped:
+            self._send_chunks.cut(end, self.sends, 0)
+            if not self._loading:
+                self._ops.append(("send_cut", end))
+        return dropped
 
     def put_lazy(self, key: str, value: Any) -> None:
         super().put_lazy(key, value)
@@ -373,16 +461,19 @@ class FileStableStorage(StableStorage):
         )
 
     def _snapshot(self) -> dict[str, Any]:
-        """The whole durable state (compaction, and equality in tests)."""
+        """The whole durable state (compaction, and equality in tests).
+        The streams are their journaled chunks, so compaction pickles
+        none of their entries again."""
         return {
             "pid": self.pid,
             "checkpoints": self.checkpoints._checkpoints,
             "ckpt_next_id": self.checkpoints._next_id,
             "ckpt_taken": self.checkpoints.taken_count,
             "ckpt_discarded": self.checkpoints.discarded_count,
-            "log_stable": self.log._stable,
+            "log_chunks": self.log.chunks.spans,
             "log_gc_offset": self.log._gc_offset,
             "log_gc_count": self.log.gc_count,
+            "send_chunks": self._send_chunks.spans,
             "tokens": self._tokens,
             "token_keys": self._token_keys,
             "kv": self._kv,
@@ -496,20 +587,31 @@ class FileStableStorage(StableStorage):
         with open(self.path, "rb") as fh:
             data = fh.read()
         records, end = scan(data, self.path)
-        for offset, payload in records:
-            kind, body = _decode(payload)
-            if (kind == _SNAPSHOT) != (offset == 0):
-                raise StorageCorruptionError(
-                    f"{self.path}: misplaced {kind!r} record at offset {offset}"
-                )
-            if kind == _SNAPSHOT:
-                self._restore(body)
-                self._snapshot_bytes = OVERHEAD + len(payload)
-            else:
-                scalars, ops = body
-                for op in ops:
-                    self._replay(op)
-                self._restore_scalars(scalars)
+        # Folding builds the whole durable state at once.  The cyclic
+        # collector would traverse the growing heap again every few
+        # hundred new containers: half of a reload's time, and none of
+        # what is built here is garbage.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for offset, payload in records:
+                kind, body = _decode(payload)
+                if (kind == _SNAPSHOT) != (offset == 0):
+                    raise StorageCorruptionError(
+                        f"{self.path}: misplaced {kind!r} record at "
+                        f"offset {offset}"
+                    )
+                if kind == _SNAPSHOT:
+                    self._restore(body)
+                    self._snapshot_bytes = OVERHEAD + len(payload)
+                else:
+                    scalars, ops = body
+                    for op in ops:
+                        self._replay(op)
+                    self._restore_scalars(scalars)
+        finally:
+            if collecting:
+                gc.enable()
         if end < len(data):
             # Torn tail: an append that was never acknowledged.
             with open(self.path, "r+b") as fh:
@@ -528,9 +630,14 @@ class FileStableStorage(StableStorage):
         self.checkpoints._next_id = state["ckpt_next_id"]
         self.checkpoints.taken_count = state["ckpt_taken"]
         self.checkpoints.discarded_count = state["ckpt_discarded"]
-        self.log._stable = state["log_stable"]
         self.log._gc_offset = state["log_gc_offset"]
         self.log.gc_count = state["log_gc_count"]
+        self.log.chunks.spans = state["log_chunks"]
+        self.log._stable = self.log.chunks.entries(self.log._gc_offset)
+        self._send_chunks.spans = state["send_chunks"]
+        self.sends = self._send_chunks.entries(0)
+        for ckpt in self.checkpoints:
+            self.adopt(ckpt)
         self._tokens = state["tokens"]
         self._token_keys = state["token_keys"]
         self._kv = state["kv"]
@@ -561,7 +668,8 @@ class FileStableStorage(StableStorage):
         elif kind == "out_ack":
             self.outbox.ack(*op[1:])
         elif kind == "log+":
-            self.log._stable.extend(op[1])
+            log = self.log
+            log._stable.extend(log.chunks.adopt(log.stable_length, op[1]))
         elif kind == "log_truncate":
             self.log.truncate(op[1])
         elif kind == "log_gc":
@@ -570,12 +678,25 @@ class FileStableStorage(StableStorage):
             store = self.checkpoints
             store._checkpoints.append(op[1])
             store._next_id = op[1].ckpt_id + 1
+            self.adopt(op[1])
             store.taken_count += 1
         elif kind == "ckpt_after":
-            anchor = next(c for c in self.checkpoints if c.ckpt_id == op[1])
+            anchor = next(
+                (c for c in self.checkpoints if c.ckpt_id == op[1]), None
+            )
+            if anchor is None:
+                raise StorageCorruptionError(
+                    f"{self.path}: ckpt_after names checkpoint {op[1]}, "
+                    "which the image does not hold"
+                )
             self.checkpoints.discard_after(anchor)
         elif kind == "ckpt_gc":
             self.checkpoints.garbage_collect_before(op[1])
+        elif kind == "send+":
+            sends = self.sends
+            sends.extend(self._send_chunks.adopt(len(sends), op[1]))
+        elif kind == "send_cut":
+            self.send_cut(op[1])
         elif kind == "token":
             super().log_token(op[1], dedupe_key=op[2])
         else:
@@ -596,6 +717,14 @@ def _pickled(value: Any) -> str:
     return _size(len(pickle.dumps(value, protocol=4)))
 
 
+def _streamed(
+    spans: list[tuple[int, int, bytes]], base: int
+) -> tuple[int, int]:
+    """A journaled stream's end and the bytes of its chunks."""
+    end = spans[-1][1] if spans else base
+    return end, sum(len(blob) for *_, blob in spans)
+
+
 def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
     """One line per record: offset, bytes, what it holds, active intent.
 
@@ -607,13 +736,17 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
         kind, body = _decode(payload)
         if kind == _SNAPSHOT:
             scalars = body["scalars"]
+            base = body["log_gc_offset"]
+            log_end, log_bytes = _streamed(body["log_chunks"], base)
+            send_end, send_bytes = _streamed(body["send_chunks"], 0)
             held = (
                 f"snapshot pid={body['pid']} "
                 f"checkpoints={len(body['checkpoints'])}:"
                 f"{_pickled(body['checkpoints'])} "
-                f"log=[{body['log_gc_offset']},"
-                f"{body['log_gc_offset'] + len(body['log_stable'])}):"
-                f"{_pickled(body['log_stable'])} "
+                f"log=[{base},{log_end}):{_size(log_bytes)} "
+                f"log_chunks={len(body['log_chunks'])} "
+                f"sends={send_end}:{_size(send_bytes)} "
+                f"send_chunks={len(body['send_chunks'])} "
                 f"tokens={len(body['tokens'])} "
                 f"kv={len(body['kv'])}:{_pickled(body['kv'])} "
                 f"outbox={sum(map(len, body['outbox'].values()))}:"
@@ -625,7 +758,8 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
             for op in ops:
                 label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
                 tally = counts.setdefault(label, [0, 0])
-                tally[0] += len(op[1]) if op[0] == "log+" else 1
+                streamed = op[0] in ("log+", "send+")
+                tally[0] += len(pickle.loads(op[1])) if streamed else 1
                 tally[1] += len(pickle.dumps(op, protocol=4))
             held = "delta " + (
                 ",".join(

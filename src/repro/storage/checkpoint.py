@@ -3,7 +3,52 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
+
+#: Extras key of a checkpoint's Remark-1 send history, a
+#: :class:`SendHistory` (``benchmarks/perf/replay.py`` iterates it for
+#: its sender-side samples).
+SEND_LOG = "send_log"
+
+
+class SendHistory:
+    """The sends made before a checkpoint: the prefix ``[0, end)`` of the
+    storage's send stream (``StableStorage.sends``), read through the
+    stream instead of copied out of it.
+
+    It pickles as ``end`` alone.  A storage that loads a checkpoint binds
+    its history back to the stream (``StableStorage.adopt``); an unbound
+    one still knows its ``end`` but cannot be read.
+    """
+
+    __slots__ = ("end", "_stream")
+
+    def __init__(self, end: int, stream: list[Any] | None = None) -> None:
+        self.end = end
+        self._stream = stream
+
+    def __reduce__(self):
+        return SendHistory, (self.end,)
+
+    def bind(self, stream: list[Any]) -> None:
+        self._stream = stream
+
+    def __iter__(self) -> Iterator[Any]:
+        if self._stream is None:
+            raise RuntimeError(
+                f"send history [0, {self.end}) read before a storage "
+                "bound it to its send stream"
+            )
+        return islice(self._stream, self.end)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SendHistory):
+            return NotImplemented
+        return self.end == other.end
+
+    def __repr__(self) -> str:
+        return f"SendHistory(end={self.end})"
 
 
 @dataclass(frozen=True)

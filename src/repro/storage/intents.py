@@ -243,6 +243,9 @@ def _roll_forward(
 
     action["action"] = "rolled_forward"
     action["checkpoints_discarded"] = storage.checkpoints.discard_after(anchor)
+    # The sends of the discarded checkpoints go with them, as restoring
+    # the anchor would cut them (an operator rollback has preserved them).
+    storage.send_cut_to(anchor)
     truncate_at = payload["truncate_at"]
     if storage.log.stable_length > truncate_at:
         leftovers = list(storage.log.stable_entries(truncate_at))

@@ -4,15 +4,28 @@ A :class:`StableStorage` object survives simulated crashes by construction:
 the protocol clears only its *volatile* members on failure.  It aggregates
 the checkpoint store, the message log, a synchronously-written token log
 (the paper logs every received token synchronously so a crash cannot forget
-one), and a small key-value area for durable scalars such as the version
-number.
+one), the Remark-1 send stream, and a small key-value area for durable
+scalars such as the version number.
+
+The send stream holds each send once.  A checkpoint appends the sends
+made since the previous one (:meth:`StableStorage.send_append`) and
+keeps the returned :class:`~repro.storage.checkpoint.SendHistory` -- the
+stream's prefix up to its new end -- in its extras under
+:data:`~repro.storage.checkpoint.SEND_LOG`.  Restoring that checkpoint
+cuts the stream back to that end (:meth:`StableStorage.send_cut_to`), so
+the prefix each retained checkpoint names is its send history.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.storage.checkpoint import CheckpointStore
+from repro.storage.checkpoint import (
+    SEND_LOG,
+    Checkpoint,
+    CheckpointStore,
+    SendHistory,
+)
 from repro.storage.intents import AUDIT_TAIL, CrashPointReached, IntentRecord
 from repro.storage.log import MessageLog
 
@@ -30,6 +43,7 @@ class StableStorage:
         self.pid = pid
         self.checkpoints = CheckpointStore()
         self.log = MessageLog()
+        self.sends: list[Any] = []      # the send stream; read-only outside
         self._tokens: list[Any] = []
         self._token_keys: set[Any] = set()
         self._kv: dict[str, Any] = {}
@@ -70,6 +84,44 @@ class StableStorage:
     @property
     def tokens(self) -> list[Any]:
         return list(self._tokens)
+
+    # ------------------------------------------------------------------
+    # Send stream (paper Remark 1)
+    # ------------------------------------------------------------------
+    def send_append(self, entries: list[Any]) -> SendHistory:
+        """Append ``entries`` to the send stream; return the history it
+        now holds (what the checkpoint being taken records)."""
+        self.sends.extend(entries)
+        return SendHistory(len(self.sends), self.sends)
+
+    def send_cut(self, end: int) -> int:
+        """Drop the stream past offset ``end``; return how many went."""
+        dropped = len(self.sends) - end
+        if dropped < 0:
+            raise ValueError(
+                f"cut at {end} past the send stream's end {len(self.sends)}"
+            )
+        del self.sends[end:]
+        return dropped
+
+    def send_cut_to(self, ckpt: Checkpoint) -> int:
+        """Cut the stream back to the end of ``ckpt``'s send history (a
+        checkpoint taken without retransmission names none: no cut)."""
+        return self.send_cut(self._send_end(ckpt))
+
+    def sends_after(self, ckpt: Checkpoint) -> list[Any]:
+        """The sends past ``ckpt``'s history, which cutting to it drops."""
+        return self.sends[self._send_end(ckpt):]
+
+    def adopt(self, ckpt: Checkpoint) -> None:
+        """Bind a checkpoint read back from the disk to this stream."""
+        history = ckpt.extras.get(SEND_LOG)
+        if history is not None:
+            history.bind(self.sends)
+
+    def _send_end(self, ckpt: Checkpoint) -> int:
+        history = ckpt.extras.get(SEND_LOG)
+        return len(self.sends) if history is None else history.end
 
     # ------------------------------------------------------------------
     # Durable scalars

@@ -1,10 +1,17 @@
 """Unit tests for the Fault-Tolerant Vector Clock (paper Fig. 2, Sec. 4)."""
 
+import copyreg
+import io
 import pickle
 
 import pytest
 
-from repro.core.ftvc import ClockEntry, FaultTolerantVectorClock as FTVC
+from repro.core.ftvc import (
+    ClockEntry,
+    FaultTolerantVectorClock as FTVC,
+    _clock_from_flat,
+)
+from repro.storage.log import LogEntry
 
 
 class TestClockEntry:
@@ -51,6 +58,52 @@ class TestClockEntry:
 
         with pytest.raises(pickle.UnpicklingError):
             pickle.loads(pickle.dumps(PreTupleEntry(), protocol=4))
+
+
+class _SlotStatePickler(pickle.Pickler):
+    """Pickles a clock the way its slots did before it had a reduce:
+    the class, then ``entries`` as state, one reduce per entry."""
+
+    def reducer_override(self, obj):
+        if type(obj) is FTVC:
+            state = (None, {"entries": obj.entries})
+            return copyreg.__newobj__, (FTVC,), state
+        return NotImplemented
+
+
+def _slot_state_pickle(value):
+    sink = io.BytesIO()
+    _SlotStatePickler(sink, protocol=4).dump(value)
+    return sink.getvalue()
+
+
+class TestPickle:
+    def test_clock_round_trips_smaller_than_its_slot_state(self):
+        clock = FTVC.of([(0, 7), (2, 31), (1, 0)])
+        flat = pickle.dumps(clock, protocol=4)
+        back = pickle.loads(flat)
+        assert back == clock and type(back.entries[1]) is ClockEntry
+        assert pickle.loads(_slot_state_pickle(clock)) == clock
+        assert len(flat) < len(_slot_state_pickle(clock))
+
+    def test_log_entry_with_two_clocks_shrinks(self):
+        before = FTVC.of([(0, 3), (0, 9)])
+        after = before.receive(FTVC.of([(0, 4), (0, 2)]), 1)
+        meta = (before, (0, 7), (1, 0, 9), after)
+        entry = LogEntry(7, 7, 0, ("job", 7), meta)
+        assert len(pickle.dumps(entry, protocol=4)) < 0.8 * len(
+            _slot_state_pickle(entry)
+        )
+
+    def test_negative_component_is_refused_at_load(self):
+        data = pickle.dumps(FTVC.of([(0, 7), (2, 31)]), protocol=0)
+        assert b"I31\n" in data
+        with pytest.raises(ValueError, match="negative clock entry"):
+            pickle.loads(data.replace(b"I31\n", b"I-31\n"))
+        with pytest.raises(ValueError):
+            _clock_from_flat(())
+        with pytest.raises(ValueError, match="odd length"):
+            _clock_from_flat((0, 7, 2))
 
 
 class TestRules:

@@ -1,6 +1,7 @@
 """White-box tests of DamaniGargProcess internals."""
 
 import json
+import pickle
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.live.wire import WireDecoder, WireEncoder
 from repro.protocols.base import ProtocolConfig
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind
+from repro.storage.checkpoint import SEND_LOG
 from repro.testing import ScenarioBuilder
 
 
@@ -38,8 +40,8 @@ class TestCheckpointExtras:
         assert extras["clock"] == protocol.clock
         assert extras["send_seq"] == protocol._send_seq
         assert "history" in extras
-        # No retransmission config: no send-log copies.
-        assert "send_log" not in extras
+        # No retransmission config: no send stream.
+        assert SEND_LOG not in extras and not protocol.storage.sends
 
     def test_retransmit_config_adds_send_state(self):
         result = (
@@ -51,10 +53,28 @@ class TestCheckpointExtras:
             .run()
         )
         protocol = result.protocols[0]
+        storage = protocol.storage
+        # Checkpoint 0 followed the bootstrap send onto the send stream.
+        first = storage.checkpoints.latest().extras[SEND_LOG]
+        assert first.end == 1
+        protocol.inject_app_send(1, "n")
         protocol.take_checkpoint()
-        extras = protocol.storage.checkpoints.latest().extras
-        assert "send_log" in extras and "delivered_ids" in extras
-        assert len(extras["send_log"]) == 1
+        extras = storage.checkpoints.latest().extras
+        history = extras[SEND_LOG]
+        assert "delivered_ids" in extras and history.end == 2
+        # The history is the stream's prefix up to its offset ...
+        assert [
+            (sent.dst, sent.envelope.payload, sent.envelope.dedup_id)
+            for sent in storage.sends[:history.end]
+        ] == [(1, "m", (0, 0)), (1, "n", (0, 1))]
+        assert list(history) == storage.sends[:2]
+        assert list(first) == storage.sends[:1]
+        # ... and pickles as that offset, not as a copy of the sends.
+        blob = pickle.dumps(history, protocol=4)
+        assert b"AppEnvelope" not in blob and len(blob) < 80
+        assert pickle.loads(blob) == history
+        with pytest.raises(RuntimeError, match="before a storage bound"):
+            list(pickle.loads(blob))
 
     def test_history_in_extras_is_isolated(self):
         result = simple_run()

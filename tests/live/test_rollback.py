@@ -17,6 +17,7 @@ from repro.live.rollback import (
     rollback_storage,
 )
 from repro.live.storage import FileStableStorage
+from repro.storage.checkpoint import SEND_LOG
 from repro.storage.intents import (
     OPERATOR_ROLLBACK,
     RECOVERED_ENTRIES_KEY,
@@ -27,15 +28,22 @@ from repro.storage.intents import (
 
 
 def _populate(storage):
-    """Two checkpoints, four stable entries, a durable clock frontier."""
+    """Two checkpoints, four stable entries, a durable clock frontier,
+    two sends before the first checkpoint and three before the second."""
     anchor = storage.checkpoints.take(
-        1.0, {"uid": "a"}, 0, extras={"clock": {storage.pid: ("v0", 1)}}
+        1.0, {"uid": "a"}, 0, extras={
+            "clock": {storage.pid: ("v0", 1)},
+            SEND_LOG: storage.send_append(["s0", "s1"]),
+        }
     )
     for i in range(4):
         storage.log.append(i, 1, f"m{i}")
     storage.log.flush()
     later = storage.checkpoints.take(
-        2.0, {"uid": "b"}, 4, extras={"clock": {storage.pid: ("v0", 5)}}
+        2.0, {"uid": "b"}, 4, extras={
+            "clock": {storage.pid: ("v0", 5)},
+            SEND_LOG: storage.send_append(["s2", "s3", "s4"]),
+        }
     )
     storage.put("stable_own", ("v0", 4))
     return anchor, later
@@ -57,6 +65,13 @@ def test_rollback_preserves_orphans_and_writes_witnessed_audit(tmp_path):
     assert [c.ckpt_id for c in storage.checkpoints] == [anchor.ckpt_id]
     assert storage.log.stable_length == 0
     assert storage.get("stable_own") == ("v0", 1)
+    # The orphaned checkpoint held only an offset: its sends are cut
+    # from the stream and kept with it.
+    assert storage.sends == ["s0", "s1"]
+    assert storage.get(ORPHANS_KEY)[0]["sends"] == ["s2", "s3", "s4"]
+    reborn = FileStableStorage(0, path)
+    assert reborn.sends == ["s0", "s1"]
+    assert reborn.get(ORPHANS_KEY)[0]["sends"] == ["s2", "s3", "s4"]
 
     # Orphans are preserved -- moved, never deleted.
     area = storage.get(ORPHANS_KEY)
@@ -129,11 +144,13 @@ def test_operator_rollback_crash_windows_heal_forward(tmp_path, point):
         c.ckpt_id for c in ref.checkpoints
     ]
     assert reborn.log.stable_length == ref.log.stable_length
+    assert reborn.sends == ref.sends == ["s0", "s1"]
     assert reborn.get("stable_own") == ref.get("stable_own")
     # The point of no return is the orphan-preservation persist, so the
     # orphans are always durable by the time any window can kill us.
     area = reborn.get(ORPHANS_KEY)
     assert area and len(area[0]["entries"]) == 4
+    assert area[0]["sends"] == ["s2", "s3", "s4"]
     # Operator orphans must never be re-presented to the protocol.
     assert reborn.get(RECOVERED_ENTRIES_KEY) in (None, [])
 
@@ -173,10 +190,11 @@ def test_rollback_cli(tmp_path):
 def test_live_rollback_round_trip(tmp_path):
     """Run a real cluster to completion, rewind every node to its
     earliest checkpoint, and restart the cluster over the rolled-back
-    images.  Checkpoint 0 carries the bootstrap send log, so Remark-1
-    retransmission re-drives the entire pipeline from scratch: the
-    second run must pass the unchanged conformance oracles on its own
-    trace, with every output matching the closed-form reference."""
+    images.  Checkpoint 0 names the bootstrap sends on the send stream,
+    so Remark-1 retransmission re-drives the entire pipeline from
+    scratch: the second run must pass the unchanged conformance oracles
+    on its own trace, with every output matching the closed-form
+    reference."""
     import shutil
 
     from repro.live.supervisor import LiveClusterSpec, run_cluster

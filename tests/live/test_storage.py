@@ -13,6 +13,7 @@ import pytest
 from repro.core.tokens import RecoveryToken
 from repro.live.storage import FileStableStorage, _size, scan
 from repro.runtime.message import NetworkMessage
+from repro.storage.checkpoint import SEND_LOG
 
 
 @pytest.fixture
@@ -428,6 +429,7 @@ def test_cli_prints_one_line_per_record(path):
     import subprocess
     import sys
 
+    from repro.live.storage import describe
     from repro.storage.intents import FLUSH
 
     storage = FileStableStorage(0, path)
@@ -439,10 +441,28 @@ def test_cli_prints_one_line_per_record(path):
     storage.log.flush()
     storage.commit_intent(intent)
     storage.put("stable_own", (0, 2))
+    history = storage.send_append(["s0", "s1", "s2"])
+    storage.checkpoints.take(1.0, {}, 2, extras={SEND_LOG: history})
+    storage.send_cut(1)
+    storage.put("node_boots", 2)
+    with open(path, "rb") as fh:
+        deltas = list(describe(fh.read()))[1:]
+    assert len(deltas) == 4
+    assert re.search(r" log\+x2:\d+B ", deltas[0])
+    assert "intent=flush@log_flushed" in deltas[0]
+    assert re.search(r" kv:stable_ownx1:\d+B ", deltas[1])
+    assert "intent=-" in deltas[1]
+    # The sends ride the checkpoint's record, the cut the next one.
+    assert re.search(r" delta send\+x3:\d+B,ckpt\+x1:\d+B ", deltas[2])
+    assert re.search(
+        r" delta send_cutx1:\d+B,kv:node_bootsx1:\d+B ", deltas[3]
+    )
+
+    storage._write_snapshot()
+    storage.put("stable_own", (0, 3))
     with open(path, "ab") as fh:
         fh.write(b"torn")
     size = os.path.getsize(path)
-
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-m", "repro.live.storage", path],
@@ -450,17 +470,86 @@ def test_cli_prints_one_line_per_record(path):
     )
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
+    # The snapshot: the message log and the send stream with their
+    # journaled chunks (the cut re-pickled the first send chunk).
     assert lines[0].startswith("offset=0 ") and "snapshot pid=0" in lines[0]
-    assert re.search(r" checkpoints=0:\d+B log=\[0,0\):\d+B ", lines[0])
-    assert re.search(r" log\+x2:\d+B[ ,]", lines[1])
-    assert "intent=flush@log_flushed" in lines[1]
-    assert re.search(r" kv:stable_ownx1:\d+B ", lines[2])
-    assert "intent=-" in lines[2]
-    assert "TORN TAIL" in lines[3]
+    assert re.search(
+        r" checkpoints=1:\d+B log=\[0,2\):\d+B log_chunks=1 "
+        r"sends=1:\d+B send_chunks=1 ", lines[0]
+    )
+    assert re.search(r" delta kv:stable_ownx1:\d+B ", lines[1])
+    assert "TORN TAIL" in lines[2]
     assert os.path.getsize(path) == size        # looked, did not heal
 
 
 def test_cli_sizes_read_in_bytes_then_kilobytes():
     assert (_size(0), _size(1023), _size(1024)) == ("0B", "1023B", "1KB")
     assert _size(1_122_000) == "1096KB"
+
+
+# ---------------------------------------------------------------------------
+# Streams journaled once
+# ---------------------------------------------------------------------------
+def test_ckpt_after_naming_a_missing_checkpoint_is_refused(path):
+    from repro.live.storage import StorageCorruptionError, _DELTA, _encode
+
+    storage = FileStableStorage(0, path)
+    storage.checkpoints.take(1.0, {}, 0)
+    with open(path, "ab") as fh:
+        fh.write(_encode(_DELTA, (storage._scalars(), [("ckpt_after", 99)])))
+    with pytest.raises(StorageCorruptionError, match=re.escape(path)):
+        FileStableStorage(0, path)
+
+
+def test_compaction_snapshot_reuses_the_journaled_chunk_bytes(path):
+    """Each flush and each send append is pickled once: the snapshot
+    holds the very bytes the delta records carried."""
+    from repro.live.storage import _decode
+
+    storage = FileStableStorage(0, path)
+    storage.put("node_boots", 1)        # the file's first snapshot
+    for batch in range(3):
+        for i in range(4):
+            storage.log.append(i, 1, f"m{batch}.{i}", meta=(batch, i))
+        storage.log.flush()
+        history = storage.send_append([("sent", batch, i) for i in range(5)])
+        storage.checkpoints.take(float(batch), {}, storage.log.stable_length,
+                                 extras={SEND_LOG: history})
+    with open(path, "rb") as fh:
+        records, _ = scan(fh.read())
+    journaled = [
+        op[1]
+        for _offset, payload in records[1:]
+        for op in _decode(payload)[1][1]
+        if op[0] in ("log+", "send+")
+    ]
+    assert len(journaled) == 6
+    storage._write_snapshot()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    (snapshot,), _ = scan(data)
+    assert all(blob in snapshot[1] for blob in journaled)
+    reborn = FileStableStorage(0, path)
+    assert reborn.log._stable == storage.log._stable
+    assert reborn.sends == storage.sends
+    assert reborn.log.chunks.spans == storage.log.chunks.spans
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["deltas", "snapshot"])
+def test_reopened_checkpoints_read_their_send_history(path, compact):
+    """A checkpoint's send history pickles as its end; reloading binds
+    it back to the stream, so every retained checkpoint reads the sends
+    made before it, from the delta records and from a snapshot alike."""
+    storage = FileStableStorage(0, path)
+    for batch in range(3):
+        history = storage.send_append([("sent", batch, i) for i in range(2)])
+        storage.checkpoints.take(float(batch), {}, 0,
+                                 extras={SEND_LOG: history})
+    if compact:
+        storage._write_snapshot()
+    reborn = FileStableStorage(0, path)
+    assert [list(c.extras[SEND_LOG]) for c in reborn.checkpoints] == [
+        storage.sends[:2], storage.sends[:4], storage.sends
+    ]
+    assert list(reborn.checkpoints) == list(storage.checkpoints)

@@ -11,6 +11,7 @@ the pre-transition image (abort kinds) or the completed-transition image
 import pytest
 
 from repro.storage import intents
+from repro.storage.checkpoint import SEND_LOG
 from repro.storage.intents import (
     AUDIT_TAIL,
     BEGUN,
@@ -173,11 +174,15 @@ def test_heal_rolls_back_harmless_prefix_kinds(kind):
 def _storage_with_rollback_in_flight(step):
     """Image of a rollback crashed right after reaching ``step``."""
     storage = StableStorage(0)
-    anchor = storage.checkpoints.take(1.0, {"uid": "a"}, 0)
+    anchor = storage.checkpoints.take(
+        1.0, {"uid": "a"}, 0, extras={SEND_LOG: storage.send_append(["s0"])}
+    )
     for i in range(4):
         storage.log.append(i, 1, f"m{i}")
     storage.log.flush()
-    later = storage.checkpoints.take(2.0, {"uid": "b"}, 4)
+    later = storage.checkpoints.take(
+        2.0, {"uid": "b"}, 4, extras={SEND_LOG: storage.send_append(["s1"])}
+    )
     intent = storage.begin_intent(
         ROLLBACK,
         token=(1, 0, 3),
@@ -209,6 +214,7 @@ def test_heal_rolls_rollback_forward(step):
     # Target state reached no matter where the crash landed.
     assert [c.ckpt_id for c in storage.checkpoints] == [anchor.ckpt_id]
     assert [e.index for e in storage.log.stable_entries()] == [0, 1]
+    assert storage.sends == ["s0"]
     assert storage.get("stable_own") == ("v", 7)
     # Truncated entries preserved, never deleted -- unless the crash
     # already landed past the truncation (they died with the original

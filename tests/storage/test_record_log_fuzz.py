@@ -207,3 +207,73 @@ def test_a_flipped_top_bit_of_the_first_length_is_damage_not_a_pickle(
     copy = _reopen(history, tmp_path, flip)
     with pytest.raises(StorageCorruptionError, match="offset 0"):
         FileStableStorage(0, copy)
+
+
+# ---------------------------------------------------------------------------
+# Chunked streams: truncate, GC and cut split what was pickled once
+# ---------------------------------------------------------------------------
+def _streams(storage):
+    """The logical streams plus their chunk boundaries."""
+    log = storage.log
+    return (
+        log._gc_offset,
+        log.gc_count,
+        list(log._stable),
+        list(storage.sends),
+        [span[:2] for span in log.chunks.spans],
+        [span[:2] for span in storage._send_chunks.spans],
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_truncate_gc_and_cut_reopen_to_the_same_streams(
+    tmp_path, monkeypatch, seed
+):
+    """Flushes and send appends make chunks; truncation, GC and cuts land
+    inside them as often as between them.  After every step the file,
+    reopened, holds the same streams split into the same chunks, and
+    every snapshot reuses the chunk bytes memory holds."""
+    monkeypatch.setattr("repro.live.storage._COMPACT_FLOOR", 1024)
+    rng = random.Random(seed)
+    path = str(tmp_path / "stable_p0.pickle")
+    copy = str(tmp_path / "copy.pickle")
+    storage = FileStableStorage(0, path)
+    storage.put("node_boots", 1)
+    splits = snapshots = 0
+    for serial in range(300):
+        log = storage.log
+        step = rng.choice(("flush", "flush", "send", "send", "truncate",
+                           "gc", "cut"))
+        if step == "flush":
+            for i in range(rng.randrange(1, 6)):
+                log.append(serial, 1, f"m{serial}.{i}", meta=(serial, i))
+            log.flush()
+        elif step == "send":
+            storage.send_append(
+                [(serial, i) for i in range(rng.randrange(1, 6))]
+            )
+        elif step == "truncate":
+            keep = rng.randint(log._gc_offset, log.stable_length)
+            splits += any(a < keep < b for a, b, _ in log.chunks.spans)
+            log.truncate(keep)
+        elif step == "gc":
+            log.discard_prefix(rng.randint(0, log.stable_length))
+        else:
+            end = rng.randint(0, len(storage.sends))
+            spans = storage._send_chunks.spans
+            splits += any(a < end < b for a, b, _ in spans)
+            storage.send_cut(end)
+        # Send ops ride the next barrier, as a checkpoint's would.
+        before = storage.dir_fsyncs
+        storage.put("serial", serial)
+        if storage.dir_fsyncs > before:
+            snapshots += 1
+            with open(path, "rb") as fh:
+                data = fh.read()
+            for *_, blob in log.chunks.spans + storage._send_chunks.spans:
+                assert blob in data
+        shutil.copyfile(path, copy)
+        reborn = FileStableStorage(0, copy)
+        assert _streams(reborn) == _streams(storage), (seed, serial)
+        assert _state(reborn) == _state(storage), (seed, serial)
+    assert splits > 10 and snapshots > 3

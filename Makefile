@@ -52,6 +52,11 @@ table1:
 # on seeds 0 and 7, with `peak_rss_mb` within +2% and sim_steady and the
 # two live workloads (none of which digests a trace) as the ones that
 # must not move.
+# The outbox journaled as per-link chunks and the wire codec on per-class
+# plans: `ops_per_s` a gain in 11/11 pairs of
+#   make perf-pairs WORKLOAD=live_saturated
+# (one seed per pair, 71-81), with `peak_rss_mb` within +5% and
+# sim_steady, sim_stress and service_crash as the ones that must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

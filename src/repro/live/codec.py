@@ -18,6 +18,7 @@ execute a constructor picked by the network.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 from typing import Any
 
@@ -29,6 +30,13 @@ TRUSTED_PREFIX = "repro."
 
 class CodecError(ValueError):
     """Raised for unencodable values and untrusted or malformed frames."""
+
+
+@functools.cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order, computed once per
+    class: what both codecs write, and the order they read them in."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def canonical_key(value: Any):
@@ -72,8 +80,8 @@ def canonical_key(value: Any):
             8,
             f"{cls.__module__}:{cls.__qualname__}",
             tuple(
-                canonical_key(getattr(value, f.name))
-                for f in dataclasses.fields(value)
+                canonical_key(getattr(value, name))
+                for name in field_names(cls)
             ),
         )
     raise CodecError(f"cannot order {type(value).__name__}: {value!r}")
@@ -126,8 +134,8 @@ def encode(value: Any) -> Any:
         return {
             "__dc__": f"{cls.__module__}:{cls.__qualname__}",
             "fields": {
-                f.name: encode(getattr(value, f.name))
-                for f in dataclasses.fields(value)
+                name: encode(getattr(value, name))
+                for name in field_names(cls)
             },
         }
     raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")

@@ -10,7 +10,8 @@ the entries it numbers.
 
 :class:`Outbox` is the plain in-memory structure a storage-less
 transport uses; :class:`~repro.live.storage.FileStableStorage` owns a
-subclass that journals every ``add`` / ``ack`` as a record.
+subclass that journals the adds of each flush window as one pickled
+chunk per link, and each ``ack`` as the link's watermark.
 """
 
 from __future__ import annotations
@@ -28,14 +29,9 @@ class Outbox:
     def add(self, dst: int, msg: Any) -> int:
         """Queue ``msg`` for ``dst`` under the link's next seq."""
         seq = self._next_seq.get(dst, 1)
-        self.restore(dst, seq, msg)
-        return seq
-
-    def restore(self, dst: int, seq: int, msg: Any) -> None:
-        """Re-apply a journaled ``add`` (its seq was assigned back then)."""
         self._entries.setdefault(dst, []).append((seq, msg))
-        if seq >= self._next_seq.get(dst, 1):
-            self._next_seq[dst] = seq + 1
+        self._next_seq[dst] = seq + 1
+        return seq
 
     def ack(self, dst: int, upto: int) -> int:
         """Drop every entry with ``seq <= upto``; returns how many."""

@@ -22,12 +22,13 @@ durable remainder to one file of length+CRC32-framed records
   (or :data:`_COMPACT_FLOOR`), so the file stays within about twice the
   state and the amortised cost per barrier stays O(delta).
 
-The two streams -- the stable message log and the send stream -- are
-pickled once.  Each flush or checkpoint pickles what it adds as one
-*chunk*; the delta record carries the chunk's bytes, memory keeps them,
-and a snapshot writes them again as they are.  Message-log GC drops
-whole chunks (loading skips the collected head of the first one), and a
-truncation or cut re-pickles only the chunk it splits.
+The three streams -- the stable message log, the send stream and the
+transport outbox -- are pickled once.  Each flush, checkpoint or outbox
+flush window pickles what it adds as one *chunk*; the delta record
+carries the chunk's bytes, memory keeps them, and a snapshot writes them
+again as they are.  Message-log GC and outbox acks drop whole chunks
+(loading skips the collected or acknowledged head of the first one), and
+a truncation or cut re-pickles only the chunk it splits.
 
 The atomicity unit is one barrier: a record is CRC-valid or ignored.
 Loading folds the records in order.  A bad record with nothing valid
@@ -79,11 +80,11 @@ from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
 #: First bytes of every record payload; the trailing digit is the format
-#: version (2: the streams journaled as pickled chunks, a checkpoint's
-#: send history pickled as its end in the send stream).  It is also what
-#: lets the loader look for a valid record *after* a bad one without
-#: trusting the bad one's length field.
-_MAGIC = b"DGL2"
+#: version (3: the streams and the outbox journaled as pickled chunks, a
+#: checkpoint's send history pickled as its end in the send stream).  It
+#: is also what lets the loader look for a valid record *after* a bad
+#: one without trusting the bad one's length field.
+_MAGIC = b"DGL3"
 _SNAPSHOT = b"S"
 _DELTA = b"D"
 _KIND_AT = len(_MAGIC)
@@ -294,22 +295,92 @@ class _JournaledMessageLog(MessageLog):
 
 
 class _JournaledOutbox(Outbox):
-    """Outbox whose ``add`` / ``ack`` ride the flush window as records."""
+    """Outbox journaled as per-link chunks riding the flush window.
 
-    def __init__(self, lazy: Callable[[tuple], None]) -> None:
+    ``add`` only counts the entry into its link's open window.  The
+    record that hardens the window calls :meth:`seal`, which pickles the
+    window's still-unacknowledged messages once, as one chunk whose
+    span is their seqs, and memory keeps the chunk's bytes for the
+    snapshots.  A cumulative ack raises the link's watermark and drops
+    the chunks it covers whole; a chunk it splits is kept as it is, and
+    loading skips its acknowledged head.
+    """
+
+    def __init__(self, lazy: Callable[[tuple | None], None]) -> None:
         super().__init__()
         self._lazy = lazy
+        self.chunks: dict[int, _Chunks] = {}
+        self.acked: dict[int, int] = {}     # per-link ack watermark
+        self._open: dict[int, int] = {}     # per-link entries not sealed
 
     def add(self, dst: int, msg: Any) -> int:
         seq = super().add(dst, msg)
-        self._lazy(("out+", dst, seq, msg))
+        self._open[dst] = self._open.get(dst, 0) + 1
+        self._lazy(None)
         return seq
 
     def ack(self, dst: int, upto: int) -> int:
         dropped = super().ack(dst, upto)
         if dropped:
+            self._raise_watermark(dst, upto)
             self._lazy(("out_ack", dst, upto))
         return dropped
+
+    def _raise_watermark(self, dst: int, upto: int) -> None:
+        self.acked[dst] = max(self.acked.get(dst, 0), upto)
+        chunks = self.chunks.get(dst)
+        if chunks is not None:
+            chunks.collect(upto + 1)
+
+    def seal(self) -> list[tuple]:
+        """One ``out+`` op per link whose open window still holds an
+        unacknowledged entry (acks drop the front, so those entries are
+        the tail of the link's queue)."""
+        ops = []
+        for dst, count in self._open.items():
+            pending = self._entries[dst]
+            window = pending[max(0, len(pending) - count):]
+            if window:
+                start = window[0][0]
+                chunks = self.chunks.setdefault(dst, _Chunks())
+                blob = chunks.add(start, [msg for _seq, msg in window])
+                ops.append(("out+", dst, start, blob))
+        self._open.clear()
+        return ops
+
+    def adopt(self, dst: int, start: int, blob: bytes) -> None:
+        """Fold a chunk read back from the file: its seqs run from
+        ``start``, and those at or below the watermark stay dropped."""
+        chunks = self.chunks.setdefault(dst, _Chunks())
+        base = self.acked.get(dst, 0) + 1
+        msgs = chunks.adopt(start, blob)
+        chunks.collect(base)
+        self._entries.setdefault(dst, []).extend(
+            entry for entry in enumerate(msgs, start) if entry[0] >= base
+        )
+        self._next_seq[dst] = max(self.next_seq(dst), start + len(msgs))
+
+    def replay_ack(self, dst: int, upto: int) -> None:
+        """Fold a journaled ack.  An acknowledged seq was issued, so the
+        counter passes it even when no chunk of it was ever written."""
+        super().ack(dst, upto)
+        self._raise_watermark(dst, upto)
+        self._next_seq[dst] = max(self.next_seq(dst), upto + 1)
+
+    def state(self) -> dict[str, Any]:
+        return {
+            "outbox": {dst: c.spans for dst, c in self.chunks.items()},
+            "outbox_acked": self.acked,
+            "outbox_next_seq": self._next_seq,
+        }
+
+    def restore_state(self, state: dict[str, Any]) -> None:
+        self.acked = state["outbox_acked"]
+        self._next_seq = state["outbox_next_seq"]
+        for dst, spans in state["outbox"].items():
+            self.chunks[dst] = _Chunks()
+            for start, _stop, blob in spans:
+                self.adopt(dst, start, blob)
 
 
 class FileStableStorage(StableStorage):
@@ -391,7 +462,7 @@ class FileStableStorage(StableStorage):
         super().put_lazy(key, value)
         self._lazy(("kv", key, value))
 
-    def _lazy_outbox(self, op: tuple) -> None:
+    def _lazy_outbox(self, op: tuple | None) -> None:
         self.lazy_writes += 1
         self._lazy(op)
 
@@ -401,10 +472,13 @@ class FileStableStorage(StableStorage):
         self._ops.append(op)
         self._persist()
 
-    def _lazy(self, op: tuple) -> None:
+    def _lazy(self, op: tuple | None) -> None:
+        """Journal ``op`` with the next record.  ``None``: the outbox
+        holds the write itself until that record seals it."""
         if self._loading:
             return
-        self._ops.append(op)
+        if op is not None:
+            self._ops.append(op)
         if self._arm_window():
             self._dirty = True
         else:
@@ -477,8 +551,7 @@ class FileStableStorage(StableStorage):
             "tokens": self._tokens,
             "token_keys": self._token_keys,
             "kv": self._kv,
-            "outbox": self.outbox._entries,
-            "outbox_next_seq": self.outbox._next_seq,
+            **self.outbox.state(),
             "scalars": self._scalars(),
         }
 
@@ -492,6 +565,7 @@ class FileStableStorage(StableStorage):
         # clean here would silently drop it forever.
         was_dirty = self._dirty
         self._dirty = False
+        self._ops.extend(self.outbox.seal())
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -641,8 +715,7 @@ class FileStableStorage(StableStorage):
         self._tokens = state["tokens"]
         self._token_keys = state["token_keys"]
         self._kv = state["kv"]
-        self.outbox._entries = state["outbox"]
-        self.outbox._next_seq = state["outbox_next_seq"]
+        self.outbox.restore_state(state)
         self._restore_scalars(state["scalars"])
 
     def _restore_scalars(self, scalars: tuple) -> None:
@@ -664,9 +737,9 @@ class FileStableStorage(StableStorage):
         if kind == "kv":
             self._kv[op[1]] = op[2]
         elif kind == "out+":
-            self.outbox.restore(*op[1:])
+            self.outbox.adopt(*op[1:])
         elif kind == "out_ack":
-            self.outbox.ack(*op[1:])
+            self.outbox.replay_ack(*op[1:])
         elif kind == "log+":
             log = self.log
             log._stable.extend(log.chunks.adopt(log.stable_length, op[1]))
@@ -736,6 +809,9 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
         kind, body = _decode(payload)
         if kind == _SNAPSHOT:
             scalars = body["scalars"]
+            outbox = _JournaledOutbox(lambda _op: None)
+            outbox.restore_state(body)
+            out_spans = [s for c in outbox.chunks.values() for s in c.spans]
             base = body["log_gc_offset"]
             log_end, log_bytes = _streamed(body["log_chunks"], base)
             send_end, send_bytes = _streamed(body["send_chunks"], 0)
@@ -749,8 +825,9 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
                 f"send_chunks={len(body['send_chunks'])} "
                 f"tokens={len(body['tokens'])} "
                 f"kv={len(body['kv'])}:{_pickled(body['kv'])} "
-                f"outbox={sum(map(len, body['outbox'].values()))}:"
-                f"{_pickled(body['outbox'])}"
+                f"outbox={len(outbox)}:"
+                f"{_size(sum(len(blob) for *_, blob in out_spans))} "
+                f"out_chunks={len(out_spans)}"
             )
         else:
             scalars, ops = body
@@ -758,8 +835,8 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
             for op in ops:
                 label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
                 tally = counts.setdefault(label, [0, 0])
-                streamed = op[0] in ("log+", "send+")
-                tally[0] += len(pickle.loads(op[1])) if streamed else 1
+                streamed = op[0] in ("log+", "send+", "out+")
+                tally[0] += len(pickle.loads(op[-1])) if streamed else 1
                 tally[1] += len(pickle.dumps(op, protocol=4))
             held = "delta " + (
                 ",".join(

@@ -13,11 +13,11 @@ downtime (still in flight).  The live transport reproduces that with:
   leaves the sender's outbox only when the receiver has acknowledged
   *processing* it, so anything in doubt is retransmitted on reconnect;
 - a **durable** outbox (the ``outbox`` store of the sender's
-  :class:`~repro.live.storage.FileStableStorage`, which journals every
-  ``add`` and ``ack`` as a record), so even a SIGKILLed sender
-  retransmits its unacknowledged messages when it comes back -- without
-  this, messages "in flight" at a sender crash would be lost, which the
-  paper's channel assumption forbids;
+  :class:`~repro.live.storage.FileStableStorage`, which journals the
+  adds of each flush window as one chunk per link, and every ``ack``),
+  so even a SIGKILLed sender retransmits its unacknowledged messages
+  when it comes back -- without this, messages "in flight" at a sender
+  crash would be lost, which the paper's channel assumption forbids;
 - receiver-side dedup keyed by ``(sender pid, sender boot)``: retransmits
   of already-processed entries are acknowledged but not re-delivered.
   After a *receiver* crash its dedup state is gone, so unacknowledged

@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any
+from itertools import chain
+from typing import Any, Callable
 
 from repro.core.ftvc import FaultTolerantVectorClock
 from repro.live.codec import (
     TRUSTED_PREFIX,
     CodecError,
     canonical_key,
+    field_names,
     resolve_dataclass,
 )
 
@@ -72,6 +74,9 @@ _FLOAT = struct.Struct(">d")
 
 
 def _put_uvarint(out: bytearray, value: int) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value < 0:
         raise CodecError(f"uvarint cannot encode negative {value}")
     while True:
@@ -94,52 +99,58 @@ def _zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not (value & 1) else -((value + 1) >> 1)
+def _uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``pos`` and the offset past it.  Reading past the
+    end raises ``IndexError``, which the frame parsers report as a
+    truncated frame."""
+    value = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise CodecError("varint too long")
 
 
-class _Reader:
-    """Cursor over one frame's bytes."""
+def _uvarints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """``count`` consecutive varints (a clock's pairs or triples)."""
+    values = []
+    for _ in range(count):
+        byte = data[pos]
+        if byte < 0x80:
+            values.append(byte)
+            pos += 1
+        else:
+            value, pos = _uvarint(data, pos)
+            values.append(value)
+    return values, pos
 
-    __slots__ = ("_data", "_pos")
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self._data = data
-        self._pos = pos
+def _text(data: bytes, pos: int) -> tuple[str, int]:
+    size, pos = _uvarint(data, pos)
+    end = pos + size
+    if end > len(data):
+        raise CodecError("truncated frame")
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"malformed text: {exc}") from None
 
-    def byte(self) -> int:
-        try:
-            value = self._data[self._pos]
-        except IndexError:
-            raise CodecError("truncated frame") from None
-        self._pos += 1
-        return value
 
-    def uvarint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise CodecError("varint too long")
-
-    def read(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise CodecError("truncated frame")
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return bytes(chunk)
-
-    def text(self) -> str:
-        return self.read(self.uvarint()).decode("utf-8")
-
-    def at_end(self) -> bool:
-        return self._pos == len(self._data)
+def _parse_body(data: bytes, pos: int, parse: Callable, what: str) -> Any:
+    """``parse(data, pos)`` over a whole frame: ``(value, end)`` must
+    end exactly at the frame's end.  The parsers read bytes by index, so
+    a frame cut short raises ``IndexError`` wherever it ends."""
+    try:
+        value, pos = parse(data, pos)
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    if pos != len(data):
+        raise CodecError(f"trailing bytes after {what}")
+    return value
 
 
 def is_binary(data: bytes) -> bool:
@@ -165,13 +176,14 @@ def hello_frame(pid: int, boot: int) -> bytes:
     return bytes(out)
 
 
+def _hello_body(data: bytes, pos: int) -> tuple[tuple[int, int], int]:
+    pid, pos = _uvarint(data, pos)
+    boot, pos = _uvarint(data, pos)
+    return (pid, boot), pos
+
+
 def parse_hello(data: bytes) -> tuple[int, int]:
-    reader = _Reader(data, 3)
-    pid = reader.uvarint()
-    boot = reader.uvarint()
-    if not reader.at_end():
-        raise CodecError("trailing bytes after hello")
-    return pid, boot
+    return _parse_body(data, 3, _hello_body, "hello")
 
 
 def ack_frame(seq: int) -> bytes:
@@ -181,11 +193,7 @@ def ack_frame(seq: int) -> bytes:
 
 
 def parse_ack(data: bytes) -> int:
-    reader = _Reader(data, 3)
-    seq = reader.uvarint()
-    if not reader.at_end():
-        raise CodecError("trailing bytes after ack")
-    return seq
+    return _parse_body(data, 3, _uvarint, "ack")
 
 
 class WireEncoder:
@@ -195,10 +203,12 @@ class WireEncoder:
     would desynchronise its state from the peer's :class:`WireDecoder`.
     """
 
-    __slots__ = ("_dc_ids", "_last_clock")
+    __slots__ = ("_plans", "_last_clock")
 
     def __init__(self) -> None:
-        self._dc_ids: dict[type, int] = {}
+        # Per dataclass defined on this connection: its DC_REF prefix
+        # and its field names, so a later instance costs one lookup.
+        self._plans: dict[type, tuple[bytes, tuple[str, ...]]] = {}
         self._last_clock: FaultTolerantVectorClock | None = None
 
     def data_frame(self, seq: int, msg: Any) -> bytes:
@@ -214,9 +224,38 @@ class WireEncoder:
         return bytes(out)
 
     def _encode(self, out: bytearray, value: Any) -> None:
-        if value is None:
-            out.append(_T_NONE)
+        # The exact types a message is made of first; anything else --
+        # subclasses such as ClockEntry included -- takes the isinstance
+        # chain, which writes the same bytes for the exact types.
+        cls = type(value)
+        if cls is int:
+            out.append(_T_INT)
+            _put_uvarint(out, _zigzag(value))
             return
+        plan = self._plans.get(cls)
+        if plan is not None:
+            out += plan[0]
+            for name in plan[1]:
+                self._encode(out, getattr(value, name))
+        elif cls is str:
+            out.append(_T_STR)
+            _put_str(out, value)
+        elif cls is FaultTolerantVectorClock:
+            self._encode_clock(out, value)
+        elif cls is tuple or cls is list:
+            out.append(_T_TUPLE if cls is tuple else _T_LIST)
+            _put_uvarint(out, len(value))
+            for item in value:
+                self._encode(out, item)
+        elif value is None:
+            out.append(_T_NONE)
+        elif cls is float:
+            out.append(_T_FLOAT)
+            out += _FLOAT.pack(value)
+        else:
+            self._encode_other(out, value)
+
+    def _encode_other(self, out: bytearray, value: Any) -> None:
         if isinstance(value, bool):
             out.append(_T_TRUE if value else _T_FALSE)
             return
@@ -257,57 +296,52 @@ class WireEncoder:
                 self._encode(out, val)
             return
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            self._encode_dataclass(out, value)
+            self._define_dataclass(out, value)
             return
         raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")
 
     def _encode_clock(
         self, out: bytearray, clock: FaultTolerantVectorClock
     ) -> None:
-        base = self._last_clock
-        if base is not None and len(base) == len(clock):
+        base, self._last_clock = self._last_clock, clock
+        size = len(clock.entries)
+        if base is not None and len(base.entries) == size:
             changes = clock.diff(base)
             # A delta entry costs an index varint on top of the pair, so
             # it only wins while few entries moved.
-            if 3 * len(changes) < 2 * len(clock):
+            if 3 * len(changes) < 2 * size:
                 out.append(_T_FTVC_DELTA)
                 _put_uvarint(out, len(changes))
-                for index, version, timestamp in changes:
-                    _put_uvarint(out, index)
-                    _put_uvarint(out, version)
-                    _put_uvarint(out, timestamp)
-                self._last_clock = clock
+                for value in chain.from_iterable(changes):
+                    _put_uvarint(out, value)
                 return
         out.append(_T_FTVC_FULL)
-        _put_uvarint(out, len(clock))
-        for version, timestamp in clock.pairs():
-            _put_uvarint(out, version)
-            _put_uvarint(out, timestamp)
-        self._last_clock = clock
+        _put_uvarint(out, size)
+        for value in chain.from_iterable(clock.entries):
+            _put_uvarint(out, value)
 
-    def _encode_dataclass(self, out: bytearray, value: Any) -> None:
+    def _define_dataclass(self, out: bytearray, value: Any) -> None:
+        """The first instance of a class on this connection: ``DC_DEF``
+        with the class path and field names, then the plan for the rest."""
         cls = type(value)
-        fields = dataclasses.fields(value)
-        dc_id = self._dc_ids.get(cls)
-        if dc_id is None:
-            if not cls.__module__.startswith(TRUSTED_PREFIX):
-                raise CodecError(
-                    f"refusing to encode non-repro dataclass "
-                    f"{cls.__module__}.{cls.__qualname__}"
-                )
-            dc_id = len(self._dc_ids)
-            self._dc_ids[cls] = dc_id
-            out.append(_T_DC_DEF)
-            _put_uvarint(out, dc_id)
-            _put_str(out, f"{cls.__module__}:{cls.__qualname__}")
-            _put_uvarint(out, len(fields))
-            for field in fields:
-                _put_str(out, field.name)
-        else:
-            out.append(_T_DC_REF)
-            _put_uvarint(out, dc_id)
-        for field in fields:
-            self._encode(out, getattr(value, field.name))
+        if not cls.__module__.startswith(TRUSTED_PREFIX):
+            raise CodecError(
+                f"refusing to encode non-repro dataclass "
+                f"{cls.__module__}.{cls.__qualname__}"
+            )
+        dc_id = len(self._plans)
+        names = field_names(cls)
+        ref = bytearray((_T_DC_REF,))
+        _put_uvarint(ref, dc_id)
+        self._plans[cls] = (bytes(ref), names)
+        out.append(_T_DC_DEF)
+        _put_uvarint(out, dc_id)
+        _put_str(out, f"{cls.__module__}:{cls.__qualname__}")
+        _put_uvarint(out, len(names))
+        for name in names:
+            _put_str(out, name)
+        for name in names:
+            self._encode(out, getattr(value, name))
 
 
 class WireDecoder:
@@ -321,108 +355,142 @@ class WireDecoder:
     __slots__ = ("_dc_defs", "_last_clock")
 
     def __init__(self) -> None:
-        self._dc_defs: list[tuple[type, tuple[str, ...]]] = []
+        # Per definition id: the class, the field names in wire order,
+        # and whether that order is the constructor's positional order.
+        self._dc_defs: list[tuple[type, tuple[str, ...], bool]] = []
         self._last_clock: FaultTolerantVectorClock | None = None
 
     def decode_data(self, data: bytes) -> tuple[int, Any]:
         """Decode a FRAME_DATA frame into ``(seq, value)``."""
-        reader = _Reader(data, 3)
-        seq = reader.uvarint()
-        value = self._decode(reader)
-        if not reader.at_end():
-            raise CodecError("trailing bytes after value")
-        return seq, value
+        return _parse_body(data, 3, self._data_body, "data frame")
 
     def decode_value(self, data: bytes) -> Any:
         """Decode a bare value produced by ``encode_value``."""
-        reader = _Reader(data)
-        value = self._decode(reader)
-        if not reader.at_end():
-            raise CodecError("trailing bytes after value")
-        return value
+        return _parse_body(data, 0, self._decode, "value")
 
-    def _decode(self, reader: _Reader) -> Any:
-        tag = reader.byte()
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
+    def _data_body(self, data: bytes, pos: int) -> tuple[tuple[int, Any], int]:
+        seq, pos = _uvarint(data, pos)
+        value, pos = self._decode(data, pos)
+        return (seq, value), pos
+
+    def _decode(self, data: bytes, pos: int) -> tuple[Any, int]:
+        """The value at ``pos`` and the offset past it."""
+        tag = data[pos]
+        pos += 1
         if tag == _T_INT:
-            return _unzigzag(reader.uvarint())
-        if tag == _T_FLOAT:
-            return _FLOAT.unpack(reader.read(_FLOAT.size))[0]
-        if tag == _T_STR:
-            return reader.text()
-        if tag == _T_LIST:
-            return [self._decode(reader) for _ in range(reader.uvarint())]
-        if tag == _T_TUPLE:
-            return tuple(
-                self._decode(reader) for _ in range(reader.uvarint())
-            )
-        if tag == _T_SET:
-            return {self._decode(reader) for _ in range(reader.uvarint())}
-        if tag == _T_FROZENSET:
-            return frozenset(
-                self._decode(reader) for _ in range(reader.uvarint())
-            )
-        if tag == _T_DICT:
-            return {
-                self._decode(reader): self._decode(reader)
-                for _ in range(reader.uvarint())
-            }
-        if tag == _T_DC_DEF:
-            return self._decode_dc_def(reader)
+            byte = data[pos]
+            if byte < 0x80:
+                return (byte >> 1) ^ -(byte & 1), pos + 1
+            value, pos = _uvarint(data, pos)
+            return (value >> 1) ^ -(value & 1), pos      # un-zigzag
         if tag == _T_DC_REF:
-            return self._decode_dc_ref(reader)
-        if tag == _T_FTVC_FULL:
-            count = reader.uvarint()
-            clock = FaultTolerantVectorClock.of(
-                (reader.uvarint(), reader.uvarint()) for _ in range(count)
-            )
-            self._last_clock = clock
-            return clock
+            dc_id, pos = _uvarint(data, pos)
+            if dc_id >= len(self._dc_defs):
+                raise CodecError(f"dataclass reference {dc_id} never defined")
+            return self._instantiate(self._dc_defs[dc_id], data, pos)
+        if tag == _T_STR:
+            return _text(data, pos)
         if tag == _T_FTVC_DELTA:
             base = self._last_clock
             if base is None:
                 raise CodecError("clock delta with no prior clock")
-            changes = [
-                (reader.uvarint(), reader.uvarint(), reader.uvarint())
-                for _ in range(reader.uvarint())
-            ]
-            clock = FaultTolerantVectorClock.from_delta(base, changes)
+            count, pos = _uvarint(data, pos)
+            flat, pos = _uvarints(data, pos, 3 * count)
+            try:
+                clock = FaultTolerantVectorClock.from_delta(
+                    base, zip(flat[::3], flat[1::3], flat[2::3])
+                )
+            except (IndexError, ValueError) as exc:
+                raise CodecError(f"malformed clock delta: {exc}") from None
             self._last_clock = clock
-            return clock
+            return clock, pos
+        if tag == _T_TUPLE or tag == _T_LIST:
+            items, pos = self._items(data, pos)
+            return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag == _T_NONE:
+            return None, pos
+        if tag == _T_FLOAT:
+            end = pos + _FLOAT.size
+            if end > len(data):
+                raise CodecError("truncated frame")
+            return _FLOAT.unpack_from(data, pos)[0], end
+        if tag == _T_TRUE:
+            return True, pos
+        if tag == _T_FALSE:
+            return False, pos
+        if tag == _T_SET or tag == _T_FROZENSET or tag == _T_DICT:
+            items, pos = self._items(data, pos, 2 if tag == _T_DICT else 1)
+            try:
+                if tag == _T_DICT:
+                    return dict(zip(items[::2], items[1::2])), pos
+                return (set if tag == _T_SET else frozenset)(items), pos
+            except TypeError as exc:        # an unhashable element or key
+                raise CodecError(f"malformed container: {exc}") from None
+        if tag == _T_FTVC_FULL:
+            count, pos = _uvarint(data, pos)
+            flat, pos = _uvarints(data, pos, 2 * count)
+            try:
+                clock = FaultTolerantVectorClock.of(
+                    zip(flat[::2], flat[1::2])
+                )
+            except ValueError as exc:
+                raise CodecError(f"malformed clock: {exc}") from None
+            self._last_clock = clock
+            return clock, pos
+        if tag == _T_DC_DEF:
+            return self._define_dataclass(data, pos)
         raise CodecError(f"unknown wire tag {tag}")
 
-    def _decode_dc_def(self, reader: _Reader) -> Any:
-        dc_id = reader.uvarint()
+    def _items(
+        self, data: bytes, pos: int, per_item: int = 1
+    ) -> tuple[list, int]:
+        """A container's varint count and then its values."""
+        count, pos = _uvarint(data, pos)
+        items = []
+        for _ in range(per_item * count):
+            value, pos = self._decode(data, pos)
+            items.append(value)
+        return items, pos
+
+    def _define_dataclass(self, data: bytes, pos: int) -> tuple[Any, int]:
+        dc_id, pos = _uvarint(data, pos)
         if dc_id != len(self._dc_defs):
             raise CodecError(
                 f"dataclass definition id {dc_id} out of order "
                 f"(expected {len(self._dc_defs)})"
             )
-        cls = resolve_dataclass(reader.text())
-        names = tuple(reader.text() for _ in range(reader.uvarint()))
-        declared = {f.name for f in dataclasses.fields(cls)}
-        if set(names) != declared:
+        path, pos = _text(data, pos)
+        cls = resolve_dataclass(path)
+        count, pos = _uvarint(data, pos)
+        names = []
+        for _ in range(count):
+            name, pos = _text(data, pos)
+            names.append(name)
+        names = tuple(names)
+        declared = field_names(cls)
+        if set(names) != set(declared):
             raise CodecError(
                 f"field names {names!r} do not match "
                 f"{cls.__qualname__}'s fields"
             )
-        self._dc_defs.append((cls, names))
-        return self._instantiate(cls, names, reader)
-
-    def _decode_dc_ref(self, reader: _Reader) -> Any:
-        dc_id = reader.uvarint()
-        if dc_id >= len(self._dc_defs):
-            raise CodecError(f"dataclass reference {dc_id} never defined")
-        cls, names = self._dc_defs[dc_id]
-        return self._instantiate(cls, names, reader)
+        positional = names == declared and all(
+            f.init and not f.kw_only for f in dataclasses.fields(cls)
+        )
+        plan = (cls, names, positional)
+        self._dc_defs.append(plan)
+        return self._instantiate(plan, data, pos)
 
     def _instantiate(
-        self, cls: type, names: tuple[str, ...], reader: _Reader
-    ) -> Any:
-        values = {name: self._decode(reader) for name in names}
-        return cls(**values)
+        self, plan: tuple[type, tuple[str, ...], bool], data: bytes, pos: int
+    ) -> tuple[Any, int]:
+        cls, names, positional = plan
+        values = []
+        for _ in names:
+            value, pos = self._decode(data, pos)
+            values.append(value)
+        try:
+            if positional:
+                return cls(*values), pos
+            return cls(**dict(zip(names, values))), pos
+        except (IndexError, TypeError, ValueError) as exc:
+            raise CodecError(f"cannot build {cls.__qualname__}: {exc}") from None

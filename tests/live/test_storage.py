@@ -458,6 +458,23 @@ def test_cli_prints_one_line_per_record(path):
         r" delta send_cutx1:\d+B,kv:node_bootsx1:\d+B ", deltas[3]
     )
 
+    async def window():
+        # One flush window: three adds, an ack of the first, one chunk
+        # of the two still unacknowledged.
+        storage.flush_window = 60.0
+        for i in range(3):
+            storage.outbox.add(1, f"o{i}")
+        storage.outbox.ack(1, 1)
+        storage.sync()
+        storage.flush_window = 0.0
+
+    import asyncio
+
+    asyncio.run(window())
+    with open(path, "rb") as fh:
+        last = list(describe(fh.read()))[-1]
+    assert re.search(r" delta out_ackx1:\d+B,out\+x2:\d+B ", last)
+
     storage._write_snapshot()
     storage.put("stable_own", (0, 3))
     with open(path, "ab") as fh:
@@ -478,6 +495,7 @@ def test_cli_prints_one_line_per_record(path):
         r" checkpoints=1:\d+B log=\[0,2\):\d+B log_chunks=1 "
         r"sends=1:\d+B send_chunks=1 ", lines[0]
     )
+    assert re.search(r" outbox=2:\d+B out_chunks=1 ", lines[0])
     assert re.search(r" delta kv:stable_ownx1:\d+B ", lines[1])
     assert "TORN TAIL" in lines[2]
     assert os.path.getsize(path) == size        # looked, did not heal

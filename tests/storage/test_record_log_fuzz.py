@@ -13,6 +13,7 @@ exactly two legal outcomes when it is reopened:
 Never a third state, and never an exception other than the refusal.
 """
 
+import asyncio
 import os
 import pickle
 import random
@@ -23,7 +24,9 @@ import pytest
 from repro.live.storage import (
     FileStableStorage,
     StorageCorruptionError,
+    _decode,
     describe,
+    scan,
 )
 from repro.storage.intents import ROLLBACK
 
@@ -277,3 +280,138 @@ def test_random_truncate_gc_and_cut_reopen_to_the_same_streams(
         assert _streams(reborn) == _streams(storage), (seed, serial)
         assert _state(reborn) == _state(storage), (seed, serial)
     assert splits > 10 and snapshots > 3
+
+
+# ---------------------------------------------------------------------------
+# The outbox: per-link chunks, an ack watermark, a counter that never
+# goes back
+# ---------------------------------------------------------------------------
+def _outbox_view(storage):
+    outbox = storage.outbox
+    return {
+        dst: (list(outbox.pending(dst)), outbox.next_seq(dst))
+        for dst in (1, 2)
+    }
+
+
+def _reopened(path, copy):
+    shutil.copyfile(path, copy)
+    return FileStableStorage(0, copy)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_outbox_traffic_reopens_to_the_same_queues(
+    tmp_path, monkeypatch, seed
+):
+    """Adds and cumulative acks on two links ride a window that only
+    ``sync`` and barriers flush; compactions and crashes (a reopen that
+    loses the unflushed tail) land anywhere.  Whatever the last record
+    made durable reopens as the same queues and the same counters."""
+    monkeypatch.setattr("repro.live.storage._COMPACT_FLOOR", 512)
+    rng = random.Random(seed)
+    path = str(tmp_path / "stable_p0.pickle")
+    copy = str(tmp_path / "copy.pickle")
+
+    async def go():
+        storage = FileStableStorage(0, path, flush_window=60.0)
+        storage.put("node_boots", 1)
+        durable = _outbox_view(storage)
+        issued: dict[int, set] = {1: set(), 2: set()}
+        counts = {"split": 0, "compaction": 0, "crash": 0}
+        for serial in range(400):
+            outbox = storage.outbox
+            snapshots = storage.dir_fsyncs
+            dst = rng.choice((1, 2))
+            step = rng.choice(("add", "add", "add", "ack", "ack", "sync",
+                               "barrier", "crash"))
+            if step == "add":
+                for i in range(rng.randrange(1, 8)):
+                    seq = outbox.add(dst, f"m{serial}.{i}")
+                    assert seq not in issued[dst] or seq >= durable[dst][1]
+                    issued[dst].add(seq)
+            elif step == "ack":
+                upto = rng.randrange(outbox.next_seq(dst))
+                chunks = outbox.chunks.get(dst)
+                counts["split"] += chunks is not None and any(
+                    start <= upto < stop - 1 for start, stop, _ in chunks.spans
+                )
+                outbox.ack(dst, upto)
+            elif step == "sync":
+                storage.sync()
+            elif step == "barrier":
+                storage.put("serial", serial)
+            else:
+                # A crash loses the window; the durable queues come back.
+                storage = FileStableStorage(0, path, flush_window=60.0)
+                assert _outbox_view(storage) == durable, (seed, serial)
+                counts["crash"] += 1
+                continue
+            counts["compaction"] += storage.dir_fsyncs > snapshots
+            if not storage.pending_lazy:
+                durable = _outbox_view(storage)
+                reborn = _reopened(path, copy)
+                assert _outbox_view(reborn) == durable, (seed, serial)
+                assert _state(reborn) == _state(storage), (seed, serial)
+        return counts
+
+    counts = asyncio.run(go())
+    assert counts["split"] > 10 and counts["compaction"] > 3
+    assert counts["crash"] > 10
+
+
+def test_an_ack_in_the_record_of_its_chunk_stays_acknowledged(tmp_path):
+    """Adds and the ack covering some of them ride one record, in both
+    orders the record can hold them: the ack before the chunk (it came
+    inside the window), and after it (the first write of the chunk
+    failed, then the ack arrived).  Reloading brings no acked entry
+    back."""
+    path = str(tmp_path / "stable_p0.pickle")
+
+    async def in_the_window():
+        storage = FileStableStorage(0, path, flush_window=60.0)
+        for i in range(3):
+            storage.outbox.add(1, f"m{i}")
+        storage.outbox.ack(1, 2)
+        storage.sync()
+
+    asyncio.run(in_the_window())
+    reborn = FileStableStorage(0, path)
+    assert reborn.outbox.pending(1) == [(3, "m2")]
+    assert reborn.outbox.next_seq(1) == 4
+
+    os.remove(path)
+    storage = FileStableStorage(0, path)
+    storage.put("node_boots", 1)
+    disk = {"full": True}
+
+    def fault_hook(window):
+        if disk["full"]:
+            raise OSError("disk full")
+
+    storage.fault_hook = fault_hook
+    for i in range(3):
+        with pytest.raises(OSError):
+            storage.outbox.add(1, f"m{i}")      # sealed; the write failed
+    disk["full"] = False
+    storage.outbox.ack(1, 2)
+    with open(path, "rb") as fh:
+        _offset, payload = scan(fh.read())[0][-1]
+    _kind, (_scalars, ops) = _decode(payload)
+    assert [op[0] for op in ops] == ["out+", "out+", "out+", "out_ack"]
+    reborn = FileStableStorage(0, path)
+    assert reborn.outbox.pending(1) == [(3, "m2")]
+    assert _state(reborn) == _state(storage)
+
+
+def test_everything_acked_then_compacted_never_reissues_a_seq(tmp_path):
+    path = str(tmp_path / "stable_p0.pickle")
+    storage = FileStableStorage(0, path)
+    for i in range(5):
+        storage.outbox.add(1, f"m{i}")
+    storage.outbox.ack(1, 5)
+    storage._write_snapshot()
+    with open(path, "rb") as fh:
+        assert len(scan(fh.read())[0]) == 1
+    reborn = FileStableStorage(0, path)
+    assert reborn.outbox.pending(1) == []
+    assert reborn.outbox.add(1, "next") == 6

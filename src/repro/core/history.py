@@ -67,13 +67,8 @@ class History:
         self.pid = pid
         self.n = n
         self._records: list[dict[int, HistoryRecord]] = [{} for _ in range(n)]
-        # Compaction floor per process: records for versions below the
-        # floor have been dropped (see compact()); a clock entry below
-        # the floor is treated as obsolete and a token below it as
-        # already-applied.
-        self._floor: list[int] = [0] * n
         # Per process, the version ``v`` such that every version in
-        # ``[floor, v)`` has a token record and no version ``>= v`` has
+        # ``[0, v)`` has a token record and no version ``>= v`` has
         # one; -1 while tokens have arrived out of order (v+1 before v).
         # A clock whose versions equal this tuple is neither obsolete nor
         # waiting for a token -- see :meth:`admits`.
@@ -95,16 +90,8 @@ class History:
         return [self._records[j][v] for v in sorted(self._records[j])]
 
     def has_token(self, j: int, version: int) -> bool:
-        if version < self._floor[j]:
-            # Compaction precondition: every compacted version's token
-            # was observed before its record was dropped.
-            return True
         rec = self._records[j].get(version)
         return rec is not None and rec[0] is _TOKEN
-
-    def floor(self, j: int) -> int:
-        """Versions of ``j`` below this have been compacted away."""
-        return self._floor[j]
 
     def size(self) -> int:
         """Total records held -- the O(n·f) quantity of Section 6.9."""
@@ -123,14 +110,7 @@ class History:
         """
         if len(clock.entries) != self.n:
             raise ValueError("clock length mismatch")
-        for per, floor, (version, timestamp) in zip(
-            self._records, self._floor, clock.entries
-        ):
-            if version < floor:
-                # Below the compaction floor nothing is recorded; such a
-                # clock can only reach here through a replayed log entry
-                # whose original delivery predates the floor advance.
-                continue
+        for per, (version, timestamp) in zip(self._records, clock.entries):
             existing = per.get(version)
             if existing is not None and (
                 existing[0] is _TOKEN or existing[2] >= timestamp
@@ -142,10 +122,6 @@ class History:
 
     def observe_token(self, token: RecoveryToken) -> None:
         """Receive-token rule: install the final record for that version."""
-        if token.version < self._floor[token.origin]:
-            # Already observed, applied, and compacted away (tokens are
-            # final per version, so a duplicate carries nothing new).
-            return
         record = _new_record(
             HistoryRecord, (_TOKEN, token.version, token.timestamp)
         )
@@ -158,14 +134,14 @@ class History:
 
     def _refresh_frontier(self, j: int) -> None:
         """Recompute ``_frontier[j]`` after a token record of ``j`` changed
-        (no record sits below the floor, so counting tokens tells whether
-        they form one run starting there)."""
+        (versions start at 0, so counting tokens tells whether they form
+        one run starting there)."""
         per = self._records[j]
         tokened = [v for v, rec in per.items() if rec[0] is _TOKEN]
-        floor, count = self._floor[j], len(tokened)
-        in_order = not tokened or max(tokened) - floor + 1 == count
+        count = len(tokened)
+        in_order = not tokened or max(tokened) + 1 == count
         frontier = list(self._frontier)
-        frontier[j] = floor + count if in_order else -1
+        frontier[j] = count if in_order else -1
         self._frontier = tuple(frontier)
 
     # ------------------------------------------------------------------
@@ -183,22 +159,15 @@ class History:
         """Lemma 4: the message carrying ``clock`` is from a lost or orphan
         state iff some entry exceeds a known token's restoration point.
 
-        An entry below a compaction floor is treated as obsolete: the
-        compacted versions' restoration points are gone, so the exact
-        Lemma 4 comparison is no longer available, and delivering such a
-        message could make us an undetectable orphan (its record would
-        be skipped by the floor).  Conservative discard avoids that, but
-        it also discards messages of surviving states (a known bug, see
-        :meth:`compact`).
+        Every restoration point is kept for good: a surviving state's
+        entry for an old version (a process that has not heard from
+        ``P_j`` since then, or a Remark-1 retransmission) may arrive at
+        any time, and only that record tells it from a lost state's.
         """
         entries = clock.entries
         if len(entries) != self.n:
             raise ValueError("clock length mismatch")
-        for per, floor, (version, timestamp) in zip(
-            self._records, self._floor, entries
-        ):
-            if version < floor:
-                return True
+        for per, (version, timestamp) in zip(self._records, entries):
             rec = per.get(version)
             if rec is not None and rec[0] is _TOKEN and timestamp > rec[2]:
                 return True
@@ -218,12 +187,8 @@ class History:
         if len(entries) != self.n:
             raise ValueError("clock length mismatch")
         missing: list[tuple[int, int]] = []
-        for j, (per, floor, (version, _)) in enumerate(
-            zip(self._records, self._floor, entries)
-        ):
-            # Versions below the floor are known-tokened (compaction
-            # precondition), so the scan starts at the floor.
-            for l in range(floor, version):
+        for j, (per, (version, _)) in enumerate(zip(self._records, entries)):
+            for l in range(version):
                 rec = per.get(l)
                 if rec is None or rec[0] is not _TOKEN:
                     missing.append((j, l))
@@ -258,55 +223,6 @@ class History:
         return rec[2] <= token.timestamp
 
     # ------------------------------------------------------------------
-    # Compaction (Section 6.9)
-    # ------------------------------------------------------------------
-    def compact(self) -> int:
-        """Drop records superseded under the token-supersession rule.
-
-        For each process ``j``, scan the contiguous run of TOKEN records
-        starting at the current floor.  Every version in that run except
-        the newest has a token for a *newer* version sitting right above
-        it, which makes its record dead on two of its three paths:
-
-        - ``orphaned_by`` / ``survives_token`` (Lemma 3): the token was
-          observed and applied before compaction ran, so any orphan it
-          condemns has already rolled back; a duplicate token is a no-op.
-        - ``missing_tokens``: the floor certifies the token was seen.
-        - ``is_obsolete`` (Lemma 4): a clock entry below the floor is
-          answered conservatively -- obsolete -- instead of comparing
-          against the dropped restoration point.  That is *not* safe, and
-          a known bug: an entry at or below the old restoration point
-          belongs to a surviving state, and a process that has not heard
-          from ``j`` since that incarnation (one that never received from
-          ``j`` carries ``(0, 0)``) keeps sending it.  Those messages are
-          discarded although their senders survive, and nothing resends
-          them (tests/stress/test_known_failures.py, compaction case).
-
-        The newest token of the run is kept: no newer token supersedes
-        it, and it is the live restoration point for Lemma 4.  MESSAGE
-        records are never compacted.  Returns the number of records
-        dropped.
-        """
-        dropped = 0
-        for j in range(self.n):
-            run_end = self._floor[j]
-            while True:
-                rec = self._records[j].get(run_end)
-                if rec is None or rec[0] is not _TOKEN:
-                    break
-                run_end += 1
-            new_floor = run_end - 1     # keep the newest token of the run
-            if new_floor <= self._floor[j]:
-                continue
-            for version in range(self._floor[j], new_floor):
-                if self._records[j].pop(version, None) is not None:
-                    dropped += 1
-            # The frontier stays put: the floor moved inside the run of
-            # tokens it already counted.
-            self._floor[j] = new_floor
-        return dropped
-
-    # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
     def snapshot(self) -> "History":
@@ -321,7 +237,6 @@ class History:
         clone.pid = self.pid
         clone.n = self.n
         clone._records = list(map(dict, self._records))
-        clone._floor = list(self._floor)
         clone._frontier = self._frontier
         return clone
 

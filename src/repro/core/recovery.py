@@ -387,8 +387,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
             self._send_app(send.dst, send.payload, transmit=True)
         if ctx.outputs:
             self.emit_outputs(ctx.outputs, replay=False)
-        if self.config.checkpoint_every_messages is not None:
-            self.note_delivery_for_checkpoint()
 
     def _replay_entry(self, entry) -> None:
         """Re-execute one logged receive; sends and outputs are suppressed
@@ -788,8 +786,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         return self._stable_own
 
     # ------------------------------------------------------------------
-    # Stability gossip: what runs output commit, GC and history
-    # compaction, on both engines
+    # Stability gossip: what runs output commit and GC, on both engines
     # ------------------------------------------------------------------
     def gossip_tick(self) -> None:
         """Broadcast our stable frontier; sweep if a full vector is held.
@@ -914,15 +911,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 )
                 self.storage.commit_intent(intent)
                 self.storage.log.discard_prefix(anchor.log_position)
-        if self.config.compact_history:
-            # Tokens are logged synchronously on receipt, so every record
-            # the run below drops had its killing token durably observed
-            # before this sweep started.
-            compacted = self.history.compact()
-            if compacted:
-                self.stats.history_compacted += compacted
-                self.obs.counter("dg.history_compacted", compacted)
-                self._sample_obs_gauges()
 
     # ------------------------------------------------------------------
     # Harness introspection

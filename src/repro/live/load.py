@@ -150,10 +150,10 @@ def load_spec(
     a worst-case floor on sustained job completion, deliberately far
     below observed capacity.
 
-    Stability gossip + GC + history compaction are on: an open-loop run
-    delivers orders of magnitude more messages than the classic burst,
-    and without pruning, the stable log makes every group-commit rewrite
-    of the storage image O(total messages).
+    Stability gossip + GC are on: an open-loop run delivers orders of
+    magnitude more messages than the classic burst, and without GC of
+    checkpoints and log prefixes, the stable log makes every
+    group-commit rewrite of the storage image O(total messages).
     """
     jobs = int(rate * duration)
     return LiveClusterSpec(
@@ -163,7 +163,6 @@ def load_spec(
         linger=linger,
         gossip_interval=0.5,
         enable_gc=True,
-        compact_history=True,
         app={
             "kind": "load",
             "jobs": jobs,

@@ -106,11 +106,10 @@ class LiveClusterSpec:
     # complete, whatever the machine's speed.
     stop_path: str | None = None
     # Stability gossip interval (None = off): gossip frontiers and run
-    # GC/compaction locally.  Off by default so existing runs keep their
-    # storage profile byte-for-byte.
+    # GC locally.  Off by default so existing runs keep their storage
+    # profile byte-for-byte.
     gossip_interval: float | None = None
     enable_gc: bool = False
-    compact_history: bool = False
     # Per-process observability: each node builds a live Tracer, the
     # protocol layers report into it (dg.wire_* counters among others),
     # and the counters land in the done report under "obs".  Off by
@@ -127,7 +126,6 @@ class LiveClusterSpec:
             "retransmit_on_token": True,
             "gossip_interval": self.gossip_interval,
             "enable_gc": self.enable_gc,
-            "compact_history": self.compact_history,
         }
 
 

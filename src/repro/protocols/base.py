@@ -63,11 +63,6 @@ class ProtocolConfig:
 
     checkpoint_interval: float = 10.0
     flush_interval: float = 3.0
-    # Alternative checkpoint pacing: also checkpoint after this many
-    # deliveries (None = time-based only).  Bounds replay length by
-    # message count rather than by elapsed time, which suits bursty
-    # workloads.
-    checkpoint_every_messages: int | None = None
     # Remark 1 extension: failed process broadcasts its full clock with the
     # token and peers retransmit messages concurrent with the restored state.
     retransmit_on_token: bool = False
@@ -84,12 +79,6 @@ class ProtocolConfig:
     # re-mints a (version, timestamp) pair (DamaniGargProcess._rollback),
     # so a report only ever covers states that were stable when sent.
     gossip_interval: float | None = None
-    # History compaction (Section 6.9): during stability sweeps, drop
-    # token records for versions wholly below the contiguous token
-    # prefix -- every such version's restoration point is superseded by
-    # a token for a newer version.  Messages still mentioning a
-    # compacted version are treated as obsolete (Lemma 4 boundary).
-    compact_history: bool = False
 
 
 @dataclass
@@ -114,7 +103,6 @@ class ProtocolStats:
     replayed: int = 0
     retransmitted: int = 0
     sync_log_writes: int = 0
-    history_compacted: int = 0       # history records dropped by compaction
     blocked_time: float = 0.0        # virtual time spent blocked (pessimistic)
     # rollbacks attributed to each failure (origin pid, version) -- the
     # "at most one rollback per failure" measurement of Table 1.
@@ -196,7 +184,6 @@ class BaseRecoveryProcess(abc.ABC):
             _Periodic("flush_log", "flush_interval", f"flush:{self.pid}"),
             _Periodic("gossip_tick", "gossip_interval", f"gossip:{self.pid}"),
         )
-        self._deliveries_since_checkpoint = 0
         # Postponed messages (volatile): see _postpone / _release_held.
         self._held: list[NetworkMessage] = []
         env.attach(self)
@@ -471,22 +458,6 @@ class BaseRecoveryProcess(abc.ABC):
     # ------------------------------------------------------------------
     # Storage helpers (subclasses may extend)
     # ------------------------------------------------------------------
-    def note_delivery_for_checkpoint(self) -> None:
-        """Count a delivery toward the message-count checkpoint policy.
-
-        Protocols call this after each live delivery; when
-        ``config.checkpoint_every_messages`` deliveries have accumulated
-        since the last checkpoint, one is taken immediately.
-        """
-        threshold = self.config.checkpoint_every_messages
-        if threshold is None:
-            return
-        count = self._deliveries_since_checkpoint + 1
-        if count >= threshold:
-            self.take_checkpoint()
-        else:
-            self._deliveries_since_checkpoint = count
-
     def take_checkpoint(self) -> None:
         """Default checkpoint: flush the log, save the executor snapshot.
 
@@ -498,7 +469,6 @@ class BaseRecoveryProcess(abc.ABC):
         leaves a flushed-but-uncheckpointed image that the startup
         crawler rolls back (an early flush is harmless on its own).
         """
-        self._deliveries_since_checkpoint = 0
         intent = self.storage.begin_intent(intents.CHECKPOINT)
         self.storage.advance_intent(intent, "log_flushed")
         self.flush_log()

@@ -145,10 +145,10 @@ class ShardManager:
                 "reply_ports": list(reply_ports),
             },
             # Long-running service posture: decentralised stability so
-            # logs/history stay bounded while the shard keeps serving.
+            # GC keeps checkpoints and logs bounded while the shard
+            # keeps serving.
             gossip_interval=0.5,
             enable_gc=True,
-            compact_history=True,
             stop_path=self.stop_path,
         )
 

@@ -190,96 +190,15 @@ def test_repr_mentions_records():
     assert "(token,0,3)" in repr(history)
 
 
-class TestCompaction:
-    """compact(): drop records provably dead once newer tokens are held.
-
-    The GC boundary the paper's O(n*f) claim needs: a record may only be
-    dropped after its killing token was observed -- concretely, compact()
-    touches nothing but contiguous runs of TOKEN records and always keeps
-    the newest token of a run (the live restoration point for Lemma 4).
-    """
-
-    def _with_tokens(self, versions, n=2, j=1):
-        history = History(0, n)
-        for v in versions:
-            history.observe_token(RecoveryToken(j, v, v + 10))
-        return history
-
-    def test_contiguous_token_run_compacts_to_newest(self):
-        history = self._with_tokens([0, 1, 2])
-        assert history.compact() == 2
-        assert history.floor(1) == 2
-        assert history.record(1, 0) is None
-        assert history.record(1, 1) is None
-        rec = history.record(1, 2)
-        assert rec.kind is RecordKind.TOKEN and rec.timestamp == 12
-
-    def test_message_record_blocks_the_run(self):
-        # Version 1's killing token was never observed: its MESSAGE
-        # record (and everything above it) must survive compaction.
-        history = self._with_tokens([0])
-        history.observe_message_clock(FTVC.of([(0, 1), (1, 5)]))
-        assert history.compact() == 0
-        assert history.floor(1) == 0
-        assert history.record(1, 0).kind is RecordKind.TOKEN
-        assert history.record(1, 1).kind is RecordKind.MESSAGE
-
-    def test_no_tokens_nothing_compacts(self):
-        history = History(0, 2)
-        history.observe_message_clock(FTVC.of([(0, 1), (0, 9)]))
-        assert history.compact() == 0
-        assert history.size() == 2
-
-    def test_compact_is_idempotent(self):
-        history = self._with_tokens([0, 1, 2])
-        history.compact()
-        assert history.compact() == 0
-        assert history.floor(1) == 2
-
-    def test_below_floor_tokens_count_as_observed(self):
-        history = self._with_tokens([0, 1, 2])
-        history.compact()
-        assert history.has_token(1, 0)
-        assert history.has_token(1, 1)
-        # Deliverability scan starts at the floor.
-        assert history.missing_tokens(FTVC.of([(0, 1), (4, 0)])) == [(1, 3)]
-
-    def test_below_floor_clock_entries_are_obsolete(self):
-        # The exact Lemma 4 comparison is gone with the record; the only
-        # safe answer for a straggler from a twice-dead incarnation is
-        # "obsolete" (discard).
-        history = self._with_tokens([0, 1, 2])
-        history.compact()
-        assert history.is_obsolete(FTVC.of([(0, 1), (0, 3)]))
-        assert history.is_obsolete(FTVC.of([(0, 1), (1, 0)]))
-        # The kept newest token still answers exactly.
-        assert not history.is_obsolete(FTVC.of([(0, 1), (2, 12)]))
-        assert history.is_obsolete(FTVC.of([(0, 1), (2, 13)]))
-
-    def test_observations_below_floor_are_noops(self):
-        history = self._with_tokens([0, 1, 2])
-        history.compact()
-        history.observe_message_clock(FTVC.of([(0, 1), (0, 99)]))
-        history.observe_token(RecoveryToken(1, 1, 99))
-        assert history.record(1, 0) is None
-        assert history.record(1, 1) is None
-
-    def test_snapshot_preserves_floor(self):
-        history = self._with_tokens([0, 1])
-        history.compact()
-        snap = history.snapshot()
-        assert snap.floor(1) == history.floor(1) == 1
-        # Still independent copies.
-        history.observe_token(RecoveryToken(1, 2, 0))
-        assert snap.record(1, 2) is None
-
-    def test_size_stays_O_n_under_repeated_failures(self):
-        # Section 6.9: with compaction after every failure wave, the
-        # table holds at most a constant number of records per process
-        # instead of one per (process, version).
-        history = History(0, 4)
-        for version in range(50):
-            for j in range(1, 4):
-                history.observe_token(RecoveryToken(j, version, version))
-            history.compact()
-        assert history.size() <= 2 * 4
+def test_superseded_restoration_point_still_decides_obsolescence():
+    # P1 failed twice.  A process that has not heard from P1 since
+    # version 0 (or a Remark-1 retransmission) still sends (0, t<=5):
+    # only the version-0 token record tells such a surviving state from
+    # a lost one, so it is kept after the newer token arrives.
+    history = History(0, 2)
+    history.observe_token(RecoveryToken(1, 0, 5))
+    history.observe_token(RecoveryToken(1, 1, 3))
+    assert not history.is_obsolete(FTVC.of([(0, 1), (0, 0)]))
+    assert not history.is_obsolete(FTVC.of([(0, 1), (0, 5)]))
+    assert history.is_obsolete(FTVC.of([(0, 1), (0, 6)]))
+    assert history.record(1, 0) == HistoryRecord(RecordKind.TOKEN, 0, 5)

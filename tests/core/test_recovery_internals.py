@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.ftvc import ClockEntry
 from repro.core.recovery import AppEnvelope, DamaniGargProcess
-from repro.core.tokens import RecoveryToken
 from repro.harness.scenarios import ScriptedApp
 from repro.live import codec
 from repro.live.wire import WireDecoder, WireEncoder
@@ -121,7 +120,7 @@ class TestGossipedFrontier:
         result = (
             ScenarioBuilder(n=3)
             .app(ScriptedApp(bootstrap_sends={0: [(1, "a")]}))
-            .config(ProtocolConfig(enable_gc=True, compact_history=True))
+            .config(ProtocolConfig(enable_gc=True))
             .run()
         )
         return result.protocols[0]
@@ -133,23 +132,23 @@ class TestGossipedFrontier:
         )
 
     @pytest.mark.parametrize("through", [_through_json, _through_binary])
-    def test_decoded_frontier_is_retyped_and_the_sweep_compacts(self, through):
+    def test_decoded_frontier_is_retyped_and_the_sweep_collects(self, through):
         protocol = self._protocol()
-        # P1 failed twice: token v1 supersedes the v0 record.
-        protocol.history.observe_token(RecoveryToken(1, 0, 1))
-        protocol.history.observe_token(RecoveryToken(1, 1, 0))
+        assert len(protocol.storage.checkpoints) > 1
+        newest = protocol.storage.checkpoints.latest()
         for src in range(3):
             protocol.on_network_message(
-                through(self._gossip(src, ClockEntry(2, 7)))
+                through(self._gossip(src, ClockEntry(0, 7)))
             )
         # The third report completed the vector and ran apply_stability,
         # whose GC pass reads ``.version`` off every frontier entry.
         assert all(
-            type(entry) is ClockEntry and entry == (2, 7)
+            type(entry) is ClockEntry and entry == (0, 7)
             for entry in protocol._frontier_reports.values()
         )
-        assert protocol.stats.history_compacted == 1
-        assert protocol.history.floor(1) == 1
+        # Every checkpoint is within the reported frontier: GC keeps
+        # only the newest.
+        assert list(protocol.storage.checkpoints) == [newest]
 
     def test_decoded_frontier_is_validated(self):
         protocol = self._protocol()
@@ -246,60 +245,3 @@ class TestEnvelope:
         assert env == AppEnvelope(
             payload="p", clock=FTVC.initial(0, 2), dedup_id=(0, 1)
         )
-
-
-class TestMessageCountCheckpointPolicy:
-    def test_checkpoints_every_k_deliveries(self):
-        from repro.apps import RandomRoutingApp
-        from repro.harness.runner import ExperimentSpec, run_experiment
-        from repro.runtime.trace import EventKind
-
-        spec = ExperimentSpec(
-            n=3,
-            app=RandomRoutingApp(hops=30, seeds=(0,), initial_items=2),
-            protocol=DamaniGargProcess,
-            horizon=80.0,
-            config=ProtocolConfig(
-                checkpoint_interval=1e9,       # disable time pacing
-                flush_interval=1e9,
-                checkpoint_every_messages=5,
-            ),
-        )
-        result = run_experiment(spec)
-        for protocol in result.protocols:
-            delivered = protocol.stats.app_delivered
-            # initial checkpoint + one per 5 deliveries
-            expected = 1 + delivered // 5
-            assert protocol.storage.checkpoints.taken_count == expected
-
-    def test_policy_bounds_replay_length(self):
-        from repro.apps import RandomRoutingApp
-        from repro.harness.runner import ExperimentSpec, run_experiment
-        from repro.sim.failures import CrashPlan
-        from repro.runtime.trace import EventKind
-        from repro.analysis import check_recovery
-
-        spec = ExperimentSpec(
-            n=3,
-            app=RandomRoutingApp(hops=60, seeds=(0, 1), initial_items=3),
-            protocol=DamaniGargProcess,
-            crashes=CrashPlan().crash(25.0, 1, 2.0),
-            horizon=80.0,
-            config=ProtocolConfig(
-                checkpoint_interval=1e9,
-                flush_interval=2.0,
-                checkpoint_every_messages=4,
-            ),
-        )
-        result = run_experiment(spec)
-        assert check_recovery(result).ok
-        restart = result.trace.last(EventKind.RESTART, pid=1)
-        assert restart is not None
-        assert restart["replayed"] < 4
-
-    def test_disabled_by_default(self):
-        result = simple_run()
-        for protocol in result.protocols:
-            # only the initial checkpoint (periodic tasks were halted
-            # before any interval elapsed at 1e9)
-            assert protocol.storage.checkpoints.taken_count == 1

@@ -98,7 +98,6 @@ def test_full_matrix_every_point_heals(point, tmp_path):
         kwargs.update(
             gossip_interval=0.4,
             enable_gc=True,
-            compact_history=True,
             run_seconds=5.5,
         )
     result, verdict = run_crash_point(point, str(tmp_path), **kwargs)

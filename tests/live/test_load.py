@@ -178,7 +178,6 @@ def test_load_spec_budgets_drain_for_the_backlog():
     # storage image with every delivered message.
     assert saturated.gossip_interval is not None
     assert saturated.enable_gc
-    assert saturated.compact_history
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 ``History`` answers each of its questions in one tight walk over the
 clock's entries; ``ReferenceHistory`` below is Figure 3 and Lemmas 3-4
-(plus the Section 6.9 compaction rule) written the obvious way over one
-flat ``(process, version) -> (kind, timestamp)`` table.  Seeded random
-token / message / ``compact()`` sequences must leave both with the same
-record table and the same answers to every test.
+written the obvious way over one flat ``(process, version) -> (kind,
+timestamp)`` table.  Seeded random token / message sequences must leave
+both with the same record table and the same answers to every test.
 """
 
 import random
@@ -20,7 +19,6 @@ from repro.core.tokens import RecoveryToken
 class ReferenceHistory:
     def __init__(self, pid, n):
         self.n = n
-        self.floor = [0] * n
         self.table = {(j, 0): ("mes", int(j == pid)) for j in range(n)}
 
     def kind(self, j, version):
@@ -28,25 +26,17 @@ class ReferenceHistory:
 
     def observe_message_clock(self, pairs):
         for j, (version, timestamp) in enumerate(pairs):
-            if version < self.floor[j]:
-                continue
             kind, known = self.table.get((j, version), ("mes", -1))
             if kind == "mes" and timestamp > known:
                 self.table[j, version] = ("mes", timestamp)
 
     def observe_token(self, token):
-        if token.version >= self.floor[token.origin]:
-            self.table[token.origin, token.version] = (
-                "token", token.timestamp
-            )
+        self.table[token.origin, token.version] = ("token", token.timestamp)
 
     def is_obsolete(self, pairs):
         return any(
-            version < self.floor[j]
-            or (
-                self.kind(j, version) == "token"
-                and timestamp > self.table[j, version][1]
-            )
+            self.kind(j, version) == "token"
+            and timestamp > self.table[j, version][1]
             for j, (version, timestamp) in enumerate(pairs)
         )
 
@@ -54,7 +44,7 @@ class ReferenceHistory:
         return [
             (j, older)
             for j, (version, _) in enumerate(pairs)
-            for older in range(self.floor[j], version)
+            for older in range(version)
             if self.kind(j, older) != "token"
         ]
 
@@ -64,22 +54,10 @@ class ReferenceHistory:
         )
         return kind == "mes" and known > token.timestamp
 
-    def compact(self):
-        dropped = 0
-        for j in range(self.n):
-            run_end = self.floor[j]
-            while self.kind(j, run_end) == "token":
-                run_end += 1
-            for version in range(self.floor[j], run_end - 1):
-                del self.table[j, version]
-                dropped += 1
-            self.floor[j] = max(self.floor[j], run_end - 1)
-        return dropped
-
     def expected_version(self, j):
-        """The first version of ``j`` at or above the floor without a
-        token: what an up-to-date sender's clock names for ``j``."""
-        version = self.floor[j]
+        """The first version of ``j`` without a token: what an
+        up-to-date sender's clock names for ``j``."""
+        version = 0
         while self.kind(j, version) == "token":
             version += 1
         return version
@@ -137,7 +115,6 @@ def assert_same(history, reference, rng):
             (r.kind.value, r.version, r.timestamp)
             for r in history.records_for(j)
         ] == reference.records(j)
-        assert history.floor(j) == reference.floor[j]
     assert history.size() == len(reference.table)
     for _ in range(4):
         pairs = random_clock(rng, n)
@@ -177,16 +154,14 @@ def test_random_sequences_match_the_reference(seed):
             if rng.random() < 0.2 or not reference.is_obsolete(pairs):
                 history.observe_message_clock(FTVC.of(pairs))
                 reference.observe_message_clock(pairs)
-        elif roll < 0.9:
+        else:
             token = random_token(rng, n)
             history.observe_token(token)
             reference.observe_token(token)
-        else:
-            assert history.compact() == reference.compact()
         assert_same(history.snapshot(), reference, rng)
 
 
-def test_the_fast_path_through_out_of_order_tokens_and_a_floor():
+def test_the_fast_path_through_out_of_order_tokens():
     history = History(0, 3)
     fresh = FTVC.of([(0, 5), (0, 2), (0, 0)])
     assert history.admits(fresh)
@@ -206,11 +181,4 @@ def test_the_fast_path_through_out_of_order_tokens_and_a_floor():
         old = FTVC.of([(0, 5), (1, timestamp), (0, 0)])
         assert not history.admits(old)
         assert history.is_obsolete(old) == obsolete
-    # Compaction raises the floor inside the run of tokens: the expected
-    # version stays, and a replayed clock from below the floor is
-    # refused by both paths.
-    assert history.compact() == 1 and history.floor(1) == 1
-    assert history.admits(FTVC.of([(0, 5), (2, 0), (0, 0)]))
-    below = FTVC.of([(0, 5), (0, 1), (0, 0)])
-    assert not history.admits(below) and history.is_obsolete(below)
     assert history.snapshot().admits(FTVC.of([(0, 9), (2, 3), (0, 1)]))

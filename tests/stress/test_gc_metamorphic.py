@@ -1,11 +1,16 @@
-"""Metamorphic oracle: garbage collection never changes a recovery.
+"""Garbage collection, graded twice over the stress schedules that draw it.
 
-Remark 2 reclaims only checkpoints and log prefixes that no recovery can
-need.  So a schedule run with ``enable_gc`` and the same schedule with it
-off must restore the same checkpoints, in the same order, and leave every
-process in the same state.  Schedules that arm a ``compaction:*`` crash
-point are left out: that point exists only with GC on, so the twin run
-would not crash where the original does.
+Metamorphic oracle: Remark 2 reclaims only checkpoints and log prefixes
+that no recovery can need.  So a schedule run with ``enable_gc`` and the
+same schedule with it off must restore the same checkpoints, in the same
+order, and leave every process in the same state.  Schedules that arm a
+``compaction:*`` crash point are left out: that point exists only with
+GC on, so the twin run would not crash where the original does.
+
+The shipped configuration: the live load runs and the KV service run
+gossip, GC and Remark 1 with output commit off, a combination no stress
+profile draws.  Every GC schedule, crash points included, is replayed
+that way and must pass ``check_case``.
 """
 
 from dataclasses import replace
@@ -14,8 +19,11 @@ import pytest
 
 from repro.harness.runner import run_experiment
 from repro.runtime.trace import EventKind
+from repro.stress import run_case
 from repro.stress.generate import build_spec, generate_case
 from repro.stress.profiles import PROFILES
+
+SEED_BLOCKS = [("default", range(400)), ("heavy", range(100))]
 
 
 def _recovery(case):
@@ -37,19 +45,22 @@ def _recovery(case):
 def _gc_cases(profile, seeds):
     for seed in seeds:
         case = generate_case(seed, PROFILES[profile])
-        points = [point for _, point, _ in case.crash_points]
-        if case.enable_gc and not any(
-            point.startswith("compaction:") for point in points
-        ):
+        if case.enable_gc:
             yield case
 
 
-@pytest.mark.parametrize(
-    "profile, seeds", [("default", range(400)), ("heavy", range(100))]
-)
+def _arms_compaction_point(case):
+    return any(
+        point.startswith("compaction:") for _, point, _ in case.crash_points
+    )
+
+
+@pytest.mark.parametrize("profile, seeds", SEED_BLOCKS)
 def test_gc_off_twin_restores_the_same_checkpoints(profile, seeds):
     cases = restores = collected = 0
     for case in _gc_cases(profile, seeds):
+        if _arms_compaction_point(case):
+            continue
         with_gc, ends, reclaimed = _recovery(case)
         without_gc, twin_ends, none = _recovery(replace(case, enable_gc=False))
         assert none == 0
@@ -60,3 +71,15 @@ def test_gc_off_twin_restores_the_same_checkpoints(profile, seeds):
         collected += reclaimed > 0
     # The sample has teeth: many schedules, restores and actual GC.
     assert cases > 25 and restores > 200 and collected > cases // 2
+
+
+@pytest.mark.parametrize("profile, seeds", SEED_BLOCKS)
+def test_gc_without_output_commit_recovers(profile, seeds):
+    cases = crash_points = 0
+    for case in _gc_cases(profile, seeds):
+        shipped = replace(case, commit_outputs=False, retransmit_on_token=True)
+        result = run_case(shipped)
+        assert not result.failed, f"{shipped.describe()}: {result.headline()}"
+        cases += 1
+        crash_points += _arms_compaction_point(case)
+    assert cases > 25 and crash_points > 0

@@ -24,11 +24,14 @@ gossip with the rollback rule reverted, failed there, and replays clean
 with it: default seeds 40, 747 and 2595 (``no non-orphan checkpoint``)
 and heavy seed 1480 (the output-commit violation again).
 
-``reproducers/compaction/``: the next known failure, kept under a strict
-xfail until it is fixed.  With ``compact_history`` on, a schedule may
-discard as obsolete messages sent by states that survive.  No stress
-profile draws compaction yet, so the case file cannot say it; the test
-switches it on.
+``reproducers/compaction/``: default seed 18, shrunk while a history
+compaction existed that dropped the token records of superseded
+versions and called any clock entry below them obsolete.  P2 fails
+twice; P1 never heard from P2, so its messages carry P2's entry
+``(0, 0)``, which only P2's version-0 token record tells from a lost
+state's.  With that record dropped, P2 discarded them although P1's
+states survive.  Every token record is now kept, and the case replays
+clean under the gossip-only configuration its file names.
 """
 
 from dataclasses import replace
@@ -36,10 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import run_experiment
 from repro.stress import load_reproducer, run_case
-from repro.stress.generate import build_spec
-from repro.stress.oracles import check_case
 
 HERE = Path(__file__).parent / "reproducers"
 REPRODUCERS = sorted(HERE.glob("*.json"))
@@ -116,18 +116,10 @@ def test_gossip_reproducer_replays_clean(path):
 
 
 # ---------------------------------------------------------------------------
-# History compaction: known to fail
+# A twice-failed process keeps every restoration point
 # ---------------------------------------------------------------------------
-@pytest.mark.xfail(
-    strict=True,
-    reason="default seed 18 (n=5 pipeline, compaction only, P2 crashing "
-    "twice): P1 never heard from P2, so its messages carry P2's entry "
-    "(0, 0); compaction lifts P2's floor to version 1 and P2 discards "
-    "them as obsolete although P1's states survive",
-)
-def test_compaction_keeps_messages_from_surviving_states():
-    case, _ = load_reproducer(COMPACTION)
-    spec = build_spec(case)
-    spec.config = replace(spec.config, compact_history=True)
-    violations = check_case(run_experiment(spec), case)
-    assert not violations, violations[0]
+def test_twice_failed_process_keeps_messages_from_surviving_states():
+    case, recorded = load_reproducer(COMPACTION)
+    assert case.stability_interval is not None and not case.enable_gc
+    assert recorded["violations"]
+    replays_clean(COMPACTION)

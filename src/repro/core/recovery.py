@@ -55,7 +55,6 @@ from repro.runtime.app import Application
 from repro.runtime.env import RuntimeEnv
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind
-from repro.storage import intents
 from repro.storage.checkpoint import SEND_LOG
 
 
@@ -159,9 +158,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
 
     def on_restart(self) -> None:
         """Section 6.2: restore, replay, token, new version, checkpoint."""
-        # Heal any multi-step durable transition the failed incarnation
-        # left in flight before reading the image (no-op when clean).
-        intents.heal(self.storage)
         self.stats.restarts += 1
         if len(self.storage.checkpoints) == 0:
             self._fresh_start_after_crash()
@@ -197,68 +193,61 @@ class DamaniGargProcess(BaseRecoveryProcess):
             timestamp=restored_ts,
             full_clock=self.clock if self.config.retransmit_on_token else None,
         )
-        # Token log + restart checkpoint are two durable steps: a crash
-        # between them is healed by aborting (on_restart re-derives the
-        # same token and the (origin, version) dedupe absorbs the relog).
-        intent = self.storage.begin_intent(
-            intents.RESTART,
-            token=(token.origin, token.version, token.timestamp),
-        )
-        self.storage.advance_intent(intent, "token_logged")
-        self.storage.log_token(
-            token, dedupe_key=(token.origin, token.version)
-        )
-        self.env.broadcast(token, kind="token")
-        self.stats.tokens_sent += self.n - 1
-        self.stats.control_sent += self.n - 1
-        self.obs.counter("dg.tokens_broadcast", self.n - 1)
-        self.obs.counter("dg.restarts")
-        if self.obs.enabled:
-            self.obs.event(
-                "dg.restart",
-                pid=self.pid,
+        # The token log through the restart checkpoint is one durable
+        # step.  The broadcast inside it cannot outrun that record on the
+        # live engine: the transport writes from its own task, after this
+        # synchronous call returns.
+        with self.storage.atomic():
+            self.storage.log_token(
+                token, dedupe_key=(token.origin, token.version)
+            )
+            self.env.broadcast(token, kind="token")
+            self.stats.tokens_sent += self.n - 1
+            self.stats.control_sent += self.n - 1
+            self.obs.counter("dg.tokens_broadcast", self.n - 1)
+            self.obs.counter("dg.restarts")
+            if self.obs.enabled:
+                self.obs.event(
+                    "dg.restart",
+                    pid=self.pid,
+                    failed_version=failed_version,
+                    replayed=replayed,
+                )
+            if self.trace is not None:
+                self.trace.record(
+                    self.env.now,
+                    EventKind.TOKEN_SEND,
+                    self.pid,
+                    version=failed_version,
+                    timestamp=restored_ts,
+                )
+            self.clock = self.clock.restart(self.pid)
+            self.history.observe_token(token)
+            new_version = self.clock[self.pid].version
+            self._restarted(
+                new_version,
+                replayed,
                 failed_version=failed_version,
-                replayed=replayed,
+                new_version=new_version,
+                restored_ts=restored_ts,
             )
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now,
-                EventKind.TOKEN_SEND,
-                self.pid,
-                version=failed_version,
-                timestamp=restored_ts,
-            )
-        self.clock = self.clock.restart(self.pid)
-        self.history.observe_token(token)
-        new_version = self.clock[self.pid].version
-        self._restarted(
-            new_version,
-            replayed,
-            failed_version=failed_version,
-            new_version=new_version,
-            restored_ts=restored_ts,
-        )
-        self.clock_by_uid[self.executor.current_uid] = self.clock
-        # Memory-only commit: the restart checkpoint's writes persist the
-        # intent-free image, making the transition durably committed.
-        self.storage.commit_intent(intent)
-        self.take_checkpoint()
+            self.clock_by_uid[self.executor.current_uid] = self.clock
+            self.take_checkpoint()
         # Tokens are logged synchronously precisely so a failure cannot
         # forget them; re-apply every logged token to the restored history
         # (re-application is idempotent and may trigger a further rollback
         # if the restored suffix is an orphan of some other failure).
         for logged in self.storage.tokens:
             self._apply_token(logged)
-        self._represent_recovered_entries()
         self._sample_obs_gauges()
 
     def _fresh_start_after_crash(self) -> None:
         """Boot again when the failed incarnation left *nothing* durable.
 
-        Only reachable via a crash point armed inside the initial
-        checkpoint transition: ``on_start`` is synchronous, so no
-        delivery can interleave between bootstrap and checkpoint 0, and
-        the lost interval is exactly the deterministic bootstrap.
+        Only a live node SIGKILLed before checkpoint 0's record landed
+        gets here: ``on_start`` is synchronous, so no delivery can
+        interleave between bootstrap and checkpoint 0, and the lost
+        interval is exactly the deterministic bootstrap.
         Nothing unreconstructible was lost -- reset the volatile
         protocol state and run ``on_start`` again.  The re-sent
         bootstrap messages carry the original dedup ids (the sequence
@@ -278,24 +267,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 what="fresh_start",
             )
         self.on_start()
-
-    def _represent_recovered_entries(self) -> None:
-        """Hand back log entries preserved by a healed mid-crash rollback.
-
-        The startup crawler never deletes what a rolled-forward rollback
-        truncates: the entries wait under ``RECOVERED_ENTRIES_KEY`` and
-        are re-presented here as ordinary network messages.  Delivery
-        dedup absorbs any the anchor state already consumed; orphans are
-        discarded by the usual obsolete-test.  The key is emptied first
-        so a crash mid-re-presentation equals ordinary volatile loss
-        (Remark 1 retransmission recovers anything that mattered).
-        """
-        pending = self.storage.get(intents.RECOVERED_ENTRIES_KEY)
-        if not pending:
-            return
-        self.storage.put(intents.RECOVERED_ENTRIES_KEY, [])
-        for entry in pending:
-            self._represent(entry)
 
     def _represent(self, entry) -> None:
         """Hand a truncated log entry to the receive path again, as the
@@ -584,88 +555,55 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 f"(retained checkpoint ids: {retained})"
             )
         position = ckpt.log_position
-        # Pre-compute the complete transition so the write-ahead intent
-        # names the full target state before any durable step runs -- a
-        # crash anywhere inside the rollback then rolls *forward* to the
-        # same image.  The orphan boundary scans stable+volatile in
-        # receive order (the flush below moves the volatile suffix
-        # without reordering, so this equals the post-flush stable scan),
-        # and the restored own-entry mirrors the post-rollback clock
-        # rule: each entry's meta[3] is the receiver clock right after
-        # its delivery, so the last replayed entry's own-component plus
-        # the rollback tick is what the intent records (replayed sends can
-        # tick the live clock past it; a restart reads back only the
-        # version).
-        boundary = position
-        for entry in self.storage.log.all_entries(position):
+
+        def orphan(entry) -> bool:
             e = entry.meta[0][token.origin]
-            if e.version == token.version and e.timestamp > token.timestamp:
-                break   # first orphan message: stop before it
-            boundary += 1
-        if boundary > position:
-            replayed_own = self.storage.log.entry(boundary - 1).meta[3][self.pid]
-        else:
-            replayed_own = ckpt.extras["clock"][self.pid]
-        # Figure 4's rule ticks the replayed clock.  Two cases continue
-        # the *current* incarnation above everything it used instead:
-        # - The surviving checkpoint predates one of our own restarts.
-        #   Regressing to its older version would mint version-v
-        #   timestamps beyond the restoration point we announced for v
-        #   (our own token would declare our fresh states obsolete).
-        # - Stability gossip is on.  Figure 4's rule re-mints the
-        #   timestamps of the truncated orphans, which a frontier report
-        #   sent before the rollback still certifies as flushed.
-        #   Continuing, a (version, timestamp) pair names one state
-        #   forever (a deviation from the paper, docs/PROTOCOL.md).
-        paper_rule = (
-            self.config.gossip_interval is None
-            and replayed_own.version == own_before.version
-        )
-        if paper_rule:
-            own_after = ClockEntry(
-                replayed_own.version, replayed_own.timestamp + 1
-            )
-        else:
-            own_after = ClockEntry(own_before.version, own_before.timestamp + 1)
-        intent = self.storage.begin_intent(
-            intents.ROLLBACK,
-            token=(token.origin, token.version, token.timestamp),
-            anchor_ckpt_id=ckpt.ckpt_id,
-            truncate_at=boundary,
-            stable_own=own_after,
-        )
-        # A non-failed process loses nothing: log everything first.
-        self.storage.advance_intent(intent, "log_flushed")
-        self.flush_log()
-        with self.obs.span("dg.rollback_wall_s"):
-            self._restore(ckpt, "rollback")
-            self.storage.advance_intent(intent, "checkpoints_discarded")
-            self.storage.checkpoints.discard_after(ckpt)
-            replayed = self._replay_log(
-                position, lambda entry: entry.index >= boundary
-            )
-        leftovers = list(self.storage.log.stable_entries(boundary))
-        self.storage.advance_intent(intent, "log_truncated")
-        discarded = self.storage.log.truncate(boundary)
-        if paper_rule:
-            self.clock = self.clock.tick(self.pid)
-        else:
-            entries = list(self.clock.entries)
-            entries[self.pid] = own_after
-            self.clock = FaultTolerantVectorClock(entries)
-        # Memory-only commit: the stable_own write below persists the
-        # intent-free image, making the rollback durably committed.
-        self.storage.commit_intent(intent)
-        # The rollback began with a full flush, so the post-rollback own
-        # entry is stable-reconstructible; persist it (the rollback may
-        # be about to discard the only checkpoints recording our version).
-        self._set_stable_own(self.clock[self.pid])
+            return e.version == token.version and e.timestamp > token.timestamp
+
+        # The first flush through the stable_own write is one durable step.
+        with self.storage.atomic():
+            # A non-failed process loses nothing: log everything first.
+            self.flush_log()
+            with self.obs.span("dg.rollback_wall_s"):
+                self._restore(ckpt, "rollback")
+                self.storage.checkpoints.discard_after(ckpt)
+                replayed = self._replay_log(position, orphan)
+            boundary = position + replayed
+            leftovers = list(self.storage.log.stable_entries(boundary))
+            discarded = self.storage.log.truncate(boundary)
+            # Figure 4's rule ticks the replayed clock.  Two cases
+            # continue the *current* incarnation above everything it used
+            # instead:
+            # - The surviving checkpoint predates one of our own restarts.
+            #   Regressing to its older version would mint version-v
+            #   timestamps beyond the restoration point we announced for v
+            #   (our own token would declare our fresh states obsolete).
+            # - Stability gossip is on.  Figure 4's rule re-mints the
+            #   timestamps of the truncated orphans, which a frontier
+            #   report sent before the rollback still certifies as
+            #   flushed.  Continuing, a (version, timestamp) pair names
+            #   one state forever (a deviation from the paper,
+            #   docs/PROTOCOL.md).
+            if (
+                self.config.gossip_interval is None
+                and self.clock[self.pid].version == own_before.version
+            ):
+                self.clock = self.clock.tick(self.pid)
+            else:
+                entries = list(self.clock.entries)
+                entries[self.pid] = ClockEntry(
+                    own_before.version, own_before.timestamp + 1
+                )
+                self.clock = FaultTolerantVectorClock(entries)
+            # The rollback began with a full flush, so the post-rollback
+            # own entry is stable-reconstructible; persist it (the
+            # rollback may be about to discard the only checkpoints
+            # recording our version).
+            self._set_stable_own(self.clock[self.pid])
         # Tokens are durable facts; reinstate every logged one over the
         # restored (older) history.
         for logged in self.storage.tokens:
             self.history.observe_token(logged)
-        # After every durable step: a crash point firing inside one of
-        # them must find no ROLLBACK recorded.
         self._rolled_back(
             token.origin,
             token.version,
@@ -746,26 +684,21 @@ class DamaniGargProcess(BaseRecoveryProcess):
     # Section 6.5 extensions: output commit and garbage collection
     # ------------------------------------------------------------------
     def flush_log(self) -> int:
-        # Log flush + stable_own write are two durable steps (the paper
-        # keeps the durable clock frontier in lockstep with the stable
-        # log); the intent is a no-op when an outer transition
-        # (checkpoint, rollback) already covers the pair.
-        storage = self.storage
-        intent = storage.begin_intent(intents.FLUSH)
-        storage.advance_intent(intent, "log_flushed")
-        moved = super().flush_log()
-        storage.commit_intent(intent)
-        # Everything delivered so far is now reconstructible from stable
-        # storage; our own-entry becomes part of the global stable frontier.
-        self._set_stable_own(self.clock.entries[self.pid])
+        # The log flush and the stable_own write are one durable step:
+        # the durable clock frontier moves in lockstep with the stable log.
+        with self.storage.atomic():
+            moved = super().flush_log()
+            # Everything delivered so far is now reconstructible from
+            # stable storage; our own-entry joins the stable frontier.
+            self._set_stable_own(self.clock.entries[self.pid])
         return moved
 
     def _set_stable_own(self, entry) -> None:
         """Record the own-entry frontier of stable storage (durably).
 
-        The frontier rides along with writes that are already synchronous
-        (flushes, the rollback's pre-restore flush), so persisting it here
-        adds one word to those writes, not a new write.  ``on_restart``
+        The frontier rides in the record of the flush or rollback that
+        moved it, so persisting it here adds one word to that record, not
+        a new one.  ``on_restart``
         reads back the *version*: it must survive failures even when every
         checkpoint of the current incarnation has been discarded by an
         interleaved rollback, or a second failure would re-announce an
@@ -897,20 +830,12 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 ):
                     anchor = ckpt
             if anchor is not None:
-                # Checkpoint GC + log-prefix discard are two durable
-                # steps; both are idempotent given the anchor, so a
-                # crash between them is healed by rolling forward.
-                intent = self.storage.begin_intent(
-                    intents.COMPACTION,
-                    anchor_ckpt_id=anchor.ckpt_id,
-                    anchor_position=anchor.log_position,
-                )
-                self.storage.advance_intent(intent, "checkpoints_collected")
-                self.storage.checkpoints.garbage_collect_before(
-                    anchor.ckpt_id
-                )
-                self.storage.commit_intent(intent)
-                self.storage.log.discard_prefix(anchor.log_position)
+                # Checkpoint GC and log-prefix discard: one durable step.
+                with self.storage.atomic():
+                    self.storage.checkpoints.garbage_collect_before(
+                        anchor.ckpt_id
+                    )
+                    self.storage.log.discard_prefix(anchor.log_position)
 
     # ------------------------------------------------------------------
     # Harness introspection

@@ -25,12 +25,7 @@ from repro.protocols.base import (
     ProtocolConfig,
     ProtocolStats,
 )
-from repro.sim.failures import (
-    CrashPlan,
-    CrashPointEvent,
-    FailureInjector,
-    PartitionPlan,
-)
+from repro.sim.failures import CrashPlan, FailureInjector, PartitionPlan
 from repro.sim.kernel import Simulator
 from repro.sim.network import (
     DeliveryOrder,
@@ -68,9 +63,6 @@ class ExperimentSpec:
     config: ProtocolConfig = field(default_factory=ProtocolConfig)
     crashes: CrashPlan | None = None
     partitions: PartitionPlan | None = None
-    # Named stable-storage crash points to arm (fault injection for the
-    # write-ahead-intent crash windows; see repro.storage.intents).
-    crash_points: tuple[CrashPointEvent, ...] = ()
     # Record application states per state uid (needed by the predicate
     # detection utilities).
     record_states: bool = False
@@ -155,7 +147,7 @@ class ExperimentResult:
             for protocol in protocols:
                 protocol.executor.record_states = True
         FailureInjector(sim, hosts, network).install(
-            spec.crashes, spec.partitions, crash_points=spec.crash_points
+            spec.crashes, spec.partitions
         )
         return cls(
             spec=spec,
@@ -187,8 +179,8 @@ class ExperimentResult:
             with obs.span("run.drain_wall_s"):
                 self.sim.drain(limit=spec.drain_limit)
                 if spec.config.gossip_interval is not None:
-                    # As timers, so a crash point firing in a sweep
-                    # crashes that process and the drain restarts it.
+                    # One more round from every live process, each as a
+                    # 0-delay timer: the event order the stress digest pins.
                     for host in self.hosts:
                         if host.alive:
                             host.schedule_after(

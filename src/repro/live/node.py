@@ -7,7 +7,7 @@ until the supervisor closes the pipe at the end of the downtime; from
 there on it is an ordinary start.
 
 The node builds the full stack -- file-backed storage, mesh transport,
-:class:`~repro.live.env.LiveEnv`, the protocol named in the config -- and
+:class:`~repro.live.env.LiveEnv`, the Damani-Garg protocol -- and
 runs until the cluster-wide deadline.  On its first boot it calls the
 protocol's ``on_start``; after a crash (the supervisor SIGKILLs the
 process and spawns a fresh one over the same storage directory) the new
@@ -32,7 +32,6 @@ Config file (JSON)::
       "epoch_path": ".../epoch.json",   # supervisor publishes {"epoch": ...}
       "run_until": 6.0,             # env-time deadline for new work
       "linger": 1.5,                # grace period for in-flight traffic
-      "protocol": "damani-garg",
       "app": {"kind": "pipeline", "jobs": 32},
       "config": {"checkpoint_interval": 0.5, ...},
       "data_dir": ".../data",       # stable storage lives here
@@ -48,13 +47,12 @@ import asyncio
 import dataclasses
 import json
 import os
-import signal
 import sys
 import time
 from typing import Any
 
 from repro.apps.applications import PipelineApp
-from repro.harness.conformance import PROTOCOL_REGISTRY
+from repro.core.recovery import DamaniGargProcess
 from repro.live import codec
 from repro.live.env import LiveEnv, LiveTrace
 from repro.live.faults import NodeFaults
@@ -139,21 +137,12 @@ async def run_node(
         os.path.join(cfg["data_dir"], f"stable_p{pid}.pickle"),
         flush_window=_STORAGE_FLUSH_WINDOW,
     )
-    # Startup recovery crawler: repair any multi-step durable transition
-    # the killed incarnation left in flight, before anything (the boot
-    # counter, the transport outbox) reads the image.
+    # Startup recovery crawler: finish an operator rollback that was
+    # killed mid-rewind, before anything (the boot counter, the transport
+    # outbox) reads the image.
     heal_actions = heal(storage)
     boot = storage.get(_BOOTS_KEY, 0) + 1
     storage.put(_BOOTS_KEY, boot)
-    # Crash-window fault injection: "<kind>:<step>" from the config arms
-    # a one-shot SIGKILL that fires right after the persist that leaves
-    # exactly that partial image on disk.  Armed after the heal so the
-    # crawler's own writes cannot trip it.
-    if cfg.get("crash_point"):
-        storage.arm_crash_point(
-            str(cfg["crash_point"]),
-            action=lambda point: os.kill(os.getpid(), signal.SIGKILL),
-        )
 
     # Fault schedule (this node's slice of the cluster's LiveFaultPlan).
     # Inactive until set_clock below: no window exists before env-time 0,
@@ -229,9 +218,8 @@ async def run_node(
     # the supervisor schedules SIGKILLs on, so fault windows and crash
     # times compose on one timeline.
     faults.set_clock(lambda: env.now)
-    protocol_cls = PROTOCOL_REGISTRY[cfg.get("protocol", "damani-garg")]
     app = build_app(cfg.get("app", {}))
-    protocol = protocol_cls(
+    protocol = DamaniGargProcess(
         env, app, ProtocolConfig(**cfg.get("config", {})),
     )
     if boot == 1:
@@ -341,28 +329,6 @@ async def run_node(
     return done
 
 
-def _maybe_install_uvloop(cfg: dict[str, Any]) -> bool:
-    """Install uvloop if requested and importable.
-
-    Opt-in via ``"event_loop": "uvloop"`` in the node config or the
-    ``REPRO_LIVE_EVENT_LOOP=uvloop`` environment variable.  uvloop is
-    never a dependency: when it is absent the stock asyncio loop is used
-    silently, so configs are portable across environments with and
-    without it.
-    """
-    want = cfg.get(
-        "event_loop", os.environ.get("REPRO_LIVE_EVENT_LOOP", "asyncio")
-    )
-    if want != "uvloop":
-        return False
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.live.node")
     parser.add_argument("--config", required=True)
@@ -375,7 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     released_at = hold_standby(cfg) if args.standby else None
-    _maybe_install_uvloop(cfg)
     done = asyncio.run(run_node(cfg, released_at))
     tmp = cfg["done_path"] + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

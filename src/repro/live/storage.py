@@ -30,7 +30,12 @@ again as they are.  Message-log GC and outbox acks drop whole chunks
 (loading skips the collected or acknowledged head of the first one), and
 a truncation or cut re-pickles only the chunk it splits.
 
-The atomicity unit is one barrier: a record is CRC-valid or ignored.
+The atomicity unit is one record: it is CRC-valid or ignored.  A
+protocol transition that makes several writes runs inside
+:meth:`FileStableStorage.atomic`, where barriers only collect their ops
+and the outermost exit writes them as one record, so a SIGKILL leaves
+the transition whole or absent.
+
 Loading folds the records in order.  A bad record with nothing valid
 after it is the torn tail of an append that was never acknowledged: the
 file is cut back to the last good record and the cut is counted
@@ -71,11 +76,13 @@ import gc
 import os
 import pickle
 import sys
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.live.framing import OVERHEAD, FramingError, frame, parse_frame
 from repro.live.outbox import Outbox
 from repro.storage.checkpoint import CheckpointStore, SendHistory
+from repro.storage.intents import CrashPointReached
 from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
@@ -386,11 +393,6 @@ class _JournaledOutbox(Outbox):
 class FileStableStorage(StableStorage):
     """Stable storage persisted to ``path``; reloads itself on restart."""
 
-    # Armed crash points fire from _persist, right after the record's
-    # fsync, so the on-disk state at death is exactly the partial state
-    # the point names (including the live-only ":committed" variants).
-    _fires_on_persist = True
-
     def __init__(
         self, pid: int, path: str, *, flush_window: float = 0.0
     ) -> None:
@@ -415,6 +417,9 @@ class FileStableStorage(StableStorage):
         self.pre_persist_hook: Callable[[], None] | None = None
         self._ops: list[tuple] = []     # mutations no record holds yet
         self._dirty = False             # ... some of them lazy
+        self._atomic_depth = 0          # open atomic() groups
+        self._deferred = False          # a barrier waits for their exit
+        self._armed_crash_points: set[str] = set()
         self._flush_handle: asyncio.TimerHandle | None = None
         self._end = 0                   # end of the last acknowledged record
         self._snapshot_bytes = 0        # size of the file's snapshot record
@@ -506,6 +511,23 @@ class FileStableStorage(StableStorage):
             self.window_flushes += 1
             self._persist(window=True)
 
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """Write one protocol transition as one record.
+
+        Inside the group a barrier (or a lazy write that no window
+        holds) only collects its op; the outermost exit writes them all
+        at once.  A transition that raises writes nothing: its ops stay
+        pending, like those of a failed persist, and ride the next
+        record."""
+        self._atomic_depth += 1
+        try:
+            yield
+        finally:
+            self._atomic_depth -= 1
+        if not self._atomic_depth and self._deferred:
+            self._persist()
+
     def sync(self) -> None:
         """Force any pending lazy writes to disk now."""
         if self._dirty:
@@ -558,6 +580,10 @@ class FileStableStorage(StableStorage):
     def _persist(self, *, window: bool = False) -> None:
         if self._loading:
             return
+        if self._atomic_depth:
+            self._deferred = True
+            return
+        self._deferred = False
         # A barrier hardens everything, pending lazy writes included --
         # but only claim the pending window once the write has actually
         # landed: if the write or its fsync raises (disk full, transient
@@ -643,16 +669,23 @@ class FileStableStorage(StableStorage):
         finally:
             os.close(dirfd)
 
+    # ------------------------------------------------------------------
+    # Crash points (the operator-rollback crash windows; intents module)
+    # ------------------------------------------------------------------
+    def arm_crash_point(self, point: str) -> None:
+        """Arm ``"<kind>:<step>"`` to raise :class:`CrashPointReached`
+        once, right after the record of that step lands."""
+        self._armed_crash_points.add(point)
+
     def _check_crash_point(self) -> None:
         """Fire an armed crash point matching the record just written."""
-        pending, self._commit_pending = self._commit_pending, None
-        if not self._armed_crash_points:
-            return
         active = self._active_intent
-        if active is not None:
-            self._fire_crash_point(f"{active.kind}:{active.step}")
-        elif pending is not None:
-            self._fire_crash_point(f"{pending.kind}:committed")
+        if active is None:
+            return
+        point = f"{active.kind}:{active.step}"
+        if point in self._armed_crash_points:
+            self._armed_crash_points.discard(point)
+            raise CrashPointReached(point)
 
     # ------------------------------------------------------------------
     # Loading: fold the records in order

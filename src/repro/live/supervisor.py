@@ -53,42 +53,17 @@ class LiveCrashPlan:
     downtime: float = 1.0
 
 
-@dataclass(frozen=True)
-class LiveCrashPointPlan:
-    """Arm stable-storage crash point ``point`` on process ``pid``.
-
-    The armed incarnation SIGKILLs *itself* the instant the named
-    durable step's persist lands (see :mod:`repro.storage.intents`), so
-    the on-disk image at death is exactly the partial state the point
-    names.  With ``at`` unset the point is armed at first boot; with
-    ``at`` set, an ordinary supervisor SIGKILL is delivered at env-time
-    ``at`` and the *respawned* incarnation boots armed instead -- the
-    only way to reach the restart-transition crash windows.  Either way
-    the supervisor watches for the self-kill, records the CRASH, and
-    respawns a clean (unarmed) node after ``downtime``.
-    """
-
-    pid: int
-    point: str
-    at: float | None = None
-    downtime: float = 1.0
-
-
 @dataclass
 class LiveClusterSpec:
     """One live run: topology, workload, failure plan, pacing."""
 
     n: int = 4
     jobs: int = 32
-    protocol: str = "damani-garg"
     run_seconds: float = 6.0
     linger: float = 1.5
     checkpoint_interval: float = 0.5
     flush_interval: float = 0.15
     crashes: list[LiveCrashPlan] = field(default_factory=list)
-    # Stable-storage crash-window injection (at most one plan per pid):
-    # the armed node SIGKILLs itself when the named durable step lands.
-    crash_points: list[LiveCrashPointPlan] = field(default_factory=list)
     # Network/disk fault schedule (partitions, gray links, disk faults,
     # corrupt frames).  Compiled per node into the config files; each
     # node enforces its slice on the shared epoch clock.
@@ -140,9 +115,6 @@ class LiveRunResult:
     kills: list[tuple[int, float]]        # (pid, env-time of SIGKILL)
     wall_seconds: float
     exit_codes: dict[int, int]
-    # Crash-point self-kills observed: (pid, point, env-time).  A subset
-    # of ``kills``; empty when the armed window was never reached.
-    point_kills: list[tuple[int, str, float]] = field(default_factory=list)
 
     @property
     def total_delivered(self) -> int:
@@ -253,14 +225,7 @@ def _run_cluster(
     if os.path.exists(epoch_path):
         os.remove(epoch_path)   # stale epoch from a previous run
 
-    point_plans: dict[int, LiveCrashPointPlan] = {}
-    for plan in spec.crash_points:
-        if plan.pid in point_plans:
-            raise ValueError(f"multiple crash-point plans for pid {plan.pid}")
-        point_plans[plan.pid] = plan
-
     config_paths, trace_paths, done_paths, log_paths = [], [], [], []
-    armed_config_paths: dict[int, str] = {}
     for pid in range(spec.n):
         cfg = {
             "pid": pid,
@@ -271,7 +236,6 @@ def _run_cluster(
             "run_until": spec.run_seconds,
             "stop_path": spec.stop_path,
             "linger": spec.linger,
-            "protocol": spec.protocol,
             "app": (
                 spec.app
                 if spec.app is not None
@@ -292,42 +256,17 @@ def _run_cluster(
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh, indent=2)
         config_paths.append(path)
-        if pid in point_plans:
-            # The armed variant is a separate file so the clean config is
-            # always available for the post-self-kill respawn: the point
-            # must fire exactly once per plan, never on the recovery boot.
-            armed = dict(cfg, crash_point=point_plans[pid].point)
-            armed_path = os.path.join(workdir, f"config_p{pid}_armed.json")
-            with open(armed_path, "w", encoding="utf-8") as fh:
-                json.dump(armed, fh, indent=2)
-            armed_config_paths[pid] = armed_path
         trace_paths.append(cfg["trace_path"])
         done_paths.append(cfg["done_path"])
         log_paths.append(os.path.join(workdir, f"node_p{pid}.log"))
 
-    def spawn(
-        pid: int, config_path: str, standby: bool = False
-    ) -> subprocess.Popen:
-        child = _spawn(config_path, log_paths[pid], standby=standby)
+    def spawn(pid: int, standby: bool = False) -> subprocess.Popen:
+        child = _spawn(config_paths[pid], log_paths[pid], standby=standby)
         children.append(child)
         return child
 
     start_wall = time.time()
-    # Plans with ``at=None`` boot armed; ``at``-based plans boot clean and
-    # are re-armed on the respawn after the scheduled SIGKILL (the only
-    # way to land inside a restart-transition window).  Arming is safe
-    # before the epoch barrier: crash points fire only on persists made
-    # inside an intent-carrying transition, and the first of those is
-    # checkpoint 0, strictly after the epoch wait.
-    procs = {
-        pid: spawn(
-            pid,
-            armed_config_paths[pid]
-            if pid in point_plans and point_plans[pid].at is None
-            else config_paths[pid],
-        )
-        for pid in range(spec.n)
-    }
+    procs = {pid: spawn(pid) for pid in range(spec.n)}
 
     # Readiness barrier: every node has durably recorded its boot and
     # bound its port before env-time starts, so the crash schedule below
@@ -349,21 +288,17 @@ def _run_cluster(
         return time.monotonic() - epoch_mono
 
     # Supervisor-side trace: the CRASH events (a SIGKILLed process cannot
-    # record its own death, and an armed node that SIGKILLs *itself*
-    # cannot either -- the supervisor observes the -SIGKILL exit and
-    # records it here).
+    # record its own death).
     sup_trace_path = os.path.join(workdir, "trace_supervisor.jsonl")
     kills: list[tuple[int, float]] = []
-    point_kills: list[tuple[int, str, float]] = []
     crash_counts: dict[int, int] = {}
     # Replacements held warm: pid -> (env-time of release, the process).
     standbys: dict[int, tuple[float, subprocess.Popen]] = {}
     with open(sup_trace_path, "w", encoding="utf-8") as sup_trace:
 
-        def record_kill(pid: int, respawn_config: str, downtime: float) -> float:
-            """One death, however it came about (scheduled SIGKILL, armed
-            re-kill, observed self-kill): note it, trace it, and start
-            the replacement as a standby due ``downtime`` from now."""
+        def record_kill(pid: int, downtime: float) -> None:
+            """One death: note it, trace it, and start the replacement as
+            a standby due ``downtime`` from now."""
             kill_time = env_now()
             kills.append((pid, kill_time))
             crash_counts[pid] = crash_counts.get(pid, 0) + 1
@@ -380,80 +315,37 @@ def _run_cluster(
             )
             sup_trace.flush()
             standbys[pid] = (
-                kill_time + downtime, spawn(pid, respawn_config, standby=True)
+                kill_time + downtime, spawn(pid, standby=True)
             )
-            return kill_time
 
         def release(pid: int) -> None:
             _, procs[pid] = standbys.pop(pid)
             procs[pid].stdin.close()
 
-        # One loop drives both failure modes: scheduled SIGKILLs fire at
-        # their planned env-times while armed nodes are concurrently
-        # watched for self-kills (a boot-armed point can fire during any
-        # sleep, so a purely sequential schedule would sit on its corpse
-        # for the rest of the run).
-        schedule: list[tuple[str, float, Any]] = sorted(
-            [("kill", c.at, c) for c in spec.crashes]
-            + [
-                ("arm", p.at, p)
-                for p in spec.crash_points
-                if p.at is not None
-            ],
-            key=lambda item: item[1],
-        )
-        watching: dict[int, LiveCrashPointPlan] = {
-            p.pid: p for p in spec.crash_points if p.at is None
-        }
+        schedule = sorted(spec.crashes, key=lambda plan: plan.at)
         watch_until = spec.run_seconds + spec.linger
-        while schedule or watching or standbys:
+        while schedule or standbys:
             now = env_now()
             if now > watch_until:
-                # The run is over; unfired points stay unfired (recorded
-                # as an empty point_kills entry set), but every held
-                # standby is still released so the final wait sees live
-                # processes, not supervisor-orphaned ones.
-                schedule.clear()
-                watching.clear()
+                # The run is over; every held standby is still released
+                # so the final wait sees live processes, not
+                # supervisor-orphaned ones.
                 for pid in list(standbys):
                     release(pid)
                 break
             for pid in [p for p, (due, _) in standbys.items() if due <= now]:
                 release(pid)
-            while schedule and schedule[0][1] <= now:
-                mode, _, plan = schedule.pop(0)
+            while schedule and schedule[0].at <= now:
+                plan = schedule.pop(0)
                 victim = procs[plan.pid]
                 victim.kill()   # SIGKILL
                 victim.wait()
-                armed = mode == "arm"
-                record_kill(
-                    plan.pid,
-                    (armed_config_paths if armed else config_paths)[plan.pid],
-                    plan.downtime,
-                )
-                if armed:
-                    # Respawned armed; the self-kill watcher takes over
-                    # once the armed incarnation is actually running.
-                    watching[plan.pid] = plan
-            for pid in list(watching):
-                if pid in standbys:
-                    continue   # armed incarnation not released yet
-                code = procs[pid].poll()
-                if code is None:
-                    continue
-                plan = watching.pop(pid)
-                if code == -signal.SIGKILL:
-                    kill_time = record_kill(
-                        pid, config_paths[pid], plan.downtime
-                    )
-                    point_kills.append((pid, plan.point, kill_time))
-                # Any other exit: the node finished without reaching the
-                # window; nothing to heal, nothing to respawn.
-            # Sleep to the next kill or release, 20 ms at most (the
-            # self-kill watch above has no due time to sleep towards).
+                record_kill(plan.pid, plan.downtime)
+            # Sleep to the next kill or release, 20 ms at most so the
+            # end of the run is noticed on time.
             due = [when for when, _ in standbys.values()]
             if schedule:
-                due.append(schedule[0][1])
+                due.append(schedule[0].at)
             time.sleep(max(0.0, min([0.02] + [t - env_now() for t in due])))
 
     # Wait for the nodes to finish (they self-terminate at the deadline).
@@ -486,5 +378,4 @@ def _run_cluster(
         kills=kills,
         wall_seconds=wall_seconds,
         exit_codes=exit_codes,
-        point_kills=point_kills,
     )

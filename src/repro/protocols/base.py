@@ -48,7 +48,6 @@ from repro.runtime.app import (
 from repro.runtime.env import RuntimeEnv, TimerHandle
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace
-from repro.storage import intents
 
 
 @dataclass
@@ -421,12 +420,9 @@ class BaseRecoveryProcess(abc.ABC):
                     partial(self._fire, chain),
                     label=chain.label,
                 )
-        # A crash *inside* a periodic callback (an armed crash point
-        # firing mid-checkpoint/flush) lands after the callback nulled
-        # its handle and before it rescheduled, so there was no timer to
-        # pause -- restart such a chain from scratch or it is dead for
-        # the rest of the run.  Ordinary crashes land between events and
-        # never hit this.
+        # A chain that was not running when the process crashed (one
+        # the protocol never started, like sender-based logging's log
+        # flushes) starts from scratch.
         for chain, paused in suspended:
             if paused is None and chain.handle is None and self._wanted(chain):
                 self._arm(chain)
@@ -462,26 +458,18 @@ class BaseRecoveryProcess(abc.ABC):
         """Default checkpoint: flush the log, save the executor snapshot.
 
         Subclasses override to add protocol state (clock, history, ...) via
-        :meth:`checkpoint_extras`.
-
-        The flush and the checkpoint write are two durable steps, so the
-        transition carries a write-ahead intent: a crash between them
-        leaves a flushed-but-uncheckpointed image that the startup
-        crawler rolls back (an early flush is harmless on its own).
+        :meth:`checkpoint_extras`.  The flush and the checkpoint land as
+        one durable step.
         """
-        intent = self.storage.begin_intent(intents.CHECKPOINT)
-        self.storage.advance_intent(intent, "log_flushed")
-        self.flush_log()
-        # Memory-only commit: the checkpoint write below persists the
-        # intent-free image, which is what makes "committed" durable.
-        self.storage.commit_intent(intent)
-        with self.obs.span("proto.checkpoint_wall_s"):
-            ckpt = self.storage.checkpoints.take(
-                self.env.now,
-                self.executor.snapshot(),
-                self.storage.log.stable_length,
-                extras=self.checkpoint_extras(),
-            )
+        with self.storage.atomic():
+            self.flush_log()
+            with self.obs.span("proto.checkpoint_wall_s"):
+                ckpt = self.storage.checkpoints.take(
+                    self.env.now,
+                    self.executor.snapshot(),
+                    self.storage.log.stable_length,
+                    extras=self.checkpoint_extras(),
+                )
         self.obs.counter("proto.checkpoints")
         if self.trace is not None:
             self.trace.record(

@@ -127,7 +127,6 @@ class ShardManager:
             )
         return LiveClusterSpec(
             n=config.nodes_per_shard,
-            protocol="damani-garg",
             run_seconds=config.run_seconds,
             linger=config.linger,
             checkpoint_interval=config.checkpoint_interval,

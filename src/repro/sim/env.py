@@ -23,7 +23,6 @@ from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.storage.intents import CrashPointReached
 from repro.storage.stable import StableStorage
 
 
@@ -116,19 +115,13 @@ class SimEnv(RuntimeEnv):
                     f"host.buffered.p{self.pid}", len(self._buffered)
                 )
             return
-        try:
-            self._protocol.on_network_message(msg)
-        except CrashPointReached as exc:
-            self.on_crash_point(exc)
+        self._protocol.on_network_message(msg)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        try:
-            self.protocol.on_start()
-        except CrashPointReached as exc:
-            self.on_crash_point(exc)
+        self.protocol.on_start()
 
     def crash(self) -> None:
         """Fail the process: volatile state is lost, delivery pauses."""
@@ -164,14 +157,7 @@ class SimEnv(RuntimeEnv):
             tracer.event(
                 "host.restart", pid=self.pid, buffered=len(self._buffered)
             )
-        try:
-            self.protocol.on_restart()
-        except CrashPointReached as exc:
-            # An armed crash point fired mid-restart: the process dies
-            # again with the partial image on "disk"; the rescheduled
-            # restart heals and retries.
-            self.on_crash_point(exc)
-            return
+        self.protocol.on_restart()
         # Resume the periodic chains paused at crash time, preserving their
         # original phase (fire times are exactly those the pre-pause chain
         # would have used).
@@ -179,52 +165,14 @@ class SimEnv(RuntimeEnv):
         if resume is not None:
             resume()
         buffered, self._buffered = self._buffered, []
-        for i, msg in enumerate(buffered):
-            try:
-                self.protocol.on_network_message(msg)
-            except CrashPointReached as exc:
-                # Undelivered drainees go back to the buffer, ahead of
-                # anything that arrived while handling this message.
-                self._buffered = buffered[i + 1:] + self._buffered
-                self.on_crash_point(exc)
-                return
+        for msg in buffered:
+            self.protocol.on_network_message(msg)
         if tracer is not None:
             tracer.gauge(f"host.buffered.p{self.pid}", 0)
-
-    def on_crash_point(self, exc: CrashPointReached) -> None:
-        """An armed crash point fired: die here, restart after downtime.
-
-        The protocol raised out of whatever durable step the point
-        names, so its in-memory state is mid-transition -- exactly what
-        crash semantics require: volatile state is discarded by
-        :meth:`crash` and the restart re-derives everything from the
-        (partial) stable image, which the startup crawler heals first.
-        """
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                EventKind.CUSTOM,
-                self.pid,
-                what="crash_point",
-                point=exc.point,
-            )
-        self.crash()
-        self.sim.schedule(
-            exc.downtime, self.restart, label=f"restart:{self.pid}"
-        )
 
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def _run_timer(self, callback: Callable[[], None]) -> None:
-        """Fire a timer callback; a crash point raised inside it (a
-        periodic checkpoint/flush hitting an armed point) crashes the
-        process instead of unwinding the kernel."""
-        try:
-            callback()
-        except CrashPointReached as exc:
-            self.on_crash_point(exc)
-
     def schedule_after(
         self,
         delay: float,
@@ -234,7 +182,7 @@ class SimEnv(RuntimeEnv):
         label: str = "",
     ) -> TimerHandle:
         return self.sim.schedule(
-            delay, self._run_timer, callback, priority=priority, label=label
+            delay, callback, priority=priority, label=label
         )
 
     def schedule_at(
@@ -249,7 +197,7 @@ class SimEnv(RuntimeEnv):
         # arithmetic can miss ``when`` by an ulp, which would shift resumed
         # periodic chains off their historical fire times.
         return self.sim.schedule_at(
-            when, self._run_timer, callback, priority=priority, label=label
+            when, callback, priority=priority, label=label
         )
 
     def suspend_timer(
@@ -279,7 +227,7 @@ class SimEnv(RuntimeEnv):
         label: str = "",
     ) -> TimerHandle:
         handle._active = False
-        return self.sim.retarget(handle._handle, self._run_timer, callback)
+        return self.sim.retarget(handle._handle, callback)
 
 
 #: The simulated process under its historical name.

@@ -30,27 +30,6 @@ class CrashEvent:
             raise ValueError(f"bad crash event {self!r}")
 
 
-@dataclass(frozen=True)
-class CrashPointEvent:
-    """Arm a named stable-storage crash point on one process.
-
-    Unlike a timed :class:`CrashEvent`, the crash fires *when the
-    process reaches the named durable step* (e.g.
-    ``"rollback:checkpoints_discarded"``), leaving exactly the partial
-    image that step produces; the host then restarts after ``downtime``
-    and the startup crawler heals the image.  Points that the schedule
-    never reaches simply stay armed and harmless.
-    """
-
-    pid: int
-    point: str
-    downtime: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.downtime <= 0 or ":" not in self.point:
-            raise ValueError(f"bad crash-point event {self!r}")
-
-
 @dataclass
 class CrashPlan:
     """A deterministic schedule of crashes."""
@@ -180,13 +159,7 @@ class FailureInjector:
         self,
         crashes: CrashPlan | None = None,
         partitions: PartitionPlan | None = None,
-        crash_points: Sequence[CrashPointEvent] | None = None,
     ) -> None:
-        if crash_points:
-            for cp in crash_points:
-                self.hosts[cp.pid].storage.arm_crash_point(
-                    cp.point, downtime=cp.downtime
-                )
         if crashes is not None:
             for ev in crashes.events:
                 host = self.hosts[ev.pid]

@@ -14,11 +14,17 @@ stream's prefix up to its new end -- in its extras under
 :data:`~repro.storage.checkpoint.SEND_LOG`.  Restoring that checkpoint
 cuts the stream back to that end (:meth:`StableStorage.send_cut_to`), so
 the prefix each retained checkpoint names is its send history.
+
+A protocol transition that makes several durable writes (a checkpoint
+with its log flush, a restart, a rollback, a GC sweep) runs inside
+:meth:`StableStorage.atomic`, which ``FileStableStorage`` turns into one
+record.  Memory cannot be half-written, so here it does nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from contextlib import nullcontext
+from typing import Any, ContextManager
 
 from repro.storage.checkpoint import (
     SEND_LOG,
@@ -26,18 +32,14 @@ from repro.storage.checkpoint import (
     CheckpointStore,
     SendHistory,
 )
-from repro.storage.intents import AUDIT_TAIL, CrashPointReached, IntentRecord
+from repro.storage.intents import AUDIT_TAIL, IntentRecord
 from repro.storage.log import MessageLog
+
+_NO_GROUP = nullcontext()
 
 
 class StableStorage:
     """Everything process ``pid`` keeps on disk."""
-
-    #: File-backed storage fires armed crash points from inside its
-    #: persist (after the atomic file write); in-memory storage fires
-    #: them at the intent transition itself, which models the same
-    #: on-disk partial image (see :mod:`repro.storage.intents`).
-    _fires_on_persist = False
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
@@ -53,8 +55,6 @@ class StableStorage:
         self._active_intent: IntentRecord | None = None
         self._intent_audit: list[IntentRecord] = []
         self._intent_next_id = 0
-        self._commit_pending: IntentRecord | None = None
-        self._armed_crash_points: dict[str, dict[str, Any]] = {}
         self.intents_begun = 0
         self.intents_committed = 0
         self.intents_aborted = 0
@@ -124,6 +124,14 @@ class StableStorage:
         return len(self.sends) if history is None else history.end
 
     # ------------------------------------------------------------------
+    # Transitions
+    # ------------------------------------------------------------------
+    def atomic(self) -> ContextManager[None]:
+        """Group the writes of one protocol transition into one durable
+        step.  In memory every write is already as durable as it gets."""
+        return _NO_GROUP
+
+    # ------------------------------------------------------------------
     # Durable scalars
     # ------------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
@@ -150,18 +158,15 @@ class StableStorage:
 
         Memory-only: the record becomes durable by riding the *next*
         step's own persist, so a clean image never pays an extra write.
-        Returns ``None`` when another intent is already active -- a
-        nested transition (e.g. the log flush inside a checkpoint) rides
-        under the outer intent, and the ``None``-tolerant
-        :meth:`advance_intent` / :meth:`commit_intent` make the inner
-        call sites unconditional.
+        Returns ``None`` when another intent is already active, and the
+        ``None``-tolerant :meth:`advance_intent` / :meth:`commit_intent`
+        let such a call site stay unconditional.
         """
         if self._active_intent is not None:
             return None
         record = IntentRecord(self._intent_next_id, kind, payload=payload)
         self._intent_next_id += 1
         self._active_intent = record
-        self._commit_pending = None
         self.intents_begun += 1
         return record
 
@@ -170,8 +175,6 @@ class StableStorage:
         step's persist records which transition was in flight."""
         if intent is None:
             return
-        if self._armed_crash_points and not self._fires_on_persist:
-            self._fire_crash_point(f"{intent.kind}:{intent.step}")
         intent.step = step
 
     def commit_intent(self, intent: IntentRecord | None) -> None:
@@ -180,12 +183,9 @@ class StableStorage:
         durable with no extra write."""
         if intent is None:
             return
-        if self._armed_crash_points and not self._fires_on_persist:
-            self._fire_crash_point(f"{intent.kind}:{intent.step}")
         intent.status = "committed"
         self.intents_committed += 1
         self._retire(intent)
-        self._commit_pending = intent
 
     def abort_intent(
         self, intent: IntentRecord | None, reason: str = ""
@@ -211,40 +211,9 @@ class StableStorage:
         return list(self._intent_audit)
 
     # ------------------------------------------------------------------
-    # Crash points (fault injection for the crash-window test matrix)
-    # ------------------------------------------------------------------
-    def arm_crash_point(
-        self,
-        point: str,
-        *,
-        downtime: float = 1.0,
-        action: Callable[[str], None] | None = None,
-    ) -> None:
-        """Arm ``"<kind>:<step>"`` to fire once when that durable step
-        lands.  The default action raises :class:`CrashPointReached`
-        (the simulator converts it into a crash + scheduled restart);
-        the live node installs a self-SIGKILL action instead."""
-        self._armed_crash_points[point] = {
-            "downtime": downtime,
-            "action": action,
-        }
-
-    def armed_crash_points(self) -> set[str]:
-        return set(self._armed_crash_points)
-
-    def _fire_crash_point(self, point: str) -> None:
-        armed = self._armed_crash_points.pop(point, None)
-        if armed is None:
-            return
-        action = armed["action"]
-        if action is not None:
-            action(point)
-            return
-        raise CrashPointReached(point, armed["downtime"])
-
-    # ------------------------------------------------------------------
     # Failure hook
     # ------------------------------------------------------------------
     def on_crash(self) -> int:
         """Apply crash semantics: only the volatile log buffer is lost."""
         return self.log.on_crash()
+

@@ -18,18 +18,15 @@ from typing import Any
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentSpec
 from repro.protocols.base import ProtocolConfig
-from repro.sim.failures import CrashPlan, CrashPointEvent, PartitionPlan
+from repro.sim.failures import CrashPlan, PartitionPlan
 from repro.sim.network import DeliveryOrder
 from repro.sim.rng import derive_seed
-from repro.storage.intents import SIM_CRASH_POINTS
 from repro.stress.profiles import DEFAULT_PROFILE, WORKLOADS, StressProfile
 
 #: (time, pid, downtime)
 CrashTuple = tuple[float, int, float]
 #: (time, groups, heal_time) with groups a tuple of pid tuples
 PartitionTuple = tuple[float, tuple[tuple[int, ...], ...], float]
-#: (pid, "kind:step", downtime) -- see repro.storage.intents
-CrashPointTuple = tuple[int, str, float]
 
 
 @dataclass(frozen=True)
@@ -51,11 +48,6 @@ class StressCase:
     stability_interval: float | None
     crashes: tuple[CrashTuple, ...]
     partitions: tuple[PartitionTuple, ...]
-    # Armed stable-storage crash points (pid, "kind:step", downtime);
-    # generated only for retransmit-enabled cases, mirroring the live
-    # runtime where mid-transition kills rely on Remark-1 retransmission
-    # for completeness.
-    crash_points: tuple[CrashPointTuple, ...] = ()
 
     @property
     def crash_count(self) -> int:
@@ -72,9 +64,9 @@ class StressCase:
         if self.retransmit_on_token:
             flags.append("retransmit")
         if self.commit_outputs:
-            flags.append("commit+gc")
-        if self.crash_points:
-            flags.append(f"points={len(self.crash_points)}")
+            flags.append("commit")
+        if self.enable_gc:
+            flags.append("gc")
         return (
             f"seed={self.seed} n={self.n} {self.workload} "
             f"h={self.horizon:.0f} {self.order} "
@@ -98,7 +90,16 @@ def generate_case(
         else 0.0
     )
     retransmit = rng.random() < profile.retransmit_prob
-    extensions = rng.random() < profile.extensions_prob
+    commit = rng.random() < profile.extensions_prob
+    checkpoint_interval = round(rng.uniform(*profile.checkpoint_interval), 3)
+    flush_interval = round(rng.uniform(*profile.flush_interval), 3)
+    stability_interval = round(rng.uniform(3.0, 6.0), 3) if commit else None
+    # GC draws from a stream of its own: the main stream, and so the
+    # crash and partition schedules, do not depend on it.
+    gc_rng = random.Random(derive_seed(seed, f"stress/{profile.name}/gc"))
+    enable_gc = gc_rng.random() < profile.extensions_prob
+    if enable_gc and stability_interval is None:
+        stability_interval = round(gc_rng.uniform(3.0, 6.0), 3)
     return StressCase(
         seed=seed,
         n=n,
@@ -106,49 +107,15 @@ def generate_case(
         horizon=round(horizon, 3),
         order=order,
         duplicate_rate=round(duplicate_rate, 3),
-        checkpoint_interval=round(
-            rng.uniform(*profile.checkpoint_interval), 3
-        ),
-        flush_interval=round(rng.uniform(*profile.flush_interval), 3),
+        checkpoint_interval=checkpoint_interval,
+        flush_interval=flush_interval,
         retransmit_on_token=retransmit,
-        commit_outputs=extensions,
-        enable_gc=extensions,
-        stability_interval=round(rng.uniform(3.0, 6.0), 3) if extensions else None,
+        commit_outputs=commit,
+        enable_gc=enable_gc,
+        stability_interval=stability_interval,
         crashes=_generate_crashes(rng, n, horizon, profile),
         partitions=_generate_partitions(rng, n, horizon, profile),
-        crash_points=_generate_crash_points(seed, n, retransmit, profile),
     )
-
-
-def _generate_crash_points(
-    seed: int, n: int, retransmit: bool, profile: StressProfile
-) -> tuple[CrashPointTuple, ...]:
-    """Arm 1-2 stable-storage crash points on random processes.
-
-    Drawn from a *separately derived* stream so pre-existing seeds keep
-    generating byte-identical schedules (the points are purely
-    additive).  Gated on retransmit: a mid-transition kill can orphan a
-    delivered-but-truncated message, and completeness then relies on
-    Remark-1 retransmission -- exactly the live-runtime configuration.
-    """
-    if not retransmit or profile.crash_point_prob <= 0:
-        return ()
-    rng = random.Random(
-        derive_seed(seed, f"stress/{profile.name}/crash_points")
-    )
-    if rng.random() >= profile.crash_point_prob:
-        return ()
-    count = rng.randint(1, 2)
-    points = []
-    for _ in range(count):
-        points.append(
-            (
-                rng.randrange(n),
-                rng.choice(SIM_CRASH_POINTS),
-                round(rng.uniform(*profile.downtime), 3),
-            )
-        )
-    return tuple(sorted(set(points)))
 
 
 def _generate_crashes(
@@ -236,10 +203,6 @@ def build_spec(case: StressCase) -> ExperimentSpec:
         ),
         crashes=crashes if case.crashes else None,
         partitions=partitions if case.partitions else None,
-        crash_points=tuple(
-            CrashPointEvent(pid, point, downtime)
-            for pid, point, downtime in case.crash_points
-        ),
     )
 
 
@@ -252,7 +215,17 @@ def case_to_dict(case: StressCase) -> dict[str, Any]:
 
 
 def case_from_dict(data: dict[str, Any]) -> StressCase:
-    """Rebuild a case from :func:`case_to_dict` output (JSON-safe types)."""
+    """Rebuild a case from :func:`case_to_dict` output (JSON-safe types).
+
+    Reproducers recorded while stable-storage crash points existed carry
+    a ``crash_points`` list; an empty one loads, a non-empty one names
+    windows that no longer exist and is refused."""
+    if data.get("crash_points"):
+        raise ValueError(
+            f"seed {data.get('seed')}: the case arms crash points "
+            f"{data['crash_points']!r}; a protocol transition is one "
+            "record, so there is no window inside one to arm"
+        )
     return StressCase(
         seed=int(data["seed"]),
         n=int(data["n"]),
@@ -281,11 +254,6 @@ def case_from_dict(data: dict[str, Any]) -> StressCase:
             )
             for t, groups, heal in data["partitions"]
         ),
-        # Absent in reproducers recorded before crash points existed.
-        crash_points=tuple(
-            (int(pid), str(point), float(down))
-            for pid, point, down in data.get("crash_points", ())
-        ),
     )
 
 
@@ -294,7 +262,6 @@ def with_events(
     *,
     crashes: tuple[CrashTuple, ...] | None = None,
     partitions: tuple[PartitionTuple, ...] | None = None,
-    crash_points: tuple[CrashPointTuple, ...] | None = None,
 ) -> StressCase:
     """Copy ``case`` with a different failure schedule (shrinker helper)."""
     kwargs: dict[str, Any] = {}
@@ -302,6 +269,4 @@ def with_events(
         kwargs["crashes"] = crashes
     if partitions is not None:
         kwargs["partitions"] = partitions
-    if crash_points is not None:
-        kwargs["crash_points"] = crash_points
     return replace(case, **kwargs)

@@ -62,11 +62,9 @@ class StressProfile:
     duplicate_rate: tuple[float, float] = (0.05, 0.3)
     fifo_prob: float = 0.5
     retransmit_prob: float = 0.5
-    #: probability of enabling output commit + GC (with a stability sweep)
+    #: probability of enabling output commit, and, drawn independently,
+    #: of enabling GC (either one turns on the stability gossip)
     extensions_prob: float = 0.3
-    #: probability (per retransmit-enabled case) of arming 1-2 stable-
-    #: storage crash points (mid-transition kills; repro.storage.intents)
-    crash_point_prob: float = 0.35
     checkpoint_interval: tuple[float, float] = (5.0, 12.0)
     flush_interval: tuple[float, float] = (1.5, 4.0)
     workloads: tuple[str, ...] = (

@@ -8,7 +8,7 @@ removes whatever it can while the failure persists:
    chunks, down to single events;
 2. delete partition windows the same way;
 3. switch off incidental complexity (duplicate injection, retransmit,
-   the output-commit/GC extensions) one flag at a time;
+   output commit, GC) one flag at a time;
 4. cut the horizon down to just past the last remaining failure event.
 
 Every candidate is itself a well-formed :class:`StressCase`, so the
@@ -70,7 +70,6 @@ def shrink_case(
         before = case
         case = _shrink_crashes(case, check)
         case = _shrink_partitions(case, check)
-        case = _shrink_crash_points(case, check)
         case = _shrink_flags(case, check)
         case = _shrink_horizon(case, check)
         if case == before:
@@ -124,45 +123,24 @@ def _shrink_partitions(
     return with_events(case, partitions=kept)
 
 
-def _shrink_crash_points(
-    case: StressCase, check: Callable[[StressCase], bool]
-) -> StressCase:
-    if not case.crash_points:
-        return case
-    kept = _reduce_events(
-        case.crash_points,
-        lambda ev: with_events(case, crash_points=ev),
-        check,
-    )
-    return with_events(case, crash_points=kept)
-
-
 # ---------------------------------------------------------------------------
 # Flag and horizon simplification
 # ---------------------------------------------------------------------------
 def _shrink_flags(
     case: StressCase, check: Callable[[StressCase], bool]
 ) -> StressCase:
-    candidates: list[StressCase] = []
-    if case.duplicate_rate:
-        candidates.append(replace(case, duplicate_rate=0.0))
-    if case.retransmit_on_token:
-        # Crash points are generated only for retransmit-enabled cases
-        # (completeness after a mid-transition kill relies on Remark-1
-        # retransmission), so dropping the flag must drop them too.
-        candidates.append(
-            replace(case, retransmit_on_token=False, crash_points=())
-        )
-    if case.commit_outputs or case.enable_gc:
-        candidates.append(
-            replace(
-                case,
-                commit_outputs=False,
-                enable_gc=False,
-                stability_interval=None,
-            )
-        )
-    for candidate in candidates:
+    for flag, off in (
+        ("duplicate_rate", 0.0),
+        ("retransmit_on_token", False),
+        ("commit_outputs", False),
+        ("enable_gc", False),
+    ):
+        if not getattr(case, flag):
+            continue
+        candidate = replace(case, **{flag: off})
+        if not (candidate.commit_outputs or candidate.enable_gc):
+            # Nothing left for the stability gossip to drive.
+            candidate = replace(candidate, stability_interval=None)
         if check(candidate):
             case = candidate
     return case

@@ -1,9 +1,10 @@
 """Operator rollback: orphan preservation, witnessed audit, crash windows.
 
-The rewind itself is a multi-step durable transition, so it gets the same
-treatment as the protocol's transitions: every enumerated
-``operator-rollback`` crash point is fired mid-rewind and the startup
-crawler must roll the image *forward* to the anchored frontier.
+The rewind itself is a multi-step durable transition (it also writes
+``rollback_audit.json`` beside the image), so it runs under a write-ahead
+intent: every enumerated ``operator-rollback`` crash point is fired
+mid-rewind and the startup crawler must roll the image *forward* to the
+anchored frontier.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.live.storage import FileStableStorage
 from repro.storage.checkpoint import SEND_LOG
 from repro.storage.intents import (
     OPERATOR_ROLLBACK,
-    RECOVERED_ENTRIES_KEY,
     CrashPointReached,
     crash_points,
     heal,
@@ -151,8 +151,6 @@ def test_operator_rollback_crash_windows_heal_forward(tmp_path, point):
     area = reborn.get(ORPHANS_KEY)
     assert area and len(area[0]["entries"]) == 4
     assert area[0]["sends"] == ["s2", "s3", "s4"]
-    # Operator orphans must never be re-presented to the protocol.
-    assert reborn.get(RECOVERED_ENTRIES_KEY) in (None, [])
 
 
 def test_rollback_cli(tmp_path):

@@ -14,6 +14,7 @@ from repro.core.tokens import RecoveryToken
 from repro.live.storage import FileStableStorage, _size, scan
 from repro.runtime.message import NetworkMessage
 from repro.storage.checkpoint import SEND_LOG
+from repro.storage.stable import StableStorage
 
 
 @pytest.fixture
@@ -98,6 +99,47 @@ def test_persist_count_tracks_durable_mutations_only(path):
     assert storage.persist_count == base + 1
     storage.put("k", 1)
     assert storage.persist_count == base + 2
+
+
+def test_atomic_group_writes_one_record_at_its_outermost_exit(path):
+    storage = FileStableStorage(0, path)
+    storage.put("seed", 1)                      # the snapshot record
+    with storage.atomic():
+        storage.log.append(1, 1, "a")
+        storage.log.flush()
+        with storage.atomic():                  # nested: no record yet
+            storage.checkpoints.take(1.0, {}, 1)
+        storage.put("stable_own", (0, 1))
+        storage.sync()                          # deferred as well
+        assert storage.persist_count == 1
+    assert storage.persist_count == 2
+    assert len(_records(path)) == 2
+    reborn = FileStableStorage(0, path)
+    assert reborn.log.stable_length == 1
+    assert [c.log_position for c in reborn.checkpoints] == [1]
+    assert reborn.get("stable_own") == (0, 1)
+
+
+def test_atomic_group_that_raises_writes_no_record(path):
+    """The transition's ops stay pending, as after a failed persist, and
+    the next record carries them; nothing of it lands on its own."""
+    storage = FileStableStorage(0, path)
+    storage.put("seed", 1)
+    with pytest.raises(RuntimeError):
+        with storage.atomic():
+            storage.put("half", 1)
+            raise RuntimeError("transition failed")
+    assert storage.persist_count == 1
+    assert FileStableStorage(0, path).get("half") is None
+    storage.put("next", 1)
+    assert FileStableStorage(0, path).get("half") == 1
+
+
+def test_in_memory_atomic_group_is_inert():
+    storage = StableStorage(0)
+    with storage.atomic():
+        storage.put("k", 1)
+    assert storage.get("k") == 1 and storage.sync_writes == 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +472,19 @@ def test_cli_prints_one_line_per_record(path):
     import sys
 
     from repro.live.storage import describe
-    from repro.storage.intents import FLUSH
+    from repro.storage.intents import OPERATOR_ROLLBACK
 
     storage = FileStableStorage(0, path)
     storage.put("node_boots", 1)
-    intent = storage.begin_intent(FLUSH)
-    storage.advance_intent(intent, "log_flushed")
-    storage.log.append(1, 1, "a")
-    storage.log.append(2, 1, "b")
-    storage.log.flush()
+    with storage.atomic():
+        storage.log.append(1, 1, "a")
+        storage.log.append(2, 1, "b")
+        storage.log.flush()
+        storage.put("stable_own", (0, 2))
+    intent = storage.begin_intent(OPERATOR_ROLLBACK)
+    storage.advance_intent(intent, "orphans_preserved")
+    storage.put("operator_orphans", [])
     storage.commit_intent(intent)
-    storage.put("stable_own", (0, 2))
     history = storage.send_append(["s0", "s1", "s2"])
     storage.checkpoints.take(1.0, {}, 2, extras={SEND_LOG: history})
     storage.send_cut(1)
@@ -448,10 +492,10 @@ def test_cli_prints_one_line_per_record(path):
     with open(path, "rb") as fh:
         deltas = list(describe(fh.read()))[1:]
     assert len(deltas) == 4
-    assert re.search(r" log\+x2:\d+B ", deltas[0])
-    assert "intent=flush@log_flushed" in deltas[0]
-    assert re.search(r" kv:stable_ownx1:\d+B ", deltas[1])
-    assert "intent=-" in deltas[1]
+    # One transition, one record.
+    assert re.search(r" delta log\+x2:\d+B,kv:stable_ownx1:\d+B ", deltas[0])
+    assert "intent=-" in deltas[0]
+    assert "intent=operator-rollback@orphans_preserved" in deltas[1]
     # The sends ride the checkpoint's record, the cut the next one.
     assert re.search(r" delta send\+x3:\d+B,ckpt\+x1:\d+B ", deltas[2])
     assert re.search(

@@ -151,8 +151,11 @@ def test_gc_then_rollback_end_to_end_under_protocol():
     from repro.harness.runner import run_experiment
     from repro.stress import build_spec, generate_case
 
-    case = generate_case(39)                # commit+gc, 3 crashes, rollbacks
-    assert case.enable_gc
+    from dataclasses import replace
+
+    # Output commit, 3 crashes, rollbacks; GC draws from its own stream.
+    case = replace(generate_case(39), enable_gc=True)
+    assert case.commit_outputs
     result = run_experiment(build_spec(case))
     assert sum(p.storage.log.gc_count for p in result.protocols) > 0
     assert result.total_rollbacks > 0

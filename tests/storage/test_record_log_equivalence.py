@@ -2,12 +2,14 @@
 
 Random sequences of *every* durable operation -- log flush / truncate /
 prefix discard, checkpoint take / suffix discard / prefix collection,
-token logging with dedupe, ``put`` / ``put_lazy``, outbox add / ack, and
-the four intent transitions -- run against one
-:class:`FileStableStorage` with the compaction floor patched low, so
-snapshots and deltas interleave.  After every barrier a fresh storage is
-opened over a copy of the file and must equal the live object's durable
-state: nothing a barrier acknowledged may depend on a later write.
+token logging with dedupe, ``put`` / ``put_lazy``, outbox add / ack,
+the operator-rollback intent steps, and ``atomic()`` groups around runs
+of them -- run against one :class:`FileStableStorage` with the
+compaction floor patched low, so snapshots and deltas interleave.  After
+every record a fresh storage is opened over a copy of the file and must
+equal the live object's durable state: nothing a record acknowledged may
+depend on a later write.  An open group writes no record, and closing it
+writes at most one.
 """
 
 import asyncio
@@ -18,7 +20,7 @@ import shutil
 import pytest
 
 from repro.live.storage import FileStableStorage
-from repro.storage.intents import INTENT_STEPS
+from repro.storage.intents import INTENT_STEPS, OPERATOR_ROLLBACK
 
 
 def _state(storage):
@@ -30,17 +32,23 @@ class _Driver:
         self.storage = storage
         self.rng = rng
         self.intent = None
+        self.group = None
         self.serial = 0
 
     def step(self):
         self.serial += 1
+        if self.group is not None:
+            self.group_steps -= 1
+            if not self.group_steps:
+                self.close_group()
+                return
         self.rng.choice(
             [
                 self.flush, self.flush, self.truncate, self.discard_prefix,
                 self.take, self.discard_after, self.collect,
                 self.token, self.put, self.put_lazy,
                 self.outbox_add, self.outbox_add, self.outbox_ack,
-                self.intent_step,
+                self.intent_step, self.atomic_group,
             ]
         )()
 
@@ -104,9 +112,10 @@ class _Driver:
     def intent_step(self):
         storage = self.storage
         if self.intent is None:
-            kind = self.rng.choice(sorted(INTENT_STEPS))
-            self.intent = storage.begin_intent(kind, anchor=self.serial)
-            self.steps = list(INTENT_STEPS[kind])
+            self.intent = storage.begin_intent(
+                OPERATOR_ROLLBACK, anchor=self.serial
+            )
+            self.steps = list(INTENT_STEPS[OPERATOR_ROLLBACK])
         elif self.steps and self.rng.random() < 0.7:
             storage.advance_intent(self.intent, self.steps.pop(0))
         elif self.rng.random() < 0.8:
@@ -116,17 +125,37 @@ class _Driver:
             storage.abort_intent(self.intent, reason="test")
             self.intent = None
 
+    # -- one transition: a group around the next few steps --------------
+    def atomic_group(self):
+        if self.group is None:
+            self.group = self.storage.atomic()
+            self.group.__enter__()
+            self.group_steps = self.rng.randint(2, 5)
 
-def _drive(path, copy, seed, *, flush_window, steps=250):
+    def close_group(self):
+        if self.group is not None:
+            group, self.group = self.group, None
+            group.__exit__(None, None, None)
+
+
+def _drive(path, copy, seed, *, flush_window, steps=350):
     rng = random.Random(seed)
     storage = FileStableStorage(0, path, flush_window=flush_window)
     driver = _Driver(storage, rng)
     compared = compactions = 0
-    for _ in range(steps):
+    for step in range(steps):
         before = (storage.persist_count, storage.dir_fsyncs)
-        driver.step()
+        grouped = driver.group is not None
+        if step == steps - 1:
+            driver.close_group()
+        else:
+            driver.step()
         if flush_window and rng.random() < 0.15:
             storage.sync()
+        if driver.group is not None:
+            assert storage.persist_count == before[0], (seed, driver.serial)
+        elif grouped:
+            assert storage.persist_count <= before[0] + 1
         if storage.persist_count == before[0]:
             continue
         compactions += storage.dir_fsyncs - before[1]

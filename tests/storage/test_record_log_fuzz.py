@@ -18,6 +18,7 @@ import os
 import pickle
 import random
 import shutil
+from contextlib import nullcontext
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.live.storage import (
     describe,
     scan,
 )
-from repro.storage.intents import ROLLBACK
+from repro.storage.intents import OPERATOR_ROLLBACK
 
 
 def _state(storage):
@@ -61,15 +62,19 @@ def _history(path):
         ack()
     storage.outbox.ack(1, 2)
     ack()
-    intent = storage.begin_intent(ROLLBACK, anchor_ckpt_id=0, truncate_at=2)
-    storage.advance_intent(intent, "log_flushed")
-    storage.checkpoints.discard_after(storage.checkpoints.latest())
+    with storage.atomic():      # a rollback: one record
+        storage.checkpoints.discard_after(storage.checkpoints.latest())
+        storage.log.truncate(2)
+        storage.put("stable_own", (0, 2))
     ack()
-    storage.advance_intent(intent, "log_truncated")
-    storage.log.truncate(2)
+    intent = storage.begin_intent(
+        OPERATOR_ROLLBACK, anchor_ckpt_id=0, truncate_at=2
+    )
+    storage.advance_intent(intent, "orphans_preserved")
+    storage.put("operator_orphans", [])
     ack()
     storage.commit_intent(intent)
-    storage.put("stable_own", (0, 2))
+    storage.put("operator_rollback_audit", [])
     ack()
     storage.put_lazy("committed_outputs", {(0, 1)})
     ack()
@@ -233,7 +238,8 @@ def test_random_truncate_gc_and_cut_reopen_to_the_same_streams(
     tmp_path, monkeypatch, seed
 ):
     """Flushes and send appends make chunks; truncation, GC and cuts land
-    inside them as often as between them.  After every step the file,
+    inside them as often as between them, alone or a few at a time in
+    one ``atomic()`` group (one record).  After every step the file,
     reopened, holds the same streams split into the same chunks, and
     every snapshot reuses the chunk bytes memory holds."""
     monkeypatch.setattr("repro.live.storage._COMPACT_FLOOR", 1024)
@@ -242,34 +248,20 @@ def test_random_truncate_gc_and_cut_reopen_to_the_same_streams(
     copy = str(tmp_path / "copy.pickle")
     storage = FileStableStorage(0, path)
     storage.put("node_boots", 1)
-    splits = snapshots = 0
+    splits = snapshots = groups = 0
     for serial in range(300):
         log = storage.log
-        step = rng.choice(("flush", "flush", "send", "send", "truncate",
-                           "gc", "cut"))
-        if step == "flush":
-            for i in range(rng.randrange(1, 6)):
-                log.append(serial, 1, f"m{serial}.{i}", meta=(serial, i))
-            log.flush()
-        elif step == "send":
-            storage.send_append(
-                [(serial, i) for i in range(rng.randrange(1, 6))]
-            )
-        elif step == "truncate":
-            keep = rng.randint(log._gc_offset, log.stable_length)
-            splits += any(a < keep < b for a, b, _ in log.chunks.spans)
-            log.truncate(keep)
-        elif step == "gc":
-            log.discard_prefix(rng.randint(0, log.stable_length))
-        else:
-            end = rng.randint(0, len(storage.sends))
-            spans = storage._send_chunks.spans
-            splits += any(a < end < b for a, b, _ in spans)
-            storage.send_cut(end)
-        # Send ops ride the next barrier, as a checkpoint's would.
-        before = storage.dir_fsyncs
-        storage.put("serial", serial)
-        if storage.dir_fsyncs > before:
+        grouped = rng.random() < 0.4
+        groups += grouped
+        before = storage.dir_fsyncs, storage.persist_count
+        with storage.atomic() if grouped else nullcontext():
+            for _ in range(rng.randint(2, 4) if grouped else 1):
+                splits += _stream_step(storage, rng, serial)
+            # Send ops ride the next barrier, as a checkpoint's would.
+            storage.put("serial", serial)
+        if grouped:
+            assert storage.persist_count == before[1] + 1
+        if storage.dir_fsyncs > before[0]:
             snapshots += 1
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -279,7 +271,35 @@ def test_random_truncate_gc_and_cut_reopen_to_the_same_streams(
         reborn = FileStableStorage(0, copy)
         assert _streams(reborn) == _streams(storage), (seed, serial)
         assert _state(reborn) == _state(storage), (seed, serial)
-    assert splits > 10 and snapshots > 3
+    assert splits > 10 and snapshots > 3 and groups > 50
+
+
+def _stream_step(storage, rng, serial):
+    """One random stream mutation; whether it split a chunk."""
+    log = storage.log
+    step = rng.choice(("flush", "flush", "send", "send", "truncate",
+                       "gc", "cut"))
+    if step == "flush":
+        for i in range(rng.randrange(1, 6)):
+            log.append(serial, 1, f"m{serial}.{i}", meta=(serial, i))
+        log.flush()
+    elif step == "send":
+        storage.send_append(
+            [(serial, i) for i in range(rng.randrange(1, 6))]
+        )
+    elif step == "truncate":
+        keep = rng.randint(log._gc_offset, log.stable_length)
+        split = any(a < keep < b for a, b, _ in log.chunks.spans)
+        log.truncate(keep)
+        return split
+    elif step == "gc":
+        log.discard_prefix(rng.randint(0, log.stable_length))
+    else:
+        end = rng.randint(0, len(storage.sends))
+        split = any(a < end < b for a, b, _ in storage._send_chunks.spans)
+        storage.send_cut(end)
+        return split
+    return False
 
 
 # ---------------------------------------------------------------------------

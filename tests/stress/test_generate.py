@@ -10,8 +10,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.storage.intents import SIM_CRASH_POINTS
-
 from repro.harness.runner import run_experiment
 from repro.sim.network import DeliveryOrder
 from repro.stress import (
@@ -81,13 +79,6 @@ def test_partition_windows_never_overlap():
             assert start > heal
 
 
-def test_extension_flags_travel_together():
-    for seed in SEEDS:
-        case = generate_case(seed)
-        assert case.commit_outputs == case.enable_gc
-        assert (case.stability_interval is not None) == case.commit_outputs
-
-
 def test_json_round_trip_is_identity():
     for seed in SEEDS:
         case = generate_case(seed)
@@ -124,40 +115,30 @@ def test_every_workload_factory_builds():
         assert factory(4) is not None, name
 
 
-def test_crash_points_only_on_retransmit_cases():
-    seen_points = False
-    for seed in range(120):
+def test_gc_and_output_commit_are_drawn_independently():
+    """GC without output commit is what the live service ships, so the
+    generator must produce it; either flag turns on the gossip."""
+    combos = set()
+    for seed in range(200):
         case = generate_case(seed)
-        if case.crash_points:
-            seen_points = True
-            assert case.retransmit_on_token
-            for pid, point, downtime in case.crash_points:
-                assert 0 <= pid < case.n
-                assert point in SIM_CRASH_POINTS
-                assert downtime > 0
-    assert seen_points  # the 0.35 gate hits well within 120 seeds
-
-
-def test_crash_points_are_disabled_by_profile():
-    quiet = replace(PROFILES["default"], crash_point_prob=0.0)
-    assert all(
-        generate_case(seed, quiet).crash_points == () for seed in range(40)
-    )
+        combos.add((case.commit_outputs, case.enable_gc))
+        gossip = case.commit_outputs or case.enable_gc
+        assert (case.stability_interval is not None) == gossip
+        if gossip:
+            assert 3.0 <= case.stability_interval <= 6.0
+    assert combos == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_legacy_reproducers_without_crash_points_load():
     case = generate_case(7)
     data = case_to_dict(case)
-    del data["crash_points"]   # recorded before crash points existed
+    data["crash_points"] = []   # what reproducers of crash-point days hold
     loaded = case_from_dict(json.loads(json.dumps(data)))
-    assert loaded == replace(case, crash_points=())
+    assert loaded == case
 
 
-def test_build_spec_arms_crash_points():
-    case = next(
-        c for c in (generate_case(s) for s in range(200)) if c.crash_points
-    )
-    spec = build_spec(case)
-    assert tuple(
-        (ev.pid, ev.point, ev.downtime) for ev in spec.crash_points
-    ) == case.crash_points
+def test_reproducers_arming_crash_points_are_refused():
+    data = case_to_dict(generate_case(7))
+    data["crash_points"] = [[0, "flush:log_flushed", 1.0]]
+    with pytest.raises(ValueError, match="crash points"):
+        case_from_dict(data)

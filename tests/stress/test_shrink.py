@@ -108,40 +108,16 @@ def test_unshrinkable_case_is_returned_unchanged():
     assert shrink_case(bare, fails) == bare
 
 
-def test_crash_points_are_shrunk():
+def test_commit_and_gc_are_dropped_one_at_a_time():
+    """Each extension flag is its own candidate: a failure that needs GC
+    keeps GC (and the gossip that drives it) and loses output commit."""
     case = replace(
-        CASE,
-        retransmit_on_token=True,
-        crash_points=(
-            (0, "flush:log_flushed", 1.0),
-            (1, "rollback:log_flushed", 2.0),
-            (2, "checkpoint:log_flushed", 1.5),
-        ),
-    )
-    essential = case.crash_points[1]
-
-    def fails(candidate):
-        return essential in candidate.crash_points
-
-    shrunk = shrink_case(case, fails)
-    assert shrunk.crash_points == (essential,)
-
-
-def test_dropping_retransmit_also_drops_crash_points():
-    """Crash points are only generated for retransmit-enabled cases; a
-    candidate with points but no retransmission would be a schedule the
-    generator can never produce (and an unfair one: completeness after a
-    mid-transition kill relies on Remark-1 retransmission)."""
-    case = replace(
-        CASE,
-        retransmit_on_token=True,
-        crash_points=((0, "flush:log_flushed", 1.0),),
+        CASE, commit_outputs=True, enable_gc=True, stability_interval=4.0
     )
 
     def fails(candidate):
-        # Fails regardless of flags: the shrinker will try dropping both.
-        return True
+        return candidate.enable_gc
 
     shrunk = shrink_case(case, fails)
-    assert not shrunk.retransmit_on_token
-    assert shrunk.crash_points == ()
+    assert shrunk.enable_gc and not shrunk.commit_outputs
+    assert shrunk.stability_interval == 4.0

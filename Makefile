@@ -57,6 +57,13 @@ table1:
 #   make perf-pairs WORKLOAD=live_saturated
 # (one seed per pair, 71-81), with `peak_rss_mb` within +5% and
 # sim_steady, sim_stress and service_crash as the ones that must not move.
+# Trace lines written and merged without the generic codec, and the cyclic
+# collector paused over each run phase (repro.runtime.collector):
+# `cpu_ms_per_op` down >= 12% in the median of >= 6 alternating pairs of
+#   make perf-pairs WORKLOAD=live_saturated
+# with 0 failed ops on both sides; sim_steady, sim_stress and
+# service_crash within their bounds and `peak_rss_mb` within +2% on all
+# four workloads.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

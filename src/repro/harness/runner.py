@@ -34,6 +34,7 @@ from repro.sim.network import (
     UniformLatency,
 )
 from repro.runtime.app import Application
+from repro.runtime.collector import collector_paused
 from repro.runtime.env import RuntimeEnv
 from repro.runtime.trace import SimTrace
 from repro.sim.env import SimEnv
@@ -166,28 +167,34 @@ class ExperimentResult:
         from every live process and a drain of its reports, so outputs
         stranded by the cutoff still commit."""
         spec = self.spec
-        for host in self.hosts:
-            host.start()
-        obs = spec.tracer if spec.tracer is not None else NULL_TRACER
-        with obs.span("run.horizon_wall_s"):
-            self.sim.run(until=spec.horizon)
-        if spec.drain:
-            # Stop checkpoint/flush heartbeats so the run can quiesce, then
-            # let in-flight application and recovery traffic finish.
-            for protocol in self.protocols:
-                protocol.halt_periodic_tasks()
-            with obs.span("run.drain_wall_s"):
-                self.sim.drain(limit=spec.drain_limit)
-                if spec.config.gossip_interval is not None:
-                    # One more round from every live process, each as a
-                    # 0-delay timer: the event order the stress digest pins.
-                    for host in self.hosts:
-                        if host.alive:
-                            host.schedule_after(
-                                0.0, host.protocol.gossip_tick,
-                                label=f"gossip:{host.pid}",
-                            )
+        # A run only adds to what it holds (repro.runtime.collector): the
+        # automatic collector stays off, and one young collection at the
+        # end traverses what the run made, once.
+        with collector_paused(spec.tracer):
+            for host in self.hosts:
+                host.start()
+            obs = spec.tracer if spec.tracer is not None else NULL_TRACER
+            with obs.span("run.horizon_wall_s"):
+                self.sim.run(until=spec.horizon)
+            if spec.drain:
+                # Stop checkpoint/flush heartbeats so the run can quiesce,
+                # then let in-flight application and recovery traffic
+                # finish.
+                for protocol in self.protocols:
+                    protocol.halt_periodic_tasks()
+                with obs.span("run.drain_wall_s"):
                     self.sim.drain(limit=spec.drain_limit)
+                    if spec.config.gossip_interval is not None:
+                        # One more round from every live process, each as
+                        # a 0-delay timer: the event order the stress
+                        # digest pins.
+                        for host in self.hosts:
+                            if host.alive:
+                                host.schedule_after(
+                                    0.0, host.protocol.gossip_tick,
+                                    label=f"gossip:{host.pid}",
+                                )
+                        self.sim.drain(limit=spec.drain_limit)
         return self
 
 

@@ -19,21 +19,94 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from math import isfinite
 from typing import Any, Callable, IO
 
 from repro.live import codec
 from repro.live.framing import compact_json
+from repro.runtime.collector import collector_paused
 from repro.runtime.env import RuntimeEnv, TimerHandle
 from repro.runtime.message import NetworkMessage
 from repro.runtime.trace import EventKind, SimTrace
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_float_text = float.__repr__
+#: ``%d`` renders an int exactly as ``int.__repr__`` does; a uid is three
+#: ints and a dedup id two, so short tuples are the ones worth a template.
+_INT_TUPLES = {
+    size: '{"__tuple__":[%s]}' % ",".join(["%d"] * size) for size in range(9)
+}
+_TUPLE_ITEM_TEXT = {int: _int_text, str: _json_str}
+
+
+def _json(value: Any) -> str:
+    """``compact_json(codec.encode(value))``, byte for byte.
+
+    The values a delivery's trace lines hold -- ints, strs, bools, None,
+    finite floats and tuples of ints and strs (uids, dedup ids, a
+    pipeline's output) -- are formatted here; every other value (NaN and
+    the infinities included) takes the generic codec.
+    """
+    cls = type(value)
+    if cls is int:
+        return _int_text(value)
+    if cls is str:
+        return _json_str(value)
+    if cls is tuple:
+        template = _INT_TUPLES.get(len(value))
+        if template is not None:
+            for item in value:
+                if type(item) is not int:
+                    break
+            else:
+                return template % value
+        try:
+            return '{"__tuple__":[%s]}' % ",".join(
+                [_TUPLE_ITEM_TEXT[type(item)](item) for item in value]
+            )
+        except KeyError:
+            pass        # an item that is neither int nor str
+    elif cls is float:
+        if isfinite(value):
+            return _float_text(value)
+    elif cls is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    return compact_json(codec.encode(value))
+
+
+def _decoded(value: Any) -> Any:
+    """``codec.decode(value)`` for one parsed field: JSON scalars are
+    their own decoding, ``{"__tuple__": [...]}`` of ints and strs is a
+    tuple of them, and everything else takes the generic codec."""
+    cls = type(value)
+    if cls is dict:
+        if len(value) == 1:
+            items = value.get("__tuple__")
+            if type(items) is list:
+                for item in items:
+                    if type(item) is not int and type(item) is not str:
+                        break
+                else:
+                    return tuple(items)
+        return codec.decode(value)
+    if cls is list:
+        return codec.decode(value)
+    return value
 
 
 class LiveTrace:
     """JSONL ground-truth trace writer with the :class:`SimTrace` record API.
 
     Each line is ``{"t": float, "kind": str, "pid": int, "fields": {...}}``
-    with fields passed through the wire codec (clocks and dataclasses
-    survive the round trip).
+    with fields passed through the tagged-JSON codec (clocks and
+    dataclasses survive the round trip).  Each line is written directly,
+    without building the dict: :func:`_json` formats the field values a
+    delivery records and hands every other value to the codec, and the
+    bytes equal ``compact_json`` of that dict.
 
     Writes are **batched**: records accumulate in a user-space buffer and
     reach the file in groups of at most ``buffer_records`` lines or after
@@ -86,13 +159,17 @@ class LiveTrace:
     def record(
         self, time_: float, kind: EventKind, pid: int, **fields: Any
     ) -> None:
-        line = {
-            "t": time_,
-            "kind": kind._value_,
-            "pid": pid,
-            "fields": {k: codec.encode(v) for k, v in fields.items()},
-        }
-        self._buffer.append(compact_json(line) + "\n")
+        self._buffer.append(
+            '{"t":%s,"kind":%s,"pid":%s,"fields":{%s}}\n' % (
+                _json(time_),
+                _json_str(kind._value_),
+                _json(pid),
+                ",".join([
+                    _json_str(key) + ":" + _json(value)
+                    for key, value in fields.items()
+                ]),
+            )
+        )
         self.records_written += 1
         if len(self._buffer) > self.records_buffered_max:
             self.records_buffered_max = len(self._buffer)
@@ -145,6 +222,13 @@ def merge_traces(paths: list[str]) -> SimTrace:
     (timestamps come from one wall clock per machine, so cross-process
     ties are rare and their order is not load-bearing for the oracles).
     """
+    # The parsed rows are freed on the way out of _merged, before the
+    # exit collection: it traverses the merged trace alone.
+    with collector_paused():
+        return _merged(paths)
+
+
+def _merged(paths: list[str]) -> SimTrace:
     rows: list[tuple[float, int, int, dict]] = []
     for file_index, path in enumerate(paths):
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,14 +244,16 @@ def merge_traces(paths: list[str]) -> SimTrace:
                     # dropping it loses nothing the oracles rely on.
                     continue
                 rows.append((row["t"], file_index, line_index, row))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    # (t, file, line) is unique, so two rows never compare their dicts.
+    rows.sort()
+    kinds = {kind.value: kind for kind in EventKind}
     trace = SimTrace()
     for _, _, _, row in rows:
         trace.record(
             row["t"],
-            EventKind(row["kind"]),
+            kinds[row["kind"]],
             row["pid"],
-            **{k: codec.decode(v) for k, v in row["fields"].items()},
+            **{k: _decoded(v) for k, v in row["fields"].items()},
         )
     return trace
 

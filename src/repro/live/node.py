@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -59,6 +60,7 @@ from repro.live.faults import NodeFaults
 from repro.live.storage import FileStableStorage
 from repro.live.transport import MeshTransport
 from repro.protocols.base import ProtocolConfig
+from repro.runtime.collector import collections_so_far, collector_paused
 from repro.runtime.trace import EventKind
 from repro.storage.intents import heal
 
@@ -222,45 +224,62 @@ async def run_node(
     protocol = DamaniGargProcess(
         env, app, ProtocolConfig(**cfg.get("config", {})),
     )
-    if boot == 1:
-        protocol.on_start()
-    else:
-        # The crash itself happened to the previous OS process; this
-        # incarnation only has to recover.  The simulator's host resumes
-        # the timer chains for us; here they died with the process, so
-        # they are started fresh.
-        protocol.on_restart()
-        protocol.start_periodic_tasks()
+    # The run phase, from on_start/on_restart to the deadline, runs with
+    # the automatic collector paused (repro.runtime.collector): what the
+    # node builds here is run state that only grows, and run_seconds
+    # bounds the phase.  It ends with one full collection, reported in
+    # the done file.
+    with collector_paused(tracer):
+        collections_at_start = collections_so_far()
+        if boot == 1:
+            protocol.on_start()
+        else:
+            # The crash itself happened to the previous OS process;
+            # this incarnation only has to recover.  The simulator's host
+            # resumes the timer chains for us; here they died with the
+            # process, so they are started fresh.
+            protocol.on_restart()
+            protocol.start_periodic_tasks()
 
-    app_spec = cfg.get("app", {})
-    source = None
-    if app_spec.get("kind") == "load" and pid == 0:
-        from repro.live.load import OpenLoopSource
+        app_spec = cfg.get("app", {})
+        source = None
+        if app_spec.get("kind") == "load" and pid == 0:
+            from repro.live.load import OpenLoopSource
 
-        source = OpenLoopSource(
-            protocol,
-            rate=float(app_spec.get("rate", 100.0)),
-            jobs=int(app_spec.get("jobs", 32)),
-            start_at=float(app_spec.get("start_at", 0.25)),
+            source = OpenLoopSource(
+                protocol,
+                rate=float(app_spec.get("rate", 100.0)),
+                jobs=int(app_spec.get("jobs", 32)),
+                start_at=float(app_spec.get("start_at", 0.25)),
+            )
+            source.start()
+        service = None
+        if app_spec.get("kind") == "kv":
+            from repro.service.gateway import ServicePort
+
+            service = ServicePort(pid, protocol, app, app_spec)
+            await service.start()
+
+        # The deadline runs on the env clock (monotonic since the anchor),
+        # so a wall-clock step mid-run cannot stretch or truncate the
+        # schedule.  An optional stop file turns the deadline into a cap:
+        # the node ends its run phase as soon as the supervisor's owner
+        # publishes the file.
+        run_until = float(cfg["run_until"])
+        stop_path = cfg.get("stop_path")
+        while env.now < run_until:
+            if stop_path and os.path.exists(stop_path):
+                break
+            await asyncio.sleep(min(0.05, max(0.005, run_until - env.now)))
+        collector = {
+            "run_phase_collections": collections_so_far()
+            - collections_at_start,
+        }
+        started = time.perf_counter()
+        collector["reclaimed_at_end"] = gc.collect()
+        collector["end_collection_ms"] = (
+            (time.perf_counter() - started) * 1e3
         )
-        source.start()
-    service = None
-    if app_spec.get("kind") == "kv":
-        from repro.service.gateway import ServicePort
-
-        service = ServicePort(pid, protocol, app, app_spec)
-        await service.start()
-
-    # The deadline runs on the env clock (monotonic since the anchor), so
-    # a wall-clock step mid-run cannot stretch or truncate the schedule.
-    # An optional stop file turns the deadline into a cap: the node ends
-    # its run phase as soon as the supervisor's owner publishes the file.
-    run_until = float(cfg["run_until"])
-    stop_path = cfg.get("stop_path")
-    while env.now < run_until:
-        if stop_path and os.path.exists(stop_path):
-            break
-        await asyncio.sleep(min(0.05, max(0.005, run_until - env.now)))
     if source is not None:
         source.stop()
     protocol.halt_periodic_tasks()
@@ -314,6 +333,7 @@ async def run_node(
         "trace_records_buffered_max": trace.records_buffered_max,
         "delivery_batches": transport.delivery_batches,
         "delivery_batch_max": transport.delivery_batch_max,
+        "collector": collector,
     }
     if tracer is not None:
         done["obs"] = {"counters": dict(tracer.counters)}

@@ -72,7 +72,6 @@ value in place afterwards changes memory and not the disk.
 from __future__ import annotations
 
 import asyncio
-import gc
 import os
 import pickle
 import sys
@@ -81,6 +80,7 @@ from typing import Any, Callable, Iterator
 
 from repro.live.framing import OVERHEAD, FramingError, frame, parse_frame
 from repro.live.outbox import Outbox
+from repro.runtime.collector import collector_paused
 from repro.storage.checkpoint import CheckpointStore, SendHistory
 from repro.storage.intents import CrashPointReached
 from repro.storage.log import MessageLog
@@ -694,13 +694,10 @@ class FileStableStorage(StableStorage):
         with open(self.path, "rb") as fh:
             data = fh.read()
         records, end = scan(data, self.path)
-        # Folding builds the whole durable state at once.  The cyclic
-        # collector would traverse the growing heap again every few
-        # hundred new containers: half of a reload's time, and none of
-        # what is built here is garbage.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        # Folding builds the whole durable state at once, and none of
+        # it is garbage: the automatic collector would traverse the
+        # growing heap again every few hundred new containers.
+        with collector_paused():
             for offset, payload in records:
                 kind, body = _decode(payload)
                 if (kind == _SNAPSHOT) != (offset == 0):
@@ -716,9 +713,6 @@ class FileStableStorage(StableStorage):
                     for op in ops:
                         self._replay(op)
                     self._restore_scalars(scalars)
-        finally:
-            if collecting:
-                gc.enable()
         if end < len(data):
             # Torn tail: an append that was never acknowledged.
             with open(self.path, "r+b") as fh:

@@ -420,12 +420,9 @@ class BaseRecoveryProcess(abc.ABC):
                     partial(self._fire, chain),
                     label=chain.label,
                 )
-        # A chain that was not running when the process crashed (one
-        # the protocol never started, like sender-based logging's log
-        # flushes) starts from scratch.
-        for chain, paused in suspended:
-            if paused is None and chain.handle is None and self._wanted(chain):
-                self._arm(chain)
+        # A chain that was not running at the crash stays off: the
+        # protocol never started it (sender-based logging keeps its
+        # receiver log volatile between checkpoints).
 
     def _wanted(self, chain: _Periodic) -> bool:
         return getattr(self.config, chain.interval) is not None

@@ -18,6 +18,7 @@ from repro.live import supervisor
 from repro.live.supervisor import LiveClusterSpec, LiveCrashPlan, run_cluster
 from repro.live.verify import check_live_run, recovery_timeline
 from repro.runtime.trace import EventKind
+from tests.runtime.test_collector_pause import LIVE_RECLAIMED_MAX
 
 
 def _node_children():
@@ -70,6 +71,17 @@ def test_cluster_survives_a_sigkill(tmp_path):
     restores = [e for e in result.trace.events(EventKind.RESTORE) if
                 e.pid == 1]
     assert restores, "p1 restarted but never restored a checkpoint"
+
+    # Every node, the restarted one included, ran its run phase without
+    # the automatic collector, and the full collection that ends it finds
+    # no more than the imports left behind.
+    assert sorted(result.done) == list(range(spec.n))
+    for pid, done in result.done.items():
+        collector = done["collector"]
+        assert collector["run_phase_collections"] == 0, (pid, collector)
+        assert collector["reclaimed_at_end"] <= LIVE_RECLAIMED_MAX, (
+            pid, collector,
+        )
 
     # Per-node artifacts exist for debugging.
     for pid in range(spec.n):

@@ -6,6 +6,7 @@ from repro.apps import RandomRoutingApp
 from repro.harness.runner import ExperimentSpec, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.sender_based import SenderBasedProcess
+from repro.runtime.trace import EventKind
 from repro.sim.failures import CrashPlan
 
 
@@ -76,3 +77,26 @@ def test_retrieved_replay_restores_states():
     # Replay requires acked messages past the checkpoint; with these
     # parameters at least one seed exercises it.
     raise AssertionError("no seed exercised retrieve-replay")
+
+
+def test_a_restart_does_not_start_the_log_flush_chain():
+    """Only the checkpoint chain runs: after its restart p1 flushes its
+    receiver log inside checkpoints alone, as before the crash and as its
+    peers do (a restart used to arm the flush chain every process has
+    but sender-based logging never starts)."""
+    spec = ExperimentSpec(
+        n=3,
+        app=RandomRoutingApp(hops=40, seeds=(0, 1), initial_items=2),
+        protocol=SenderBasedProcess,
+        crashes=CrashPlan().crash(20.0, 1, 2.0),
+        seed=1,
+    )
+    trace = run_experiment(spec).trace
+    (restart,) = trace.events(EventKind.RESTART, pid=1)
+    checkpoints = {e.time for e in trace.events(EventKind.CHECKPOINT, pid=1)}
+    flushes = [
+        e.time for e in trace.events(EventKind.LOG_FLUSH, pid=1)
+        if e.time >= restart.time
+    ]
+    assert flushes, "p1 flushed nothing after its restart"
+    assert set(flushes) <= checkpoints, sorted(set(flushes) - checkpoints)

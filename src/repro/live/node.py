@@ -62,7 +62,6 @@ from repro.live.transport import MeshTransport
 from repro.protocols.base import ProtocolConfig
 from repro.runtime.collector import collections_so_far, collector_paused
 from repro.runtime.trace import EventKind
-from repro.storage.intents import heal
 
 _BOOTS_KEY = "node_boots"
 #: Group-commit window for lazy storage writes (outbox bookkeeping), in
@@ -139,10 +138,6 @@ async def run_node(
         os.path.join(cfg["data_dir"], f"stable_p{pid}.pickle"),
         flush_window=_STORAGE_FLUSH_WINDOW,
     )
-    # Startup recovery crawler: finish an operator rollback that was
-    # killed mid-rewind, before anything (the boot counter, the transport
-    # outbox) reads the image.
-    heal_actions = heal(storage)
     boot = storage.get(_BOOTS_KEY, 0) + 1
     storage.put(_BOOTS_KEY, boot)
 
@@ -322,12 +317,6 @@ async def run_node(
         "storage_sync_writes": storage.sync_writes,
         "storage_dir_fsyncs": storage.dir_fsyncs,
         "token_log_dedups": storage.token_log_dedups,
-        "heal_actions": heal_actions,
-        "intents": {
-            "begun": storage.intents_begun,
-            "committed": storage.intents_committed,
-            "aborted": storage.intents_aborted,
-        },
         "trace_records": trace.records_written,
         "trace_flushes": trace.flushes,
         "trace_records_buffered_max": trace.records_buffered_max,

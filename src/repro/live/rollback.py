@@ -7,7 +7,7 @@ escape hatch for the cases the protocol cannot fix by itself: a bad
 deploy, a poisoned input, an application bug that corrupted state *after*
 it was durably checkpointed.
 
-Three rules make it auditable:
+Three rules make it auditable and safe:
 
 1. **Nothing is deleted.**  Checkpoints, stable log entries and sends
    past the anchor are *moved* to a durable orphan area
@@ -18,11 +18,13 @@ Three rules make it auditable:
    blake2b digests of the storage image before and after is appended both
    to a durable key (:data:`AUDIT_KEY`) inside the image and to
    ``rollback_audit.json`` in the data directory.
-3. **Every crash window is covered.**  The whole transition runs under an
-   ``operator-rollback`` write-ahead intent
-   (:mod:`repro.storage.intents`); a SIGKILL at any persist boundary is
-   rolled *forward* by the startup crawler from the recorded payload, so
-   a half-rewound image cannot boot.
+3. **A node's rewind is one record.**  The orphan preservation, the
+   rewind of the checkpoints, the send stream and the stable log, the
+   restored clock frontier and the in-image audit record are one
+   ``storage.atomic()`` group, so a crash leaves the image wholly the
+   old one or wholly rewound.  And a cluster's rewind starts only once
+   every target image is open and has its anchor: a refusal rewinds no
+   node.
 
 After the rollback, restarting the cluster over the same data directory
 recovers through the ordinary ``on_restart`` path: each node restores its
@@ -39,12 +41,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.live.storage import FileStableStorage
-from repro.storage import intents
-from repro.storage.intents import heal
 
 #: Durable orphan area: list of preservation records, one per rollback.
 ORPHANS_KEY = "operator_orphans"
@@ -65,7 +65,6 @@ class PidRollbackReport:
     stable_own: Any
     digest_before: str
     digest_after: str | None = None   # None on dry runs
-    heal_actions: list[dict[str, Any]] = field(default_factory=list)
     dry_run: bool = False
 
 
@@ -78,14 +77,16 @@ def _digest(path: str) -> str:
         return hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
 
 
-def _choose_anchor(storage: FileStableStorage, at: float | None,
-                   earliest: bool):
-    checkpoints = list(storage.checkpoints)
-    if not checkpoints:
-        return None
+def _anchor(storage: FileStableStorage, at: float | None, earliest: bool):
+    """The checkpoint to rewind to; :class:`RollbackError` if none."""
     if earliest:
-        return checkpoints[0]
-    return storage.checkpoints.latest_satisfying(lambda c: c.time <= at)
+        anchor = next(iter(storage.checkpoints), None)
+    else:
+        anchor = storage.checkpoints.latest_satisfying(lambda c: c.time <= at)
+    if anchor is None:
+        where = "earliest" if earliest else f"at or before t={at}"
+        raise RollbackError(f"p{storage.pid}: no anchor checkpoint {where}")
+    return anchor
 
 
 def rollback_storage(
@@ -100,17 +101,10 @@ def rollback_storage(
     """Rewind one node's image to its anchor checkpoint.
 
     The caller guarantees the owning node process is stopped; this
-    function then owns the image exclusively.
+    function then owns the image exclusively.  The rewind is one record
+    (:meth:`FileStableStorage.atomic`).
     """
-    # Repair any in-flight intent a crashed incarnation left behind --
-    # the frontier below must be computed against a consistent image.
-    heal_actions = [] if dry_run else heal(storage)
-    anchor = _choose_anchor(storage, at, earliest)
-    if anchor is None:
-        where = "earliest" if earliest else f"at or before t={at}"
-        raise RollbackError(
-            f"p{storage.pid}: no anchor checkpoint {where}"
-        )
+    anchor = _anchor(storage, at, earliest)
     orphan_ckpts = [
         c for c in storage.checkpoints if c.ckpt_id > anchor.ckpt_id
     ]
@@ -134,55 +128,39 @@ def rollback_storage(
         log_entries_orphaned=len(orphan_entries),
         stable_own=stable_own,
         digest_before=_digest(storage.path),
-        heal_actions=heal_actions,
         dry_run=dry_run,
     )
     if dry_run:
         return report
 
-    intent = storage.begin_intent(
-        intents.OPERATOR_ROLLBACK,
-        anchor_ckpt_id=anchor.ckpt_id,
-        truncate_at=truncate_at,
-        stable_own=stable_own,
-        reason=reason,
-        witness=witness,
-    )
-    # Step 1: preserve before rewinding.  This persist is the point of no
-    # return -- from here a crash heals forward to the anchored frontier.
-    storage.advance_intent(intent, "orphans_preserved")
-    area = list(storage.get(ORPHANS_KEY) or [])
-    area.append(
-        {
-            "preserved_at": time.time(),
-            "anchor_ckpt_id": anchor.ckpt_id,
-            "reason": reason,
-            "witness": witness,
-            "checkpoints": orphan_ckpts,
-            "entries": orphan_entries,
-            "sends": orphan_sends,
-        }
-    )
-    storage.put(ORPHANS_KEY, area)
-    # Step 2: rewind the checkpoint store and the send stream they name
-    # (the cut rides the next step's persist).
-    storage.advance_intent(intent, "checkpoints_discarded")
-    storage.checkpoints.discard_after(anchor)
-    storage.send_cut_to(anchor)
-    # Step 3: rewind the stable log and restore the durable clock
-    # frontier the anchor certifies.
-    storage.advance_intent(intent, "log_truncated")
-    if storage.log.stable_length > truncate_at:
-        storage.log.truncate(truncate_at)
-    if stable_own is not None:
-        storage.put("stable_own", stable_own)
-    # Commit rides the durable audit write: once the record is on disk
-    # the intent-free image is the rolled-back one.
-    storage.commit_intent(intent)
-    audit = _audit_record(report, reason, witness)
-    tail = list(storage.get(AUDIT_KEY) or [])
-    tail.append(audit)
-    storage.put(AUDIT_KEY, tail)
+    with storage.atomic():
+        # Preserve before rewinding: the orphans and the rewind they
+        # come from are on disk together or not at all.
+        area = list(storage.get(ORPHANS_KEY) or [])
+        area.append(
+            {
+                "preserved_at": time.time(),
+                "anchor_ckpt_id": anchor.ckpt_id,
+                "reason": reason,
+                "witness": witness,
+                "checkpoints": orphan_ckpts,
+                "entries": orphan_entries,
+                "sends": orphan_sends,
+            }
+        )
+        storage.put(ORPHANS_KEY, area)
+        # Rewind the checkpoint store, the send stream they name and the
+        # stable log, and restore the durable clock frontier the anchor
+        # certifies.
+        storage.checkpoints.discard_after(anchor)
+        storage.send_cut_to(anchor)
+        if storage.log.stable_length > truncate_at:
+            storage.log.truncate(truncate_at)
+        if stable_own is not None:
+            storage.put("stable_own", stable_own)
+        tail = list(storage.get(AUDIT_KEY) or [])
+        tail.append(_audit_record(report, reason, witness))
+        storage.put(AUDIT_KEY, tail)
     report.digest_after = _digest(storage.path)
     return report
 
@@ -217,18 +195,24 @@ def rollback_cluster(
 ) -> dict[str, Any]:
     """Rewind every node image under ``data_dir``; write the audit file.
 
+    Every target image is opened and given its anchor before any is
+    rewound, so a :class:`RollbackError` leaves every image as it was.
     Returns ``{"reports": {pid: PidRollbackReport}, "audit_path": ...}``.
     """
     if at is None and not earliest:
         raise RollbackError("choose a frontier: --at TIME or --earliest")
     targets = list(pids) if pids is not None else list(range(n))
-    reports: dict[int, PidRollbackReport] = {}
+    storages = []
     for pid in targets:
         path = os.path.join(data_dir, f"stable_p{pid}.pickle")
         if not os.path.exists(path):
             raise RollbackError(f"p{pid}: no storage image at {path}")
         storage = FileStableStorage(pid, path)
-        reports[pid] = rollback_storage(
+        _anchor(storage, at, earliest)
+        storages.append(storage)
+    reports: dict[int, PidRollbackReport] = {}
+    for storage in storages:
+        reports[storage.pid] = rollback_storage(
             storage,
             at=at,
             earliest=earliest,

@@ -11,9 +11,9 @@ durable remainder to one file of length+CRC32-framed records
   the previous barrier (log entries flushed, checkpoint taken / suffix
   discarded / prefix collected, log truncated / prefix discarded, sends
   appended / cut, token, kv put, outbox add / ack) plus the few
-  always-current scalars (counters, the active intent, the intent audit
-  tail).  One ``write`` and one ``fsync``: a barrier costs what it
-  flushed, not what the process has accumulated;
+  always-current scalars (counters).  One ``write`` and one ``fsync``:
+  a barrier costs what it flushed, not what the process has
+  accumulated;
 - a **snapshot** record holding the whole durable state.  It is always
   the file's first record and is written only when the file is created
   and by compaction, through a temp file, :func:`os.replace` and a
@@ -31,7 +31,8 @@ again as they are.  Message-log GC and outbox acks drop whole chunks
 a truncation or cut re-pickles only the chunk it splits.
 
 The atomicity unit is one record: it is CRC-valid or ignored.  A
-protocol transition that makes several writes runs inside
+transition that makes several writes -- a protocol transition, or the
+operator's rewind of a stopped node -- runs inside
 :meth:`FileStableStorage.atomic`, where barriers only collect their ops
 and the outermost exit writes them as one record, so a SIGKILL leaves
 the transition whole or absent.
@@ -82,16 +83,16 @@ from repro.live.framing import OVERHEAD, FramingError, frame, parse_frame
 from repro.live.outbox import Outbox
 from repro.runtime.collector import collector_paused
 from repro.storage.checkpoint import CheckpointStore, SendHistory
-from repro.storage.intents import CrashPointReached
 from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
 #: First bytes of every record payload; the trailing digit is the format
-#: version (3: the streams and the outbox journaled as pickled chunks, a
-#: checkpoint's send history pickled as its end in the send stream).  It
-#: is also what lets the loader look for a valid record *after* a bad
-#: one without trusting the bad one's length field.
-_MAGIC = b"DGL3"
+#: version (4: the streams and the outbox journaled as pickled chunks, a
+#: checkpoint's send history pickled as its end in the send stream, and
+#: the scalars only counters).  It is also what lets the loader look for
+#: a valid record *after* a bad one without trusting the bad one's
+#: length field.
+_MAGIC = b"DGL4"
 _SNAPSHOT = b"S"
 _DELTA = b"D"
 _KIND_AT = len(_MAGIC)
@@ -419,7 +420,6 @@ class FileStableStorage(StableStorage):
         self._dirty = False             # ... some of them lazy
         self._atomic_depth = 0          # open atomic() groups
         self._deferred = False          # a barrier waits for their exit
-        self._armed_crash_points: set[str] = set()
         self._flush_handle: asyncio.TimerHandle | None = None
         self._end = 0                   # end of the last acknowledged record
         self._snapshot_bytes = 0        # size of the file's snapshot record
@@ -544,16 +544,13 @@ class FileStableStorage(StableStorage):
     def _scalars(self) -> tuple:
         """What every record restates: small, and changed by calls that
         are deliberately not barriers of their own (an empty log flush,
-        a deduplicated token, an intent transition)."""
+        a deduplicated token)."""
         return (
             self.sync_writes,
             self.lazy_writes,
             self.window_flushes,
             self.token_log_dedups,
             self.log.flush_count,
-            self._intent_next_id,
-            self._active_intent,
-            self._intent_audit,
         )
 
     def _snapshot(self) -> dict[str, Any]:
@@ -618,7 +615,6 @@ class FileStableStorage(StableStorage):
             raise
         self._ops = []
         self.persist_count += 1
-        self._check_crash_point()
 
     def _append(self, record: bytes) -> None:
         with open(self.path, "r+b") as fh:
@@ -668,24 +664,6 @@ class FileStableStorage(StableStorage):
             pass
         finally:
             os.close(dirfd)
-
-    # ------------------------------------------------------------------
-    # Crash points (the operator-rollback crash windows; intents module)
-    # ------------------------------------------------------------------
-    def arm_crash_point(self, point: str) -> None:
-        """Arm ``"<kind>:<step>"`` to raise :class:`CrashPointReached`
-        once, right after the record of that step lands."""
-        self._armed_crash_points.add(point)
-
-    def _check_crash_point(self) -> None:
-        """Fire an armed crash point matching the record just written."""
-        active = self._active_intent
-        if active is None:
-            return
-        point = f"{active.kind}:{active.step}"
-        if point in self._armed_crash_points:
-            self._armed_crash_points.discard(point)
-            raise CrashPointReached(point)
 
     # ------------------------------------------------------------------
     # Loading: fold the records in order
@@ -752,9 +730,6 @@ class FileStableStorage(StableStorage):
             self.window_flushes,
             self.token_log_dedups,
             self.log.flush_count,
-            self._intent_next_id,
-            self._active_intent,
-            self._intent_audit,
         ) = scalars
 
     def _replay(self, op: tuple) -> None:
@@ -826,7 +801,7 @@ def _streamed(
 
 
 def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
-    """One line per record: offset, bytes, what it holds, active intent.
+    """One line per record: offset, bytes, what it holds.
 
     Each part of a record is sized as if pickled on its own, so small
     ops can add up to more than their record, which pickles the class
@@ -835,7 +810,6 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
     for offset, payload in records:
         kind, body = _decode(payload)
         if kind == _SNAPSHOT:
-            scalars = body["scalars"]
             outbox = _JournaledOutbox(lambda _op: None)
             outbox.restore_state(body)
             out_spans = [s for c in outbox.chunks.values() for s in c.spans]
@@ -857,7 +831,7 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
                 f"out_chunks={len(out_spans)}"
             )
         else:
-            scalars, ops = body
+            _scalars, ops = body
             counts: dict[str, list[int]] = {}
             for op in ops:
                 label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
@@ -872,12 +846,7 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
                 )
                 or "-"
             )
-        *_, active, _audit = scalars
-        intent = "-" if active is None else f"{active.kind}@{active.step}"
-        yield (
-            f"offset={offset} bytes={OVERHEAD + len(payload)} {held} "
-            f"intent={intent}"
-        )
+        yield f"offset={offset} bytes={OVERHEAD + len(payload)} {held}"
     if end < len(data):
         yield (
             f"offset={end} bytes={len(data) - end} TORN TAIL "

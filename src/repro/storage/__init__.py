@@ -13,17 +13,13 @@ Models the paper's storage assumptions precisely:
 """
 
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
-from repro.storage.intents import CrashPointReached, IntentRecord, heal
 from repro.storage.log import LogEntry, MessageLog
 from repro.storage.stable import StableStorage
 
 __all__ = [
     "Checkpoint",
     "CheckpointStore",
-    "CrashPointReached",
-    "IntentRecord",
     "LogEntry",
     "MessageLog",
     "StableStorage",
-    "heal",
 ]

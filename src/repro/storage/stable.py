@@ -15,10 +15,11 @@ stream's prefix up to its new end -- in its extras under
 cuts the stream back to that end (:meth:`StableStorage.send_cut_to`), so
 the prefix each retained checkpoint names is its send history.
 
-A protocol transition that makes several durable writes (a checkpoint
-with its log flush, a restart, a rollback, a GC sweep) runs inside
-:meth:`StableStorage.atomic`, which ``FileStableStorage`` turns into one
-record.  Memory cannot be half-written, so here it does nothing.
+A transition that makes several durable writes (a checkpoint with its
+log flush, a restart, a rollback, a GC sweep, and the operator's rewind
+of a stopped node) runs inside :meth:`StableStorage.atomic`, which
+``FileStableStorage`` turns into one record.  Memory cannot be
+half-written, so here it does nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.storage.checkpoint import (
     CheckpointStore,
     SendHistory,
 )
-from repro.storage.intents import AUDIT_TAIL, IntentRecord
 from repro.storage.log import MessageLog
 
 _NO_GROUP = nullcontext()
@@ -40,6 +40,10 @@ _NO_GROUP = nullcontext()
 
 class StableStorage:
     """Everything process ``pid`` keeps on disk."""
+
+    #: Write-ahead intents opened: none, since every transition is one
+    #: record.  Read by the benchmark's per-delivery intent count.
+    intents_begun = 0
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
@@ -52,12 +56,6 @@ class StableStorage:
         self.sync_writes = 0
         self.lazy_writes = 0
         self.token_log_dedups = 0
-        self._active_intent: IntentRecord | None = None
-        self._intent_audit: list[IntentRecord] = []
-        self._intent_next_id = 0
-        self.intents_begun = 0
-        self.intents_committed = 0
-        self.intents_aborted = 0
 
     # ------------------------------------------------------------------
     # Token log (synchronous)
@@ -149,66 +147,6 @@ class StableStorage:
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._kv.get(key, default)
-
-    # ------------------------------------------------------------------
-    # Write-ahead intents (see repro.storage.intents)
-    # ------------------------------------------------------------------
-    def begin_intent(self, kind: str, **payload: Any) -> IntentRecord | None:
-        """Open a write-ahead intent for a multi-step durable transition.
-
-        Memory-only: the record becomes durable by riding the *next*
-        step's own persist, so a clean image never pays an extra write.
-        Returns ``None`` when another intent is already active, and the
-        ``None``-tolerant :meth:`advance_intent` / :meth:`commit_intent`
-        let such a call site stay unconditional.
-        """
-        if self._active_intent is not None:
-            return None
-        record = IntentRecord(self._intent_next_id, kind, payload=payload)
-        self._intent_next_id += 1
-        self._active_intent = record
-        self.intents_begun += 1
-        return record
-
-    def advance_intent(self, intent: IntentRecord | None, step: str) -> None:
-        """Declare the next durable step *before* performing it, so the
-        step's persist records which transition was in flight."""
-        if intent is None:
-            return
-        intent.step = step
-
-    def commit_intent(self, intent: IntentRecord | None) -> None:
-        """Retire a completed intent.  Memory-only: the transition's
-        final mutation persists the intent-free image, making "committed"
-        durable with no extra write."""
-        if intent is None:
-            return
-        intent.status = "committed"
-        self.intents_committed += 1
-        self._retire(intent)
-
-    def abort_intent(
-        self, intent: IntentRecord | None, reason: str = ""
-    ) -> None:
-        if intent is None:
-            return
-        intent.status = "aborted"
-        if reason:
-            intent.payload.setdefault("abort_reason", reason)
-        self.intents_aborted += 1
-        self._retire(intent)
-
-    def _retire(self, intent: IntentRecord) -> None:
-        if self._active_intent is intent:
-            self._active_intent = None
-        self._intent_audit.append(intent)
-        del self._intent_audit[:-AUDIT_TAIL]
-
-    def active_intent(self) -> IntentRecord | None:
-        return self._active_intent
-
-    def intent_audit(self) -> list[IntentRecord]:
-        return list(self._intent_audit)
 
     # ------------------------------------------------------------------
     # Failure hook

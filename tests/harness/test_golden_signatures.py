@@ -187,8 +187,8 @@ def test_trace_signature_matches_golden(key):
 # ``sim.kernel.events_per_delivery``), plus the two storage tallies a
 # cheaper no-op flush could silently skip.  Captured at the commit before
 # the hot path was slimmed: a fast path must do the same accounting.
-# ``intents_begun`` is 0: protocol transitions are single records and
-# carry no write-ahead intent (only operator rollback does).
+# ``intents_begun`` is 0: every transition is a single record and none
+# carries a write-ahead intent.
 GOLDEN_COUNTERS = {
     # schedule: (piggyback_delta_bits, intents_begun, events_fired,
     #            sync_writes, log flush_count)

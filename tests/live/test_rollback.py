@@ -1,11 +1,13 @@
-"""Operator rollback: orphan preservation, witnessed audit, crash windows.
+"""Operator rollback: orphan preservation, witnessed audit, one record.
 
-The rewind itself is a multi-step durable transition (it also writes
-``rollback_audit.json`` beside the image), so it runs under a write-ahead
-intent: every enumerated ``operator-rollback`` crash point is fired
-mid-rewind and the startup crawler must roll the image *forward* to the
-anchored frontier.
+A node's rewind is one ``storage.atomic()`` group: cut its record at
+every byte and the image reloads as the old one; the whole record
+reloads as the rewound one.  A cluster's rewind checks every node's
+anchor before it touches any image.
 """
+
+import os
+import shutil
 
 import pytest
 
@@ -19,12 +21,6 @@ from repro.live.rollback import (
 )
 from repro.live.storage import FileStableStorage
 from repro.storage.checkpoint import SEND_LOG
-from repro.storage.intents import (
-    OPERATOR_ROLLBACK,
-    CrashPointReached,
-    crash_points,
-    heal,
-)
 
 
 def _populate(storage):
@@ -88,9 +84,8 @@ def test_rollback_preserves_orphans_and_writes_witnessed_audit(tmp_path):
     assert report.digest_after is not None
     assert report.digest_after != report.digest_before
 
-    # Everything round-trips through the file; the crawler is a no-op.
+    # Everything round-trips through the file.
     reborn = FileStableStorage(0, path)
-    assert heal(reborn) == []
     assert [c.ckpt_id for c in reborn.checkpoints] == [anchor.ckpt_id]
     assert len(reborn.get(ORPHANS_KEY)) == 1
     assert reborn.get(AUDIT_KEY)[-1]["witness"] == "oncall"
@@ -121,36 +116,92 @@ def test_rollback_refuses_without_an_anchor(tmp_path):
         rollback_cluster(str(tmp_path), 1, reason="r", witness="w")
 
 
-@pytest.mark.parametrize("point", crash_points((OPERATOR_ROLLBACK,)))
-def test_operator_rollback_crash_windows_heal_forward(tmp_path, point):
-    """Kill the rewind at every persist boundary: the crawler must roll
-    it forward to exactly the image a clean rewind produces."""
+def _view(storage):
+    """What a rewind changes, as a reload sees it."""
+    return (
+        [c.ckpt_id for c in storage.checkpoints],
+        storage.log.stable_length,
+        list(storage.sends),
+        storage.get("stable_own"),
+        dict(storage._kv),
+    )
+
+
+def test_operator_rollback_is_one_record_and_leaves_no_partial_image(
+    tmp_path,
+):
+    """Cut the rewind's record at every byte: the image reloads as the
+    old one; the whole record reloads as the rewound one.  A write that
+    fails leaves the file as it was, and a rerun then succeeds."""
     ref = FileStableStorage(0, str(tmp_path / "ref.pickle"))
     _populate(ref)
     rollback_storage(ref, at=1.5, reason="r", witness="w")
 
-    victim_path = str(tmp_path / "victim.pickle")
-    victim = FileStableStorage(0, victim_path)
+    path = str(tmp_path / "victim.pickle")
+    victim = FileStableStorage(0, path)
     _populate(victim)
-    victim.arm_crash_point(point)
-    with pytest.raises(CrashPointReached):
-        rollback_storage(victim, at=1.5, reason="r", witness="w")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    old = _view(FileStableStorage(0, path))
+    count = victim.persist_count
+    rollback_storage(victim, at=1.5, reason="r", witness="w")
+    assert victim.persist_count == count + 1
+    with open(path, "rb") as fh:
+        after = fh.read()
+    assert after.startswith(before)     # one delta appended
 
-    reborn = FileStableStorage(0, victim_path)
-    actions = heal(reborn)
-    assert [a["action"] for a in actions] == ["rolled_forward"]
-    assert actions[0]["kind"] == OPERATOR_ROLLBACK
-    assert [c.ckpt_id for c in reborn.checkpoints] == [
-        c.ckpt_id for c in ref.checkpoints
-    ]
-    assert reborn.log.stable_length == ref.log.stable_length
-    assert reborn.sends == ref.sends == ["s0", "s1"]
-    assert reborn.get("stable_own") == ref.get("stable_own")
-    # The point of no return is the orphan-preservation persist, so the
-    # orphans are always durable by the time any window can kill us.
+    copy = str(tmp_path / "copy.pickle")
+    for cut in range(len(before), len(after)):
+        with open(copy, "wb") as fh:
+            fh.write(after[:cut])
+        assert _view(FileStableStorage(0, copy)) == old, cut
+    shutil.copyfile(path, copy)
+    reborn = FileStableStorage(0, copy)
+    assert _view(reborn) == _view(victim)
+    assert _view(reborn)[:4] == _view(ref)[:4] == (
+        [0], 0, ["s0", "s1"], ("v0", 1)
+    )
     area = reborn.get(ORPHANS_KEY)
-    assert area and len(area[0]["entries"]) == 4
+    assert len(area[0]["entries"]) == 4
     assert area[0]["sends"] == ["s2", "s3", "s4"]
+
+    # The record's write fails: nothing reaches the file.
+    failing = str(tmp_path / "failing.pickle")
+    with open(failing, "wb") as fh:
+        fh.write(before)
+    storage = FileStableStorage(0, failing)
+
+    def refuse(window):
+        raise OSError("disk full")
+
+    storage.fault_hook = refuse
+    with pytest.raises(OSError):
+        rollback_storage(storage, at=1.5, reason="r", witness="w")
+    with open(failing, "rb") as fh:
+        assert fh.read() == before
+    rollback_storage(
+        FileStableStorage(0, failing), at=1.5, reason="r", witness="w"
+    )
+    assert _view(FileStableStorage(0, failing))[:4] == _view(ref)[:4]
+
+
+def test_refused_cluster_rollback_rewinds_no_node(tmp_path):
+    """p1 has no checkpoint at or before the frontier: the refusal
+    comes before p0's image is touched, and no audit file is written."""
+    data = tmp_path / "data"
+    data.mkdir()
+    p0 = FileStableStorage(0, str(data / "stable_p0.pickle"))
+    _populate(p0)
+    p1 = FileStableStorage(1, str(data / "stable_p1.pickle"))
+    p1.checkpoints.take(3.0, {"uid": "c"}, 0)
+    with open(data / "stable_p0.pickle", "rb") as fh:
+        before = fh.read()
+
+    with pytest.raises(RollbackError, match="p1: no anchor checkpoint"):
+        rollback_cluster(str(data), 2, at=1.5, reason="r", witness="w")
+    with open(data / "stable_p0.pickle", "rb") as fh:
+        assert fh.read() == before
+    assert not (data / "rollback_audit.json").exists()
 
 
 def test_rollback_cli(tmp_path):
@@ -193,8 +244,6 @@ def test_live_rollback_round_trip(tmp_path):
     scratch: the second run must pass the unchanged conformance oracles
     on its own trace, with every output matching the closed-form
     reference."""
-    import shutil
-
     from repro.live.supervisor import LiveClusterSpec, run_cluster
     from repro.live.verify import check_live_run
 
@@ -214,7 +263,6 @@ def test_live_rollback_round_trip(tmp_path):
         assert report.digest_after != report.digest_before
 
     w2 = str(tmp_path / "run2")
-    import os
     os.makedirs(w2)
     shutil.copytree(
         str(tmp_path / "run1" / "data"), os.path.join(w2, "data")

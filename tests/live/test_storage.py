@@ -466,13 +466,13 @@ def test_committed_output_is_durable_without_an_unrelated_barrier(path):
 # ---------------------------------------------------------------------------
 def test_cli_prints_one_line_per_record(path):
     """A run directory's durable history is readable without a debugger:
-    offset, bytes, what each record holds, the intent step in flight,
-    and a torn tail if the file has one -- read-only."""
+    offset, bytes, what each record holds, and a torn tail if the file
+    has one -- read-only."""
     import subprocess
     import sys
 
+    from repro.live.rollback import rollback_storage
     from repro.live.storage import describe
-    from repro.storage.intents import OPERATOR_ROLLBACK
 
     storage = FileStableStorage(0, path)
     storage.put("node_boots", 1)
@@ -481,25 +481,35 @@ def test_cli_prints_one_line_per_record(path):
         storage.log.append(2, 1, "b")
         storage.log.flush()
         storage.put("stable_own", (0, 2))
-    intent = storage.begin_intent(OPERATOR_ROLLBACK)
-    storage.advance_intent(intent, "orphans_preserved")
-    storage.put("operator_orphans", [])
-    storage.commit_intent(intent)
     history = storage.send_append(["s0", "s1", "s2"])
-    storage.checkpoints.take(1.0, {}, 2, extras={SEND_LOG: history})
+    storage.checkpoints.take(
+        1.0, {}, 2, extras={SEND_LOG: history, "clock": {0: (0, 2)}}
+    )
+    with storage.atomic():
+        storage.log.append(3, 1, "c")
+        storage.log.flush()
+        history = storage.send_append(["s3"])
+        storage.checkpoints.take(2.0, {}, 3, extras={SEND_LOG: history})
+    rollback_storage(storage, at=1.5, reason="drill", witness="ops")
     storage.send_cut(1)
     storage.put("node_boots", 2)
     with open(path, "rb") as fh:
         deltas = list(describe(fh.read()))[1:]
-    assert len(deltas) == 4
+    assert len(deltas) == 5
     # One transition, one record.
-    assert re.search(r" delta log\+x2:\d+B,kv:stable_ownx1:\d+B ", deltas[0])
-    assert "intent=-" in deltas[0]
-    assert "intent=operator-rollback@orphans_preserved" in deltas[1]
-    # The sends ride the checkpoint's record, the cut the next one.
-    assert re.search(r" delta send\+x3:\d+B,ckpt\+x1:\d+B ", deltas[2])
+    assert re.search(r" delta log\+x2:\d+B,kv:stable_ownx1:\d+B$", deltas[0])
+    # The sends ride the checkpoint's record.
+    assert re.search(r" delta send\+x3:\d+B,ckpt\+x1:\d+B$", deltas[1])
+    # The operator's rewind is one record too.
     assert re.search(
-        r" delta send_cutx1:\d+B,kv:node_bootsx1:\d+B ", deltas[3]
+        r" delta kv:operator_orphansx1:\d+B,ckpt_afterx1:\d+B,"
+        r"send_cutx1:\d+B,log_truncatex1:\d+B,kv:stable_ownx1:\d+B,"
+        r"kv:operator_rollback_auditx1:\d+B$",
+        deltas[3],
+    )
+    # A cut rides the next record.
+    assert re.search(
+        r" delta send_cutx1:\d+B,kv:node_bootsx1:\d+B$", deltas[4]
     )
 
     async def window():
@@ -517,7 +527,7 @@ def test_cli_prints_one_line_per_record(path):
     asyncio.run(window())
     with open(path, "rb") as fh:
         last = list(describe(fh.read()))[-1]
-    assert re.search(r" delta out_ackx1:\d+B,out\+x2:\d+B ", last)
+    assert re.search(r" delta out_ackx1:\d+B,out\+x2:\d+B$", last)
 
     storage._write_snapshot()
     storage.put("stable_own", (0, 3))
@@ -539,8 +549,8 @@ def test_cli_prints_one_line_per_record(path):
         r" checkpoints=1:\d+B log=\[0,2\):\d+B log_chunks=1 "
         r"sends=1:\d+B send_chunks=1 ", lines[0]
     )
-    assert re.search(r" outbox=2:\d+B out_chunks=1 ", lines[0])
-    assert re.search(r" delta kv:stable_ownx1:\d+B ", lines[1])
+    assert re.search(r" outbox=2:\d+B out_chunks=1$", lines[0])
+    assert re.search(r" delta kv:stable_ownx1:\d+B$", lines[1])
     assert "TORN TAIL" in lines[2]
     assert os.path.getsize(path) == size        # looked, did not heal
 

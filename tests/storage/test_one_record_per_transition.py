@@ -7,6 +7,8 @@ frontier write) and Remark 2's GC sweep -- each run inside
 ``StableStorage.atomic()``, which ``FileStableStorage`` writes as one
 CRC-checked record.  A SIGKILL therefore finds each of them whole or
 absent, and no startup code has to stitch a partial one back together.
+The operator's rewind of a stopped node (``python -m repro rollback``)
+is one record as well.
 
 The run is Damani-Garg at n=4 with two crashes that force rollbacks,
 Remark 1, stability gossip and GC, on the simulator with every process's
@@ -21,6 +23,7 @@ import pytest
 from repro.apps import RandomRoutingApp
 from repro.core.recovery import DamaniGargProcess
 from repro.harness.runner import ExperimentResult, ExperimentSpec
+from repro.live.rollback import rollback_storage
 from repro.live.storage import FileStableStorage
 from repro.protocols.base import ProtocolConfig
 from repro.sim.failures import CrashPlan
@@ -139,25 +142,47 @@ def test_each_transition_writes_exactly_one_record(reference):
     assert all(records == int(reclaimed) for records, reclaimed in sweeps)
 
 
+def _assert_boots(monkeypatch, pid, image):
+    """The image holds no half-done transition and ``on_restart``
+    completes on it."""
+    storage = FileStableStorage(pid, image)
+    for ckpt in storage.checkpoints:
+        assert ckpt.log_position <= storage.log.stable_length, image
+        assert ckpt.extras[SEND_LOG].end <= len(storage.sends), image
+
+    monkeypatch.setattr(
+        "repro.sim.env.StableStorage",
+        lambda p: FileStableStorage(p, image) if p == pid else StableStorage(p),
+    )
+    host = ExperimentResult.build(_spec()).hosts[pid]
+    host.crash()
+    host.restart()
+    assert host.protocol.stats.restarts == 1, image
+
+
 def test_every_record_prefix_boots(reference, monkeypatch):
-    """Whatever record a SIGKILL lands after, the image holds no
-    half-done transition and ``on_restart`` completes on it."""
+    """Whatever record a SIGKILL lands after, the node restarts."""
     _, images = reference
     assert len(images) > 100
     for pid, image in images:
-        storage = FileStableStorage(pid, image)
-        assert storage.active_intent() is None, image
-        for ckpt in storage.checkpoints:
-            assert ckpt.log_position <= storage.log.stable_length, image
-            assert ckpt.extras[SEND_LOG].end <= len(storage.sends), image
+        _assert_boots(monkeypatch, pid, image)
 
-        monkeypatch.setattr(
-            "repro.sim.env.StableStorage",
-            lambda p, pid=pid, image=image: (
-                FileStableStorage(p, image) if p == pid else StableStorage(p)
-            ),
+
+def test_an_operator_rewind_is_one_record_and_boots(
+    reference, monkeypatch, tmp_path
+):
+    """Rewind each process's final image to its earliest checkpoint: one
+    record, and the rewound image restarts."""
+    _, images = reference
+    final = dict(images)
+    for pid, image in sorted(final.items()):
+        copy = str(tmp_path / f"stable_p{pid}.pickle")
+        shutil.copyfile(image, copy)
+        storage = FileStableStorage(pid, copy)
+        count = storage.persist_count
+        report = rollback_storage(
+            storage, earliest=True, reason="drill", witness="ops"
         )
-        host = ExperimentResult.build(_spec()).hosts[pid]
-        host.crash()
-        host.restart()
-        assert host.protocol.stats.restarts == 1, image
+        assert storage.persist_count == count + 1, pid
+        assert report.checkpoints_orphaned > 0, pid
+        _assert_boots(monkeypatch, pid, copy)

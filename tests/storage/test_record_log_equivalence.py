@@ -3,8 +3,9 @@
 Random sequences of *every* durable operation -- log flush / truncate /
 prefix discard, checkpoint take / suffix discard / prefix collection,
 token logging with dedupe, ``put`` / ``put_lazy``, outbox add / ack,
-the operator-rollback intent steps, and ``atomic()`` groups around runs
-of them -- run against one :class:`FileStableStorage` with the
+rewinds (a checkpoint suffix discard, send cut, log truncation and kv
+put in one group, as the operator's rollback writes them), and
+``atomic()`` groups around runs of them -- run against one :class:`FileStableStorage` with the
 compaction floor patched low, so snapshots and deltas interleave.  After
 every record a fresh storage is opened over a copy of the file and must
 equal the live object's durable state: nothing a record acknowledged may
@@ -20,7 +21,7 @@ import shutil
 import pytest
 
 from repro.live.storage import FileStableStorage
-from repro.storage.intents import INTENT_STEPS, OPERATOR_ROLLBACK
+from repro.storage.checkpoint import SEND_LOG
 
 
 def _state(storage):
@@ -31,7 +32,6 @@ class _Driver:
     def __init__(self, storage, rng):
         self.storage = storage
         self.rng = rng
-        self.intent = None
         self.group = None
         self.serial = 0
 
@@ -48,7 +48,7 @@ class _Driver:
                 self.take, self.discard_after, self.collect,
                 self.token, self.put, self.put_lazy,
                 self.outbox_add, self.outbox_add, self.outbox_ack,
-                self.intent_step, self.atomic_group,
+                self.rewind, self.atomic_group,
             ]
         )()
 
@@ -73,7 +73,10 @@ class _Driver:
         self.storage.checkpoints.take(
             float(self.serial), {"state": self.serial},
             self.storage.log.stable_length,
-            extras={"clock": (self.serial, 0), "sent": list(range(3))},
+            extras={
+                "clock": (self.serial, 0),
+                SEND_LOG: self.storage.send_append([self.serial] * 2),
+            },
         )
 
     def discard_after(self):
@@ -108,22 +111,23 @@ class _Driver:
             dst, self.rng.randrange(self.storage.outbox.next_seq(dst))
         )
 
-    # -- intents (memory-only: they ride the next barrier) --------------
-    def intent_step(self):
+    # -- a rewind to a checkpoint: one group, one record ----------------
+    def rewind(self):
         storage = self.storage
-        if self.intent is None:
-            self.intent = storage.begin_intent(
-                OPERATOR_ROLLBACK, anchor=self.serial
-            )
-            self.steps = list(INTENT_STEPS[OPERATOR_ROLLBACK])
-        elif self.steps and self.rng.random() < 0.7:
-            storage.advance_intent(self.intent, self.steps.pop(0))
-        elif self.rng.random() < 0.8:
-            storage.commit_intent(self.intent)
-            self.intent = None
-        else:
-            storage.abort_intent(self.intent, reason="test")
-            self.intent = None
+        checkpoints = list(storage.checkpoints)
+        if not checkpoints:
+            return
+        anchor = self.rng.choice(checkpoints)
+        log = storage.log
+        keep = max(anchor.log_position, log._gc_offset)
+        before = storage.persist_count
+        with storage.atomic():
+            storage.checkpoints.discard_after(anchor)
+            storage.send_cut_to(anchor)
+            if log.stable_length > keep:
+                log.truncate(keep)
+            storage.put("stable_own", self.serial)
+        assert storage.persist_count == before + (self.group is None)
 
     # -- one transition: a group around the next few steps --------------
     def atomic_group(self):

@@ -29,7 +29,8 @@ from repro.live.storage import (
     describe,
     scan,
 )
-from repro.storage.intents import OPERATOR_ROLLBACK
+from repro.live.framing import frame
+from repro.storage.checkpoint import SEND_LOG
 
 
 def _state(storage):
@@ -53,7 +54,10 @@ def _history(path):
         storage.log.append(i, 1, f"payload-{i}", meta={"clock": (i, 0)})
     storage.log.flush()
     ack()
-    storage.checkpoints.take(1.0, {"x": 1}, 4, extras={"clock": (4, 0)})
+    anchor = storage.checkpoints.take(
+        1.0, {"x": 1}, 4,
+        extras={"clock": (4, 0), SEND_LOG: storage.send_append(["s0"])},
+    )
     ack()
     storage.log_token(("token", 1, 2), dedupe_key=(1, 2))
     ack()
@@ -67,14 +71,22 @@ def _history(path):
         storage.log.truncate(2)
         storage.put("stable_own", (0, 2))
     ack()
-    intent = storage.begin_intent(
-        OPERATOR_ROLLBACK, anchor_ckpt_id=0, truncate_at=2
-    )
-    storage.advance_intent(intent, "orphans_preserved")
-    storage.put("operator_orphans", [])
+    with storage.atomic():      # a checkpoint with its flush
+        for i in range(2):
+            storage.log.append(4 + i, 1, f"payload-{4 + i}")
+        storage.log.flush()
+        storage.checkpoints.take(
+            2.0, {"x": 2}, 4,
+            extras={SEND_LOG: storage.send_append(["s1", "s2"])},
+        )
     ack()
-    storage.commit_intent(intent)
-    storage.put("operator_rollback_audit", [])
+    with storage.atomic():      # an operator rewind: one record
+        storage.put("operator_orphans", [])
+        storage.checkpoints.discard_after(anchor)
+        storage.send_cut_to(anchor)
+        storage.log.truncate(2)
+        storage.put("stable_own", (0, 1))
+        storage.put("operator_rollback_audit", [])
     ack()
     storage.put_lazy("committed_outputs", {(0, 1)})
     ack()
@@ -215,6 +227,23 @@ def test_a_flipped_top_bit_of_the_first_length_is_damage_not_a_pickle(
     copy = _reopen(history, tmp_path, flip)
     with pytest.raises(StorageCorruptionError, match="offset 0"):
         FileStableStorage(0, copy)
+
+
+def test_a_record_log_of_the_previous_format_is_refused_at_offset_0(
+    history, tmp_path
+):
+    """A ``DGL3`` file restated three more scalars in every record, and
+    no reader for it is kept: its first record is damage at offset 0,
+    for the loader and for the dump alike."""
+    path, _ = history
+    state = _state(FileStableStorage(0, path))
+    state["scalars"] += (0, None, [])
+    copy = tmp_path / "stable_p0.pickle"
+    copy.write_bytes(frame(b"DGL3S" + pickle.dumps(state, protocol=4)))
+    with pytest.raises(StorageCorruptionError, match="at offset 0;"):
+        FileStableStorage(0, str(copy))
+    with pytest.raises(StorageCorruptionError, match="at offset 0;"):
+        list(describe(copy.read_bytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,16 @@ def test_crash_preserves_everything_except_volatile_log():
     assert storage.tokens == ["tok"]
     assert storage.get("version") == 1
     assert len(storage.checkpoints) == 1
+
+
+def test_heal_is_a_no_op_on_clean_image():
+    """Every transition is one record, so ``heal`` of a reopened image
+    finds nothing to repair and writes nothing."""
+    from repro.storage.intents import heal
+
+    storage = StableStorage(0)
+    storage.put("k", 1)
+    writes_before = storage.sync_writes
+    assert heal(storage) == []
+    assert storage.sync_writes == writes_before
+    assert storage.intents_begun == 0

@@ -185,6 +185,71 @@ def test_operator_rollback_is_one_record_and_leaves_no_partial_image(
     assert _view(FileStableStorage(0, failing))[:4] == _view(ref)[:4]
 
 
+class _Killed(Exception):
+    """The rewind's process dies here."""
+
+
+def _kill_after(victim, step, monkeypatch):
+    """Make ``step`` of the rewind do its work in memory, then die."""
+    def dying(method, only_key=None):
+        def run(*args):
+            method(*args)
+            if only_key is None or args[0] == only_key:
+                raise _Killed(step)
+        return run
+
+    if step == "orphans_preserved":
+        monkeypatch.setattr(victim, "put", dying(victim.put, ORPHANS_KEY))
+    elif step == "checkpoints_discarded":
+        monkeypatch.setattr(
+            victim.checkpoints, "discard_after",
+            dying(victim.checkpoints.discard_after),
+        )
+    else:
+        monkeypatch.setattr(victim.log, "truncate", dying(victim.log.truncate))
+
+
+@pytest.mark.parametrize(
+    "step",
+    ["orphans_preserved", "checkpoints_discarded", "log_truncated"],
+    ids=lambda step: f"operator-rollback:{step}",
+)
+def test_operator_rollback_crash_windows_heal_forward(
+    tmp_path, monkeypatch, step
+):
+    """Kill the rewind just after each of its steps: nothing reaches the
+    file, ``heal`` of the reopened image has nothing to repair, and a
+    rerun rewinds it to exactly the image a clean rewind produces."""
+    from repro.storage.intents import heal
+
+    ref = FileStableStorage(0, str(tmp_path / "ref.pickle"))
+    _populate(ref)
+    rollback_storage(ref, at=1.5, reason="r", witness="w")
+
+    path = str(tmp_path / "victim.pickle")
+    victim = FileStableStorage(0, path)
+    _populate(victim)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    old = _view(FileStableStorage(0, path))
+    _kill_after(victim, step, monkeypatch)
+    with pytest.raises(_Killed):
+        rollback_storage(victim, at=1.5, reason="r", witness="w")
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+    reborn = FileStableStorage(0, path)
+    assert heal(reborn) == []
+    assert _view(reborn) == old
+    rollback_storage(reborn, at=1.5, reason="r", witness="w")
+    assert _view(FileStableStorage(0, path))[:4] == _view(ref)[:4] == (
+        [0], 0, ["s0", "s1"], ("v0", 1)
+    )
+    area = FileStableStorage(0, path).get(ORPHANS_KEY)
+    assert len(area) == 1 and len(area[0]["entries"]) == 4
+    assert area[0]["sends"] == ["s2", "s3", "s4"]
+
+
 def test_refused_cluster_rollback_rewinds_no_node(tmp_path):
     """p1 has no checkpoint at or before the frontier: the refusal
     comes before p0's image is touched, and no audit file is written."""

@@ -14,10 +14,13 @@ that ``jobs=N`` is bit-identical to ``jobs=1``.  Quick tour::
              payload={"case": {...}, "theorem_max_states": 60})
     ])
 
-Workers are crash-isolated: a schedule that segfaults its worker fails
-that one task, and a replacement process keeps draining the rest of the
-queue.  See ``docs/PARALLELISM.md`` for the worker model, the
-determinism contract, and the cache-key definition.
+The pool is the standard library's ``ProcessPoolExecutor``, and it is
+crash-isolated: a worker death breaks the pool, the tasks that were in
+flight re-run one by one in their own processes (so only the schedule
+that kills its process fails, with ``crashed=True``), and a fresh pool
+of full strength takes the rest of the queue.  See
+``docs/PARALLELISM.md`` for the worker model, the determinism contract,
+and the cache-key definition.
 """
 
 from repro.exec.cache import ResultCache

@@ -6,8 +6,9 @@ a pure function of ``j`` and the stage count (see
 :func:`pipeline_reference`).  That gives the same three checks the
 simulator's conformance suite applies, from the merged trace alone:
 
-- **recovery**: every supervisor-recorded crash is followed by that
-  process's RESTART (with its recovery-token broadcast);
+- **recovery** (:func:`check_recovery`): every supervisor-recorded
+  crash is followed by that process's RESTART, its recovery-token
+  broadcast and a post-restart checkpoint;
 - **no orphan output**: every committed output value matches the
   closed-form reference -- an output produced by an orphan lineage would
   carry a value no failure-free run can produce;
@@ -60,44 +61,45 @@ class LiveVerdict:
         )
 
 
-def check_live_run(trace: SimTrace, *, n: int, jobs: int) -> LiveVerdict:
-    """Grade one merged live trace against the closed-form reference."""
+def check_recovery(trace: SimTrace) -> list[str]:
+    """The recovery half of every live oracle: each crash of a pid is
+    followed by its RESTART and a recovery-token broadcast, and each
+    restart by a checkpoint (the new incarnation is durable)."""
     failures: list[str] = []
-
-    # --- recovery: each crash of pid is matched by a later restart -----
-    crash_events = trace.events(EventKind.CRASH)
     restart_events = trace.events(EventKind.RESTART)
     token_events = trace.events(EventKind.TOKEN_SEND)
-    for crash in crash_events:
-        recovered = any(
+    for crash in trace.events(EventKind.CRASH):
+        if not any(
             r.pid == crash.pid and r.time > crash.time
             for r in restart_events
-        )
-        if not recovered:
+        ):
             failures.append(
                 f"p{crash.pid} crashed at t={crash.time:.3f} and never "
-                f"restarted"
+                "restarted"
             )
-        announced = any(
+        if not any(
             t.pid == crash.pid and t.time > crash.time
             for t in token_events
-        )
-        if not announced:
+        ):
             failures.append(
                 f"p{crash.pid} recovered without broadcasting a token"
             )
-
-    # --- post-restart checkpoint: the new incarnation is durable -------
+    checkpoints = trace.events(EventKind.CHECKPOINT)
     for restart in restart_events:
-        ckpt_after = any(
+        if not any(
             c.pid == restart.pid and c.time >= restart.time
-            for c in trace.events(EventKind.CHECKPOINT)
-        )
-        if not ckpt_after:
+            for c in checkpoints
+        ):
             failures.append(
                 f"p{restart.pid} restarted at t={restart.time:.3f} "
-                f"without a post-restart checkpoint"
+                "without a post-restart checkpoint"
             )
+    return failures
+
+
+def check_live_run(trace: SimTrace, *, n: int, jobs: int) -> LiveVerdict:
+    """Grade one merged live trace against the closed-form reference."""
+    failures = check_recovery(trace)
 
     # --- outputs vs the closed-form pipeline reference -----------------
     expected = pipeline_reference(n, jobs)
@@ -136,9 +138,9 @@ def check_live_run(trace: SimTrace, *, n: int, jobs: int) -> LiveVerdict:
     return LiveVerdict(
         ok=not failures,
         failures=failures,
-        crashes=len(crash_events),
-        restarts=len(restart_events),
-        tokens_sent=len(token_events),
+        crashes=trace.count(EventKind.CRASH),
+        restarts=trace.count(EventKind.RESTART),
+        tokens_sent=trace.count(EventKind.TOKEN_SEND),
         outputs_committed=len(committed),
         duplicate_outputs=duplicates,
         jobs_expected=jobs,

@@ -81,8 +81,8 @@ def _check_own_entries_unique(
 ) -> list[str]:
     """No two states of one process that sent a message or emitted an
     output share their own clock entry, which is what frontier reports
-    name them by.  (A restart attempt cut short by a crash point can
-    leave a state that never ran, whose entry the next one re-mints.)"""
+    name them by.  (Only such states are ever named outside their own
+    process, so a state that sent and emitted nothing is not checked.)"""
     seen = {uid for uid, _dst in gt.send_info.values()}
     seen.update(
         tuple(ev["uid"]) for ev in result.trace.events(EventKind.OUTPUT)

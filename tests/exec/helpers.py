@@ -28,21 +28,20 @@ def die_if_victim(payload):
     return payload["x"] * 10
 
 
-def occupy(payload):
-    """Concurrency probe for the admission tests: hold a marker file for
-    a moment and report the peak number of markers seen at once."""
-    import glob
+def nap_pid(payload):
+    """Nap 20 ms and report which process ran the task; the victim dies
+    like ``die_if_victim``'s."""
     import time
 
-    marker = os.path.join(payload["dir"], f"marker_{payload['x']}")
-    with open(marker, "w") as fh:
-        fh.write("x")
-    peak = 0
-    deadline = time.monotonic() + payload.get("hold", 0.25)
-    while time.monotonic() < deadline:
-        peak = max(
-            peak, len(glob.glob(os.path.join(payload["dir"], "marker_*")))
-        )
-        time.sleep(0.02)
-    os.remove(marker)
-    return peak
+    if payload["x"] == payload["victim"]:
+        os._exit(43)
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def exit_now(payload):
+    raise SystemExit(f"exit {payload['x']}")
+
+
+def unpicklable(payload):
+    return lambda: payload

@@ -1,5 +1,7 @@
 """ParallelRunner behaviour: ordering, isolation, caching, crashes."""
 
+from collections import Counter
+
 import pytest
 
 from repro.exec.cache import ResultCache
@@ -76,6 +78,33 @@ class TestPool:
         survivors = [o for o in outcomes if not o.crashed]
         assert len(survivors) == 7
         assert all(o.value == o.index * 10 for o in survivors)
+
+    @pytest.mark.parametrize(
+        "fn, text",
+        [("exit_now", "SystemExit"), ("unpicklable", "pickle")],
+    )
+    def test_worker_side_failure_is_error_not_crash(self, fn, text):
+        # A task's SystemExit, or a result the worker cannot pickle back.
+        tasks = [
+            Task(fn=f"tests.exec.helpers:{fn}", payload={"x": i})
+            for i in range(3)
+        ]
+        outcomes = ParallelRunner(jobs=2).map(tasks)
+        assert all(not o.ok and not o.crashed for o in outcomes)
+        assert all(text in o.error for o in outcomes)
+
+    def test_worker_death_keeps_the_pool_at_strength(self):
+        tasks = [
+            Task(
+                fn="tests.exec.helpers:nap_pid",
+                payload={"x": i, "victim": 1},
+            )
+            for i in range(40)
+        ]
+        outcomes = ParallelRunner(jobs=2).map(tasks)
+        assert [o.index for o in outcomes if o.crashed] == [1]
+        per_pid = Counter(o.value for o in outcomes if not o.crashed)
+        assert sum(1 for ran in per_pid.values() if ran >= 5) >= 2, per_pid
 
     def test_every_worker_dying_still_terminates(self):
         tasks = [

@@ -64,6 +64,12 @@ table1:
 # with 0 failed ops on both sides; sim_steady, sim_stress and
 # service_crash within their bounds and `peak_rss_mb` within +2% on all
 # four workloads.
+# The delivered-id set derived from the message log instead of copied
+# into every checkpoint: `peak_rss_mb` down >= 20% and a gain in 10
+# alternating pairs of
+#   make perf-pairs WORKLOAD=sim_steady
+# with sim_stress, live_saturated and service_crash as the ones that
+# must not move.
 PARENT ?= HEAD~1
 WORKLOAD ?= sim_stress
 

@@ -20,7 +20,11 @@ both quartile pairs, wins / pairs and a verdict under the rule of the
 
 Each tree runs its own copy of the harness for the run length
 ``BENCHMARK.json`` fixes; a change that edits ``benchmarks/perf`` cannot
-be paired.  The bound and spread arithmetic is the harness's own
+be paired.  Before the first pair both trees are byte-compiled
+(:func:`compile_tree`, with ``PYTHONDONTWRITEBYTECODE`` unset for that
+call): a tree without ``.pyc`` files compiles every module it imports
+on each run, which reads as a slower ``setup_s`` on that side alone.
+The bound and spread arithmetic is the harness's own
 (``benchmarks.perf.stats``).  Exit status 1 on a regression or when the
 change fails a larger share of operations than the parent.
 """
@@ -50,6 +54,17 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def compile_tree(tree: str) -> None:
+    """Write the ``.pyc`` files of ``tree``'s ``src`` and ``benchmarks``,
+    so neither side of a pair pays the compiler in its runs."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
+        cwd=tree, check=True, env=env, stdout=subprocess.DEVNULL,
+    )
 
 
 def run_once(tree: str, args: argparse.Namespace) -> dict[str, Any]:
@@ -154,6 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     git("worktree", "add", "--detach", tree, rev)
     results: dict[str, list[dict]] = {tree: [], ROOT: []}
     try:
+        for side in results:
+            compile_tree(side)
         for index in range(args.pairs):
             order = (tree, ROOT) if index % 2 == 0 else (ROOT, tree)
             for side in order:

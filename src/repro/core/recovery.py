@@ -38,7 +38,9 @@ Extensions from Section 6.5 are opt-in via
 Per-message dedup ids give every process duplicate suppression
 unconditionally (exactly-once delivery on an at-least-once transport);
 ``retransmit_on_token`` only controls whether the send history needed for
-retransmission is kept.
+retransmission is kept.  The delivered-id set is not checkpointed: every
+id in it came with a log entry, so a restore rebuilds it from the stable
+log and the ids of the prefix GC discarded (the storage's dedup base).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self.history = History(self.pid, self.n)
         # Volatile state, all lost in a crash (with the base's _held):
         self._send_seq = 0                        # dedup id source
-        self._delivered_ids: set[tuple[int, int]] = set()
+        self._delivered_ids: set[tuple[int, int]] = set()   # log-derived
         # Remark-1 sends since the last checkpoint; the checkpoint moves
         # them onto the storage's send stream.
         self._send_tail: list[_SendLogEntry] = []
@@ -633,10 +635,6 @@ class DamaniGargProcess(BaseRecoveryProcess):
             "clock": self.clock,
             "history": self.history.snapshot(),
             "send_seq": self._send_seq,
-            # Always checkpointed: duplicate suppression must survive a
-            # rollback/restart even without the retransmission extension
-            # (the transport may be at-least-once regardless).
-            "delivered_ids": set(self._delivered_ids),
         }
         if self.config.retransmit_on_token:
             # Called once per checkpoint, by take_checkpoint: the tail
@@ -652,9 +650,31 @@ class DamaniGargProcess(BaseRecoveryProcess):
         self.history = ckpt.extras["history"].snapshot()
         self._send_seq = ckpt.extras["send_seq"]
         self._pending_outputs = []    # replay re-emits what still matters
-        self._delivered_ids = set(ckpt.extras.get("delivered_ids", set()))
+        self._delivered_ids = self._delivered_before(ckpt.log_position)
         self._send_tail = []
         self.storage.send_cut_to(ckpt)
+
+    def _delivered_before(self, position: int) -> set[tuple[int, int]]:
+        """The dedup ids delivered before log ``position``.
+
+        Each id joined the set with a log entry (a delivery appends one,
+        a replay reads one), and a checkpoint flushes first, so the set
+        a checkpoint at ``position`` saw is the dedup base plus the ids
+        of the retained stable log below ``position``.  Duplicate
+        suppression survives a rollback or restart this way even
+        without the retransmission extension (the transport may be
+        at-least-once regardless).
+        """
+        delivered = set(self.storage.dedup_base)
+        delivered.update(self._logged_ids_before(position))
+        return delivered
+
+    def _logged_ids_before(self, position: int) -> list[tuple[int, int]]:
+        """The dedup ids of the retained stable log below ``position``."""
+        return [
+            entry.meta[1]
+            for entry in self.storage.log.retained_before(position)
+        ]
 
     # ------------------------------------------------------------------
     # Remark-1 extension: retransmission of possibly-lost messages
@@ -830,12 +850,15 @@ class DamaniGargProcess(BaseRecoveryProcess):
                 ):
                     anchor = ckpt
             if anchor is not None:
-                # Checkpoint GC and log-prefix discard: one durable step.
-                with self.storage.atomic():
-                    self.storage.checkpoints.garbage_collect_before(
-                        anchor.ckpt_id
+                # Checkpoint GC and log-prefix discard, with the dedup
+                # ids the discarded entries held: one durable step.
+                storage = self.storage
+                with storage.atomic():
+                    storage.checkpoints.garbage_collect_before(anchor.ckpt_id)
+                    storage.extend_dedup_base(
+                        self._logged_ids_before(anchor.log_position)
                     )
-                    self.storage.log.discard_prefix(anchor.log_position)
+                    storage.log.discard_prefix(anchor.log_position)
 
     # ------------------------------------------------------------------
     # Harness introspection

@@ -146,10 +146,13 @@ class ParallelRunner:
         return outcome
 
     def _run_inline(self, index: int, task: Task) -> TaskOutcome:
+        """Run a task in this process.  A task's ``SystemExit`` is an
+        error outcome, as under the pool; ``KeyboardInterrupt`` still
+        stops the map."""
         started = perf_counter()
         try:
             value, error = resolve_fn(task.fn)(task.payload), None
-        except Exception:
+        except (Exception, SystemExit):
             value, error = None, traceback.format_exc(limit=20)
         wall_s = perf_counter() - started
         return self._outcome(task, index, (value, error, wall_s))

@@ -9,9 +9,9 @@ durable remainder to one file of length+CRC32-framed records
 
 - a **delta** record per barrier, holding only the mutations made since
   the previous barrier (log entries flushed, checkpoint taken / suffix
-  discarded / prefix collected, log truncated / prefix discarded, sends
-  appended / cut, token, kv put, outbox add / ack) plus the few
-  always-current scalars (counters).  One ``write`` and one ``fsync``:
+  discarded / prefix collected, log truncated / prefix discarded, the
+  dedup ids of a discarded prefix, sends appended / cut, token, kv put,
+  outbox add / ack) plus the few always-current scalars (counters).  One ``write`` and one ``fsync``:
   a barrier costs what it flushed, not what the process has
   accumulated;
 - a **snapshot** record holding the whole durable state.  It is always
@@ -87,12 +87,13 @@ from repro.storage.log import MessageLog
 from repro.storage.stable import StableStorage
 
 #: First bytes of every record payload; the trailing digit is the format
-#: version (4: the streams and the outbox journaled as pickled chunks, a
-#: checkpoint's send history pickled as its end in the send stream, and
-#: the scalars only counters).  It is also what lets the loader look for
-#: a valid record *after* a bad one without trusting the bad one's
-#: length field.
-_MAGIC = b"DGL4"
+#: version (5: the streams and the outbox journaled as pickled chunks, a
+#: checkpoint's send history pickled as its end in the send stream, the
+#: scalars only counters, and the dedup base journaled as the ids each GC
+#: sweep discards instead of checkpointed whole).  It is also what lets
+#: the loader look for a valid record *after* a bad one without trusting
+#: the bad one's length field.
+_MAGIC = b"DGL5"
 _SNAPSHOT = b"S"
 _DELTA = b"D"
 _KIND_AT = len(_MAGIC)
@@ -463,6 +464,12 @@ class FileStableStorage(StableStorage):
                 self._ops.append(("send_cut", end))
         return dropped
 
+    def extend_dedup_base(self, ids: list[Any]) -> None:
+        # The new ids only: the op costs what the sweep discarded.
+        super().extend_dedup_base(ids)
+        if ids:
+            self._barrier(("dedup+", ids))
+
     def put_lazy(self, key: str, value: Any) -> None:
         super().put_lazy(key, value)
         self._lazy(("kv", key, value))
@@ -567,6 +574,7 @@ class FileStableStorage(StableStorage):
             "log_gc_offset": self.log._gc_offset,
             "log_gc_count": self.log.gc_count,
             "send_chunks": self._send_chunks.spans,
+            "dedup_base": self.dedup_base,
             "tokens": self._tokens,
             "token_keys": self._token_keys,
             "kv": self._kv,
@@ -717,6 +725,7 @@ class FileStableStorage(StableStorage):
         self.sends = self._send_chunks.entries(0)
         for ckpt in self.checkpoints:
             self.adopt(ckpt)
+        self.dedup_base = state["dedup_base"]
         self._tokens = state["tokens"]
         self._token_keys = state["token_keys"]
         self._kv = state["kv"]
@@ -749,6 +758,8 @@ class FileStableStorage(StableStorage):
             self.log.truncate(op[1])
         elif kind == "log_gc":
             self.log.discard_prefix(op[1])
+        elif kind == "dedup+":
+            self.dedup_base.update(op[1])
         elif kind == "ckpt+":
             store = self.checkpoints
             store._checkpoints.append(op[1])
@@ -824,6 +835,8 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
                 f"log_chunks={len(body['log_chunks'])} "
                 f"sends={send_end}:{_size(send_bytes)} "
                 f"send_chunks={len(body['send_chunks'])} "
+                f"dedup_base={len(body['dedup_base'])}:"
+                f"{_pickled(body['dedup_base'])} "
                 f"tokens={len(body['tokens'])} "
                 f"kv={len(body['kv'])}:{_pickled(body['kv'])} "
                 f"outbox={len(outbox)}:"
@@ -836,8 +849,12 @@ def describe(data: bytes, path: str = "<bytes>") -> Iterator[str]:
             for op in ops:
                 label = f"kv:{op[1]}" if op[0] == "kv" else op[0]
                 tally = counts.setdefault(label, [0, 0])
-                streamed = op[0] in ("log+", "send+", "out+")
-                tally[0] += len(pickle.loads(op[-1])) if streamed else 1
+                if op[0] in ("log+", "send+", "out+"):
+                    tally[0] += len(pickle.loads(op[-1]))
+                elif op[0] == "dedup+":
+                    tally[0] += len(op[1])
+                else:
+                    tally[0] += 1
                 tally[1] += len(pickle.dumps(op, protocol=4))
             held = "delta " + (
                 ",".join(

@@ -152,6 +152,11 @@ class MessageLog:
             )
         return self._stable[local:]
 
+    def retained_before(self, stop: int) -> list[LogEntry]:
+        """Retained stable entries with absolute index < ``stop``: what
+        ``discard_prefix(stop)`` would reclaim."""
+        return self._stable[:max(0, stop - self._gc_offset)]
+
     def all_entries(self, start: int = 0) -> list[LogEntry]:
         """Stable followed by volatile entries from absolute ``start`` on."""
         local = start - self._gc_offset

@@ -7,6 +7,11 @@ the checkpoint store, the message log, a synchronously-written token log
 one), the Remark-1 send stream, and a small key-value area for durable
 scalars such as the version number.
 
+The dedup ids of the message-log entries GC discarded stay behind as the
+*dedup base* (:meth:`StableStorage.extend_dedup_base`): with the ids of
+the retained log it is every id the process has delivered, so no
+checkpoint copies that set.
+
 The send stream holds each send once.  A checkpoint appends the sends
 made since the previous one (:meth:`StableStorage.send_append`) and
 keeps the returned :class:`~repro.storage.checkpoint.SendHistory` -- the
@@ -53,6 +58,7 @@ class StableStorage:
         self._tokens: list[Any] = []
         self._token_keys: set[Any] = set()
         self._kv: dict[str, Any] = {}
+        self.dedup_base: set[Any] = set()   # read-only outside
         self.sync_writes = 0
         self.lazy_writes = 0
         self.token_log_dedups = 0
@@ -120,6 +126,15 @@ class StableStorage:
     def _send_end(self, ckpt: Checkpoint) -> int:
         history = ckpt.extras.get(SEND_LOG)
         return len(self.sends) if history is None else history.end
+
+    # ------------------------------------------------------------------
+    # Dedup ids of the collected log prefix
+    # ------------------------------------------------------------------
+    def extend_dedup_base(self, ids: list[Any]) -> None:
+        """Keep ``ids``, the dedup ids of the log prefix a GC sweep is
+        about to discard: a retransmission may present any of them
+        again, however old."""
+        self.dedup_base.update(ids)
 
     # ------------------------------------------------------------------
     # Transitions

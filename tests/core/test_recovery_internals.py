@@ -60,7 +60,8 @@ class TestCheckpointExtras:
         protocol.take_checkpoint()
         extras = storage.checkpoints.latest().extras
         history = extras[SEND_LOG]
-        assert "delivered_ids" in extras and history.end == 2
+        # The delivered-id set is derived from the log, never copied.
+        assert "delivered_ids" not in extras and history.end == 2
         # The history is the stream's prefix up to its offset ...
         assert [
             (sent.dst, sent.envelope.payload, sent.envelope.dedup_id)
@@ -74,6 +75,41 @@ class TestCheckpointExtras:
         assert pickle.loads(blob) == history
         with pytest.raises(RuntimeError, match="before a storage bound"):
             list(pickle.loads(blob))
+
+    def test_restore_rebuilds_the_delivered_set_from_the_log(self):
+        result = simple_run()
+        protocol = result.protocols[2]
+        protocol.take_checkpoint()
+        delivered = set(protocol._delivered_ids)
+        assert delivered == {(0, 1), (1, 0)}
+        protocol._delivered_ids = {(9, 9)}
+        protocol._restore_checkpoint(protocol.storage.checkpoints.latest())
+        assert protocol._delivered_ids == delivered
+
+    @staticmethod
+    def _extras_bytes_after(deliveries):
+        result = (
+            ScenarioBuilder(n=2)
+            .app(
+                ScriptedApp(
+                    bootstrap_sends={
+                        0: [(1, f"m{i}") for i in range(deliveries)]
+                    }
+                )
+            )
+            .run()
+        )
+        protocol = result.protocols[1]
+        assert len(protocol._delivered_ids) == deliveries
+        protocol.take_checkpoint()
+        extras = protocol.storage.checkpoints.latest().extras
+        return len(pickle.dumps(extras, protocol=4))
+
+    def test_checkpoint_bytes_do_not_grow_with_deliveries(self):
+        # Only the clock's timestamps grow (a wider int each).
+        small = self._extras_bytes_after(10)
+        large = self._extras_bytes_after(1000)
+        assert large - small <= 32, (small, large)
 
     def test_history_in_extras_is_isolated(self):
         result = simple_run()

@@ -80,16 +80,24 @@ class TestPool:
         assert all(o.value == o.index * 10 for o in survivors)
 
     @pytest.mark.parametrize(
-        "fn, text",
-        [("exit_now", "SystemExit"), ("unpicklable", "pickle")],
+        "fn, text, jobs",
+        [
+            pytest.param("exit_now", "SystemExit", 2, id="exit_now-SystemExit"),
+            pytest.param("unpicklable", "pickle", 2, id="unpicklable-pickle"),
+            pytest.param(
+                "exit_now", "SystemExit", 1, id="exit_now-SystemExit-inline"
+            ),
+        ],
     )
-    def test_worker_side_failure_is_error_not_crash(self, fn, text):
-        # A task's SystemExit, or a result the worker cannot pickle back.
+    def test_worker_side_failure_is_error_not_crash(self, fn, text, jobs):
+        # A task's SystemExit, or a result the worker cannot pickle back;
+        # at jobs=1 the task runs inline and its SystemExit must not
+        # escape the map either.
         tasks = [
             Task(fn=f"tests.exec.helpers:{fn}", payload={"x": i})
             for i in range(3)
         ]
-        outcomes = ParallelRunner(jobs=2).map(tasks)
+        outcomes = ParallelRunner(jobs=jobs).map(tasks)
         assert all(not o.ok and not o.crashed for o in outcomes)
         assert all(text in o.error for o in outcomes)
 

@@ -67,3 +67,16 @@ def test_fewer_than_ten_pairs_never_earn_a_gain():
     assert pairs.verdict("higher", 0.2, PARENT[:3], shifted(-25)[:3]) == (
         0, "REGRESSION"
     )
+
+
+def test_both_trees_are_compiled_even_where_bytecode_writing_is_off(
+    tmp_path, monkeypatch
+):
+    # A tree with .pyc files and one without differ in setup_s alone.
+    for part in ("src", "benchmarks"):
+        (tmp_path / part).mkdir()
+        (tmp_path / part / "mod.py").write_text("X = 1\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    pairs.compile_tree(str(tmp_path))
+    for part in ("src", "benchmarks"):
+        assert list((tmp_path / part / "__pycache__").glob("mod.*.pyc"))

@@ -1,8 +1,9 @@
 """Seeded equivalence: the folded record log equals the live object.
 
 Random sequences of *every* durable operation -- log flush / truncate /
-prefix discard, checkpoint take / suffix discard / prefix collection,
-token logging with dedupe, ``put`` / ``put_lazy``, outbox add / ack,
+prefix discard with the dedup ids it drops, checkpoint take / suffix
+discard / prefix collection, token logging with dedupe, ``put`` /
+``put_lazy``, outbox add / ack,
 rewinds (a checkpoint suffix discard, send cut, log truncation and kv
 put in one group, as the operator's rollback writes them), and
 ``atomic()`` groups around runs of them -- run against one :class:`FileStableStorage` with the
@@ -65,8 +66,13 @@ class _Driver:
         log.truncate(self.rng.randint(log._gc_offset, log.stable_length))
 
     def discard_prefix(self):
+        # As a GC sweep does it: the dropped entries' dedup ids first.
         log = self.storage.log
-        log.discard_prefix(self.rng.randint(0, log.stable_length))
+        before = self.rng.randint(0, log.stable_length)
+        self.storage.extend_dedup_base(
+            [entry.meta for entry in log.retained_before(before)]
+        )
+        log.discard_prefix(before)
 
     # -- checkpoints ----------------------------------------------------
     def take(self):

@@ -61,6 +61,12 @@ def _history(path):
     ack()
     storage.log_token(("token", 1, 2), dedupe_key=(1, 2))
     ack()
+    with storage.atomic():      # a GC sweep: one record
+        storage.extend_dedup_base(
+            [entry.meta["clock"] for entry in storage.log.retained_before(1)]
+        )
+        storage.log.discard_prefix(1)
+    ack()
     for i in range(3):
         storage.outbox.add(1, f"msg-{i}")
         ack()
@@ -232,14 +238,14 @@ def test_a_flipped_top_bit_of_the_first_length_is_damage_not_a_pickle(
 def test_a_record_log_of_the_previous_format_is_refused_at_offset_0(
     history, tmp_path
 ):
-    """A ``DGL3`` file restated three more scalars in every record, and
-    no reader for it is kept: its first record is damage at offset 0,
-    for the loader and for the dump alike."""
+    """A ``DGL4`` file kept no dedup base (each checkpoint copied the
+    delivered-id set), and no reader for it is kept: its first record is
+    damage at offset 0, for the loader and for the dump alike."""
     path, _ = history
     state = _state(FileStableStorage(0, path))
-    state["scalars"] += (0, None, [])
+    del state["dedup_base"]
     copy = tmp_path / "stable_p0.pickle"
-    copy.write_bytes(frame(b"DGL3S" + pickle.dumps(state, protocol=4)))
+    copy.write_bytes(frame(b"DGL4S" + pickle.dumps(state, protocol=4)))
     with pytest.raises(StorageCorruptionError, match="at offset 0;"):
         FileStableStorage(0, str(copy))
     with pytest.raises(StorageCorruptionError, match="at offset 0;"):
@@ -257,6 +263,7 @@ def _streams(storage):
         log.gc_count,
         list(log._stable),
         list(storage.sends),
+        set(storage.dedup_base),
         [span[:2] for span in log.chunks.spans],
         [span[:2] for span in storage._send_chunks.spans],
     )
@@ -322,7 +329,12 @@ def _stream_step(storage, rng, serial):
         log.truncate(keep)
         return split
     elif step == "gc":
-        log.discard_prefix(rng.randint(0, log.stable_length))
+        # A sweep keeps the dedup ids of the prefix it discards.
+        before = rng.randint(0, log.stable_length)
+        storage.extend_dedup_base(
+            [entry.meta for entry in log.retained_before(before)]
+        )
+        log.discard_prefix(before)
     else:
         end = rng.randint(0, len(storage.sends))
         split = any(a < end < b for a, b, _ in storage._send_chunks.spans)

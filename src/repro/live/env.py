@@ -392,11 +392,8 @@ class LiveEnv(RuntimeEnv):
         delay: float,
         callback: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> TimerHandle:
-        # ``priority`` orders same-instant events in the simulator; real
-        # time has no simultaneous instants, so it is ignored here.
         delay = max(0.0, delay)
         loop = (
             self._loop if self._loop is not None
@@ -404,10 +401,6 @@ class LiveEnv(RuntimeEnv):
         )
         handle = loop.call_later(delay, callback)
         return _LiveTimerHandle(handle, self.now + delay)
-
-    # suspend_timer / resume_timer: the RuntimeEnv defaults (cancel, then
-    # re-arm on the chain's original phase) are exactly right for live
-    # timers -- there is no deterministic event order to preserve.
 
     # ------------------------------------------------------------------
     # Protocol attachment

@@ -230,9 +230,9 @@ async def run_node(
             protocol.on_start()
         else:
             # The crash itself happened to the previous OS process;
-            # this incarnation only has to recover.  The simulator's host
-            # resumes the timer chains for us; here they died with the
-            # process, so they are started fresh.
+            # this incarnation only has to recover.  Its timer chains
+            # died with that process, so they are started fresh (a
+            # restart that fell back to on_start already armed them).
             protocol.on_restart()
             protocol.start_periodic_tasks()
 

@@ -126,15 +126,15 @@ class ProtocolStats:
 class _Periodic:
     """One periodic activity: the method it calls, the ``ProtocolConfig``
     field holding its interval (``None`` there switches it off), and its
-    pending timer -- running (``handle``) or suspended (``paused``)."""
+    pending timer.  The timer lives through a simulated crash: a fire
+    while the process is down does no work and re-arms."""
 
-    __slots__ = ("action", "interval", "label", "handle", "paused")
+    __slots__ = ("action", "interval", "label", "handle")
 
     def __init__(self, action: str, interval: str, label: str) -> None:
         self.action, self.interval = action, interval
         self.label = label
         self.handle: TimerHandle | None = None
-        self.paused: TimerHandle | None = None
 
 
 class BaseRecoveryProcess(abc.ABC):
@@ -381,48 +381,11 @@ class BaseRecoveryProcess(abc.ABC):
         """Stop the periodic activities for good (end of experiment).
 
         The flag alone suffices: each chain's next fire sees it and stops
-        without rescheduling.  (Tombstoning the pending timers instead
-        would change where the drain phase quiesces.)
+        without rescheduling, also on a process that is still down.
+        (Tombstoning the pending timers instead would change where the
+        drain phase quiesces.)
         """
         self._periodic_enabled = False
-
-    def pause_periodic_tasks(self) -> None:
-        """Suspend the periodic chains (the environment calls this when the
-        process crashes -- a dead process must not run protocol timers)."""
-        for chain in self._periodic:
-            if chain.handle is not None:
-                chain.paused = self.env.suspend_timer(
-                    chain.handle,
-                    getattr(self.config, chain.interval),
-                    label=chain.label,
-                )
-                chain.handle = None
-
-    def resume_periodic_tasks(self) -> None:
-        """Resume chains paused by :meth:`pause_periodic_tasks`, preserving
-        their phase: fire times are exactly those the never-paused chain
-        would have used (minus the fires that fell inside the downtime,
-        which would have done no work)."""
-        suspended = [(chain, chain.paused) for chain in self._periodic]
-        for chain in self._periodic:
-            chain.paused = None
-        if not self._periodic_enabled:
-            # Halted while down: abandon the suspended chains.
-            for _, paused in suspended:
-                if paused is not None:
-                    paused.cancel()
-            return
-        for chain, paused in suspended:
-            if paused is not None:
-                chain.handle = self.env.resume_timer(
-                    paused,
-                    getattr(self.config, chain.interval),
-                    partial(self._fire, chain),
-                    label=chain.label,
-                )
-        # A chain that was not running at the crash stays off: the
-        # protocol never started it (sender-based logging keeps its
-        # receiver log volatile between checkpoints).
 
     def _wanted(self, chain: _Periodic) -> bool:
         return getattr(self.config, chain.interval) is not None
@@ -436,11 +399,14 @@ class BaseRecoveryProcess(abc.ABC):
 
     def _fire(self, chain: _Periodic) -> None:
         chain.handle = None
-        if not self._periodic_enabled or not self.env.alive:
+        if not self._periodic_enabled:
             return
-        # Looked up on the instance at every fire: subclasses and harness
-        # wrappers override take_checkpoint / flush_log / gossip_tick.
-        getattr(self, chain.action)()
+        # A crashed process does no work, but its chain keeps firing on
+        # the same grid, so a restart finds it still running.  Looked up
+        # on the instance at every fire: subclasses and harness wrappers
+        # override take_checkpoint / flush_log / gossip_tick.
+        if self.env.alive:
+            getattr(self, chain.action)()
         self._arm(chain)
 
     def gossip_tick(self) -> None:

@@ -19,10 +19,9 @@ Design notes
   and subtract it but must never assume a unit.
 - ``crash_count`` must be durable and monotone across failures -- protocols
   use it as the incarnation tag for fresh state uids.
-- ``schedule_after`` is the only timer primitive implementations must
-  provide; ``schedule_at`` has a default implementation on top of it (the
-  simulator overrides it to avoid float round-trip error on absolute
-  times).
+- ``schedule_after`` is the only timer primitive.  A periodic chain is
+  one timer that re-arms itself at every fire, also while the simulator
+  holds its process down (the fire then does no work).
 """
 
 from __future__ import annotations
@@ -49,27 +48,6 @@ class TimerHandle(Protocol):
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
         ...
-
-
-class _SuspendedDeadline:
-    """Record of a suspended timer chain: its deadline, nothing pending."""
-
-    __slots__ = ("_time", "_cancelled")
-
-    def __init__(self, time: float) -> None:
-        self._time = time
-        self._cancelled = False
-
-    @property
-    def time(self) -> float:
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        self._cancelled = True
 
 
 class RuntimeEnv(abc.ABC):
@@ -154,74 +132,12 @@ class RuntimeEnv(abc.ABC):
         delay: float,
         callback: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> TimerHandle:
         """Run ``callback`` after ``delay`` environment-time units.
 
-        ``priority`` orders same-instant timers where the environment has
-        an instant (the simulator); live environments ignore it.  ``label``
-        is observability metadata.
+        ``label`` is observability metadata.
         """
-
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> TimerHandle:
-        """Run ``callback`` at absolute environment time ``when``.
-
-        Default implementation converts to a delay; the simulator overrides
-        it so that resuming a periodic chain at an exact virtual time does
-        not pick up ``now + (when - now)`` float error.
-        """
-        return self.schedule_after(
-            max(0.0, when - self.now), callback,
-            priority=priority, label=label,
-        )
-
-    def suspend_timer(
-        self,
-        handle: TimerHandle,
-        interval: float,
-        *,
-        label: str = "",
-    ) -> TimerHandle:
-        """Detach a periodic timer from its owner across downtime.
-
-        Returns a handle standing for the suspended chain; pass it to
-        :meth:`resume_timer` to re-attach the owner's callback, or cancel
-        it to abandon the chain.  The default implementation simply cancels
-        the pending timer and remembers its deadline.  The simulator
-        overrides both methods to keep the chain's exact position in the
-        deterministic event order while the owner is down (see
-        :class:`repro.sim.env.SimEnv`).
-        """
-        handle.cancel()
-        return _SuspendedDeadline(handle.time)
-
-    def resume_timer(
-        self,
-        handle: TimerHandle,
-        interval: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> TimerHandle:
-        """Re-attach ``callback`` to a chain detached by :meth:`suspend_timer`.
-
-        The next fire keeps the chain's phase: it lands on the first
-        multiple of ``interval`` after ``now``, counted from the suspended
-        deadline, rather than restarting the period from the resume instant.
-        """
-        next_at = handle.time
-        now = self.now
-        while next_at <= now:
-            next_at += interval
-        return self.schedule_at(next_at, callback, label=label)
 
     # ------------------------------------------------------------------
     # Protocol attachment

@@ -7,7 +7,9 @@ simulator models it.  It is the environment a protocol runs against
 that owns the process's liveness: while the process is crashed, transport
 deliveries are buffered here (the network is reliable) and drained on
 restart.  The *volatile memory* lost in a crash belongs to the protocol
-object, which clears it in ``on_crash``.
+object, which clears it in ``on_crash``.  A protocol's periodic chains
+keep firing through the downtime and do no work while ``alive`` is false
+(see ``BaseRecoveryProcess._fire``).
 
 ``ProcessHost`` is the same class under its historical name.
 """
@@ -138,12 +140,6 @@ class SimEnv(RuntimeEnv):
                 self.sim.now, EventKind.CRASH, self.pid, count=self.crash_count
             )
         self.protocol.on_crash()
-        # A dead process has no timers: stop the protocol's periodic
-        # checkpoint/flush chains instead of letting them churn in the
-        # kernel for the whole downtime.
-        pause = getattr(self.protocol, "pause_periodic_tasks", None)
-        if pause is not None:
-            pause()
 
     def restart(self) -> None:
         """Bring the process back; the protocol runs its restart logic,
@@ -158,12 +154,6 @@ class SimEnv(RuntimeEnv):
                 "host.restart", pid=self.pid, buffered=len(self._buffered)
             )
         self.protocol.on_restart()
-        # Resume the periodic chains paused at crash time, preserving their
-        # original phase (fire times are exactly those the pre-pause chain
-        # would have used).
-        resume = getattr(self.protocol, "resume_periodic_tasks", None)
-        if resume is not None:
-            resume()
         buffered, self._buffered = self._buffered, []
         for msg in buffered:
             self.protocol.on_network_message(msg)
@@ -178,93 +168,10 @@ class SimEnv(RuntimeEnv):
         delay: float,
         callback: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> TimerHandle:
-        return self.sim.schedule(
-            delay, callback, priority=priority, label=label
-        )
-
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> TimerHandle:
-        # Exact absolute-time scheduling: ``now + (when - now)`` in float
-        # arithmetic can miss ``when`` by an ulp, which would shift resumed
-        # periodic chains off their historical fire times.
-        return self.sim.schedule_at(
-            when, callback, priority=priority, label=label
-        )
-
-    def suspend_timer(
-        self,
-        handle: TimerHandle,
-        interval: float,
-        *,
-        label: str = "",
-    ) -> TimerHandle:
-        # Deterministic suspension: instead of cancelling the pending
-        # event, hand it to a phase keeper that keeps the chain ticking
-        # (callback-free) at its historical instants while the owner is
-        # down.  Every event the chain would have minted is still minted
-        # at the same virtual instant, so the kernel's (time, priority,
-        # seq) order -- and therefore the trace signature -- is identical
-        # to a run where the owner stayed attached throughout.
-        keeper = _SimPhaseKeeper(self.sim, handle, interval, label)
-        self.sim.retarget(handle, keeper._tick)
-        return keeper
-
-    def resume_timer(
-        self,
-        handle: TimerHandle,
-        interval: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "",
-    ) -> TimerHandle:
-        handle._active = False
-        return self.sim.retarget(handle._handle, callback)
+        return self.sim.schedule(delay, callback, label=label)
 
 
 #: The simulated process under its historical name.
 ProcessHost = SimEnv
-
-
-class _SimPhaseKeeper:
-    """Holds a suspended periodic chain's place in the event order.
-
-    While active it re-enacts exactly what the chain's own callback would
-    have done at each deadline -- schedule the next fire ``interval``
-    later, same label -- without running any protocol code.  Resuming
-    swaps the owner's callback onto whichever event is currently pending;
-    cancelling tombstones it.
-    """
-
-    __slots__ = ("_sim", "_handle", "_interval", "_label", "_active")
-
-    def __init__(
-        self, sim: Any, handle: Any, interval: float, label: str
-    ) -> None:
-        self._sim = sim
-        self._handle = handle
-        self._interval = interval
-        self._label = label
-        self._active = True
-
-    time = property(attrgetter("_handle.time"))
-    cancelled = property(attrgetter("_handle.cancelled"))
-
-    def cancel(self) -> None:
-        self._active = False
-        self._handle.cancel()
-
-    def _tick(self) -> None:
-        if not self._active:
-            return
-        self._handle = self._sim.schedule(
-            self._interval, self._tick, label=self._label
-        )

@@ -142,21 +142,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 
-    def retarget(
-        self, handle: Event, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Swap the call of a pending event, keeping its position.
-
-        The event keeps its ``(time, priority, seq)`` key, so it fires
-        exactly where it always would have -- including its place among
-        same-instant ties.  Handing a periodic timer to a placeholder
-        across a process's downtime and handing it back this way is
-        indistinguishable from never having touched it.
-        """
-        handle.callback = callback
-        handle.args = args
-        return handle
-
     def schedule_at(
         self,
         time: float,

@@ -1,8 +1,7 @@
-"""Unit tests for the :class:`RuntimeEnv` default method implementations.
+"""The bare minimum a third-party :class:`RuntimeEnv` engine provides.
 
-The defaults (``schedule_at``, ``suspend_timer``, ``resume_timer``) are
-what a third-party engine inherits, so they are tested against a minimal
-fake engine rather than through the simulator.
+The fake engine below implements only the abstract methods; its timer
+must satisfy the :class:`TimerHandle` protocol that protocols rely on.
 """
 
 from repro.runtime.env import RuntimeEnv, TimerHandle
@@ -59,7 +58,7 @@ class _FakeEnv(RuntimeEnv):
     def broadcast(self, payload, *, kind="token", include_self=False):
         raise NotImplementedError
 
-    def schedule_after(self, delay, callback, *, priority=0, label=""):
+    def schedule_after(self, delay, callback, *, label=""):
         timer = _FakeTimer(self.clock + delay, callback)
         self.timers.append(timer)
         return timer
@@ -69,61 +68,7 @@ class _FakeEnv(RuntimeEnv):
 
 
 def test_timer_handle_protocol_matches_fake():
-    assert isinstance(_FakeTimer(1.0, lambda: None), TimerHandle)
-
-
-def test_schedule_at_converts_to_delay():
-    env = _FakeEnv()
-    env.clock = 3.0
-    handle = env.schedule_at(10.0, lambda: None)
-    assert handle.time == 10.0
-
-
-def test_schedule_at_in_the_past_fires_now():
-    env = _FakeEnv()
-    env.clock = 5.0
-    handle = env.schedule_at(1.0, lambda: None)
-    assert handle.time == 5.0
-
-
-def test_suspend_cancels_and_remembers_deadline():
-    env = _FakeEnv()
-    pending = env.schedule_after(4.0, lambda: None)
-    suspended = env.suspend_timer(pending, interval=4.0)
-    assert pending.cancelled
-    assert suspended.time == 4.0
-    assert not suspended.cancelled
-    suspended.cancel()
-    assert suspended.cancelled
-
-
-def test_resume_keeps_the_chain_phase():
-    # Chain fired at 4, 8, ... with a deadline pending at 12 when the
-    # owner went down; resuming at now=17 must fire at 20 (the next
-    # multiple of the interval counted from the old deadline), not 21.
-    env = _FakeEnv()
-    pending = env.schedule_after(12.0, lambda: None)
-    suspended = env.suspend_timer(pending, interval=4.0)
-    env.clock = 17.0
-    resumed = env.resume_timer(suspended, 4.0, lambda: None)
-    assert resumed.time == 20.0
-
-
-def test_resume_before_the_old_deadline_keeps_it():
-    env = _FakeEnv()
-    pending = env.schedule_after(12.0, lambda: None)
-    suspended = env.suspend_timer(pending, interval=4.0)
-    env.clock = 9.0
-    resumed = env.resume_timer(suspended, 4.0, lambda: None)
-    assert resumed.time == 12.0
-
-
-def test_resumed_callback_is_the_new_one():
-    fired = []
-    env = _FakeEnv()
-    pending = env.schedule_after(2.0, lambda: fired.append("old"))
-    suspended = env.suspend_timer(pending, interval=2.0)
-    env.clock = 3.0
-    resumed = env.resume_timer(suspended, 2.0, lambda: fired.append("new"))
-    resumed.callback()
-    assert fired == ["new"]
+    # _FakeEnv instantiates, so it implements every abstract method, and
+    # schedule_after is the one timer primitive it had to provide.
+    handle = _FakeEnv().schedule_after(1.0, lambda: None)
+    assert isinstance(handle, TimerHandle) and handle.time == 1.0

@@ -1,13 +1,15 @@
 """Periodic checkpoint/flush behaviour across crash and restart (SimEnv).
 
-The engine pauses a protocol's periodic chains when its process crashes
-and resumes them at restart.  These tests pin the contract:
+A protocol's periodic chain is one timer that keeps firing through a
+simulated crash; a fire while the process is down does no work.  These
+tests pin the contract:
 
 - a dead process does no checkpoint/flush work;
-- the resumed chain keeps its original phase (fires at the instants the
-  never-crashed chain would have used) and there is exactly ONE chain --
-  a restart that naively re-armed the timers would double the cadence;
-- halting while down abandons the suspended chains for good.
+- after the restart the chain keeps its original phase (fires at the
+  instants the never-crashed chain would have used) and there is exactly
+  ONE chain -- a restart that re-armed the timers on top of the running
+  ones would double the cadence, also when it falls back to ``on_start``;
+- halting while down stops the chains for good.
 """
 
 import pytest
@@ -92,8 +94,8 @@ def test_resumed_chain_keeps_phase_and_is_single(crash_run):
 
 def test_periodic_state_is_initialised_before_start():
     # Regression: _periodic_enabled used to be set only inside
-    # start_periodic_tasks, so pause/resume/halt before on_start crashed
-    # with AttributeError.
+    # start_periodic_tasks, so halting before on_start crashed with
+    # AttributeError.
     from repro.core.recovery import DamaniGargProcess
     from repro.sim.kernel import Simulator
     from repro.sim.network import Network
@@ -105,9 +107,7 @@ def test_periodic_state_is_initialised_before_start():
     host = ProcessHost(0, sim, network)
     protocol = DamaniGargProcess(host, ScriptedApp())
     assert protocol._periodic_enabled is False
-    protocol.pause_periodic_tasks()       # no chains yet: must be a no-op
-    protocol.resume_periodic_tasks()
-    protocol.halt_periodic_tasks()
+    protocol.halt_periodic_tasks()        # no chains yet: must be a no-op
     assert protocol._periodic_enabled is False
 
 
@@ -123,8 +123,8 @@ def test_halt_while_down_abandons_the_chains():
     )
     # halt_periodic_tasks ran at the horizon while p1 was down.  The
     # drain still executes the (late) restart, which takes its one
-    # immediate checkpoint -- but the suspended periodic chain must have
-    # been abandoned, so nothing fires after that.
+    # immediate checkpoint -- but the halted periodic chain stopped at
+    # its next fire, so nothing fires after that.
     restarts = run.trace.events(EventKind.RESTART, 1)
     assert restarts, "drain should still have restarted p1"
     restart_time = restarts[0].time
@@ -132,3 +132,40 @@ def test_halt_while_down_abandons_the_chains():
                   (e.time for e in run.trace.events(EventKind.CHECKPOINT, 1))
                   if t > 5.0]
     assert post_crash == [restart_time]
+
+
+def _fresh_start_protocol():
+    from repro.core.recovery import DamaniGargProcess
+
+    class FreshStartOnRestart(DamaniGargProcess):
+        """Restarts as if nothing durable survived: ``on_start`` again."""
+
+        def on_restart(self):
+            self.stats.restarts += 1
+            self._fresh_start_after_crash()
+
+    return FreshStartOnRestart
+
+
+def test_fresh_start_after_crash_keeps_a_single_chain():
+    # The fresh-start restart runs on_start, which calls
+    # start_periodic_tasks while the chain armed before the crash is
+    # still pending.  It must be left alone, not doubled.
+    run = (
+        ScenarioBuilder(n=2)
+        .protocol(_fresh_start_protocol())
+        .app(ScriptedApp(
+            bootstrap_sends={0: [(1, "m1")]},
+            rules={(1, "m1"): [(0, "m2")]},
+        ))
+        .config(ProtocolConfig(checkpoint_interval=CKPT))
+        .crash(at=CRASH_AT, pid=1, downtime=DOWNTIME)
+        .horizon(HORIZON)
+        .run()
+    )
+    restart_at = CRASH_AT + DOWNTIME
+    after = [t for t in _ckpt_times(run, 1) if t >= restart_at]
+    # One checkpoint at the restart itself (on_start's checkpoint 0),
+    # then the surviving chain on its original grid, one per interval.
+    grid = [k * CKPT for k in range(5, int(HORIZON / CKPT) + 1)]
+    assert after == [restart_at, *grid], after

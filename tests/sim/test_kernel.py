@@ -268,26 +268,6 @@ def test_the_handle_is_the_event():
     assert handle.label == "x" and not handle.cancelled
 
 
-def test_a_suspended_then_retargeted_timer_keeps_its_slot():
-    """Three same-instant events; the middle one is handed to a
-    placeholder (what suspending a timer does) and later handed back with
-    a new callback and argument.  It still fires between its neighbours,
-    at its original ``(time, priority, seq)``."""
-    sim = Simulator()
-    fired = []
-    sim.schedule(5.0, fired.append, "first")
-    handle = sim.schedule(5.0, fired.append, "owner")
-    sim.schedule(5.0, fired.append, "last")
-    key = (handle.time, handle.priority, handle.seq)
-    sim.retarget(handle, lambda: fired.append("placeholder"))
-    sim.run(until=4.0)
-    assert sim.retarget(handle, fired.append, "owner again") is handle
-    assert (handle.time, handle.priority, handle.seq) == key
-    sim.run()
-    assert fired == ["first", "owner again", "last"]
-    assert sim.events_fired == 3
-
-
 def test_schedule_at_fires_when_schedule_would():
     """``schedule_at(now + d)`` and ``schedule(d)`` agree to the bit, even
     where ``now + ((now + d) - now)`` is not ``now + d``."""

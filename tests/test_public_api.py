@@ -146,14 +146,13 @@ FROZEN_RUNTIME_ENV = [
     "n",
     "now",
     "pid",
-    "resume_timer",
     "schedule_after",
-    "schedule_at",
     "send",
     "storage",
-    "suspend_timer",
     "tracer",
 ]
+
+REMOVED_RUNTIME_ENV = ["resume_timer", "schedule_at", "suspend_timer"]
 
 
 def test_runtime_env_surface_is_frozen():
@@ -163,6 +162,9 @@ def test_runtime_env_surface_is_frozen():
         assert hasattr(RuntimeEnv, name) or name in getattr(
             RuntimeEnv, "__annotations__", {}
         ), f"RuntimeEnv.{name} missing"
+    # One timer primitive: the removed ones must not grow back.
+    for name in REMOVED_RUNTIME_ENV:
+        assert not hasattr(RuntimeEnv, name), f"RuntimeEnv.{name} is back"
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES)

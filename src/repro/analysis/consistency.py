@@ -25,9 +25,12 @@ disabled, and the measured violation count becomes a Table 1 data point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.causality import GroundTruth, build_ground_truth
-from repro.harness.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.harness.runner import ExperimentResult
 
 
 @dataclass

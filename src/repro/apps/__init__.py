@@ -23,6 +23,7 @@ on :mod:`repro.apps.applications` -- resolving kvstore at first attribute
 access instead of package-import time keeps the cycle open.
 """
 
+from repro import _lazy_exports
 from repro.apps.applications import (
     BankApp,
     BankState,
@@ -52,16 +53,7 @@ __all__ = [
 
 #: Resolved lazily (cycle: kvstore -> service.kv -> apps.applications ->
 #: this package).
-_KVSTORE_NAMES = frozenset({"ClientState", "KVStoreApp", "ReplicaState"})
-
-
-def __getattr__(name: str):
-    if name in _KVSTORE_NAMES:
-        import repro.apps.kvstore as kvstore
-
-        return getattr(kvstore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    name: "repro.apps.kvstore"
+    for name in ("ClientState", "KVStoreApp", "ReplicaState")
+})

@@ -30,55 +30,33 @@ SIGKILL crashes:
   spec; :mod:`repro.live.bench` -- a trace's active window.
 """
 
-from repro.live.env import LiveEnv, LiveTrace
-from repro.live.faults import (
-    LiveCorruptFramePlan,
-    LiveDiskFaultPlan,
-    LiveFaultPlan,
-    LiveGrayLinkPlan,
-    LiveLinkDropPlan,
-    LivePartitionPlan,
-    NodeFaults,
-)
-from repro.live.load import LoadPipelineApp, OpenLoopSource
-from repro.live.supervisor import LiveClusterSpec, LiveCrashPlan, run_cluster
-from repro.live.verify import (
-    LiveVerdict,
-    RecoveryTimeline,
-    check_live_run,
-    recovery_timeline,
-)
+from repro import _lazy_exports
 
+#: Each public name and the module that defines it.  Nothing is imported
+#: up front, so ``python -m repro.live.storage PATH`` and ``python -m
+#: repro.live.node`` execute their module once, as ``__main__``.
+_EXPORTS = {
+    "FileStableStorage": "repro.live.storage",
+    "LiveClusterSpec": "repro.live.supervisor",
+    "LiveCorruptFramePlan": "repro.live.faults",
+    "LiveCrashPlan": "repro.live.supervisor",
+    "LiveDiskFaultPlan": "repro.live.faults",
+    "LiveEnv": "repro.live.env",
+    "LiveFaultPlan": "repro.live.faults",
+    "LiveGrayLinkPlan": "repro.live.faults",
+    "LiveLinkDropPlan": "repro.live.faults",
+    "LivePartitionPlan": "repro.live.faults",
+    "LiveTrace": "repro.live.env",
+    "LiveVerdict": "repro.live.verify",
+    "LoadPipelineApp": "repro.live.load",
+    "NodeFaults": "repro.live.faults",
+    "OpenLoopSource": "repro.live.load",
+    "RecoveryTimeline": "repro.live.verify",
+    "check_live_run": "repro.live.verify",
+    "recovery_timeline": "repro.live.verify",
+    "run_cluster": "repro.live.supervisor",
+}
 
-def __getattr__(name: str):
-    # Resolved on first use rather than imported above, so that
-    # ``python -m repro.live.storage PATH`` executes the module once, as
-    # ``__main__``, instead of a second time beside an imported copy.
-    if name == "FileStableStorage":
-        from repro.live.storage import FileStableStorage
+__all__ = list(_EXPORTS)
 
-        return FileStableStorage
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "FileStableStorage",
-    "LiveClusterSpec",
-    "LiveCorruptFramePlan",
-    "LiveCrashPlan",
-    "LiveDiskFaultPlan",
-    "LiveEnv",
-    "LiveFaultPlan",
-    "LiveGrayLinkPlan",
-    "LiveLinkDropPlan",
-    "LivePartitionPlan",
-    "LiveTrace",
-    "LiveVerdict",
-    "LoadPipelineApp",
-    "NodeFaults",
-    "OpenLoopSource",
-    "RecoveryTimeline",
-    "check_live_run",
-    "recovery_timeline",
-    "run_cluster",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -17,6 +17,8 @@ starts a fresh one, which resumes from :class:`FileStableStorage`.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
 import json
 import time
 from math import isfinite
@@ -39,15 +41,38 @@ _INT_TUPLES = {
     size: '{"__tuple__":[%s]}' % ",".join(["%d"] * size) for size in range(9)
 }
 _TUPLE_ITEM_TEXT = {int: _int_text, str: _json_str}
+_CODEC_FIRST = (
+    bool, int, float, str, list, tuple, set, frozenset, dict,
+    codec.FaultTolerantVectorClock,
+)
+
+
+@functools.cache
+def _dataclass_text(cls: type) -> tuple[str, tuple[tuple[str, str], ...]] | None:
+    """The fixed text of a codec-encodable dataclass's line: its
+    ``{"__dc__":...,"fields":{`` head and each field's name with its
+    ``"name":`` key; None for any class the codec does not encode as
+    a dataclass (its checks for scalars and containers come first)."""
+    if (
+        not dataclasses.is_dataclass(cls)
+        or issubclass(cls, _CODEC_FIRST)
+        or not cls.__module__.startswith(codec.TRUSTED_PREFIX)
+    ):
+        return None
+    path = _json_str(f"{cls.__module__}:{cls.__qualname__}")
+    return '{"__dc__":%s,"fields":{' % path, tuple(
+        (name, _json_str(name) + ":") for name in codec.field_names(cls)
+    )
 
 
 def _json(value: Any) -> str:
     """``compact_json(codec.encode(value))``, byte for byte.
 
     The values a delivery's trace lines hold -- ints, strs, bools, None,
-    finite floats and tuples of ints and strs (uids, dedup ids, a
-    pipeline's output) -- are formatted here; every other value (NaN and
-    the infinities included) takes the generic codec.
+    finite floats, tuples of ints and strs (uids, dedup ids, a
+    pipeline's output) and ``repro`` dataclasses (a KV reply) -- are
+    formatted here; every other value (NaN and the infinities included)
+    takes the generic codec.
     """
     cls = type(value)
     if cls is int:
@@ -75,6 +100,13 @@ def _json(value: Any) -> str:
         return "true" if value else "false"
     elif value is None:
         return "null"
+    else:
+        text = _dataclass_text(cls)
+        if text is not None:
+            head, fields = text
+            return head + ",".join(
+                [key + _json(getattr(value, name)) for name, key in fields]
+            ) + "}}"
     return compact_json(codec.encode(value))
 
 

@@ -157,6 +157,8 @@ async def run_node(
         faults=faults,
     )
     await transport.start()
+    # CPU seconds of this interpreter so far: imports, storage load, bind.
+    ready_cpu_s = time.process_time()
 
     # Phase 2: the epoch exists once the whole mesh is up.  Messages
     # arriving in the meantime are buffered by the transport and drained
@@ -323,6 +325,7 @@ async def run_node(
         "delivery_batches": transport.delivery_batches,
         "delivery_batch_max": transport.delivery_batch_max,
         "collector": collector,
+        "cpu": {"ready_s": ready_cpu_s, "run_s": time.process_time()},
     }
     if tracer is not None:
         done["obs"] = {"counters": dict(tracer.counters)}

@@ -14,15 +14,13 @@ formats.  Quick tour::
 Attaching a tracer never changes a seeded run's event order -- the
 determinism tests pin this down.
 
-The scenario helpers are lazy attributes: the substrate
-(``protocols.base``) imports this package for :data:`NULL_TRACER`, and
-eagerly importing the harness-dependent pieces here would close an import
-cycle.
+The exporters and scenario helpers are lazy attributes: the substrate
+(``protocols.base``) imports this package for :data:`NULL_TRACER`, so
+every live node loads it, and eagerly importing the harness-dependent
+pieces here would close an import cycle.
 """
 
-from typing import Any
-
-from repro.obs.export import MetricsReport, write_jsonl
+from repro import _lazy_exports
 from repro.obs.tracer import (
     NULL_TRACER,
     GaugeSeries,
@@ -43,16 +41,9 @@ __all__ = [
     "write_jsonl",
 ]
 
-_LAZY = {
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "MetricsReport": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
     "SCENARIOS": "repro.obs.scenarios",
     "build_scenario": "repro.obs.scenarios",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+})

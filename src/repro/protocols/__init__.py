@@ -23,42 +23,23 @@ and Koo-Toueg-style coordinated checkpointing [13]
 (:class:`~repro.protocols.coordinated.CoordinatedProcess`).
 """
 
-from repro.protocols.base import (
-    BaseRecoveryProcess,
-    ProtocolConfig,
-    ProtocolStats,
-)
-from repro.protocols.causal_logging import CausalLoggingProcess
-from repro.protocols.coordinated import CoordinatedProcess
-from repro.protocols.pessimistic_receiver import PessimisticReceiverProcess
-from repro.protocols.peterson_kearns import PetersonKearnsProcess
-from repro.protocols.sender_based import SenderBasedProcess
-from repro.protocols.sistla_welch import SistlaWelchProcess
-from repro.protocols.strom_yemini import StromYeminiProcess
+from repro import _lazy_exports
 
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "BaseRecoveryProcess": "repro.protocols.base",
+    "CausalLoggingProcess": "repro.protocols.causal_logging",
+    "CoordinatedProcess": "repro.protocols.coordinated",
+    "PessimisticReceiverProcess": "repro.protocols.pessimistic_receiver",
+    "PetersonKearnsProcess": "repro.protocols.peterson_kearns",
+    "ProtocolConfig": "repro.protocols.base",
+    "ProtocolStats": "repro.protocols.base",
+    "SenderBasedProcess": "repro.protocols.sender_based",
+    "SistlaWelchProcess": "repro.protocols.sistla_welch",
+    "SmithJohnsonTygarProcess": "repro.protocols.smith_johnson_tygar",
+    "StromYeminiProcess": "repro.protocols.strom_yemini",
+}
 
-def __getattr__(name: str):
-    # SmithJohnsonTygarProcess subclasses the core protocol, whose module
-    # imports this package for the shared base class; resolving it lazily
-    # (PEP 562) breaks the import cycle.
-    if name == "SmithJohnsonTygarProcess":
-        from repro.protocols.smith_johnson_tygar import (
-            SmithJohnsonTygarProcess,
-        )
+__all__ = list(_EXPORTS)
 
-        return SmithJohnsonTygarProcess
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BaseRecoveryProcess",
-    "CausalLoggingProcess",
-    "CoordinatedProcess",
-    "PessimisticReceiverProcess",
-    "PetersonKearnsProcess",
-    "ProtocolConfig",
-    "ProtocolStats",
-    "SenderBasedProcess",
-    "SistlaWelchProcess",
-    "SmithJohnsonTygarProcess",
-    "StromYeminiProcess",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

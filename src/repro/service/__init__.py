@@ -54,6 +54,7 @@ Frozen surface
 breaking change and must bump the major version.
 """
 
+from repro import _lazy_exports
 from repro.service.kv import (
     KVGet,
     KVPut,
@@ -62,7 +63,6 @@ from repro.service.kv import (
     KVServiceApp,
     ServiceReplicaState,
 )
-from repro.service.routing import RoutingTable
 
 __all__ = [
     "KVClient",
@@ -81,27 +81,12 @@ __all__ = [
 
 #: Names resolved lazily: the client and manager halves pull in the
 #: live runtime (asyncio, subprocess supervision), which the engine-free
-#: half of the package must not load eagerly.
-_LAZY = {
-    "KVClient": ("repro.service.client", "KVClient"),
-    "KVSession": ("repro.service.client", "KVSession"),
-    "ShardEndpoint": ("repro.service.client", "ShardEndpoint"),
-    "ServiceConfig": ("repro.service.manager", "ServiceConfig"),
-    "ShardManager": ("repro.service.manager", "ShardManager"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+#: half of the package must not load eagerly, and a replica never routes.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "RoutingTable": "repro.service.routing",
+    "KVClient": "repro.service.client",
+    "KVSession": "repro.service.client",
+    "ShardEndpoint": "repro.service.client",
+    "ServiceConfig": "repro.service.manager",
+    "ShardManager": "repro.service.manager",
+})

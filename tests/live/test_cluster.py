@@ -82,6 +82,10 @@ def test_cluster_survives_a_sigkill(tmp_path):
         assert collector["reclaimed_at_end"] <= LIVE_RECLAIMED_MAX, (
             pid, collector,
         )
+        # The interpreter's CPU splits into boot (to the bound port) and
+        # the rest of the run, read when the report is built.
+        cpu = done["cpu"]
+        assert 0 < cpu["ready_s"] <= cpu["run_s"], (pid, cpu)
 
     # Per-node artifacts exist for debugging.
     for pid in range(spec.n):

@@ -80,6 +80,13 @@ HARD_FIELDS = {
     },
     "dataclass": {"reply": KVReply(op_id=(3, 9), key="k", value=None,
                                    version=2)},
+    "kv-reply-negative": {"value": KVReply(op_id=(0, 1), key="user:42",
+                                           value=-(2**40), version=-1)},
+    "kv-reply-non-ascii": {"value": KVReply(op_id=(7, 2), key="clé ☃\n",
+                                            value=5, version=1)},
+    "kv-reply-nested": {"value": KVReply(op_id=(1, "s"), key="",
+                                         value={"k": (2.5, None)},
+                                         version=0.5)},
     "set": {"ids": {3, 1, 2}, "frozen": frozenset({("a", 1), ("b", 2)})},
     "dict": {"map": {"k": [1, 2], ("t", 1): (2, 3)}},
     "list": {"items": [1, "two", None, (3,)]},
